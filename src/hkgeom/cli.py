@@ -3,8 +3,7 @@
 Each subcommand reads a JSON payload (file or stdin), computes, and writes a
 single JSON object {"ok": bool, "result": ..., "diagnostics": ...} to stdout.
 Exit codes: 0 success, 1 domain/validation error, 2 numerical failure,
-3 usage error. Output is byte-identical for identical input, seed, and
-single-worker settings.
+3 usage error. Output is byte-identical for identical input and seed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from . import llv
 from . import period as per
 from . import serialize as ser
 from . import walls as wl
-from .config import DEFAULT_TOL, RunConfig
+from .config import DEFAULT_TOL, TOL_NAMES, RunConfig
 from .errors import DomainError, HkgeomError, NumericalError
 
 CONFIG_ENV = "HKGEOM_CONFIG"
@@ -39,24 +38,27 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(args) -> RunConfig:
     tol = DEFAULT_TOL
     seed = None
-    workers = 1
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or not set(data) <= {"tolerances", "seed"}:
+            raise DomainError("config must be a JSON object with keys 'tolerances', 'seed' only")
         overrides = data.get("tolerances", {})
-        tol = tol.replace(**{k: float(v) for k, v in overrides.items()})
+        if not isinstance(overrides, dict) or not set(overrides) <= set(TOL_NAMES):
+            raise DomainError(f"config 'tolerances' may only set {', '.join(TOL_NAMES)}")
+        try:
+            tol = tol.replace(**{k: float(v) for k, v in overrides.items()})
+        except TypeError as err:
+            raise DomainError(f"config tolerances must be numbers: {err}") from err
         seed = data.get("seed", seed)
-        workers = data.get("workers", workers)
-    for name in ("iso", "orth", "pos", "lie", "wall"):
+    for name in TOL_NAMES:
         flag = getattr(args, f"tol_{name}", None)
         if flag is not None:
             tol = tol.replace(**{name: flag})
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        workers = args.workers
-    return RunConfig(tol=tol, seed=seed, workers=workers)
+    return RunConfig(tol=tol, seed=seed)
 
 
 def _read_payload(args) -> dict:
@@ -478,10 +480,8 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--config", default=None, help="config JSON path")
-    common.add_argument("--json", action="store_true", help="JSON output (always on)")
-    for name in ("iso", "orth", "pos", "lie", "wall"):
+    for name in TOL_NAMES:
         common.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
     common.add_argument("--height", type=int, default=100, help="height bound for searches")
     common.add_argument(
@@ -533,7 +533,6 @@ def main(argv=None) -> int:
         payload = _read_payload(args)
         handler = HANDLERS[(args.group, args.op)]
         result, diagnostics = handler(payload, args, cfg)
-        diagnostics.setdefault("workers", cfg.workers)
         _emit({"ok": True, "result": result, "diagnostics": diagnostics})
         return 0
     except _Obstructed as obs:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,6 +28,7 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+TOL_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,11 +37,12 @@ class RunConfig:
 
     tol: Tolerances = DEFAULT_TOL
     seed: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
-        for name in ("iso", "orth", "pos", "lie", "wall"):
-            if getattr(self.tol, name) <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in TOL_NAMES:
+            value = getattr(self.tol, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
+        seed = self.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")

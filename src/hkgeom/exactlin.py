@@ -10,7 +10,7 @@ used by the integer-relation detectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -48,10 +48,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def vec_mat(v: Vec, a: Mat) -> Vec:
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -161,13 +157,15 @@ def inverse(a: Mat) -> Mat:
 
 
 def _inertia_int(s: list[list[int]]) -> tuple[int, int, int]:
-    """Integer fast path for inertia: fraction-free elimination.
+    """Inertia of an integer symmetric matrix by fraction-free elimination.
 
-    Instead of dividing by the pivot d, the remaining block is replaced by
-    d * S - (outer product), which scales the restricted form by d; a sign
-    flag tracks whether the block's form is currently negated. A positive
-    gcd is divided out after every step to control entry growth (scaling a
-    symmetric form by a positive integer preserves inertia).
+    Diagonal pivots contribute their sign; when the active diagonal vanishes,
+    a nonzero off-diagonal entry gives a hyperbolic 2x2 block contributing
+    (1, 1). Instead of dividing by the pivot d, the remaining block is
+    replaced by d * S - (outer product), which scales the restricted form by
+    d; a sign flag tracks whether the block's form is currently negated. A
+    positive gcd is divided out after every step to control entry growth
+    (scaling a symmetric form by a positive integer preserves inertia).
     """
     n = len(s)
     m = [row[:] for row in s]
@@ -237,66 +235,14 @@ def _inertia_int(s: list[list[int]]) -> tuple[int, int, int]:
 def inertia(s) -> tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) of a symmetric matrix over Q.
 
-    Symmetric Gaussian elimination: diagonal pivots contribute their sign;
-    when the active diagonal vanishes, a nonzero off-diagonal entry gives a
-    hyperbolic 2x2 block contributing (1, 1). Congruence preserves inertia,
-    so the count is exact.
+    Scales the matrix by the positive lcm of its denominators, which leaves
+    the inertia unchanged, and runs the integer elimination on the result.
     """
-    n = len(s)
     if not is_symmetric(s):
         raise DomainError("inertia requires a symmetric matrix")
-    if all(isinstance(x, int) for row in s for x in row):
-        return _inertia_int([list(row) for row in s])
-    m = [[fr(x) for x in row] for row in s]
-    pos = neg = zero = 0
-    active = list(range(n))
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
-        if piv is not None:
-            d = m[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [j for j in active if j != piv]
-            for j in rest:
-                if m[j][piv]:
-                    f = m[j][piv] / d
-                    row_j, row_p = m[j], m[piv]
-                    for k in rest:
-                        row_j[k] -= f * row_p[k]
-            active = rest
-            continue
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1 :]:
-                if m[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            zero += len(active)
-            break
-        i, j = pair
-        a = m[i][j]
-        pos += 1
-        neg += 1
-        rest = [k for k in active if k not in (i, j)]
-        for k in rest:
-            ski, skj = m[k][i], m[k][j]
-            if ski or skj:
-                row_k = m[k]
-                for l in rest:
-                    row_k[l] -= (ski * m[l][j] + skj * m[l][i]) / a
-        active = rest
-    return pos, neg, zero
-
-
-def gram_restrict(gram: Mat, basis: list[Vec]) -> Mat:
-    """Gram matrix of the bilinear form restricted to the given basis."""
-    gb = [mat_vec(gram, v) for v in basis]
-    return [[dot(basis[i], gb[j]) for j in range(len(basis))] for i in range(len(basis))]
+    n = len(s)
+    flat, _ = scale_to_integers([x for row in s for x in row])
+    return _inertia_int([flat[i * n : (i + 1) * n] for i in range(n)])
 
 
 def content(v: list[int]) -> int:
@@ -306,18 +252,16 @@ def content(v: list[int]) -> int:
     return g
 
 
-def clear_denominators(v: Vec) -> list[int]:
-    """Scale a rational vector by the lcm of denominators; returns ints."""
-    lcm = 1
-    for x in v:
-        d = fr(x).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return [int(fr(x) * lcm) for x in v]
+def scale_to_integers(v) -> tuple[list[int], int]:
+    """(D v, D) for D the positive lcm of the denominators of a rational vector."""
+    q = [x if isinstance(x, int) else fr(x) for x in v]  # ints carry numerator/denominator
+    scale = lcm(*[x.denominator for x in q])
+    return [x.numerator * (scale // x.denominator) for x in q], scale
 
 
 def primitive_vector(v) -> list[int]:
     """Primitive integer vector spanning the same line as v (v != 0)."""
-    w = clear_denominators([fr(x) for x in v])
+    w, _ = scale_to_integers(v)
     c = content(w)
     if c == 0:
         raise DomainError("zero vector has no primitive representative")

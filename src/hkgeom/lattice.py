@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import exactlin as ex
 from .errors import DomainError, InternalInconsistencyError
@@ -42,7 +43,14 @@ class QuadLattice:
 
     @classmethod
     def from_rows(cls, rows) -> "QuadLattice":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """Decode entries exactly (ints or 'p/q'); non-integral entries are rejected."""
+        try:
+            entries = [ex.frvec(row) for row in rows]
+        except TypeError as err:
+            raise DomainError(f"gram must be a list of rows of integers: {err}") from err
+        if any(x.denominator != 1 for row in entries for x in row):
+            raise DomainError("gram entries must be integers")
+        return cls(tuple(tuple(x.numerator for x in row) for row in entries))
 
     @property
     def rank(self) -> int:
@@ -69,7 +77,7 @@ class QuadLattice:
 
     @cached_property
     def adjugate(self) -> list[list[int]]:
-        """det * gram^{-1}, an integer matrix; fast path for dual values."""
+        """det * gram^{-1}, an integer matrix; computed once, used for dual values."""
         d = self.det
         adj = [[x * d for x in row] for row in self.dual_gram]
         assert all(x.denominator == 1 for row in adj for x in row)
@@ -135,7 +143,7 @@ class WallForm:
     @cached_property
     def indivisible(self) -> bool:
         """True when the lcm-cleared integer coordinate vector has content 1."""
-        cleared = ex.clear_denominators(list(self.coords))
+        cleared, _ = ex.scale_to_integers(self.coords)
         return ex.content(cleared) == 1
 
     @cached_property
@@ -232,19 +240,16 @@ def signature(L: QuadLattice) -> tuple[int, int]:
 
 
 def dual_value(L: QuadLattice, coords) -> Fraction:
-    """q^vee(delta) = coords . gram^{-1} . coords, exact over Q."""
-    if all(isinstance(x, int) for x in coords):
-        adj = L.adjugate
-        n = L.rank
-        acc = 0
-        for i in range(n):
-            ci = coords[i]
-            if ci:
-                row = adj[i]
-                acc += ci * sum(row[j] * coords[j] for j in range(n))
-        return Fraction(acc, L.det)
-    c = ex.frvec(coords)
-    return ex.dot(c, ex.mat_vec(L.dual_gram, c))
+    """q^vee(delta) = coords . gram^{-1} . coords, exact over Q.
+
+    With D the lcm of the coordinate denominators and w = D coords integral,
+    q^vee(delta) = w . adj(gram) . w / (det D^2).
+    """
+    w, scale = ex.scale_to_integers(coords)
+    if len(w) != L.rank:
+        raise DomainError("dual coordinates have wrong length")
+    acc = sum(wi * sum(map(mul, row, w)) for wi, row in zip(w, L.adjugate) if wi)
+    return Fraction(acc, L.det * scale * scale)
 
 
 def kernel_signature(L: QuadLattice, coords) -> tuple[int, int]:
@@ -252,9 +257,9 @@ def kernel_signature(L: QuadLattice, coords) -> tuple[int, int]:
 
     Uses the integer kernel basis w_i = c_p e_i - c_i e_p (i != p) for the
     lcm-cleared coordinate vector c with pivot p, so the restricted gram is
-    integral and the fast inertia path applies.
+    integral.
     """
-    c = ex.clear_denominators(ex.frvec(coords))
+    c, _ = ex.scale_to_integers(coords)
     if all(x == 0 for x in c):
         raise DomainError("zero functional")
     n = L.rank

@@ -187,13 +187,6 @@ class GradedOperator:
                     raise DomainError("matrix entries off the degree-shift blocks")
 
 
-def _block_check_matrix(ring: CohomologyRing, mat: np.ndarray, degree: int, tol: float = 0.0):
-    for i in range(ring.dim):
-        for j in range(ring.dim):
-            if abs(mat[i, j]) > tol and ring.degrees[i] != ring.degrees[j] + degree:
-                raise DomainError("matrix entries off the degree-shift blocks")
-
-
 def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
     n = ring.lattice.rank

@@ -22,8 +22,10 @@ from .errors import ChainConnectError, DomainError, NumericalError
 from .lattice import QuadLattice
 
 
+@lru_cache(maxsize=32)
 def gram_float(L: QuadLattice) -> np.ndarray:
-    return np.array(L.gram, dtype=float)
+    """The gram matrix as a read-only float array, built once per lattice."""
+    return _readonly(L.gram)
 
 
 def qform(L: QuadLattice, v) -> float:
@@ -521,6 +523,8 @@ def chain_connect(
     at a fraction of the remaining distance. Fails with ChainConnectError
     after ``max_links`` links.
     """
+    if max_links < 0:
+        raise DomainError("max_links must be >= 0")
     L = z.lattice
     if L != target.lattice:
         raise DomainError("period points live on different lattices")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import cech as cech_mod
 from .errors import DomainError
-from .lattice import Isometry, QuadLattice, WallForm
+from .lattice import QuadLattice, WallForm
 from .llv import CohomologyRing
 from .period import OrientedTwoPlane, PeriodPoint, PositiveThreePlane, TwistorChain
 from .walls import WallSet
@@ -78,12 +78,6 @@ def decode_lattice(obj) -> QuadLattice:
     if "rank" in obj and len(gram) != obj["rank"]:
         raise DomainError("rank does not match the gram matrix")
     return QuadLattice.from_rows(gram)
-
-
-def decode_isometry(L: QuadLattice, obj) -> Isometry:
-    if "matrix" not in obj:
-        raise DomainError("isometry object needs a 'matrix' field")
-    return Isometry(L, tuple(tuple(int(x) for x in row) for row in obj["matrix"]))
 
 
 # -- period-domain values ------------------------------------------------------

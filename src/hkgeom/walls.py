@@ -307,12 +307,16 @@ def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[Wa
     rows, exact = _span_rows(span)
     if not exact:
         raise DomainError("brute force oracle requires a rational spanning basis")
-    mj = majorant(L, rows)
-    dual = mj.dual_matrix()
+    dual = majorant(L, rows).dual_matrix()
+    # integer filter: with M = D * dual, v.dual.v <= radius iff v.M.v * den <= num * D
+    n = L.rank
+    flat, scale = ex.scale_to_integers([x for row in dual for x in row])
+    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    bound = radius.numerator * scale
     found = []
     for vec in _box_scan(L, d, box):
-        val = ex.dot(ex.frvec(list(vec)), ex.mat_vec(dual, ex.frvec(list(vec))))
-        if val <= radius:
+        val = sum(vi * sum(a * b for a, b in zip(row, vec)) for vi, row in zip(vec, m) if vi)
+        if val * radius.denominator <= bound:
             found.append(vec)
     return [WallForm.from_coords(L, list(c)) for c in sorted(found)]
 

@@ -141,6 +141,63 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     assert out == (GOLDEN / "period_sample_u3_seed7.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"tolerances": {"bogus": 1}},
+        {"tolerances": {"iso": None}},
+        {"tolerances": [1e-9]},
+        {"tolerances": {"iso": float("nan")}},
+        {"threads": 1},
+        {"seed": "7"},
+        [7],
+    ],
+    ids=[
+        "unknown-tolerance",
+        "null-tolerance",
+        "tolerances-not-object",
+        "nan-tolerance",
+        "unknown-top-level-key",
+        "string-seed",
+        "not-an-object",
+    ],
+)
+def test_malformed_config_is_domain_error(config, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    code, out = run_cli(
+        ["lattice", "signature", "-i", "u3_lattice.json", "--config", str(cfgfile)], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_non_positive_or_non_finite_tolerance_rejected(value, capsys):
+    code, out = run_cli(
+        ["lattice", "signature", "-i", "u3_lattice.json", f"--tol-iso={value}"], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
+@pytest.mark.parametrize("gram", [[[1.5]], [["3/2"]], [1]])
+def test_non_integral_gram_exit_1(gram, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"gram": gram}))
+    code = main(["lattice", "signature", "-i", str(bad)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
+def test_negative_max_links_exit_1(capsys):
+    argv = ["twistor", "chain", "-i", "chain_job_u3.json", "--max-links", "-1"]
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
 def test_walls_ueps_subcommand(tmp_path, capsys):
     job = {
         "lattice": json.loads((FIXTURES / "u3_lattice.json").read_text()),

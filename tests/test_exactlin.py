@@ -43,9 +43,10 @@ def test_nullspace_and_solve():
         lambda n: st.lists(
             st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
         )
-    )
+    ),
+    st.integers(1, 60),
 )
-def test_inertia_matches_float_oracle(rows):
+def test_inertia_matches_float_oracle(rows, den):
     sym = [[rows[i][j] + rows[j][i] for j in range(len(rows))] for i in range(len(rows))]
     evals = np.linalg.eigvalsh(np.array(sym, dtype=float))
     if min(abs(evals)) < 1e-8:
@@ -54,6 +55,8 @@ def test_inertia_matches_float_oracle(rows):
     assert zero == 0
     assert pos == int((evals > 0).sum())
     assert neg == int((evals < 0).sum())
+    # dividing by a positive denominator leaves the inertia unchanged
+    assert ex.inertia([[Fraction(x, den) for x in row] for row in sym]) == (pos, neg, zero)
 
 
 def test_inertia_hyperbolic_and_degenerate():

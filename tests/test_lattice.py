@@ -41,6 +41,13 @@ def test_degenerate_rejected():
         lat.QuadLattice.from_rows([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("rows", [[[1.5]], [[2.0]], [["3/2"]], [[None]], [1]])
+def test_non_integral_gram_rejected(rows):
+    with pytest.raises(DomainError):
+        lat.QuadLattice.from_rows(rows)
+    assert lat.QuadLattice.from_rows([["4/2"]]).gram == ((2,),)
+
+
 def test_signature_random_oracle():
     rng = random.Random(2024)
     checked = 0
@@ -64,6 +71,15 @@ def test_dual_value_examples():
     assert lat.dual_value(U, [-1, 1]) == -2
     assert lat.dual_value(U3, [-1, 1, 0, 0, 0, 0]) == -2
     assert lat.dual_value(lat.rank_one(2), [1]) == Fraction(1, 2)
+    # rational coordinates agree with c . gram^{-1} . c computed by inversion
+    rng = random.Random(9)
+    for L in (U3, K3, lat.rank_one(-6), lat.rescale(U3, 3)):
+        inv = ex.inverse([list(row) for row in L.gram])
+        for _ in range(5):
+            c = [Fraction(rng.randint(-7, 7), rng.randint(1, 12)) for _ in range(L.rank)]
+            assert lat.dual_value(L, c) == ex.dot(c, ex.mat_vec(inv, c))
+    with pytest.raises(DomainError):
+        lat.dual_value(U3, [1, 0])
 
 
 def test_is_negative_form_examples():

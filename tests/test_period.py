@@ -273,6 +273,9 @@ def test_chain_max_links():
     if not per.same_period_point(z1, z2):
         with pytest.raises(ChainConnectError):
             per.chain_connect(z1, z2, max_links=0)
+    assert len(per.chain_connect(z1, z1, max_links=0)) == 0
+    with pytest.raises(DomainError):
+        per.chain_connect(z1, z2, max_links=-1)
 
 
 def test_sampled_line_feeds_twistor_plane():
