@@ -551,7 +551,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         _emit({"ok": False, "error": {"type": "numerical", "message": str(err)}})
         return 2
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as err:
         _emit({"ok": False, "error": {"type": "domain", "message": f"{type(err).__name__}: {err}"}})
         return 1
     except HkgeomError as err:

@@ -83,9 +83,22 @@ class QuadLattice:
         assert all(x.denominator == 1 for row in adj for x in row)
         return [[int(x) for x in row] for row in adj]
 
+    def __hash__(self) -> int:
+        """Hash of the gram, computed once; lattices key the per-lattice float caches."""
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.gram)
+
     def bform(self, u, v) -> Fraction:
-        gu = ex.mat_vec([list(r) for r in self.gram], ex.frvec(v))
-        return ex.dot(ex.frvec(u), gu)
+        """b(u, v) = u . gram . v, exact; u and v are int/Fraction/'p/q' vectors of length rank."""
+        if len(u) != self.rank or len(v) != self.rank:
+            raise DomainError("vector length does not match the lattice rank")
+        iu, du = ex.scale_to_integers(u)
+        iv, dv = ex.scale_to_integers(v)
+        total = sum(a * sum(map(mul, row, iv)) for a, row in zip(iu, self.gram) if a)
+        return Fraction(total, du * dv)
 
     def q(self, v) -> Fraction:
         return self.bform(v, v)

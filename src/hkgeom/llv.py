@@ -114,16 +114,17 @@ class CohomologyRing:
         return out
 
     def cup_vector(self, x, y) -> list:
-        """Cup product of coefficient vectors, exact for int/Fraction input."""
+        """Cup product of coefficient vectors, exact for int/Fraction input.
+
+        The cost is linear in the number of stored structure constants.
+        """
         out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
+        for (i, j), terms in self._table.items():
+            xy = x[i] * y[j]
+            if not xy:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in self._table.get((i, j), {}).items():
-                    out[k] += xi * yj * c
+            for k, c in terms.items():
+                out[k] += xy * c
         return out
 
     def integrate(self, x) -> int | Fraction:
@@ -181,10 +182,12 @@ class GradedOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        for i in range(self.ring.dim):
-            for j in range(self.ring.dim):
-                if m[i, j] and self.ring.degrees[i] != self.ring.degrees[j] + self.degree:
-                    raise DomainError("matrix entries off the degree-shift blocks")
+        n = self.ring.dim
+        if m.shape != (n, n):
+            raise DomainError(f"operator matrix must be {n}x{n}")
+        deg = np.array(self.ring.degrees)
+        if np.any((m != 0) & (deg[:, None] != deg[None, :] + self.degree)):
+            raise DomainError("matrix entries off the degree-shift blocks")
 
 
 def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
@@ -293,9 +296,13 @@ def lie_closure(
 
     Maintains per-degree orthonormal bases of flattened matrices; a bracket
     joins the basis when its residual after projection exceeds tau (relative
-    to the bracket norm). Brackets are processed in deterministic FIFO order,
-    so the result is stable for a fixed input order. Raises when the
-    dimension exceeds ``cap`` (runaway non-closure).
+    to the bracket norm). The worklist brackets each element only against the
+    generators: the algebra generated by S is spanned by the right-normed
+    brackets [s1, [s2, ..., sk]] (de Graaf, *Lie Algebras: Theory and
+    Algorithms*, 2000, ch. 1), so a span that contains S and is closed under
+    ad(s) for every s in S is the whole algebra. Brackets are processed in
+    deterministic FIFO order, so the result is stable for a fixed input order.
+    Raises when the dimension exceeds ``cap`` (runaway non-closure).
     """
     if not generators:
         raise DomainError("no generators")
@@ -332,15 +339,15 @@ def lie_closure(
 
     for g in generators:
         try_add(np.asarray(g.matrix, dtype=float), g.degree)
+    gen_degrees = [d for d, _ in elements]
+    gen_mats = np.array([m for _, m in elements])
     queue = deque(range(len(elements)))
     while queue:
         idx = queue.popleft()
         deg_x, x = elements[idx]
-        snapshot = len(elements)
-        mats = np.array([m for _, m in elements[:snapshot]])
-        brackets = x[None, :, :] @ mats - mats @ x[None, :, :]
-        for j in range(snapshot):
-            if try_add(brackets[j], elements[j][0] + deg_x):
+        brackets = x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]
+        for bracket, deg_g in zip(brackets, gen_degrees):
+            if try_add(bracket, deg_x + deg_g):
                 queue.append(len(elements) - 1)
     # independent residual sweep over sampled pairs
     rng = np.random.default_rng(seed)
@@ -384,7 +391,9 @@ def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[lis
     """Exact-rational bracket closure: the oracle for the float path.
 
     Generators are (degree, matrix) pairs with Fraction/int entries. Returns
-    (dimension, by_degree) computed with exact rank decisions.
+    (dimension, by_degree) computed with exact rank decisions. It brackets
+    every pair of elements, so it does not rely on the right-normed argument
+    that the generator-only float worklist uses.
     """
     blocks: dict[int, list[list[Fraction]]] = {}
     pivots: dict[int, list[int]] = {}

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,28 @@ def test_non_integral_gram_exit_1(gram, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert json.loads(out)["error"]["type"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["walls", "enum"], {"lattice": "U3", "span": 5}),
+        (["lattice", "dual"], {"lattice": "U3", "coords": 5}),
+    ],
+    ids=["walls-enum-scalar-span", "lattice-dual-scalar-coords"],
+)
+def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkgeom.cli", *argv, "-i", str(job)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "domain"
+    assert "Traceback" not in proc.stderr
 
 
 def test_negative_max_links_exit_1(capsys):

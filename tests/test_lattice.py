@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
+from hkgeom import period as per
 from hkgeom.errors import DomainError
 
 
@@ -80,6 +81,48 @@ def test_dual_value_examples():
             assert lat.dual_value(L, c) == ex.dot(c, ex.mat_vec(inv, c))
     with pytest.raises(DomainError):
         lat.dual_value(U3, [1, 0])
+
+
+def test_bform_rejects_wrong_length():
+    with pytest.raises(DomainError):
+        K3.q([1, 1])
+    with pytest.raises(DomainError):
+        U3.bform([1] * 6, [1] * 7)
+
+
+def test_bform_rejects_float_entries():
+    with pytest.raises(DomainError):
+        U3.q([1.0, 0, 0, 0, 0, 0])
+    with pytest.raises(DomainError):
+        U3.bform([1, 0, 0, 0, 0, 0], [0, 0.5, 0, 0, 0, 0])
+
+
+def test_bform_fraction_matches_direct_double_sum():
+    rng = random.Random(11)
+    for L in (U3, K3, lat.rescale(U3, -5)):
+        n = L.rank
+        for _ in range(5):
+            u = [Fraction(rng.randint(-9, 9), rng.randint(1, 10)) for _ in range(n)]
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 10)) for _ in range(n)]
+            direct = sum(u[i] * L.gram[i][j] * v[j] for i in range(n) for j in range(n))
+            assert L.bform(u, v) == direct
+            assert L.bform(u, v) == L.bform(v, u)
+
+
+def test_q_returns_fraction():
+    for v in ([1, 1, 0, 0, 0, 0], [0] * 6, ["1/2", 1, 0, 0, 0, 0]):
+        assert isinstance(U3.q(v), Fraction)
+    assert U3.q([1, 1, 0, 0, 0, 0]) == 2
+    assert U3.q(["1/2", 1, 0, 0, 0, 0]) == 1
+
+
+def test_equal_lattices_hash_once_and_share_caches():
+    a = lat.k3_lattice()
+    b = lat.k3_lattice()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != U3
+    assert per.gram_float(a) is per.gram_float(b)
 
 
 def test_is_negative_form_examples():

@@ -297,3 +297,44 @@ def test_full_llv_closure_dimension():
     assert closure.dimension == 276  # dim so(24) = 24 * 23 / 2
     assert closure.by_degree == {-2: 22, 0: 232, 2: 22}
     assert closure.residual < 1e-8
+
+
+def test_full_llv_closure_is_bracket_closed():
+    # every pair, not the 400 sampled by lie_closure's own sweep; each degree
+    # block is re-orthonormalized here, so the check does not trust the closure's basis
+    closure = llv.full_llv_closure(RING)
+    mats = np.array([op.matrix for op in closure.elements])
+    degrees = np.array([op.degree for op in closure.elements])
+    flat = mats.reshape(len(mats), -1)
+    blocks = {d: np.linalg.qr(flat[degrees == d].T)[0].T for d in set(degrees.tolist())}
+    worst = 0.0
+    for x, dx in zip(mats, degrees):
+        brackets = (x[None] @ mats - mats @ x[None]).reshape(len(mats), -1)
+        for dy in blocks:
+            b = brackets[degrees == dy]
+            basis = blocks.get(dx + dy, np.zeros((0, flat.shape[1])))
+            r = b - (b @ basis.T) @ basis
+            norms = np.linalg.norm(b, axis=1)
+            live = norms >= 1e-13
+            if live.any():
+                worst = max(worst, float((np.linalg.norm(r[live], axis=1) / norms[live]).max()))
+    assert worst < 1e-8
+
+
+def test_cup_vector_is_bilinear_expansion_of_cup_basis():
+    rng = np.random.default_rng(5)
+    n = RING.dim
+    for trial in range(20):
+        x = [0] * n
+        y = [0] * n
+        for vec in (x, y):
+            for i in rng.choice(n, size=4, replace=False):
+                num = int(rng.integers(-9, 10))
+                vec[int(i)] = num if trial % 2 else Fraction(num, int(rng.integers(1, 8)))
+        expected = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if x[i] and y[j]:
+                    for k, c in enumerate(RING.cup_basis(i, j)):
+                        expected[k] += x[i] * y[j] * c
+        assert RING.cup_vector(x, y) == expected
