@@ -9,9 +9,10 @@ oracle backing the solver.
 from __future__ import annotations
 
 import dataclasses
+from operator import mul
 
 from . import exactlin as ex
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 
 MAX_DIM = 3  # simplices of up to 4 vertices: enough for degree-2 cocycle checks
 
@@ -283,13 +284,28 @@ def _solve_mod(d_mat: list[list[int]], rhs: list[int], k: int) -> list[int] | No
     return x
 
 
-def _cohomology_data(nerve: Nerve, k: int, degree: int):
-    """H^degree(nerve; Z/k) presentation: (gens K, relations R, factors, U_R).
+def _k_coords(vinv: list[list[int]], scales: list[int], c: list[int]) -> list[int]:
+    """K^-1 c for K = V diag(scales): diag(1/scales) V^-1 c, divided exactly."""
+    out = []
+    for row, scale in zip(vinv, scales):
+        q, r = divmod(sum(map(mul, row, c)), scale)
+        if r:
+            raise InternalInconsistencyError("vector is not in the mod-k cocycle lattice")
+        out.append(q)
+    return out
 
-    K columns generate the mod-k cocycle lattice X = {x : A x = 0 mod k}
-    inside Z^n; R expresses im(B) + k Z^n in K-coordinates; the invariant
-    factors of Z^n / R Z give the group, with coordinates read off through
-    the SNF row transform of R.
+
+def _cohomology_data(nerve: Nerve, k: int, degree: int):
+    """H^degree(nerve; Z/k) presentation: (V^-1, scales, U_R, factors).
+
+    The columns of K = V diag(scales) generate the mod-k cocycle lattice
+    X = {x : A x = 0 mod k} inside Z^n, for the SNF U A V = S and
+    scales_i = k / gcd(s_i, k). V is unimodular, so K-coordinates
+    K^-1 c = diag(1/scales) V^-1 c need only the integer inverse V^-1 and one
+    exact division per entry (``_k_coords``); no rational arithmetic enters.
+    R expresses im(B) + k Z^n in K-coordinates; the invariant factors of
+    Z^n / R Z give the group, with coordinates read off through the SNF row
+    transform U_R of R.
     """
     a_mat = nerve.coboundary_matrix(degree)
     n = len(nerve.simplices_of_dim(degree))
@@ -300,37 +316,21 @@ def _cohomology_data(nerve: Nerve, k: int, degree: int):
         b_mat, prev = [[0] * 0 for _ in range(n)], 0
     if n == 0:
         return None  # no simplices in this degree: trivial group
-    # X = V . diag(k / gcd(s_i, k)) for the SNF of A (missing rows mean free)
+    # missing rows of the SNF mean free directions (s_i = 0, scale k)
     if len(a_mat) == 0:
-        kv = [[int(i == j) for j in range(n)] for i in range(n)]
+        vinv, scales = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
     else:
         s, _, v = ex.smith_normal_form(a_mat)
-        scales = []
-        for i in range(n):
-            si = s[i][i] if i < min(len(s), n) else 0
-            g = ex.gcd(si, k)
-            scales.append(k // g)
-        kv = [[v[r][i] * scales[i] for i in range(n)] for r in range(n)]
-    kinv = ex.inverse(ex.frmat(kv))
+        vinv = ex.unimodular_inverse(v)
+        scales = [k // ex.gcd(s[i][i] if i < min(len(s), n) else 0, k) for i in range(n)]
     # relations: columns of B and k*I, in K-coordinates
-    rel_cols = []
-    for j in range(prev):
-        col = [b_mat[i][j] for i in range(n)]
-        rel_cols.append(col)
-    for j in range(n):
-        rel_cols.append([k * int(i == j) for i in range(n)])
-    r_mat = []
-    for i in range(n):
-        row = []
-        for col in rel_cols:
-            val = sum(kinv[i][j] * ex.fr(col[j]) for j in range(n))
-            assert val.denominator == 1
-            row.append(int(val))
-        r_mat.append(row)
+    rel_cols = [[b_mat[i][j] for i in range(n)] for j in range(prev)]
+    rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
+    r_mat = ex.transpose([_k_coords(vinv, scales, col) for col in rel_cols])
     s_r, u_r, _ = ex.smith_normal_form(r_mat)
     factors = [s_r[i][i] for i in range(min(n, len(rel_cols)))]
     factors += [0] * (n - len(factors))
-    return kv, kinv, u_r, factors
+    return vinv, scales, u_r, factors
 
 
 def cohomology(nerve: Nerve, group: FiniteAbelianGroup, degree: int) -> tuple[int, ...]:
@@ -400,12 +400,8 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
             continue
         solvable = False
         sol_per_factor.append([0] * len(edges))
-        kv, kinv, u_r, factors = _cohomology_data(nerve, k, 2)
-        y = []
-        for i in range(len(faces)):
-            val = sum(kinv[i][j] * ex.fr(rhs[j]) for j in range(len(faces)))
-            assert val.denominator == 1
-            y.append(int(val))
+        vinv, scales, u_r, factors = _cohomology_data(nerve, k, 2)
+        y = _k_coords(vinv, scales, rhs)
         coords = [sum(u_r[i][j] * y[j] for j in range(len(y))) for i in range(len(y))]
         for f, co in zip(factors, coords):
             if f != 1:

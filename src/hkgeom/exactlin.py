@@ -42,8 +42,22 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Exact product, row by row, skipping zero entries of a and b.
+
+    Entries accumulate from 0, so int matrices give ints; an entry with no
+    nonzero term is the int 0 (equal, and hash-equal, to Fraction(0)).
+    """
+    cols = len(b[0]) if b else 0
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, terms in zip(row, b_nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -154,6 +168,39 @@ def inverse(a: Mat) -> Mat:
     if pivots != list(range(n)):
         raise DomainError("matrix is singular")
     return [row[n:] for row in red]
+
+
+def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
+    """Inverse of an integer matrix of determinant +-1, by integer row reduction.
+
+    Euclidean row steps on [a | I] leave one pivot per column, which must be
+    +-1; every step is unimodular, so the right half ends as a^-1, in ints.
+    """
+    n = len(a)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if m[r][c]]
+            if not live:
+                raise DomainError("matrix is singular")
+            p = min(live, key=lambda r: abs(m[r][c]))
+            m[c], m[p] = m[p], m[c]
+            pivot_row, d = m[c], m[c][c]
+            if all(m[r][c] % d == 0 for r in live):
+                break
+            for r in live:
+                if r != c:
+                    f = m[r][c] // d
+                    m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
+        if abs(d) != 1:
+            raise DomainError("matrix is not unimodular")
+        if d < 0:
+            m[c] = pivot_row = [-x for x in pivot_row]
+        for r in range(n):
+            f = m[r][c]
+            if r != c and f:
+                m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
+    return [row[n:] for row in m]
 
 
 def _inertia_int(s: list[list[int]]) -> tuple[int, int, int]:

@@ -402,9 +402,6 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
     def qq(v):
         return ex.dot(v, ex.mat_vec(gram, v))
 
-    def bb(u, v):
-        return ex.dot(u, ex.mat_vec(gram, v))
-
     def apply(mat, v):
         return ex.mat_vec(mat, v)
 
@@ -420,7 +417,8 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
         qv = qq(v)
 
         def orth_basis():
-            projected = [[x - (bb(b, v) / qv) * y for x, y in zip(b, v)] for b in basis]
+            gram_v = ex.mat_vec(gram, v)  # b(b, v) = b . (gram v), gram v once per step
+            projected = [[x - (ex.dot(b, gram_v) / qv) * y for x, y in zip(b, v)] for b in basis]
             red, pivots = ex.rref(projected)
             return [red[i] for i in range(len(pivots))]
 

@@ -3,8 +3,9 @@
 Walls are indivisible negative dual-lattice functionals. Enumeration of all
 walls of a given dual square near a positive plane runs over the
 positive-definite majorant form q_P(x) = q(x_P) - q(x_{P perp}) transported
-to the dual lattice; the search is a bounded lattice-point enumeration with
-exact rational filters, so completeness is checkable against brute force.
+to the dual lattice; the search is a bounded lattice-point enumeration
+(Fincke-Pohst on an exactly checked integer LDL) with exact integer filters,
+so completeness is checkable against brute force.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 import numpy as np
 
 from . import exactlin as ex
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError
-from .lattice import QuadLattice, WallForm, dual_value, is_negative_form
+from .lattice import QuadLattice, WallForm, is_negative_form
 from .period import PeriodPoint, PositiveThreePlane, gram_float, positive_cone_contains
 
 
@@ -161,65 +164,178 @@ def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:
 
 # -- enumeration ------------------------------------------------------------------
 
+_BLOCK = 1 << 13  # candidates per vectorized exact test; bounds the memory of a search
+
+
+def _exact_dtype(xmax: int, weight: int, rhs) -> type:
+    """int64 when |x M x| <= xmax^2 * weight and |rhs| stay below 2^62, else Python ints.
+
+    ``weight`` bounds sum_ij |M_ij| (times any factor the test multiplies by),
+    so the int64 path cannot overflow; the object path is exact for any size.
+    """
+    return np.int64 if max(xmax * xmax * weight, abs(rhs)) < 1 << 62 else object
+
+
+def _quad(block: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x M x for every row x of block."""
+    return ((block @ m) * block).sum(axis=1)
+
+
+def _dyadic_ldl(a: list[list[Fraction]], m: list[list[int]], scale: int):
+    """Integer LDL of a form B <= A: (hd, hl, F, log det A).
+
+    B(x) = sum_k hd_k t_k^2 / 2^(3F) with t_k = 2^F x_k + sum_{j>k} hl[j][k] x_j.
+    The factors are a float Cholesky of A rounded to multiples of 2^-F, with
+    the pivots shrunk by a factor (1 - tau). B <= A is then checked exactly,
+    as the inertia of the integer matrix 2^(3F) (D A - D B) = 2^(3F) M -
+    D (hl diag(hd) hl^T) with M = D A; the shrink is widened once if
+    rounding beat it. log det A comes from the float pivots (an estimate).
+    """
+    n = len(a)
+    try:
+        chol = np.linalg.cholesky(np.array([[float(x) for x in row] for row in a]))
+    except OverflowError:
+        raise DomainError("form entries are out of floating range") from None
+    except np.linalg.LinAlgError:
+        raise DomainError("form is not positive definite") from None
+    diag = [float(chol[k, k]) ** 2 for k in range(n)]
+    if not min(diag) > 0:
+        raise DomainError("form is not positive definite")
+    shift = max(40, 53 - math.frexp(min(diag))[1])  # 2^F min(d) >= 2^52
+    one = 1 << shift
+    hl = [[0] * n for _ in range(n)]
+    for k in range(n):
+        hl[k][k] = one
+        for j in range(k + 1, n):
+            hl[j][k] = round(Fraction(float(chol[j, k] / chol[k, k])) * one)
+    big = 1 << (3 * shift)
+    for tau in (Fraction(1, 1 << 20), Fraction(1, 16)):
+        hd = [math.floor(Fraction(dk) * (1 - tau) * one) for dk in diag]
+        gap = [
+            [
+                big * m[i][j]
+                - scale * sum(hd[k] * hl[i][k] * hl[j][k] for k in range(min(i, j) + 1))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        if ex.inertia(gap)[1] == 0:
+            return hd, hl, shift, sum(math.log(dk) for dk in diag)
+    raise DomainError("form is not positive definite or too ill-conditioned to enumerate")
+
+
+def _innermost_ranges(hd, hl, shift: int, num: int, den: int):
+    """Integer Fincke-Pohst over B(x) <= num/den: yields (lo, hi, (x_1, ..., x_{n-1}), reach).
+
+    Every integer x with B(x) <= num/den appears exactly once, as x_0 in
+    [lo, hi] under its prefix; ``reach`` bounds every |x_i| yielded so far.
+    Coordinates are fixed from x_{n-1} down. At level i, with c the integer
+    offset of the fixed x_j (j > i), the budget rem left by them admits
+    exactly the x_i with (2^F x_i + c)^2 <= rem / (den hd_i): an integer
+    square root gives the interval, and no rounding enters.
+    """
+    n = len(hd)
+    one = 1 << shift
+    weights = [den * h for h in hd]
+    below = [[hl[j][i] for j in range(i + 1, n)] for i in range(n)]
+    x = [0] * n
+    reach = 0
+
+    def level(i: int, rem: int):
+        nonlocal reach
+        c = sum(map(mul, below[i], x[i + 1 :]))
+        h = isqrt(rem // weights[i])
+        lo, hi = -((c + h) // one), (h - c) // one
+        reach = max(reach, -lo, hi)
+        if i == 0:
+            if lo <= hi:
+                yield lo, hi, tuple(x[1:]), reach
+            return
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            t = one * xi + c
+            yield from level(i - 1, rem - weights[i] * t * t)
+
+    return level(n - 1, num << (3 * shift))
+
 
 def _enumerate_ellipsoid_int(
     a_rows: list[list[Fraction]], radius: Fraction, max_points: int = 2_000_000
-) -> list[list[int]]:
+):
     """All integer points x with x^T A x <= radius, A positive definite, exact.
 
-    Recursive interval enumeration on the exact LDL decomposition of A:
-    x^T A x = sum_i d_i (x_i + sum_{j>i} l_{ij} x_j)^2. Ranges come from a
-    padded float square root, inclusion is decided exactly. Aborts beyond
-    ``max_points`` results (radius too large for the search volume).
+    Yields them in blocks (numpy arrays of rows, int64 or Python ints), so
+    memory stays bounded by the block size and not by the point count.
+
+    Fincke-Pohst (Math. Comp. 44, 1985) on a dyadic integer LDL: a float
+    Cholesky of A is rounded to an integer LDL of a form B with pivots shrunk
+    by (1 - tau), and B <= A is checked exactly (``_dyadic_ldl``). This is
+    the padding argument: B(x) <= A(x) for every x, so the B-ellipsoid
+    contains the A-ellipsoid and every B-interval contains the exact
+    A-interval of the same node; the B-intervals themselves come from integer
+    square roots, so no rounding enters after the check (which also proves A
+    positive definite, as B is). The innermost coordinate's interval is
+    emitted whole, and each block of candidates is kept by one vectorized
+    exact test (x M x) den <= num D with M = D A integral, radius = num/den.
+
+    Fails fast with a domain error when the volume estimate
+    V_n r^(n/2) / sqrt(det A) exceeds ``max_points``, and when more than
+    ``max_points`` candidates are emitted (so no input escapes the estimate).
     """
     n = len(a_rows)
     a = [[ex.fr(x) for x in row] for row in a_rows]
-    # LDL^T without pivoting (valid: A positive definite)
-    d = [Fraction(0)] * n
-    lmat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        acc = a[i][i]
-        for k in range(i):
-            acc -= d[k] * lmat[i][k] * lmat[i][k]
-        if acc <= 0:
-            raise DomainError("form is not positive definite")
-        d[i] = acc
-        lmat[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            val = a[j][i]
-            for k in range(i):
-                val -= d[k] * lmat[i][k] * lmat[j][k]
-            lmat[j][i] = val / d[i]
-    results: list[list[int]] = []
-    x = [0] * n
+    r = ex.fr(radius)
+    if r < 0:
+        return
+    flat, scale = ex.scale_to_integers([x for row in a for x in row])
+    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    hd, hl, shift, logdet = _dyadic_ldl(a, m, scale)
+    if r > 0:
+        log_points = (
+            n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1)
+            + n / 2 * (math.log(r.numerator) - math.log(r.denominator)) - logdet / 2
+        )
+        if log_points > math.log(max_points):
+            raise DomainError(
+                f"the ellipsoid holds about {math.exp(min(log_points, 700)):.3g} lattice points,"
+                f" above the budget of {max_points}; reduce the radius"
+            )
+    num, den = r.numerator, r.denominator
+    weight = den * sum(abs(v) for v in flat)
+    rhs = num * scale
+    emitted = 0
+    buf: list[tuple[int, int, tuple]] = []
+    pending = 0
 
-    def rec(i: int, remaining: Fraction):
-        if i < 0:
-            results.append(list(x))
-            if len(results) > max_points:
-                raise DomainError(
-                    "ellipsoid enumeration exceeded the point budget; reduce the radius"
-                )
-            return
-        # offset from already-fixed coordinates j > i
-        off = Fraction(0)
-        for j in range(i + 1, n):
-            off += lmat[j][i] * x[j]
-        bound = float(remaining / d[i]) if remaining > 0 else 0.0
-        if not math.isfinite(bound):
-            raise DomainError("enumeration radius is out of floating range")
-        half = math.sqrt(max(bound, 0.0)) + 1e-9
-        lo = math.ceil(float(-off) - half)
-        hi = math.floor(float(-off) + half)
-        for xi in range(lo, hi + 1):
-            term = d[i] * (xi + off) ** 2
-            if term <= remaining:
-                x[i] = xi
-                rec(i - 1, remaining - term)
-        x[i] = 0
+    def flush(reach: int) -> np.ndarray:
+        dt = _exact_dtype(reach, weight, rhs)
+        counts = np.array([k for _, k, _ in buf])
+        rows = np.repeat(np.arange(len(buf)), counts)
+        offsets = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        block = np.empty((len(rows), n), dtype=dt)
+        block[:, 0] = np.array([lo for lo, _, _ in buf], dtype=dt)[rows] + offsets.astype(dt)
+        if n > 1:
+            block[:, 1:] = np.array([p for _, _, p in buf], dtype=dt)[rows]
+        buf.clear()
+        keep = _quad(block, np.array(m, dtype=dt)) * den <= rhs
+        return block[keep]
 
-    rec(n - 1, ex.fr(radius))
-    return results
+    for lo, top, prefix, reach in _innermost_ranges(hd, hl, shift, num, den):
+        emitted += top - lo + 1
+        if emitted > max_points:
+            raise DomainError(
+                "ellipsoid enumeration exceeded the point budget; reduce the radius"
+            )
+        while lo <= top:
+            take = min(top - lo + 1, _BLOCK - pending)
+            buf.append((lo, take, prefix))
+            pending += take
+            lo += take
+            if pending == _BLOCK:
+                yield flush(reach)
+                pending = 0
+    if buf:
+        yield flush(reach)
 
 
 def enumerate_walls_near(
@@ -233,7 +349,8 @@ def enumerate_walls_near(
 
     The majorant of the positive span is transported to the dual lattice by
     inversion; integer dual vectors inside the ellipsoid are enumerated
-    completely, then filtered exactly by dual square and indivisibility.
+    completely, then filtered block by block with exact integer tests: dual
+    square (v adj v == d det) and indivisibility (gcd of the coordinates 1).
     One representative per antipodal pair is returned (leading coordinate
     positive), sorted lexicographically.
     """
@@ -250,22 +367,21 @@ def enumerate_walls_near(
     rows, exact = _span_rows(span)
     if not exact:
         raise DomainError("wall enumeration requires a rational spanning basis")
-    mj = majorant(L, rows)
-    dual = mj.dual_matrix()
-    found: dict[tuple[int, ...], None] = {}
-    for vec in _enumerate_ellipsoid_int(dual, radius):
-        if not any(vec):
-            continue
-        if ex.content(vec) != 1:
-            continue
-        if dual_value(L, vec) != d:
-            continue
-        lead = next(x for x in vec if x)
-        canon = tuple(vec) if lead > 0 else tuple(-x for x in vec)
-        found[canon] = None
-    return [
-        WallForm.from_coords(L, list(c)) for c in sorted(found.keys())
-    ]
+    dual = majorant(L, rows).dual_matrix()
+    # dual_value(v) == d  iff  v adj v == d det, with the cached integer adjugate
+    target = d * L.det
+    weight = sum(abs(x) for row in L.adjugate for x in row)
+    found: list[tuple[int, ...]] = []
+    for block in _enumerate_ellipsoid_int(dual, radius):
+        xmax = int(np.abs(block).max(initial=0))
+        dt = _exact_dtype(xmax, weight, target)
+        vecs = block.astype(dt)
+        lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+        keep = _quad(vecs, np.array(L.adjugate, dtype=dt)) == target
+        keep &= np.gcd.reduce(np.abs(vecs), axis=1) == 1
+        keep &= lead > 0  # one of each antipodal pair; the zero vector has gcd 0
+        found.extend(map(tuple, vecs[keep].tolist()))
+    return [WallForm.from_coords(L, list(c)) for c in sorted(found)]
 
 
 _BOX_SCAN_CACHE: dict = {}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkgeom import cech
+from hkgeom import exactlin as ex
 from hkgeom.cech import Cochain, FiniteAbelianGroup, Nerve
 from hkgeom.errors import DomainError
 
@@ -253,3 +255,83 @@ def test_solve_multi_factor_group():
     )
     res2 = cech.solve_coboundary(cech.coboundary(y))
     assert res2.solved
+
+
+# closed surfaces: the octahedral S^2, the 7-vertex (Moebius-Csaszar) torus and
+# the 6-vertex (hemi-icosahedral) RP^2
+SURFACES = {
+    "sphere": cech.octahedron_nerve(),
+    "torus": Nerve.from_simplices(
+        [tuple(sorted((i + a) % 7 for a in tri)) for i in range(7) for tri in ((0, 1, 3), (0, 2, 3))]
+    ),
+    "rp2": Nerve.from_simplices(
+        [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+         (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_integer_v_inverse_on_surfaces(name):
+    nerve = SURFACES[name]
+    for degree in (0, 1, 2):
+        a_mat = nerve.coboundary_matrix(degree)
+        n = len(nerve.simplices_of_dim(degree))
+        v = ex.smith_normal_form(a_mat)[2] if a_mat else [[int(i == j) for j in range(n)] for i in range(n)]
+        vinv = cech._cohomology_data(nerve, 4, degree)[0]
+        assert ex.mat_mul(v, vinv) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_surface_cohomology_by_universal_coefficients():
+    z4 = FiniteAbelianGroup((4,))
+    assert [cech.cohomology(SURFACES["torus"], z4, d) for d in (0, 1, 2)] == [(4,), (4, 4), (4,)]
+    assert [cech.cohomology(SURFACES["rp2"], z4, d) for d in (0, 1, 2)] == [(4,), (2,), (2,)]
+    assert [cech.cohomology(SURFACES["rp2"], Z2, d) for d in (0, 1, 2)] == [(2,), (2,), (2,)]
+
+
+def _rational_obstruction(nerve, k, rhs):
+    """Obstruction coordinates by the rational formula K^-1 = (V diag(scales))^-1 over Q."""
+    n = len(nerve.simplices_of_dim(2))
+    a_mat = nerve.coboundary_matrix(2)
+    if a_mat:
+        s, _, v = ex.smith_normal_form(a_mat)
+        scales = [k // math.gcd(s[i][i] if i < min(len(s), n) else 0, k) for i in range(n)]
+        kv = [[v[r][i] * scales[i] for i in range(n)] for r in range(n)]
+    else:
+        kv = [[int(i == j) for j in range(n)] for i in range(n)]
+    kinv = ex.inverse(ex.frmat(kv))
+    b_mat = nerve.coboundary_matrix(1)
+    rel_cols = [[row[j] for row in b_mat] for j in range(len(b_mat[0]))]
+    rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
+    r_mat = [[ex.dot(kinv[i], col) for col in rel_cols] for i in range(n)]
+    assert all(x.denominator == 1 for row in r_mat for x in row)
+    s_r, u_r, _ = ex.smith_normal_form([[int(x) for x in row] for row in r_mat])
+    factors = [s_r[i][i] for i in range(n)]
+    y = [ex.dot(row, rhs) for row in kinv]
+    assert all(x.denominator == 1 for x in y)
+    coords = [sum(a * int(b) for a, b in zip(row, y)) for row in u_r]
+    kept = [(f, c % f if f else c) for f, c in zip(factors, coords) if f != 1]
+    return tuple(f for f, _ in kept), tuple(c for _, c in kept)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_obstruction_coordinates_match_rational_formula(name):
+    nerve = SURFACES[name]
+    faces, edges = nerve.simplices_of_dim(2), nerve.simplices_of_dim(1)
+    rng = random.Random(len(faces))
+    obstructed = 0
+    for k in (2, 4, 6):
+        group = FiniteAbelianGroup((k,))
+        for _ in range(6):
+            x0 = Cochain.from_dict(nerve, group, 1, {e: (rng.randrange(k),) for e in edges})
+            data = dict(cech.coboundary(x0).as_dict())
+            f = rng.choice(faces)
+            data[f] = ((data[f][0] + rng.randrange(1, k)) % k,)
+            c = Cochain.from_dict(nerve, group, 2, data)
+            res = cech.solve_coboundary(c)
+            if res.solved:
+                continue
+            obstructed += 1
+            rhs = [c.as_dict()[s][0] for s in faces]
+            assert (res.presentation, res.obstruction) == _rational_obstruction(nerve, k, rhs)
+    assert obstructed >= 6

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,28 @@ def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["type"] == "domain"
+    assert "Traceback" not in proc.stderr
+
+
+def test_walls_enum_oversized_radius_fails_fast(tmp_path):
+    # ~5e15 lattice points by the volume estimate: refused before any enumeration
+    job = json.loads((FIXTURES / "walls_enum_job.json").read_text())
+    job["radius"] = 100000
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkgeom.cli", "walls", "enum", "-i", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one JSON object
+    assert out["error"]["type"] == "domain"
+    assert "budget" in out["error"]["message"]
     assert "Traceback" not in proc.stderr
 
 

@@ -117,3 +117,46 @@ def test_lll_finds_short_relation():
     assert any(
         sum(r[i] * w[i] for i in range(n)) == 0 and any(r[:n]) for r in red
     )
+
+
+def _random_unimodular(rng, n):
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randint(-3, 3)
+        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+        if rng.random() < 0.3:
+            a[j] = [-x for x in a[j]]
+    return a
+
+
+def test_unimodular_inverse_is_integral_two_sided_inverse():
+    rng = random.Random(17)
+    for n in range(2, 9):
+        for _ in range(10):
+            a = _random_unimodular(rng, n)
+            inv = ex.unimodular_inverse(a)
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert ex.mat_mul(a, inv) == eye
+            assert ex.mat_mul(inv, a) == eye
+            assert all(type(x) is int for row in inv for x in row)
+    assert ex.unimodular_inverse([[-1]]) == [[-1]]
+    with pytest.raises(DomainError):
+        ex.unimodular_inverse([[2, 0], [0, 1]])  # det 2
+    with pytest.raises(DomainError):
+        ex.unimodular_inverse([[1, 2], [2, 4]])  # singular
+
+
+def test_mat_mul_matches_dense_products_and_keeps_ints():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        p, q, r = (int(x) for x in rng.integers(1, 6, size=3))
+        a = [[int(x) for x in row] for row in rng.integers(-2, 3, size=(p, q))]
+        b = [[int(x) for x in row] for row in rng.integers(-2, 3, size=(q, r))]
+        prod = ex.mat_mul(a, b)
+        assert prod == (np.array(a) @ np.array(b)).tolist()
+        assert all(type(x) is int for row in prod for x in row)
+        fa = [[Fraction(x, 3) for x in row] for row in a]
+        dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in fa]
+        assert ex.mat_mul(fa, b) == dense
+    assert ex.mat_mul([[1, 2]], []) == [[]]

@@ -1,6 +1,12 @@
+import itertools
+import math
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import period as per
 from hkgeom import walls as wl
@@ -234,3 +240,109 @@ def test_wallset_validation():
         wl.WallSet.from_coords(U3, [[1, 1, 0, 0, 0, 0]])  # positive
     with pytest.raises(DomainError):
         wl.WallSet.from_coords(U3, [[-1, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]])
+
+
+def _random_definite_form(rng, n):
+    """Positive definite G^T G / den + I with Fraction entries (eigenvalues >= 1)."""
+    g = rng.integers(-2, 3, size=(n, n))
+    den = int(rng.integers(1, 7))
+    return [
+        [Fraction(int(g[:, i] @ g[:, j]), den) + int(i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _box_scan_ellipsoid(a, radius):
+    """Every integer x with x A x <= radius: the whole bounding box, one exact test each."""
+    n = len(a)
+    inv = ex.inverse(a)
+    box = [math.isqrt(math.floor(radius * inv[i][i])) + 1 for i in range(n)]
+    flat, scale = ex.scale_to_integers([x for row in a for x in row])
+    m = np.array(flat, dtype=np.int64).reshape(n, n)
+    grid = np.array(list(itertools.product(*(range(-b, b + 1) for b in box))), dtype=np.int64)
+    inside = np.einsum("vi,ij,vj->v", grid, m, grid) * radius.denominator <= radius.numerator * scale
+    return sorted(map(tuple, grid[inside].tolist()))
+
+
+def _enumerated(a, radius, **kw):
+    blocks = wl._enumerate_ellipsoid_int(a, radius, **kw)
+    return sorted(tuple(x) for block in blocks for x in block.tolist())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ellipsoid_enumeration_matches_box_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 4
+    a = _random_definite_form(rng, n)
+    # radius a_ii = q(e_i): e_i and -e_i lie exactly on the boundary
+    i = int(rng.integers(n))
+    unit = tuple(int(j == i) for j in range(n))
+    for radius in (a[i][i], Fraction(33, 2), Fraction(7, 3)):
+        got = _enumerated(a, radius)
+        assert got == _box_scan_ellipsoid(a, radius)
+    assert unit in _enumerated(a, a[i][i])
+    assert _enumerated(a, "33/2") == _enumerated(a, Fraction(33, 2))
+
+
+def test_ellipsoid_enumeration_python_int_fallback():
+    # scaling form and radius by 10^18 keeps the ellipsoid but pushes
+    # max|x|^2 * sum|M_ij| past 2^62, so the exact test runs on Python ints
+    rng = np.random.default_rng(5)
+    a = _random_definite_form(rng, 4)
+    radius = Fraction(33, 2)
+    big = [[x * 10**18 for x in row] for row in a]
+    blocks = list(wl._enumerate_ellipsoid_int(big, radius * 10**18))
+    assert blocks and all(b.dtype == object for b in blocks)
+    expected = _box_scan_ellipsoid(a, radius)
+    assert _enumerated(big, radius * 10**18) == _enumerated(a, radius) == expected
+
+
+@pytest.mark.parametrize("k", [10, 13])
+def test_ellipsoid_enumeration_on_ill_conditioned_form(k):
+    # [[1, 1 - e], [1 - e, 1]] with e = 10^-k has condition ~2 / e; at k = 13 the
+    # rounded float factors miss the first shrink and the exact check widens it.
+    # x A x = (x0 + x1)^2 - 2 e x0 x1, so below radius 1/10^10 only x = (t, -t)
+    # with 2 e t^2 <= radius remain.
+    e = Fraction(1, 10**k)
+    radius = Fraction(1, 10**10)
+    got = _enumerated([[1, 1 - e], [1 - e, 1]], radius)
+    t_max = math.isqrt(math.floor(radius / (2 * e)))
+    assert got == sorted((t, -t) for t in range(-t_max, t_max + 1))
+
+
+def test_exact_dtype_guard():
+    assert wl._exact_dtype(10, 10**6, 10**18) is np.int64
+    assert wl._exact_dtype(2**31, 1, 0) is object
+    assert wl._exact_dtype(1, 1, 2**62) is object
+
+
+def test_ellipsoid_rejects_indefinite_or_unrepresentable_form():
+    with pytest.raises(DomainError):
+        list(wl._enumerate_ellipsoid_int([[1, 0], [0, -1]], 4))
+    with pytest.raises(DomainError):
+        list(wl._enumerate_ellipsoid_int([[1, 2], [2, 1]], 4))
+    with pytest.raises(DomainError, match="floating range"):
+        list(wl._enumerate_ellipsoid_int([[10**400]], 1))
+
+
+def test_ellipsoid_volume_estimate_fails_fast():
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="budget"):
+        next(wl._enumerate_ellipsoid_int(identity, 100000))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ellipsoid_candidate_budget_catches_thin_ellipsoids():
+    # volume pi / sqrt(det) = pi, but x_0 alone runs over 2001 values
+    thin = [[Fraction(1, 10**6), 0], [0, 10**6]]
+    assert len(_enumerated(thin, 1)) == 2001
+    with pytest.raises(DomainError, match="budget"):
+        _enumerated(thin, 1, max_points=1000)
+
+
+def test_walls_filter_in_blocks_matches_oracle_beyond_one_block():
+    # U3 at radius 16 runs over ~2.4e4 ellipsoid points, several exact-test blocks
+    walls = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 16)
+    oracle = wl.brute_force_walls(U3, DIAG_SPAN_U3, -4, 16, box=5)
+    assert [w.coords for w in walls] == [w.coords for w in oracle]
