@@ -30,10 +30,6 @@ class ClosureReport:
     height: int | None = None
     tol: float | None = None
 
-    @property
-    def codimension(self) -> int:
-        return self.ambient_dim - self.closure_dim
-
 
 def rational_closure_exact(vectors) -> ClosureReport:
     """Closure of a rational span: dimension and the exact vanishing forms.

@@ -103,9 +103,6 @@ class QuadLattice:
     def q(self, v) -> Fraction:
         return self.bform(v, v)
 
-    def is_hyperkahler_type(self) -> bool:
-        return self.signature == (3, self.rank - 3)
-
 
 @dataclasses.dataclass(frozen=True)
 class Isometry:

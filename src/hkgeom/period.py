@@ -221,14 +221,6 @@ class PositiveThreePlane:
     frame: np.ndarray  # 3 x rank, q-orthonormal rows
     spin_positive: bool
 
-    def spin_frame(self) -> np.ndarray:
-        """A frame representing the spin orientation (flip last vector if needed)."""
-        if self.spin_positive:
-            return self.frame
-        f = self.frame.copy()
-        f[2] = -f[2]
-        return _readonly(f)
-
 
 def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -> PositiveThreePlane:
     """Orthonormalize a 3-vector span and compute its spin orientation flag.
@@ -407,103 +399,33 @@ def verify_chain(
         raise NumericalError("chain does not end at the target")
 
 
-def _perp_positive_direction(z: PeriodPoint) -> np.ndarray:
-    """q-unit positive vector in the orthogonal complement of the period plane.
+def _complement(g: np.ndarray, rows: np.ndarray, drop=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The g-orthogonal complement of the row span and a form restricted to it.
 
-    The complement has signature (1, n); returns the top eigendirection of
-    the restricted form, a deterministic and well-conditioned choice.
+    Returns (basis, evals, evecs): Euclidean-orthonormal rows spanning the
+    complement (the kernel of rows @ g, rows of full rank) and the ascending
+    eigendecomposition of the form v -> q(v) - sum of b(v, d)^2 over the
+    vectors d in ``drop``, in that basis. Without ``drop``, eigenvectors for
+    different eigenvalues are orthogonal both for the dot product and for g.
     """
-    L = z.lattice
-    g = gram_float(L)
-    pairings = z.plane_frame() @ g  # 2 x rank; kernel = perp of the plane
-    _, _, vt = np.linalg.svd(pairings)
-    basis = vt[2:]  # rank-2 rows spanning the complement (Euclidean-orthonormal)
-    restricted = basis @ g @ basis.T
-    evals, evecs = np.linalg.eigh(restricted)
-    lam = evals[-1]
-    if lam <= 0:
-        raise NumericalError("no positive direction orthogonal to the period plane")
+    _, _, vt = np.linalg.svd(rows @ g)
+    basis = vt[len(rows):]
+    pairings = basis @ g @ np.reshape(drop, (-1, len(g))).T
+    evals, evecs = np.linalg.eigh(basis @ g @ basis.T - pairings @ pairings.T)
+    return basis, evals, evecs
+
+
+def _perp_positive_direction(g: np.ndarray, rows: np.ndarray, drop=()) -> np.ndarray:
+    """g-unit positive vector g-orthogonal to the row span.
+
+    The top eigendirection of the restricted form (less the squares of the
+    pairings with ``drop``), a deterministic and well-conditioned choice.
+    """
+    basis, evals, evecs = _complement(g, rows, drop)
+    if not evals.size or evals[-1] <= 0:
+        raise NumericalError("no positive direction orthogonal to the span")
     ell = evecs[:, -1] @ basis
-    return ell / np.sqrt(qform(L, ell))
-
-
-def _rotate_target_frame(L: QuadLattice, cur: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Rotate the target frame in its own plane to best align with cur.
-
-    The rotation keeps the period point fixed (it rescales sigma by a unit
-    complex number); alignment makes the straight-line frame interpolation
-    stay well conditioned.
-    """
-    g = gram_float(L)
-    m = tgt @ g @ cur.T  # correlations between target and current frame
-    u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, -1.0]) @ vt
-    return r.T @ tgt
-
-
-def _two_hop(
-    zA: PeriodPoint, zB: PeriodPoint, tol: Tolerances, margin: float
-) -> list[ChainLink] | None:
-    """Direct two-link route A -> B through the mid plane span(x, m).
-
-    x is the unit vector of the target plane least correlated with the
-    current plane; the first link plane is span(current plane, x) and the
-    second is span(x-perp choice m, target plane). Both are built from
-    q-orthonormal extensions so positivity only requires the correlation
-    defect to clear ``margin``.
-    """
-    L = zA.lattice
-    g = gram_float(L)
-    fa = zA.plane_frame()
-    fb = zB.plane_frame()
-    corr = fb @ g @ fa.T
-    u_svd, svals, _ = np.linalg.svd(corr)
-    x = u_svd[:, -1] @ fb  # q-unit in the target plane, least in-plane component
-    x_perp = x - (fa @ g @ x) @ fa
-    qxp = qform(L, x_perp)
-    if qxp <= margin:
-        return None
-    x3 = x_perp / np.sqrt(qxp)
-    p1 = np.vstack([fa[0], fa[1], x3])
-    # orthonormal basis of the complement of x inside P1
-    y1 = fa[0] - bform(L, fa[0], x) * x
-    y1 = y1 / np.sqrt(qform(L, y1))
-    y2 = fa[1] - bform(L, fa[1], x) * x - bform(L, fa[1], y1) * y1
-    qy2 = qform(L, y2)
-    if qy2 <= margin:
-        return None
-    y2 = y2 / np.sqrt(qy2)
-    d = fb @ g @ np.vstack([y1, y2]).T
-    _, _, vt_d = np.linalg.svd(d)
-    m_vec = vt_d[-1, 0] * y1 + vt_d[-1, 1] * y2
-    m_perp = m_vec - (fb @ g @ m_vec) @ fb
-    qmp = qform(L, m_perp)
-    if qmp <= margin:
-        return None
-    m3 = m_perp / np.sqrt(qmp)
-    p2 = np.vstack([fb[0], fb[1], m3])
-    try:
-        plane1 = orient_three_plane(L, list(p1), tol)
-        plane2 = orient_three_plane(L, list(p2), tol)
-        w = period_point(L, x, m_vec, tol)
-    except DomainError:
-        return None
-    return [ChainLink(plane1, zA, w), ChainLink(plane2, w, zB)]
-
-
-def _kick_link(z: PeriodPoint, which: int, tol: Tolerances) -> tuple[ChainLink, PeriodPoint]:
-    """One clean link that replaces a frame vector by an orthogonal positive one."""
-    L = z.lattice
-    ell = _perp_positive_direction(z)
-    a, b = z.re, z.im
-    plane = orient_three_plane(L, [a, b, ell], tol)
-    if which % 2 == 0:
-        w = period_point(L, ell, b, tol)
-    else:
-        w = period_point(L, a, ell, tol)
-    return ChainLink(plane, z, w), w
+    return ell / np.sqrt(ell @ g @ ell)
 
 
 def chain_connect(
@@ -511,17 +433,41 @@ def chain_connect(
     target: PeriodPoint,
     max_links: int = 64,
     tol: Tolerances = DEFAULT_TOL,
-    margin: float = 1e-3,
     point_tol: float = 1e-7,
 ) -> TwistorChain:
-    """Connect two period points by a chain of twistor conics.
+    """Connect two period points by a chain of at most 3 twistor conics.
 
-    Strategy: points on a common positive 3-plane are joined by one link;
-    otherwise a two-pivot route through a mid plane is tried, and when the
-    planes are too close or too far for that, the walk either hops onto a
-    well-separated conic point (kick) or retreats to an interpolated waypoint
-    at a fraction of the remaining distance. Fails with ChainConnectError
-    after ``max_links`` links.
+    Twistor-path connectivity (Verbitsky, arXiv:0908.4121; Huybrechts,
+    arXiv:1106.5573) in closed form, one construction per case. P and Q are
+    the positive 2-planes of z and target; the SVD of their correlation
+    b(Q, P) gives principal pairs p_k in P, q_k in Q with b(q_k, p_j) =
+    s_k delta_kj. The parts x_k = q_k - s_k p_k of Q q-orthogonal to P make
+    (p_0, p_1, x_0, x_1) a q-orthogonal basis of P + Q with q-norms
+    (1, 1, 1 - s_0^2, 1 - s_1^2), so the signs of 1 - s_k^2 give the inertia
+    of P + Q without a rank-sized decomposition. Since the positive index of
+    the lattice is 3, s_0 >= 1.
+
+    - Same point: no link. Same plane, other orientation: one link on P + c,
+      with c the top positive direction of P^perp.
+    - P + Q a positive 3-space: one link on P + Q.
+    - Positive index 3 (s_1 < 1 - 1e-3): the positive x_1 in P^perp and
+      y_1 = p_1 - s_1 q_1 in Q^perp give two links P -> R -> Q on P + x_1
+      and Q + y_1, where R = (P + x_1) cap (Q + y_1) = span(p_1, q_1).
+    - Otherwise (positive index 2, a degenerate union, or s_1 near 1) three
+      links P -> [c + i p_0] -> [c + i q_1] -> Q on P + c, span(c, p_0, q_1)
+      and Q + c, for a c q-orthogonal to p_0 and q_1. The three planes are
+      positive iff q(c) > b(c, p_1)^2 = b(c, y_1)^2 and
+      q(c) > b(c, q_0)^2 = b(c, x_0)^2, so c is the top positive direction
+      of q - b(., y_1)^2 - b(., x_0)^2 on {p_0, q_1}^perp. That form has one
+      whenever s_1 > 0: a positive c in (P + Q)^perp when P + Q is
+      nondegenerate of positive index 2; when x_0 or y_1 is null (s_k = 1,
+      P + Q degenerate), a positive c with |b(c, x_0)|, |b(c, y_1)| small
+      against q(c).
+
+    Raises ChainConnectError when the chain needs more than ``max_links``
+    links. A pair too close to degenerate for the float checks raises
+    DomainError or NumericalError when it fails the positivity checks or
+    leaves a junction point that verify_chain would reject.
     """
     if max_links < 0:
         raise DomainError("max_links must be >= 0")
@@ -532,60 +478,61 @@ def chain_connect(
         if L.rank - 3 == 0:
             raise DomainError("signature too small: rank 3 leaves no pivot room")
         raise DomainError("chain connectivity needs signature (3, n)")
-    links: list[ChainLink] = []
-    cur = z
-    kicks = 0
-    while True:
-        if same_period_point(cur, target, point_tol):
-            return TwistorChain(tuple(links))
-        if len(links) >= max_links:
-            raise ChainConnectError(f"max_links exceeded ({max_links})")
-        fa, fb = cur.plane_frame(), target.plane_frame()
-        same_plane = (
-            span_residual(L, fa, fb[0]) < 1e-9 and span_residual(L, fa, fb[1]) < 1e-9
-        )
-        if same_plane:
-            # same underlying plane, different orientation or rotation: one conic
-            ell = _perp_positive_direction(cur)
-            plane = orient_three_plane(L, [cur.re, cur.im, ell], tol)
-            links.append(ChainLink(plane, cur, target))
-            return TwistorChain(tuple(links))
-        stacked = np.vstack([fa, fb])
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        if svals[3] < 1e-8 * svals[0]:
-            # union spans a 3-space; positive union gives a single link
-            try:
-                plane = orient_three_plane(L, list(_span_basis(stacked, 3)), tol)
-                if conic_contains(plane, cur, tol) and conic_contains(plane, target, tol):
-                    links.append(ChainLink(plane, cur, target))
-                    return TwistorChain(tuple(links))
-            except DomainError:
-                pass  # shared line but indefinite union: fall through
-        hop = _two_hop(cur, target, tol, margin)
-        if hop is not None and len(links) + 2 <= max_links:
-            links.extend(hop)
-            return TwistorChain(tuple(links))
-        # waypoint: interpolate toward an aligned copy of the target frame
-        advanced = False
-        tgt_aligned = _rotate_target_frame(L, fa, fb)
-        for f in (0.5, 0.25, 0.125, 0.0625):
-            mix_a = (1 - f) * fa[0] + f * tgt_aligned[0]
-            mix_b = (1 - f) * fa[1] + f * tgt_aligned[1]
-            try:
-                wp = period_point(L, *orthonormal_pair(L, mix_a, mix_b, tol), tol)
-            except DomainError:
-                continue
-            hop = _two_hop(cur, wp, tol, margin)
-            if hop is not None and len(links) + 2 < max_links:
-                links.extend(hop)
-                cur = wp
-                advanced = True
-                break
-        if advanced:
-            continue
-        link, cur = _kick_link(cur, kicks, tol)
-        kicks += 1
-        links.append(link)
+    links = _chain_links(z, target, tol, point_tol)
+    if len(links) > max_links:
+        raise ChainConnectError(f"max_links exceeded ({max_links}): the chain needs {len(links)}")
+    return TwistorChain(tuple(links))
+
+
+def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances, point_tol: float) -> list[ChainLink]:
+    """The links of chain_connect, one construction per case."""
+    if same_period_point(z, target, point_tol):
+        return []
+    L = z.lattice
+    g = gram_float(L)
+    fa, fb = z.plane_frame(), target.plane_frame()
+    if span_residual(L, fa, fb[0]) < 1e-9 and span_residual(L, fa, fb[1]) < 1e-9:
+        # same underlying plane, different orientation or rotation: one conic
+        ell = _perp_positive_direction(g, fa)
+        return [ChainLink(orient_three_plane(L, [z.re, z.im, ell], tol), z, target)]
+    union = np.vstack([fa, fb])
+    svals = np.linalg.svd(union, compute_uv=False)
+    if svals[3] < 1e-8 * svals[0]:
+        # union spans a 3-space; positive union gives a single link
+        try:
+            plane = orient_three_plane(L, list(_span_basis(union, 3)), tol)
+            if conic_contains(plane, z, tol) and conic_contains(plane, target, tol):
+                return [ChainLink(plane, z, target)]
+        except DomainError:
+            pass  # shared line but indefinite or degenerate union: the routes below
+    left, s, right = np.linalg.svd(fb @ g @ fa.T)
+    (p0, p1), (q0, q1) = right @ fa, left.T @ fb
+    x0, x1, y1 = q0 - s[0] * p0, q1 - s[1] * p1, p1 - s[1] * q1
+    # near s_1 = 1 the junction span(p1, q1) is nearly degenerate, so there
+    # the 3-link route, which needs only s_1 > 0, takes over
+    if s[1] < 1 - 1e-3:
+        planes = [orient_three_plane(L, [*fa, x1], tol), orient_three_plane(L, [*fb, y1], tol)]
+        mid = _junction(planes, *orthonormal_pair(L, p1, x1, tol), tol, point_tol)
+        return [ChainLink(planes[0], z, mid), ChainLink(planes[1], mid, target)]
+    c = _perp_positive_direction(g, np.vstack([p0, q1]), drop=[x0, y1])
+    planes = [orient_three_plane(L, vs, tol) for vs in ([*fa, c], [c, p0, q1], [*fb, c])]
+    w1 = _junction(planes[:2], c, p0, tol, point_tol)
+    w2 = _junction(planes[1:], c, q1, tol, point_tol)
+    return [ChainLink(planes[0], z, w1), ChainLink(planes[1], w1, w2), ChainLink(planes[2], w2, target)]
+
+
+def _junction(planes: list[PositiveThreePlane], a, b, tol: Tolerances, point_tol: float) -> PeriodPoint:
+    """The period point [a + i b] where two links of a chain meet.
+
+    Checks what verify_chain will ask of it: it lies on both conics and
+    same_period_point matches it with itself at ``point_tol``. Near a
+    degenerate pair either can fail (a far-out frame, a plane known only to
+    the rounding of a tiny vector); that raises NumericalError.
+    """
+    w = period_point(planes[0].lattice, a, b, tol)
+    if not (all(conic_contains(P, w, tol) for P in planes) and same_period_point(w, w, point_tol)):
+        raise NumericalError("junction point fails the chain checks (near-degenerate pair)")
+    return w
 
 
 def _span_basis(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -641,13 +588,8 @@ def sample_irrational_line(
     L = z.lattice
     if L.rank - 3 == 0:
         raise DomainError("signature too small: the complement has no room to sample")
-    g = gram_float(L)
     rng = np.random.default_rng(seed)
-    pairings = z.plane_frame() @ g
-    _, _, vt = np.linalg.svd(pairings)
-    basis = vt[2:]
-    restricted = basis @ g @ basis.T
-    evals, evecs = np.linalg.eigh(restricted)
+    basis, _, evecs = _complement(gram_float(L), z.plane_frame())
     for _ in range(max_tries):
         mix = evecs[:, -1] + 0.4 * rng.standard_normal(basis.shape[0])
         ell = mix @ basis

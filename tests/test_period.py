@@ -1,13 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import period as per
 from hkgeom.config import DEFAULT_TOL
-from hkgeom.errors import ChainConnectError, DomainError
+from hkgeom.errors import ChainConnectError, DomainError, NumericalError
 
 U3 = lat.standard_lattice("U3")
 K3 = lat.k3_lattice()
+# the minimal signature (3, 1)
+L31 = lat.QuadLattice.from_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]])
+CHAIN_TOL = DEFAULT_TOL.replace(orth=1e-8, pos=1e-6)  # acceptance 07
 
 E1F1 = np.array([1, 1, 0, 0, 0, 0], dtype=float)
 E2F2 = np.array([0, 0, 1, 1, 0, 0], dtype=float)
@@ -128,7 +136,7 @@ def test_positive_cone_dichotomy_and_errors():
 def test_positive_cone_random_dichotomy():
     for seed in range(20):
         z = per.sample_period_point(K3, seed)
-        ell = per._perp_positive_direction(z)
+        ell = per._perp_positive_direction(per.gram_float(K3), z.plane_frame())
         assert per.positive_cone_contains(z, ell) != per.positive_cone_contains(z, -ell)
 
 
@@ -232,21 +240,213 @@ def test_chain_random_pairs_k3():
         z2 = per.sample_period_point(K3, 2 * seed + 1)
         chain = per.chain_connect(z1, z2)
         per.verify_chain(chain, z1, z2)
+        assert len(chain) <= 3
         connected += 1
     assert connected == 15
 
 
 def test_chain_stress_small_lattices():
     # minimal n = 1 case with hyperbolically boosted pairs, and U3 pairs
-    L31 = lat.QuadLattice.from_rows(
-        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]]
-    )
     for L, pairs in ((L31, 30), (U3, 30)):
         for seed in range(pairs):
             z1 = per.sample_period_point(L, 3 * seed)
             z2 = per.sample_period_point(L, 3 * seed + 1)
-            chain = per.chain_connect(z1, z2, max_links=128)
+            chain = per.chain_connect(z1, z2)
             per.verify_chain(chain, z1, z2)
+            assert len(chain) <= 3
+
+
+def test_chain_k3_pairs_that_exhausted_max_links():
+    # the waypoint search that preceded the closed-form chains cycled past
+    # its 64-link budget on these two seeded pairs
+    for s1, s2 in ((3170, 3171), (10132, 10133)):
+        z1 = per.sample_period_point(K3, s1)
+        z2 = per.sample_period_point(K3, s2)
+        chain = per.chain_connect(z1, z2)
+        assert len(chain) <= 3
+        per.verify_chain(chain, z1, z2, tol=CHAIN_TOL)
+
+
+def _positive_index_of_union(L, z1, z2) -> int:
+    # eigenvalues of the form on P + Q in a QR basis, independent of the SVD
+    # of the correlation that chain_connect reads the case from
+    basis = np.linalg.qr(np.vstack([z1.plane_frame(), z2.plane_frame()]).T)[0].T
+    return int((np.linalg.eigvalsh(basis @ per.gram_float(L) @ basis.T) > 0).sum())
+
+
+def test_chain_link_count_follows_the_inertia_of_the_union():
+    # signature (3, 1) unions take 2 links, positive index 2 takes 3; on these
+    # seeds every s_1 is at least 0.014 away from 1, where the rule switches
+    counts = {2: 0, 3: 0}
+    for seed in range(60):
+        z1 = per.sample_period_point(K3, 2 * seed)
+        z2 = per.sample_period_point(K3, 2 * seed + 1)
+        chain = per.chain_connect(z1, z2)
+        expected = 2 if _positive_index_of_union(K3, z1, z2) == 3 else 3
+        assert len(chain) == expected
+        counts[expected] += 1
+    assert counts[2] and counts[3]
+    # on L31 every 4-dimensional union is the whole space, of signature (3, 1)
+    for seed in range(20):
+        z1 = per.sample_period_point(L31, 2 * seed)
+        z2 = per.sample_period_point(L31, 2 * seed + 1)
+        assert len(per.chain_connect(z1, z2)) == 2
+
+
+def test_chain_shared_line_with_indefinite_union_takes_three_links():
+    # P = span(x1, x2) and Q = span(x2 + delta e3, y) share x2 up to delta;
+    # b(x1, y) = beta > 1 makes P + Q of signature (2, 1), so no single conic
+    # holds both. At delta = 3e-9 the union still counts as 3-dimensional.
+    x1, x2, e3 = E1F1 / np.sqrt(2), E2F2 / np.sqrt(2), E3F3 / np.sqrt(2)
+    n = np.array([1, -1, 0, 0, 0, 0], dtype=float) / np.sqrt(2)  # q(n) = -1
+    for beta in (1 + 1e-6, 2.0, 50.0):
+        for delta in (0.0, 1e-10, 3e-9):
+            y = beta * x1 + np.sqrt(beta**2 - 1) * n
+            z1 = per.period_point(U3, x1, x2)
+            z2 = per.period_point(U3, *per.orthonormal_pair(U3, x2 + delta * e3, y))
+            chain = per.chain_connect(z1, z2)
+            assert len(chain) == 3
+            per.verify_chain(chain, z1, z2, tol=CHAIN_TOL)
+
+
+def _integer_point(L, a, b):
+    return per.period_point(L, *per.orthonormal_pair(L, np.array(a, float), np.array(b, float)))
+
+
+def test_chain_degenerate_integer_unions_take_three_links():
+    # P + Q degenerate: a shared line plus a null direction, signature
+    # (2, 0, 1), on U3 (coordinates e1, f1, e2, f2, e3, f3) and on L31, and a
+    # (2, 1, 1) union on U3. No positive vector is q-orthogonal to P + Q.
+    pairs = [
+        (U3, ([1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]), ([0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 0])),
+        (L31, ([1, 0, 0, 0], [0, 1, 0, 0]), ([0, 1, 0, 0], [1, 0, 1, 1])),
+        (L31, ([2, 0, 2, 2], [2, -1, 2, 2]), ([2, 0, -2, 2], [0, -2, 0, 0])),
+        (U3, ([2, 2, 0, 1, 1, 0], [1, -1, 0, 1, 2, 1]), ([2, 2, 0, -2, 1, 0], [1, 0, 0, 0, 1, 1])),
+    ]
+    for L, p, q in pairs:
+        rows = ex.frmat([*p, *q])
+        gram = ex.mat_mul(ex.mat_mul(rows, ex.frmat(L.gram)), ex.transpose(rows))
+        assert ex.rank(gram) < ex.rank(rows) and ex.inertia(gram)[0] == 2
+        z1, z2 = _integer_point(L, *p), _integer_point(L, *q)
+        chain = per.chain_connect(z1, z2)
+        assert len(chain) == 3
+        per.verify_chain(chain, z1, z2, tol=CHAIN_TOL)
+
+
+def test_chain_small_integer_pairs_connect():
+    # planes spanned by vectors in {-2..2}^n; about 1 pair in 80 has a
+    # degenerate union
+    rng = np.random.default_rng(0)
+    for i in range(600):
+        L = (U3, L31)[i % 2]
+        zs = []
+        while len(zs) < 2:
+            try:
+                zs.append(_integer_point(L, rng.integers(-2, 3, L.rank), rng.integers(-2, 3, L.rank)))
+            except DomainError:
+                pass
+        chain = per.chain_connect(*zs)
+        assert len(chain) <= 3
+        per.verify_chain(chain, *zs, tol=CHAIN_TOL)
+
+
+def _q_orthonormal_basis(L, boost):
+    # rows e1, e2, e3 (q = 1) and f1.. (q = -1), with e1 boosted against f1
+    evals, evecs = np.linalg.eigh(per.gram_float(L))
+    rows = evecs.T / np.sqrt(np.abs(evals))[:, None]
+    pos, neg = rows[evals > 0], rows[evals < 0]
+    e1, f1 = pos[0].copy(), neg[0].copy()
+    pos[0] = math.cosh(boost) * e1 + math.sinh(boost) * f1
+    neg[0] = math.sinh(boost) * e1 + math.cosh(boost) * f1
+    return pos, neg
+
+
+def _near_degenerate_pair(lattice, boost, phi, psi, s, t, conjugate):
+    # P = span(e1, e2) and Q = span(e1 + s w1, e2 + t w2), with w1 and w2 in
+    # span(e3, f_a, f_b). That covers P close to Q, P + Q close to degenerate or
+    # of positive index 3 with a tiny negative part (w nearly null) and, on U3
+    # with psi = pi/2, a nearly isotropic c in (P + Q)^perp. None when Q is not
+    # a positive plane or an endpoint's frame is too far out for verify_chain,
+    # which compares each endpoint with itself at point_tol.
+    pos, neg = _q_orthonormal_basis(lattice, boost)
+    e1, e2, e3 = pos
+    f_a, f_b = (neg[1], neg[2]) if len(neg) == 3 else (neg[0], neg[0])
+    w1 = math.cos(phi) * e3 + math.sin(phi) * f_a
+    w2 = math.cos(psi) * e3 + math.sin(psi) * f_b
+    z1 = per.period_point(lattice, e1, e2)
+    try:
+        z2 = per.period_point(lattice, *per.orthonormal_pair(lattice, e1 + s * w1, e2 + t * w2))
+    except DomainError:
+        return None
+    if conjugate:
+        z2 = z2.conjugate()
+    if not (per.same_period_point(z1, z1) and per.same_period_point(z2, z2)):
+        return None
+    return z1, z2
+
+
+def _connect_and_verify(z1, z2):
+    chain = per.chain_connect(z1, z2)
+    assert len(chain) <= 3
+    per.verify_chain(chain, z1, z2)
+    per.verify_chain(chain, z1, z2, tol=CHAIN_TOL)
+
+
+# angles near pi/4 make cos(a) e3 + sin(a) f nearly null; scales near 0 make Q
+# nearly equal to P
+_ANGLES = st.one_of(
+    st.floats(0, math.pi / 2),
+    st.tuples(st.sampled_from([-1, 1]), st.floats(-12, -2)).map(
+        lambda t: math.pi / 4 + t[0] * 10 ** t[1]
+    ),
+)
+_SCALES = st.one_of(st.floats(0.01, 10), st.floats(-12, -2).map(lambda k: 10**k))
+
+
+@settings(max_examples=400, deadline=None)
+# pairs whose junctions are easy to get wrong: on U3 no positive c in
+# (P + Q)^perp is far from isotropic; on L31 a junction through a nearly
+# null direction lands far out or off its second conic
+@example(lattice=U3, boost=0.13487786618405218, phi=0.38499283520925237, psi=math.pi / 2,
+         s=3.544278092044795e-08, t=2.029314134071224e-06, conjugate=False)
+@example(lattice=L31, boost=1.1191958290069863, phi=0.7853981567546028, psi=0.8718998972874098,
+         s=2.927832886464482e-06, t=8.978203313449174e-09, conjugate=False)
+@example(lattice=L31, boost=0.9540482201398184, phi=0.4521985439701441, psi=math.pi / 2,
+         s=9.662438823268369e-08, t=0.0006706967510231372, conjugate=True)
+@given(
+    lattice=st.sampled_from([U3, L31]),
+    boost=st.floats(0, 2),
+    phi=_ANGLES,
+    psi=_ANGLES,
+    s=_SCALES,
+    t=_SCALES,
+    conjugate=st.booleans(),
+)
+def test_chain_near_degenerate_pairs_connect_or_raise(lattice, boost, phi, psi, s, t, conjugate):
+    # away from degeneracy every pair connects; in the degenerate tails a
+    # pair may also raise DomainError or NumericalError, never anything else
+    pair = _near_degenerate_pair(lattice, boost, phi, psi, s, t, conjugate)
+    assume(pair is not None)
+    separated = min(s, t) >= 0.01 and min(abs(phi - math.pi / 4), abs(psi - math.pi / 4)) >= 0.01
+    try:
+        _connect_and_verify(*pair)
+    except (DomainError, NumericalError) as err:
+        assert not separated and not isinstance(err, ChainConnectError)
+
+
+def test_chain_near_degenerate_sweep_connects():
+    # seeded draws from the same family, tails included: every pair connects
+    rng = np.random.default_rng(7)
+    tails = 0
+    for i in range(300):
+        angles = [rng.uniform(0, math.pi / 2) if rng.random() < 0.5
+                  else math.pi / 4 + rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -2) for _ in range(2)]
+        scales = [rng.uniform(0.01, 10) if rng.random() < 0.5 else 10 ** rng.uniform(-12, -2) for _ in range(2)]
+        pair = _near_degenerate_pair((U3, L31)[i % 2], rng.uniform(0, 2), *angles, *scales, rng.random() < 0.5)
+        if pair is not None:
+            _connect_and_verify(*pair)
+            tails += min(scales) < 0.01 or min(abs(a - math.pi / 4) for a in angles) < 0.01
+    assert tails >= 100
 
 
 def test_chain_rotated_frame_is_same_point():
