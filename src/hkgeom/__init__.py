@@ -17,7 +17,6 @@ from .cech import (
 )
 from .config import DEFAULT_TOL, RunConfig, Tolerances
 from .errors import (
-    ChainConnectError,
     DomainError,
     HardLefschetzError,
     HkgeomError,

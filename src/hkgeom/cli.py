@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(args) -> RunConfig:
     tol = DEFAULT_TOL
     seed = None
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+    path = args.config or os.environ.get(CONFIG_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -53,24 +53,26 @@ def _load_config(args) -> RunConfig:
             raise DomainError(f"config tolerances must be numbers: {err}") from err
         seed = data.get("seed", seed)
     for name in TOL_NAMES:
-        flag = getattr(args, f"tol_{name}", None)
+        flag = getattr(args, f"tol_{name}")
         if flag is not None:
             tol = tol.replace(**{name: flag})
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seed = args.seed
     return RunConfig(tol=tol, seed=seed)
 
 
 def _read_payload(args) -> dict:
-    src = getattr(args, "input", "-") or "-"
-    if src == "-":
+    if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(src, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     if not text.strip():
         return {}
-    return json.loads(text)
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise DomainError("the payload must be a JSON object")
+    return payload
 
 
 def _payload_lattice(payload) -> lat.QuadLattice:
@@ -79,29 +81,10 @@ def _payload_lattice(payload) -> lat.QuadLattice:
     return ser.decode_lattice(payload)
 
 
-def _payload_ring(payload, args) -> llv.CohomologyRing:
-    if getattr(args, "ring", None):
-        if os.path.exists(args.ring):
-            with open(args.ring, "r", encoding="utf-8") as fh:
-                return ser.decode_ring(json.load(fh))
-        return ser.decode_ring(args.ring)
+def _payload_ring(payload) -> llv.CohomologyRing:
     if "ring" not in payload:
-        raise DomainError("no ring given: use --ring or a 'ring' payload field")
+        raise DomainError("no ring given: add a 'ring' payload field")
     return ser.decode_ring(payload["ring"])
-
-
-def _payload_span(payload, args):
-    if getattr(args, "span", None):
-        with open(args.span, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return data["span"] if isinstance(data, dict) else data
-    if "span" in payload:
-        return payload["span"]
-    raise DomainError("no span given: use --span or a 'span' payload field")
-
-
-def _float_rows(rows):
-    return [[float(ser.decode_scalar(x)) for x in row] for row in rows]
 
 
 def _require_seed(cfg: RunConfig) -> int:
@@ -121,17 +104,13 @@ def _h_lattice_signature(payload, args, cfg):
 
 def _h_lattice_dual(payload, args, cfg):
     L = _payload_lattice(payload)
-    coords, exact = ser.decode_vector(payload["coords"])
-    if not exact:
-        raise DomainError("dual values need rational coordinates")
+    coords = ser.decode_exact_vector(payload["coords"], "dual values")
     return {"value": ser.encode_scalar(lat.dual_value(L, coords))}, {}
 
 
 def _h_lattice_negative(payload, args, cfg):
     L = _payload_lattice(payload)
-    coords, exact = ser.decode_vector(payload["coords"])
-    if not exact:
-        raise DomainError("negativity tests need rational coordinates")
+    coords = ser.decode_exact_vector(payload["coords"], "negativity tests")
     verdict = lat.is_negative_form(L, coords)
     p, m = lat.kernel_signature(L, coords)
     return {
@@ -166,7 +145,7 @@ def _h_period_convert(payload, args, cfg):
         plane = per.point_to_plane(z)
         return {"plane": ser.encode_two_plane(plane)}, {}
     if "plane" in payload:
-        rows = _float_rows(payload["plane"])
+        rows = [ser.decode_float_vector(v) for v in payload["plane"]]
         if len(rows) != 2:
             raise DomainError("a 2-plane needs exactly two spanning vectors")
         plane = per.oriented_two_plane(L, rows[0], rows[1], cfg.tol)
@@ -178,10 +157,8 @@ def _h_period_convert(payload, args, cfg):
 def _h_period_cone(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    vec, _ = ser.decode_vector(payload["vector"])
-    return {
-        "contains": per.positive_cone_contains(z, [float(x) for x in vec], cfg.tol)
-    }, {}
+    vec = ser.decode_float_vector(payload["vector"])
+    return {"contains": per.positive_cone_contains(z, vec, cfg.tol)}, {}
 
 
 def _h_period_sample(payload, args, cfg):
@@ -189,7 +166,7 @@ def _h_period_sample(payload, args, cfg):
     seed = _require_seed(cfg)
     z = per.sample_period_point(L, seed, cfg.tol)
     result = {"point": ser.encode_period_point(z)}
-    if getattr(args, "line", False):
+    if args.line:
         ell = per.sample_irrational_line(
             z, height=args.height, relation_tol=args.tol_relation, seed=seed, tol=cfg.tol
         )
@@ -200,17 +177,15 @@ def _h_period_sample(payload, args, cfg):
 def _h_twistor_plane(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    line, _ = ser.decode_vector(payload["line"])
-    plane = per.twistor_plane(z, [float(x) for x in line], cfg.tol)
+    plane = per.twistor_plane(z, ser.decode_float_vector(payload["line"]), cfg.tol)
     return {"plane": ser.encode_three_plane(plane)}, {}
 
 
 def _h_twistor_point(payload, args, cfg):
     L = _payload_lattice(payload)
-    span = _float_rows(payload["plane"])
+    span = [ser.decode_float_vector(v) for v in payload["plane"]]
     plane = per.orient_three_plane(L, span, cfg.tol)
-    direction, _ = ser.decode_vector(payload["direction"])
-    z = per.conic_point(plane, [float(x) for x in direction], cfg.tol)
+    z = per.conic_point(plane, ser.decode_float_vector(payload["direction"]), cfg.tol)
     return {"point": ser.encode_period_point(z)}, {}
 
 
@@ -218,29 +193,24 @@ def _h_twistor_chain(payload, args, cfg):
     L = _payload_lattice(payload)
     source = ser.decode_period_point(L, payload["source"], cfg.tol)
     target = ser.decode_period_point(L, payload["target"], cfg.tol)
-    chain = per.chain_connect(source, target, max_links=args.max_links, tol=cfg.tol)
+    chain = per.chain_connect(source, target, tol=cfg.tol)
     per.verify_chain(chain, source, target, cfg.tol)
-    return {"links": ser.encode_chain(chain), "count": len(chain)}, {
-        "max_links": args.max_links
-    }
+    return {"links": ser.encode_chain(chain), "count": len(chain)}, {}
 
 
 def _h_irrational_closure(payload, args, cfg):
     vectors = payload["vectors"]
-    mode = payload.get("mode", getattr(args, "mode", None) or "exact")
+    mode = payload.get("mode", "exact")
     if mode == "exact":
-        decoded = []
-        for row in vectors:
-            vec, exact = ser.decode_vector(row)
-            if not exact:
-                raise DomainError("exact mode needs rational vectors")
-            decoded.append(vec)
+        decoded = [ser.decode_exact_vector(row, "exact mode vectors") for row in vectors]
         report = irr.rational_closure(decoded, mode="exact")
-    else:
-        rows = _float_rows(vectors)
+    elif mode == "detect":
+        rows = [ser.decode_float_vector(v) for v in vectors]
         report = irr.rational_closure(
             rows, mode="detect", height=args.height, tol=args.tol_relation
         )
+    else:
+        raise DomainError(f"mode must be 'exact' or 'detect', got {mode!r}")
     return {
         "mode": report.mode,
         "ambient_dim": report.ambient_dim,
@@ -251,7 +221,7 @@ def _h_irrational_closure(payload, args, cfg):
 
 
 def _h_irrational_test(payload, args, cfg):
-    rows = _float_rows(payload["vectors"])
+    rows = [ser.decode_float_vector(v) for v in payload["vectors"]]
     verdict = irr.is_fully_irrational(rows, height=args.height, tol=args.tol_relation)
     return {
         "fully_irrational": verdict.fully_irrational,
@@ -274,24 +244,24 @@ def _h_irrational_picard(payload, args, cfg):
 def _h_walls_enum(payload, args, cfg):
     L = _payload_lattice(payload)
     span = [ser.decode_vector(row)[0] for row in payload["span"]]
-    d = int(payload.get("square", getattr(args, "square", None) or -2))
-    radius = payload.get("radius", getattr(args, "radius", None) or 2)
+    d = ser.decode_int(payload.get("square", -2), "wall square")
+    radius = ser.decode_scalar(payload.get("radius", 2))
     if isinstance(radius, float):
         raise DomainError("radius must be an int or a 'p/q' string")
-    walls = wl.enumerate_walls_near(L, span, d, ser.decode_scalar(radius))
+    walls = wl.enumerate_walls_near(L, span, d, radius)
     mj = wl.majorant(L, span)
     return {
         "walls": [ser.encode_wall(w) for w in walls],
         "count": len(walls),
         "square": d,
-        "radius": ser.encode_scalar(ser.decode_scalar(radius)),
+        "radius": ser.encode_scalar(radius),
         "majorant_gram": [ser.encode_vector(row) for row in mj.matrix],
     }, {}
 
 
 def _h_walls_avoid(payload, args, cfg):
     L = _payload_lattice(payload)
-    span = _float_rows(payload["span"])
+    span = [ser.decode_float_vector(v) for v in payload["span"]]
     plane = per.orient_three_plane(L, span, cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
     report = wl.wall_avoidance(plane, walls, tau=cfg.tol.wall)
@@ -308,9 +278,8 @@ def _h_walls_chamber(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
-    vec, _ = ser.decode_vector(payload["vector"])
     contains = wl.kahler_chamber_contains(
-        z, walls, [float(x) for x in vec], tau=cfg.tol.wall, tol=cfg.tol
+        z, walls, ser.decode_float_vector(payload["vector"]), tau=cfg.tol.wall, tol=cfg.tol
     )
     relevant = wl.relevant_walls(z, walls, tau=cfg.tol.wall)
     return {
@@ -321,27 +290,23 @@ def _h_walls_chamber(payload, args, cfg):
 
 def _h_walls_ueps(payload, args, cfg):
     L = _payload_lattice(payload)
-    span = [ser.decode_vector(row)[0] for row in payload["span"]]
-    vec, _ = ser.decode_vector(payload["vector"])
-    eps = float(payload.get("eps", getattr(args, "eps", None) or 0.5))
-    return {
-        "contains": wl.in_u_eps(L, span, [float(x) for x in vec], eps),
-        "eps": eps,
-    }, {}
+    span = [ser.decode_float_vector(v) for v in payload["span"]]
+    vec = ser.decode_float_vector(payload["vector"])
+    eps = float(ser.decode_scalar(payload.get("eps", 0.5)))
+    return {"contains": wl.in_u_eps(L, span, vec, eps), "eps": eps}, {}
 
 
 def _h_llv_e(payload, args, cfg):
-    ring = _payload_ring(payload, args)
-    eta, _ = ser.decode_vector(payload["eta"])
-    op = llv.lefschetz_e(ring, [float(x) for x in eta])
+    ring = _payload_ring(payload)
+    op = llv.lefschetz_e(ring, ser.decode_float_vector(payload["eta"]))
     return {"matrix": [ser.encode_float_vector(r) for r in op.matrix], "degree": 2}, {}
 
 
 def _h_llv_f(payload, args, cfg):
-    ring = _payload_ring(payload, args)
-    eta, _ = ser.decode_vector(payload["eta"])
-    op = llv.lefschetz_f(ring, [float(x) for x in eta])
-    res = llv.sl2_residuals(ring, [float(x) for x in eta])
+    ring = _payload_ring(payload)
+    eta = ser.decode_float_vector(payload["eta"])
+    op = llv.lefschetz_f(ring, eta)
+    res = llv.sl2_residuals(ring, eta)
     return {
         "matrix": [ser.encode_float_vector(r) for r in op.matrix],
         "degree": -2,
@@ -350,11 +315,14 @@ def _h_llv_f(payload, args, cfg):
 
 
 def _h_llv_closure(payload, args, cfg):
-    ring = _payload_ring(payload, args)
-    if getattr(args, "full", False) or payload.get("full"):
+    ring = _payload_ring(payload)
+    full = payload.get("full", False)
+    if not isinstance(full, bool):
+        raise DomainError(f"full must be true or false, got {full!r}")
+    if full:
         closure = llv.full_llv_closure(ring, tau=cfg.tol.lie)
     else:
-        span = _float_rows(_payload_span(payload, args))
+        span = [ser.decode_float_vector(v) for v in payload["span"]]
         plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
         closure = llv.so5_closure(ring, plane, tau=cfg.tol.lie)
     return {
@@ -365,7 +333,7 @@ def _h_llv_closure(payload, args, cfg):
 
 
 def _h_llv_fujiki(payload, args, cfg):
-    ring = _payload_ring(payload, args)
+    ring = _payload_ring(payload)
     c = llv.fujiki_constant(ring, seed=cfg.seed or 0)
     return {"constant": ser.encode_scalar(c)}, {"seed": cfg.seed or 0}
 
@@ -381,8 +349,8 @@ def _h_llv_hodge(payload, args, cfg):
 
 
 def _h_llv_deligne(payload, args, cfg):
-    ring = _payload_ring(payload, args)
-    span = _float_rows(_payload_span(payload, args))
+    ring = _payload_ring(payload)
+    span = [ser.decode_float_vector(v) for v in payload["span"]]
     plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
     closure = llv.so5_closure(ring, plane, tau=cfg.tol.lie)
     z = ser.decode_period_point(ring.lattice, payload["point"], cfg.tol)
@@ -429,91 +397,85 @@ class _Obstructed(Exception):
 def _h_cech_cohomology(payload, args, cfg):
     nerve = ser.decode_nerve(payload["nerve"])
     group = ser.decode_group(payload["group"])
-    degree = int(payload.get("degree", getattr(args, "degree", None) or 0))
+    degree = ser.decode_int(payload.get("degree", 0), "cohomology degree")
     factors = cech_mod.cohomology(nerve, group, degree)
     return {"degree": degree, "factors": list(factors)}, {}
 
 
-HANDLERS = {
-    ("lattice", "signature"): _h_lattice_signature,
-    ("lattice", "dual"): _h_lattice_dual,
-    ("lattice", "negative"): _h_lattice_negative,
-    ("lattice", "spinor"): _h_lattice_spinor,
-    ("period", "validate"): _h_period_validate,
-    ("period", "convert"): _h_period_convert,
-    ("period", "cone"): _h_period_cone,
-    ("period", "sample"): _h_period_sample,
-    ("twistor", "plane"): _h_twistor_plane,
-    ("twistor", "point"): _h_twistor_point,
-    ("twistor", "chain"): _h_twistor_chain,
-    ("irrational", "closure"): _h_irrational_closure,
-    ("irrational", "test"): _h_irrational_test,
-    ("irrational", "picard"): _h_irrational_picard,
-    ("walls", "enum"): _h_walls_enum,
-    ("walls", "avoid"): _h_walls_avoid,
-    ("walls", "chamber"): _h_walls_chamber,
-    ("walls", "ueps"): _h_walls_ueps,
-    ("llv", "e"): _h_llv_e,
-    ("llv", "f"): _h_llv_f,
-    ("llv", "closure"): _h_llv_closure,
-    ("llv", "fujiki"): _h_llv_fujiki,
-    ("llv", "hodge"): _h_llv_hodge,
-    ("llv", "deligne"): _h_llv_deligne,
-    ("cech", "d"): _h_cech_d,
-    ("cech", "cocycle"): _h_cech_cocycle,
-    ("cech", "solve"): _h_cech_solve,
-    ("cech", "cohomology"): _h_cech_cohomology,
-}
+# Relation searches read these two; every other leaf takes only the common flags.
+_SEARCH_FLAGS = (
+    ("--height", {"type": int, "default": 100, "help": "height bound for relation searches"}),
+    (
+        "--tol-relation",
+        {"type": float, "default": 1e-9, "help": "vanishing tolerance for relation searches"},
+    ),
+)
 
-SUBCOMMANDS = {
-    "lattice": ["signature", "dual", "negative", "spinor"],
-    "period": ["validate", "convert", "cone", "sample"],
-    "twistor": ["plane", "point", "chain"],
-    "irrational": ["closure", "test", "picard"],
-    "walls": ["enum", "avoid", "chamber", "ueps"],
-    "llv": ["e", "f", "closure", "fujiki", "hodge", "deligne"],
-    "cech": ["d", "cocycle", "solve", "cohomology"],
+# group -> op -> (handler, the leaf's own flags): the one table of the CLI.
+LEAVES = {
+    "lattice": {
+        "signature": (_h_lattice_signature, ()),
+        "dual": (_h_lattice_dual, ()),
+        "negative": (_h_lattice_negative, ()),
+        "spinor": (_h_lattice_spinor, ()),
+    },
+    "period": {
+        "validate": (_h_period_validate, ()),
+        "convert": (_h_period_convert, ()),
+        "cone": (_h_period_cone, ()),
+        "sample": (_h_period_sample, (("--line", {"action": "store_true"}), *_SEARCH_FLAGS)),
+    },
+    "twistor": {
+        "plane": (_h_twistor_plane, ()),
+        "point": (_h_twistor_point, ()),
+        "chain": (_h_twistor_chain, ()),
+    },
+    "irrational": {
+        "closure": (_h_irrational_closure, _SEARCH_FLAGS),
+        "test": (_h_irrational_test, _SEARCH_FLAGS),
+        "picard": (_h_irrational_picard, _SEARCH_FLAGS),
+    },
+    "walls": {
+        "enum": (_h_walls_enum, ()),
+        "avoid": (_h_walls_avoid, ()),
+        "chamber": (_h_walls_chamber, ()),
+        "ueps": (_h_walls_ueps, ()),
+    },
+    "llv": {
+        "e": (_h_llv_e, ()),
+        "f": (_h_llv_f, ()),
+        "closure": (_h_llv_closure, ()),
+        "fujiki": (_h_llv_fujiki, ()),
+        "hodge": (_h_llv_hodge, ()),
+        "deligne": (_h_llv_deligne, ()),
+    },
+    "cech": {
+        "d": (_h_cech_d, ()),
+        "cocycle": (_h_cech_cocycle, ()),
+        "solve": (_h_cech_solve, ()),
+        "cohomology": (_h_cech_cohomology, ()),
+    },
 }
 
 
 def _build_parser() -> _Parser:
+    # every leaf takes these: the input and the values a config file can also set
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", default=None, help="config JSON path")
     for name in TOL_NAMES:
         common.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
-    common.add_argument("--height", type=int, default=100, help="height bound for searches")
-    common.add_argument(
-        "--tol-relation", dest="tol_relation", type=float, default=1e-9,
-        help="vanishing tolerance for relation searches",
-    )
 
     parser = _Parser(prog="hkgeom", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, ops in SUBCOMMANDS.items():
-        gp = groups.add_parser(group)
-        sub = gp.add_subparsers(dest="op", required=True)
-        for op in ops:
+    for group, ops in LEAVES.items():
+        sub = groups.add_parser(group).add_subparsers(dest="op", required=True)
+        for op, (handler, flags) in ops.items():
             leaf = sub.add_parser(op, parents=[common])
-            if (group, op) == ("twistor", "chain"):
-                leaf.add_argument("--max-links", dest="max_links", type=int, default=64)
-            if (group, op) == ("period", "sample"):
-                leaf.add_argument("--line", action="store_true")
-            if group == "llv":
-                leaf.add_argument("--ring", default=None)
-                leaf.add_argument("--span", default=None)
-            if (group, op) == ("llv", "closure"):
-                leaf.add_argument("--full", action="store_true")
-            if (group, op) == ("walls", "enum"):
-                leaf.add_argument("--square", type=int, default=None)
-                leaf.add_argument("--radius", default=None)
-            if (group, op) == ("walls", "ueps"):
-                leaf.add_argument("--eps", type=float, default=None)
-            if (group, op) == ("irrational", "closure"):
-                leaf.add_argument("--mode", choices=["exact", "detect"], default=None)
-            if (group, op) == ("cech", "cohomology"):
-                leaf.add_argument("--degree", type=int, default=None)
+            for flag, options in flags:
+                leaf.add_argument(flag, **options)
+            leaf.set_defaults(handler=handler)
     return parser
 
 
@@ -531,8 +493,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         payload = _read_payload(args)
-        handler = HANDLERS[(args.group, args.op)]
-        result, diagnostics = handler(payload, args, cfg)
+        result, diagnostics = args.handler(payload, args, cfg)
         _emit({"ok": True, "result": result, "diagnostics": diagnostics})
         return 0
     except _Obstructed as obs:

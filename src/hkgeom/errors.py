@@ -22,9 +22,5 @@ class HardLefschetzError(NumericalError):
     """The sl2-completion linear system is inconsistent for the given class."""
 
 
-class ChainConnectError(NumericalError):
-    """Twistor chaining exceeded its link budget."""
-
-
 class InternalInconsistencyError(HkgeomError):
     """Two independent computations of the same invariant disagree."""

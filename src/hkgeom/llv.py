@@ -285,13 +285,14 @@ class LieClosure:
         return [op.matrix for op in self.elements if op.degree == 0]
 
 
-def lie_closure(
-    generators,
-    tau: float | None = None,
-    cap: int = 600,
-    residual_samples: int = 400,
-    seed: int = 0,
-) -> LieClosure:
+# Closure dimension past which a worklist is taken to run away (a fault bound).
+_CLOSURE_CAP = 600
+# Bracket pairs drawn, with a fixed seed, for the independent residual sweep.
+_RESIDUAL_SAMPLES = 400
+_RESIDUAL_SEED = 0
+
+
+def lie_closure(generators, tau: float | None = None) -> LieClosure:
     """Close a family of graded operators under the bracket, numerically.
 
     Maintains per-degree orthonormal bases of flattened matrices; a bracket
@@ -302,7 +303,7 @@ def lie_closure(
     Algorithms*, 2000, ch. 1), so a span that contains S and is closed under
     ad(s) for every s in S is the whole algebra. Brackets are processed in
     deterministic FIFO order, so the result is stable for a fixed input order.
-    Raises when the dimension exceeds ``cap`` (runaway non-closure).
+    Raises when the dimension exceeds ``_CLOSURE_CAP`` (runaway non-closure).
     """
     if not generators:
         raise DomainError("no generators")
@@ -333,8 +334,8 @@ def lie_closure(
         basis.append(r)
         stacks[degree] = np.vstack(basis)
         elements.append((degree, r.reshape(ring.dim, ring.dim)))
-        if len(elements) > cap:
-            raise NumericalError(f"closure dimension exceeded the cap {cap}")
+        if len(elements) > _CLOSURE_CAP:
+            raise NumericalError(f"closure dimension exceeded the cap {_CLOSURE_CAP}")
         return True
 
     for g in generators:
@@ -350,17 +351,17 @@ def lie_closure(
             if try_add(bracket, deg_x + deg_g):
                 queue.append(len(elements) - 1)
     # independent residual sweep over sampled pairs
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RESIDUAL_SEED)
     count = len(elements)
     worst = 0.0
     pairs = (
         [(i, j) for i in range(count) for j in range(i)]
-        if count * (count - 1) // 2 <= residual_samples
+        if count * (count - 1) // 2 <= _RESIDUAL_SAMPLES
         else [
             (int(a), int(b))
             for a, b in zip(
-                rng.integers(0, count, residual_samples),
-                rng.integers(0, count, residual_samples),
+                rng.integers(0, count, _RESIDUAL_SAMPLES),
+                rng.integers(0, count, _RESIDUAL_SAMPLES),
             )
         ]
     )
@@ -387,7 +388,7 @@ def lie_closure(
     )
 
 
-def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[list]]], cap: int = 600):
+def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[list]]]):
     """Exact-rational bracket closure: the oracle for the float path.
 
     Generators are (degree, matrix) pairs with Fraction/int entries. Returns
@@ -416,8 +417,8 @@ def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[lis
         basis.append(v)
         piv.append(lead)
         elements.append((degree, mat))
-        if len(elements) > cap:
-            raise NumericalError(f"closure dimension exceeded the cap {cap}")
+        if len(elements) > _CLOSURE_CAP:
+            raise NumericalError(f"closure dimension exceeded the cap {_CLOSURE_CAP}")
         return True
 
     for degree, mat in generators:
@@ -448,7 +449,7 @@ def so5_closure(ring: CohomologyRing, plane: PositiveThreePlane, tau: float | No
     return lie_closure(gens, tau=tau)
 
 
-def full_llv_closure(ring: CohomologyRing, tau: float | None = None, cap: int = 600) -> LieClosure:
+def full_llv_closure(ring: CohomologyRing, tau: float | None = None) -> LieClosure:
     """Closure of the Lefschetz pairs over the whole degree-2 basis.
 
     e_eta enters for every basis vector; f_eta needs q(eta) != 0 (hard
@@ -472,7 +473,7 @@ def full_llv_closure(ring: CohomologyRing, tau: float | None = None, cap: int = 
             )
             eta[partner] += 1
         gens.append(lefschetz_f(ring, eta))
-    return lie_closure(gens, tau=tau, cap=cap)
+    return lie_closure(gens, tau=tau)
 
 
 def _mixed_square_nonzero(L: QuadLattice, a: int, b: int) -> bool:

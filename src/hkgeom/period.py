@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ChainConnectError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .lattice import QuadLattice
 
 
@@ -238,7 +238,8 @@ def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -
         if nv == 0:
             raise DomainError("zero vector in span")
         normalized.append(v / nv)
-    gram3 = np.array([[u @ g @ w for w in normalized] for u in normalized])
+    unit = np.vstack(normalized)
+    gram3 = unit @ g @ unit.T
     mineig = float(np.linalg.eigvalsh(gram3)[0])
     if mineig <= tol.pos:
         raise DomainError(
@@ -431,7 +432,6 @@ def _perp_positive_direction(g: np.ndarray, rows: np.ndarray, drop=()) -> np.nda
 def chain_connect(
     z: PeriodPoint,
     target: PeriodPoint,
-    max_links: int = 64,
     tol: Tolerances = DEFAULT_TOL,
     point_tol: float = 1e-7,
 ) -> TwistorChain:
@@ -464,13 +464,10 @@ def chain_connect(
       P + Q degenerate), a positive c with |b(c, x_0)|, |b(c, y_1)| small
       against q(c).
 
-    Raises ChainConnectError when the chain needs more than ``max_links``
-    links. A pair too close to degenerate for the float checks raises
-    DomainError or NumericalError when it fails the positivity checks or
-    leaves a junction point that verify_chain would reject.
+    A pair too close to degenerate for the float checks raises DomainError
+    or NumericalError when it fails the positivity checks or leaves a
+    junction point that verify_chain would reject.
     """
-    if max_links < 0:
-        raise DomainError("max_links must be >= 0")
     L = z.lattice
     if L != target.lattice:
         raise DomainError("period points live on different lattices")
@@ -478,10 +475,7 @@ def chain_connect(
         if L.rank - 3 == 0:
             raise DomainError("signature too small: rank 3 leaves no pivot room")
         raise DomainError("chain connectivity needs signature (3, n)")
-    links = _chain_links(z, target, tol, point_tol)
-    if len(links) > max_links:
-        raise ChainConnectError(f"max_links exceeded ({max_links}): the chain needs {len(links)}")
-    return TwistorChain(tuple(links))
+    return TwistorChain(tuple(_chain_links(z, target, tol, point_tol)))
 
 
 def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances, point_tol: float) -> list[ChainLink]:

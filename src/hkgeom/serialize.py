@@ -45,11 +45,32 @@ def decode_scalar(v):
     raise DomainError(f"cannot decode scalar {v!r}")
 
 
+def decode_int(v, what: str) -> int:
+    """A JSON integer; bool, float and string are refused, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def decode_vector(values) -> tuple[list, bool]:
     """Returns (entries, exact): exact when every entry is an int or 'p/q'."""
+    if not isinstance(values, list):
+        raise DomainError(f"a vector must be a JSON array, got {values!r}")
     out = [decode_scalar(v) for v in values]
     exact = all(not isinstance(x, float) for x in out)
     return out, exact
+
+
+def decode_float_vector(values) -> list[float]:
+    vec, _ = decode_vector(values)
+    return [float(x) for x in vec]
+
+
+def decode_exact_vector(values, what: str) -> list:
+    vec, exact = decode_vector(values)
+    if not exact:
+        raise DomainError(f"{what} need rational coordinates")
+    return vec
 
 
 def encode_vector(values) -> list:
@@ -92,9 +113,7 @@ def decode_period_point(L: QuadLattice, obj, tol) -> PeriodPoint:
 
     if "re" not in obj or "im" not in obj:
         raise DomainError("period point needs 're' and 'im' fields")
-    re, _ = decode_vector(obj["re"])
-    im, _ = decode_vector(obj["im"])
-    return period_point(L, [float(x) for x in re], [float(x) for x in im], tol)
+    return period_point(L, decode_float_vector(obj["re"]), decode_float_vector(obj["im"]), tol)
 
 
 def encode_two_plane(p: OrientedTwoPlane) -> list:
@@ -131,7 +150,7 @@ def decode_wallset(L: QuadLattice, entries) -> WallSet:
     for entry in entries:
         if isinstance(entry, dict):
             vec, _ = decode_vector(entry["coords"])
-            sign = int(entry.get("sign", 1))
+            sign = decode_int(entry.get("sign", 1), "wall sign")
             if sign not in (1, -1):
                 raise DomainError("wall sign must be +1 or -1")
             coords.append([sign * x for x in vec])
@@ -166,11 +185,14 @@ def decode_ring(obj) -> CohomologyRing:
         raise DomainError(f"unknown ring alias {obj!r}")
     block = obj["lattice_block"]
     return CohomologyRing(
-        m=int(obj["m"]),
-        degrees=tuple(int(d) for d in obj["degrees"]),
-        products=tuple(tuple(int(x) for x in t) for t in obj["structure_constants"]),
-        integration=tuple(int(x) for x in obj["integration"]),
-        lattice_indices=tuple(int(i) for i in block["indices"]),
+        m=decode_int(obj["m"], "ring m"),
+        degrees=tuple(decode_int(d, "ring degree") for d in obj["degrees"]),
+        products=tuple(
+            tuple(decode_int(x, "structure constant") for x in t)
+            for t in obj["structure_constants"]
+        ),
+        integration=tuple(decode_int(x, "integration value") for x in obj["integration"]),
+        lattice_indices=tuple(decode_int(i, "lattice index") for i in block["indices"]),
         lattice=QuadLattice.from_rows(block["gram"]),
     )
 
@@ -192,7 +214,7 @@ def decode_nerve(obj) -> cech_mod.Nerve:
 
 
 def decode_group(obj) -> cech_mod.FiniteAbelianGroup:
-    return cech_mod.FiniteAbelianGroup(tuple(int(k) for k in obj["factors"]))
+    return cech_mod.FiniteAbelianGroup(tuple(decode_int(k, "group factor") for k in obj["factors"]))
 
 
 def _simplex_key(s) -> str:
@@ -216,10 +238,10 @@ def encode_cochain(c: cech_mod.Cochain) -> dict:
 def decode_cochain(
     nerve: cech_mod.Nerve, group: cech_mod.FiniteAbelianGroup, obj
 ) -> cech_mod.Cochain:
-    degree = int(obj["degree"])
+    degree = decode_int(obj["degree"], "cochain degree")
     sample = nerve.vertices[0] if nerve.vertices else 0
     data = {
-        _parse_simplex(key, sample): tuple(int(x) for x in val)
+        _parse_simplex(key, sample): tuple(decode_int(x, "cochain value") for x in val)
         for key, val in obj.get("values", {}).items()
     }
     return cech_mod.Cochain.from_dict(nerve, group, degree, data)

@@ -69,18 +69,18 @@ class WallSet:
 class MajorantForm:
     """Positive definite form q_P agreeing with q on P and -q on P-perp.
 
-    ``matrix`` is 2 G B (B^T G B)^{-1} B^T G - G for a basis B of the
-    positive subspace P; exact Fractions when the basis is rational, floats
-    otherwise. P must be a maximal positive subspace (the complement then is
-    negative definite, which makes q_P positive definite).
+    ``matrix`` is 2 G B (B^T G B)^{-1} B^T G - G, in exact Fractions, for a
+    rational basis B of the positive subspace P. P must be a maximal
+    positive subspace (the complement then is negative definite, which
+    makes q_P positive definite).
     """
 
     lattice: QuadLattice
-    matrix: tuple  # rows; Fraction entries in exact mode, floats otherwise
-    exact: bool
+    matrix: tuple  # rows of Fractions
 
     def value(self, v) -> Fraction | float:
-        if self.exact and all(isinstance(x, (int, Fraction, str)) for x in v):
+        """Exact on rational vectors; a float for any other vector."""
+        if all(isinstance(x, (int, Fraction, str)) for x in v):
             vv = ex.frvec(v)
             return ex.dot(vv, ex.mat_vec([list(r) for r in self.matrix], vv))
         arr = np.asarray(v, dtype=float)
@@ -88,69 +88,44 @@ class MajorantForm:
 
     def dual_matrix(self):
         """Inverse matrix: the majorant transported to the dual lattice."""
-        if self.exact:
-            return ex.inverse([list(r) for r in self.matrix])
-        return np.linalg.inv(np.array(self.matrix, dtype=float))
-
-
-def _span_rows(span) -> tuple[list, bool]:
-    if isinstance(span, PositiveThreePlane):
-        return [list(map(float, row)) for row in span.frame], False
-    rows = [list(v) for v in span]
-    exact = all(
-        isinstance(x, (int, Fraction)) or isinstance(x, str) for row in rows for x in row
-    )
-    return rows, exact
+        return ex.inverse([list(r) for r in self.matrix])
 
 
 def majorant(L: QuadLattice, span) -> MajorantForm:
-    """Majorant form of a maximal positive subspace given by spanning vectors.
+    """Majorant form of a maximal positive subspace given by rational spanning vectors.
 
-    Accepts a PositiveThreePlane (float path) or a list of rational vectors
-    (exact path). Verifies positive definiteness exactly in the rational
-    case and by eigenvalue check otherwise.
+    Positive definiteness is verified exactly; a span with a float entry is
+    a domain error.
     """
-    rows, exact = _span_rows(span)
+    rows = [list(v) for v in span]
+    if not all(isinstance(x, (int, Fraction, str)) for row in rows for x in row):
+        raise DomainError("the majorant needs a rational spanning basis")
     p, _m = L.signature
     if len(rows) != p:
         raise DomainError(
             f"majorant needs a maximal positive subspace ({p} spanning vectors)"
         )
-    if exact:
-        b = ex.transpose(ex.frmat(rows))
-        g = ex.frmat([list(r) for r in L.gram])
-        gb = ex.mat_mul(g, b)
-        core = ex.mat_mul(ex.transpose(b), gb)
-        pos, neg, zero = ex.inertia(core)
-        if (pos, neg, zero) != (p, 0, 0):
-            raise DomainError("span is not positive definite")
-        core_inv = ex.inverse(core)
-        proj = ex.mat_mul(ex.mat_mul(gb, core_inv), ex.transpose(gb))
-        mat = [
-            [2 * proj[i][j] - g[i][j] for j in range(L.rank)] for i in range(L.rank)
-        ]
-        pos, neg, zero = ex.inertia(mat)
-        if (pos, neg, zero) != (L.rank, 0, 0):
-            raise DomainError("majorant is not positive definite; span not maximal positive")
-        return MajorantForm(L, tuple(tuple(r) for r in mat), exact=True)
-    bmat = np.array(rows, dtype=float).T
-    g = gram_float(L)
-    core = bmat.T @ g @ bmat
-    if np.linalg.eigvalsh(core)[0] <= 0:
+    b = ex.transpose(ex.frmat(rows))
+    g = ex.frmat([list(r) for r in L.gram])
+    gb = ex.mat_mul(g, b)
+    core = ex.mat_mul(ex.transpose(b), gb)
+    pos, neg, zero = ex.inertia(core)
+    if (pos, neg, zero) != (p, 0, 0):
         raise DomainError("span is not positive definite")
-    proj = g @ bmat @ np.linalg.inv(core) @ bmat.T @ g
-    mat = 2 * proj - g
-    if np.linalg.eigvalsh(mat)[0] <= 0:
+    core_inv = ex.inverse(core)
+    proj = ex.mat_mul(ex.mat_mul(gb, core_inv), ex.transpose(gb))
+    mat = [[2 * proj[i][j] - g[i][j] for j in range(L.rank)] for i in range(L.rank)]
+    pos, neg, zero = ex.inertia(mat)
+    if (pos, neg, zero) != (L.rank, 0, 0):
         raise DomainError("majorant is not positive definite; span not maximal positive")
-    return MajorantForm(L, tuple(tuple(float(x) for x in r) for r in mat), exact=False)
+    return MajorantForm(L, tuple(tuple(r) for r in mat))
 
 
 def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:
     """Membership in the neighborhood q(v_P) < -eps q(v_{P perp}) of P-perp."""
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
-    rows, _ = _span_rows(span)
-    bmat = np.array(rows, dtype=float).T
+    bmat = np.array(span, dtype=float).T
     g = gram_float(L)
     core = bmat.T @ g @ bmat
     varr = np.asarray(v, dtype=float)
@@ -364,10 +339,7 @@ def enumerate_walls_near(
             f"rank {L.rank} exceeds the enumeration cap {rank_cap}; reduce the radius"
             " and raise rank_cap explicitly if the search volume is known to be small"
         )
-    rows, exact = _span_rows(span)
-    if not exact:
-        raise DomainError("wall enumeration requires a rational spanning basis")
-    dual = majorant(L, rows).dual_matrix()
+    dual = majorant(L, span).dual_matrix()
     # dual_value(v) == d  iff  v adj v == d det, with the cached integer adjugate
     target = d * L.det
     weight = sum(abs(x) for row in L.adjugate for x in row)
@@ -420,10 +392,7 @@ def _box_scan(L: QuadLattice, d: int, box: int) -> list[tuple[int, ...]]:
 def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[WallForm]:
     """Oracle: box search over |coords| <= box with the same exact filters."""
     radius = ex.fr(radius)
-    rows, exact = _span_rows(span)
-    if not exact:
-        raise DomainError("brute force oracle requires a rational spanning basis")
-    dual = majorant(L, rows).dual_matrix()
+    dual = majorant(L, span).dual_matrix()
     # integer filter: with M = D * dual, v.dual.v <= radius iff v.M.v * den <= num * D
     n = L.rank
     flat, scale = ex.scale_to_integers([x for row in dual for x in row])

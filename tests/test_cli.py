@@ -102,10 +102,10 @@ def test_domain_error_exit_1(tmp_path, capsys):
 
 
 def test_numerical_error_exit_2(tmp_path, capsys):
-    job = json.loads((FIXTURES / "chain_job_u3.json").read_text())
-    bad = tmp_path / "chain.json"
-    bad.write_text(json.dumps(job))
-    code = main(["twistor", "chain", "-i", str(bad), "--max-links", "0"])
+    # an isotropic eta has no hard Lefschetz partner f
+    bad = tmp_path / "eta.json"
+    bad.write_text(json.dumps({"ring": "k3", "eta": [1] + [0] * 21}))
+    code = main(["llv", "f", "-i", str(bad)])
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["error"]["type"] == "numerical"
@@ -193,15 +193,8 @@ def test_non_integral_gram_exit_1(gram, tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "domain"
 
 
-@pytest.mark.parametrize(
-    "argv,payload",
-    [
-        (["walls", "enum"], {"lattice": "U3", "span": 5}),
-        (["lattice", "dual"], {"lattice": "U3", "coords": 5}),
-    ],
-    ids=["walls-enum-scalar-span", "lattice-dual-scalar-coords"],
-)
-def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
+def _run_fresh(argv, payload, tmp_path):
+    """One CLI run in a fresh process; returns (exit code, the one JSON object)."""
     job = tmp_path / "job.json"
     job.write_text(json.dumps(payload))
     proc = subprocess.run(
@@ -210,9 +203,80 @@ def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
         text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["type"] == "domain"
     assert "Traceback" not in proc.stderr
+    return proc.returncode, json.loads(proc.stdout)
+
+
+WALLS_JOB = json.loads((FIXTURES / "walls_enum_job.json").read_text())
+COHOMOLOGY_JOB = json.loads((FIXTURES / "cech_cohomology_job.json").read_text())
+EDGE = next(s for s in COHOMOLOGY_JOB["nerve"]["simplices"] if len(s) == 2)
+EDGE_COCHAIN = {
+    "nerve": COHOMOLOGY_JOB["nerve"],
+    "group": {"factors": [2]},
+    "cochain": {"degree": 1, "values": {",".join(map(str, EDGE)): [1.9]}},
+}
+CHAMBER_JOB = {
+    "lattice": "U3",
+    "point": {"re": [1, 1, 0, 0, 0, 0], "im": [0, 0, 1, 1, 0, 0]},
+    "walls": [{"coords": [0, 0, 0, 0, 1, -1], "sign": 1.5}],
+    "vector": [0, 0, 0, 0, 1, 1],
+}
+UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["walls", "enum"], {"lattice": "U3", "span": 5}),
+        (["lattice", "dual"], {"lattice": "U3", "coords": 5}),
+        (["walls", "enum"], {**WALLS_JOB, "square": -2.5}),
+        (["cech", "cohomology"], {**COHOMOLOGY_JOB, "group": {"factors": [2.9]}}),
+        (["cech", "cohomology"], {**COHOMOLOGY_JOB, "degree": 1.7}),
+        (["cech", "cohomology"], {**COHOMOLOGY_JOB, "degree": True}),
+        (["cech", "d"], EDGE_COCHAIN),
+        (["walls", "chamber"], CHAMBER_JOB),
+        (["irrational", "closure"], {"vectors": [[1.0, 0.5]], "mode": "detcet"}),
+        (["llv", "fujiki"], ["ring", "k3"]),
+    ],
+    ids=[
+        "walls-enum-scalar-span",
+        "lattice-dual-scalar-coords",
+        "walls-enum-float-square",
+        "cech-cohomology-float-factor",
+        "cech-cohomology-float-degree",
+        "cech-cohomology-bool-degree",
+        "cech-d-float-cochain-value",
+        "walls-chamber-float-sign",
+        "irrational-closure-unknown-mode",
+        "llv-fujiki-payload-not-an-object",
+    ],
+)
+def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
+    code, out = _run_fresh(argv, payload, tmp_path)
+    assert code == 1
+    assert out["error"]["type"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["walls", "enum", "--square", "0"], WALLS_JOB),
+        (["walls", "enum", "--square", "-4"], WALLS_JOB),
+        (["walls", "ueps", "--eps", "0"], UEPS_JOB),
+        (["lattice", "signature", "--height", "5", "--tol-relation", "3"], {"lattice": "U3"}),
+    ],
+    ids=[
+        "walls-enum-square-flag",
+        "walls-enum-square-flag-beside-payload",
+        "walls-ueps-eps-flag",
+        "lattice-signature-search-flags",
+    ],
+)
+def test_data_flag_is_usage_error_exit_3(argv, payload, tmp_path):
+    # data values travel in the payload; search flags exist only where a search reads them
+    code, out = _run_fresh(argv, payload, tmp_path)
+    assert code == 3
+    assert out["error"]["type"] == "usage"
 
 
 def test_walls_enum_oversized_radius_fails_fast(tmp_path):
@@ -237,13 +301,6 @@ def test_walls_enum_oversized_radius_fails_fast(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_negative_max_links_exit_1(capsys):
-    argv = ["twistor", "chain", "-i", "chain_job_u3.json", "--max-links", "-1"]
-    code, out = run_cli(argv, capsys)
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "domain"
-
-
 def test_walls_ueps_subcommand(tmp_path, capsys):
     job = {
         "lattice": json.loads((FIXTURES / "u3_lattice.json").read_text()),
@@ -260,10 +317,10 @@ def test_walls_ueps_subcommand(tmp_path, capsys):
 
 
 def test_irrational_subcommands(tmp_path, capsys):
-    job = {"vectors": [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]}
+    job = {"vectors": [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]], "mode": "exact"}
     path = tmp_path / "vec.json"
     path.write_text(json.dumps(job))
-    code = main(["irrational", "closure", "-i", str(path), "--mode", "exact"])
+    code = main(["irrational", "closure", "-i", str(path)])
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["result"]["closure_dim"] == 2

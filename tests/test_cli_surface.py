@@ -91,8 +91,8 @@ def test_twistor_plane_and_point(invoke):
 
 def test_irrational_closure_detect(invoke):
     data = invoke(
-        ["irrational", "closure", "--mode", "detect"],
-        {"vectors": [[1.0, 2.0**0.5, 0.0, 0.0, 0.0, 0.0]]},
+        ["irrational", "closure"],
+        {"vectors": [[1.0, 2.0**0.5, 0.0, 0.0, 0.0, 0.0]], "mode": "detect"},
     )
     assert data["result"]["closure_dim"] == 2
 
@@ -129,15 +129,15 @@ def test_walls_chamber(invoke):
 def test_llv_e_and_f(invoke):
     eta = [0] * 22
     eta[0] = eta[1] = 1
-    data = invoke(["llv", "e", "--ring", "k3"], {"eta": eta})
+    data = invoke(["llv", "e"], {"ring": "k3", "eta": eta})
     assert data["result"]["degree"] == 2
-    data = invoke(["llv", "f", "--ring", "k3"], {"eta": eta})
+    data = invoke(["llv", "f"], {"ring": "k3", "eta": eta})
     assert data["result"]["degree"] == -2
     assert data["result"]["bracket_residual"] < 1e-9
 
 
 def test_llv_closure_full(invoke):
-    data = invoke(["llv", "closure", "--ring", "k3", "--full"], {})
+    data = invoke(["llv", "closure"], {"ring": "k3", "full": True})
     assert data["result"]["dimension"] == 276
 
 

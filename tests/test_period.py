@@ -9,7 +9,7 @@ from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import period as per
 from hkgeom.config import DEFAULT_TOL
-from hkgeom.errors import ChainConnectError, DomainError, NumericalError
+from hkgeom.errors import DomainError, NumericalError
 
 U3 = lat.standard_lattice("U3")
 K3 = lat.k3_lattice()
@@ -431,7 +431,7 @@ def test_chain_near_degenerate_pairs_connect_or_raise(lattice, boost, phi, psi, 
     try:
         _connect_and_verify(*pair)
     except (DomainError, NumericalError) as err:
-        assert not separated and not isinstance(err, ChainConnectError)
+        assert not separated
 
 
 def test_chain_near_degenerate_sweep_connects():
@@ -467,15 +467,9 @@ def test_chain_rejects_rank_three():
         per.chain_connect(z, z.conjugate())
 
 
-def test_chain_max_links():
+def test_chain_same_point_k3_has_no_links():
     z1 = per.sample_period_point(K3, 100)
-    z2 = per.sample_period_point(K3, 101)
-    if not per.same_period_point(z1, z2):
-        with pytest.raises(ChainConnectError):
-            per.chain_connect(z1, z2, max_links=0)
-    assert len(per.chain_connect(z1, z1, max_links=0)) == 0
-    with pytest.raises(DomainError):
-        per.chain_connect(z1, z2, max_links=-1)
+    assert len(per.chain_connect(z1, z1)) == 0
 
 
 def test_sampled_line_feeds_twistor_plane():

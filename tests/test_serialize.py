@@ -16,6 +16,20 @@ def test_scalar_round_trip():
         ser.decode_scalar(True)
 
 
+def test_strict_decoders_refuse_instead_of_truncating():
+    assert ser.decode_int(-3, "square") == -3
+    for bad in (True, -2.5, 2.0, "2"):
+        with pytest.raises(DomainError):
+            ser.decode_int(bad, "square")
+    for bad in (5, "1,2", {"x": 1}):
+        with pytest.raises(DomainError):
+            ser.decode_vector(bad)
+    assert ser.decode_float_vector([1, "1/2", 0.25]) == [1.0, 0.5, 0.25]
+    assert ser.decode_exact_vector([1, "1/2"], "coords") == [1, Fraction(1, 2)]
+    with pytest.raises(DomainError):
+        ser.decode_exact_vector([1, 0.5], "coords")
+
+
 def test_vector_exactness_detection():
     vec, exact = ser.decode_vector([1, "1/2", 3])
     assert exact and vec[1] == Fraction(1, 2)

@@ -25,10 +25,16 @@ E3F3 = np.array([0, 0, 0, 0, 1, 1], dtype=float)
 
 def test_majorant_u3_diagonals_is_identity():
     mj = wl.majorant(U3, DIAG_SPAN_U3)
-    assert mj.exact
+    assert all(isinstance(x, Fraction) for row in mj.matrix for x in row)
     assert [[int(x) for x in row] for row in mj.matrix] == [
         [int(i == j) for j in range(6)] for i in range(6)
     ]
+    # the same span in floats is refused: the majorant and the walls are exact-only
+    float_span = [[float(x) for x in row] for row in DIAG_SPAN_U3]
+    with pytest.raises(DomainError):
+        wl.majorant(U3, float_span)
+    with pytest.raises(DomainError):
+        wl.enumerate_walls_near(U3, float_span, -2, 2)
 
 
 def test_majorant_values_on_p_and_perp():
