@@ -29,7 +29,6 @@ from .irrational import (
     rational_closure,
 )
 from .lattice import (
-    Isometry,
     QuadLattice,
     Reflection,
     WallForm,

@@ -149,15 +149,6 @@ class FiniteAbelianGroup:
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % k for x, k in zip(a, self.factors))
 
-    def scale(self, n: int, a) -> tuple[int, ...]:
-        return tuple((n * x) % k for x, k in zip(a, self.factors))
-
-    def elements(self):
-        """All elements, lexicographic; only sensible for small groups."""
-        from itertools import product
-
-        return [tuple(t) for t in product(*(range(k) for k in self.factors))]
-
 
 @dataclasses.dataclass(frozen=True)
 class Cochain:

@@ -47,10 +47,9 @@ def _load_config(args) -> RunConfig:
         overrides = data.get("tolerances", {})
         if not isinstance(overrides, dict) or not set(overrides) <= set(TOL_NAMES):
             raise DomainError(f"config 'tolerances' may only set {', '.join(TOL_NAMES)}")
-        try:
-            tol = tol.replace(**{k: float(v) for k, v in overrides.items()})
-        except TypeError as err:
-            raise DomainError(f"config tolerances must be numbers: {err}") from err
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in overrides.values()):
+            raise DomainError("config tolerances must be JSON numbers")
+        tol = tol.replace(**{k: float(v) for k, v in overrides.items()})
         seed = data.get("seed", seed)
     for name in TOL_NAMES:
         flag = getattr(args, f"tol_{name}")

@@ -76,27 +76,37 @@ def is_symmetric(a) -> bool:
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
+    """Exact determinant of a rational matrix: det(D a) / D^n for D the lcm of its denominators."""
+    m, scale = scale_matrix_to_integers(a)
+    return Fraction(det_adjugate(m)[0], scale ** len(m))
+
+
+def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det a, adj a) of a square integer matrix, all in integers; adj is None when det is 0.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [a | I]: each step replaces every
+    other row by (p * row - f * pivot_row) / p_prev, an exact division (every
+    entry is a minor of [a | I], Sylvester's identity). At the end the left
+    half is d I with d = +-det a, the sign from the row swaps, and the right
+    half is d a^-1 = +-adj a.
+    """
     n = len(a)
-    m = [[fr(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev, sign = 1, 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            return 0, None
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
             sign = -sign
-        d = m[col][col]
-        result *= d
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / d
-                row_r, row_c = m[r], m[col]
-                for c in range(col, n):
-                    row_r[c] -= f * row_c[c]
-    return sign * result
+        pivot_row, p = m[c], m[c][c]
+        for r in range(n):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
@@ -287,9 +297,7 @@ def inertia(s) -> tuple[int, int, int]:
     """
     if not is_symmetric(s):
         raise DomainError("inertia requires a symmetric matrix")
-    n = len(s)
-    flat, _ = scale_to_integers([x for row in s for x in row])
-    return _inertia_int([flat[i * n : (i + 1) * n] for i in range(n)])
+    return _inertia_int(scale_matrix_to_integers(s)[0])
 
 
 def content(v: list[int]) -> int:
@@ -301,9 +309,16 @@ def content(v: list[int]) -> int:
 
 def scale_to_integers(v) -> tuple[list[int], int]:
     """(D v, D) for D the positive lcm of the denominators of a rational vector."""
-    q = [x if isinstance(x, int) else fr(x) for x in v]  # ints carry numerator/denominator
+    q = [x if isinstance(x, (int, Fraction)) else fr(x) for x in v]  # both carry numerator/denominator
     scale = lcm(*[x.denominator for x in q])
     return [x.numerator * (scale // x.denominator) for x in q], scale
+
+
+def scale_matrix_to_integers(a) -> tuple[list[list[int]], int]:
+    """(D a, D) for D the positive lcm of the denominators of a rational matrix."""
+    cols = len(a[0]) if a else 0
+    flat, scale = scale_to_integers([x for row in a for x in row])
+    return [flat[i : i + cols] for i in range(0, len(flat), cols or 1)], scale
 
 
 def primitive_vector(v) -> list[int]:
@@ -404,11 +419,6 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
     return s, u, v
 
 
-def snf_diagonal(a: list[list[int]]) -> list[int]:
-    s, _, _ = smith_normal_form(a)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
-
-
 def invariant_factors(values: list[int]) -> list[int]:
     """Canonical invariant-factor chain of a product of cyclic groups.
 
@@ -419,8 +429,8 @@ def invariant_factors(values: list[int]) -> list[int]:
     if not vals:
         return []
     n = len(vals)
-    diag = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return [d for d in snf_diagonal(diag) if d != 1]
+    s, _, _ = smith_normal_form([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return [s[i][i] for i in range(n) if s[i][i] != 1]
 
 
 # -- LLL ----------------------------------------------------------------------

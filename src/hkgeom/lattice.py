@@ -2,7 +2,11 @@
 
 All arithmetic in this module is exact (ints and Fractions). Floating point
 is deliberately absent: signatures and spinor signs are discrete invariants
-and must not depend on rounding.
+and must not depend on rounding. Per-lattice data (det and adjugate, the
+signature, an integer positive p-plane) is computed once and cached. The
+spinor sign is the orientation character of positive p-planes; the
+Cartan-Dieudonne decomposition ``reflection_vectors`` is kept as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -57,10 +61,12 @@ class QuadLattice:
         return len(self.gram)
 
     @cached_property
+    def _det_adjugate(self) -> tuple[int, list[list[int]] | None]:
+        return ex.det_adjugate(self.gram)
+
+    @property
     def det(self) -> int:
-        d = ex.det([list(row) for row in self.gram])
-        assert d.denominator == 1
-        return int(d)
+        return self._det_adjugate[0]
 
     @cached_property
     def signature(self) -> tuple[int, int]:
@@ -70,18 +76,37 @@ class QuadLattice:
             raise DomainError("degenerate form")
         return pos, neg
 
-    @cached_property
-    def dual_gram(self) -> list[list[Fraction]]:
-        """Inverse gram matrix: the form q^vee on the dual in the dual basis."""
-        return ex.inverse([list(row) for row in self.gram])
+    @property
+    def adjugate(self) -> list[list[int]]:
+        """det * gram^{-1}, an integer matrix; computed once with det, used for dual values."""
+        return self._det_adjugate[1]
 
     @cached_property
-    def adjugate(self) -> list[list[int]]:
-        """det * gram^{-1}, an integer matrix; computed once, used for dual values."""
-        d = self.det
-        adj = [[x * d for x in row] for row in self.dual_gram]
-        assert all(x.denominator == 1 for row in adj for x in row)
-        return [[int(x) for x in row] for row in adj]
+    def positive_plane(self) -> list[list[int]]:
+        """Integer basis of a positive p-plane, p the positive index; rows pairwise q-orthogonal.
+
+        Exact Lagrange diagonalisation of the standard basis: take an
+        anisotropic row v (or r_i + r_j when every row is isotropic, so that
+        q(v) = 2 b(r_i, r_j) != 0), keep it if q(v) > 0, and replace the other
+        rows by their projections q(v) r - b(r, v) v onto the q-complement of v.
+        """
+        def b(u, w):  # the integer form on integer rows
+            return sum(x * sum(map(mul, row, w)) for x, row in zip(u, self.gram) if x)
+
+        rows = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
+        plane = []
+        while len(plane) < self.signature[0]:
+            k = next((i for i, r in enumerate(rows) if b(r, r)), None)
+            if k is None:  # rows span a nondegenerate space, so some b(r_i, r_j) != 0
+                i, j = next((i, j) for i in range(len(rows)) for j in range(i) if b(rows[i], rows[j]))
+                rows[i] = [x + y for x, y in zip(rows[i], rows[j])]
+                k = i
+            v = rows.pop(k)
+            qv = b(v, v)
+            if qv > 0:
+                plane.append(v)
+            rows = [ex.primitive_vector([qv * x - b(r, v) * y for x, y in zip(r, v)]) for r in rows]
+        return plane
 
     def __hash__(self) -> int:
         """Hash of the gram, computed once; lattices key the per-lattice float caches."""
@@ -102,32 +127,6 @@ class QuadLattice:
 
     def q(self, v) -> Fraction:
         return self.bform(v, v)
-
-
-@dataclasses.dataclass(frozen=True)
-class Isometry:
-    """Integer matrix g with g^T gram g = gram and det(g) = +-1."""
-
-    lattice: QuadLattice
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        g = [list(row) for row in self.matrix]
-        n = self.lattice.rank
-        if len(g) != n or any(len(row) != n for row in g):
-            raise DomainError("isometry matrix has wrong shape")
-        if any(not isinstance(x, int) for row in g for x in row):
-            raise DomainError("isometry matrix must have integer entries")
-        gram = [list(row) for row in self.lattice.gram]
-        gtg = ex.mat_mul(ex.mat_mul(ex.transpose(g), gram), g)
-        if gtg != ex.frmat(gram):
-            raise DomainError("matrix does not preserve the form")
-        d = ex.det(ex.frmat(g))
-        if d not in (1, -1):
-            raise DomainError("isometry determinant must be +-1")
-
-    def rational_rows(self) -> ex.Mat:
-        return ex.frmat(self.matrix)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,9 +162,6 @@ class WallForm:
     @cached_property
     def negative(self) -> bool:
         return is_negative_form(self.lattice, self.coords)
-
-    def primitive(self) -> "WallForm":
-        return WallForm.from_coords(self.lattice, ex.primitive_vector(list(self.coords)))
 
 
 # -- standard lattices ---------------------------------------------------------
@@ -265,35 +261,18 @@ def dual_value(L: QuadLattice, coords) -> Fraction:
 def kernel_signature(L: QuadLattice, coords) -> tuple[int, int]:
     """Exact inertia of q restricted to ker(delta); radical not counted.
 
-    Uses the integer kernel basis w_i = c_p e_i - c_i e_p (i != p) for the
-    lcm-cleared coordinate vector c with pivot p, so the restricted gram is
-    integral.
+    With c the lcm-cleared coordinate vector, the bordered matrix
+    [[gram, c], [c^T, 0]] is congruent to (q on ker c) + a hyperbolic plane,
+    so its inertia minus (1, 1) is the answer.
     """
     c, _ = ex.scale_to_integers(coords)
+    if len(c) != L.rank:
+        raise DomainError("dual coordinates have wrong length")
     if all(x == 0 for x in c):
         raise DomainError("zero functional")
-    n = L.rank
-    p = next(i for i in range(n) if c[i] != 0)
-    g = L.gram
-    cp = c[p]
-    idx = [i for i in range(n) if i != p]
-    # restricted gram entries b(w_i, w_j) expanded in terms of gram entries
-    restricted = []
-    for i in idx:
-        row = []
-        gi = g[i]
-        gp = g[p]
-        for j in idx:
-            val = (
-                cp * cp * gi[j]
-                - cp * c[j] * gi[p]
-                - c[i] * cp * gp[j]
-                + c[i] * c[j] * gp[p]
-            )
-            row.append(val)
-        restricted.append(row)
-    pos, neg, _zero = ex.inertia(restricted)
-    return pos, neg
+    bordered = [list(row) + [x] for row, x in zip(L.gram, c)] + [c + [0]]
+    pos, neg, _zero = ex._inertia_int(bordered)  # integral and symmetric already
+    return pos - 1, neg - 1
 
 
 def is_negative_form(L: QuadLattice, coords) -> bool:
@@ -358,9 +337,12 @@ def reflection(L: QuadLattice, v) -> Reflection:
     )
 
 
-def is_isometry_matrix(L: QuadLattice, g: ex.Mat) -> bool:
-    gram = ex.frmat([list(r) for r in L.gram])
-    return ex.mat_mul(ex.mat_mul(ex.transpose(g), gram), g) == gram
+def is_isometry_matrix(L: QuadLattice, g) -> bool:
+    """g is rank x rank and g^T gram g == gram, checked in integers as (Dg)^T gram (Dg) == D^2 gram."""
+    if len(g) != L.rank or any(len(row) != L.rank for row in g):
+        return False
+    h, d = ex.scale_matrix_to_integers(g)
+    return ex.mat_mul(ex.mat_mul(ex.transpose(h), L.gram), h) == [[d * d * x for x in r] for r in L.gram]
 
 
 def _candidate_vectors(basis: list[ex.Vec], order: list[int] | None) -> list[ex.Vec]:
@@ -442,20 +424,29 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
 def spinor_norm_sign(L: QuadLattice, g, order: list[int] | None = None) -> int:
     """Real spinor norm of g for the form -q, as a sign in {+1, -1}.
 
-    Decomposes g into reflections r_{v_i} and returns the sign of the
-    product of -q(v_i). Independent of the decomposition.
+    This is the orientation character of positive p-planes: with W the
+    cached ``L.positive_plane``, the sign of det b(W, g W). A reflection r_v
+    reverses that orientation exactly when q(v) > 0, i.e. its sign is the
+    sign of -q(v), and b(W, g W) is never singular (g W meets W^perp in 0).
+    Its kernel is the index-2 subgroup O+ of O(q).
+
+    A non-None ``order`` computes the sign through the independent oracle
+    instead: the Cartan-Dieudonne decomposition ``reflection_vectors`` with
+    that candidate order, and the product of the signs of -q(v_i).
     """
-    if isinstance(g, Isometry):
-        g = g.rational_rows()
-    else:
-        g = ex.frmat(g)
-    sign = 1
-    for w in reflection_vectors(L, g, order=order):
-        qw = ex.dot(w, ex.mat_vec([list(r) for r in L.gram], w))
-        sign *= 1 if -qw > 0 else -1
-    return sign
+    if order is not None:
+        sign = 1
+        for w in reflection_vectors(L, g, order=order):
+            sign *= 1 if L.q(w) < 0 else -1
+        return sign
+    if not is_isometry_matrix(L, g):
+        raise DomainError("matrix does not preserve the form")
+    h, _ = ex.scale_matrix_to_integers(g)  # D g, D > 0, leaves the sign unchanged
+    w = L.positive_plane
+    m = ex.mat_mul(ex.mat_mul(w, L.gram), ex.mat_mul(h, ex.transpose(w)))
+    return 1 if ex.det_adjugate(m)[0] > 0 else -1
 
 
-def in_o_sharp(L: QuadLattice, g, order: list[int] | None = None) -> bool:
+def in_o_sharp(L: QuadLattice, g) -> bool:
     """Membership in the kernel of the real spinor norm for -q inside O(q)."""
-    return spinor_norm_sign(L, g, order=order) == +1
+    return spinor_norm_sign(L, g) == +1

@@ -112,9 +112,6 @@ class OrientedTwoPlane:
     def frame(self) -> np.ndarray:
         return np.vstack([self.a, self.b])
 
-    def reversed(self) -> "OrientedTwoPlane":
-        return OrientedTwoPlane(self.lattice, self.a, _readonly(-self.b))
-
 
 def orthonormal_pair(L: QuadLattice, a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """q-Gram-Schmidt of (a, b); requires the span to be q-positive."""

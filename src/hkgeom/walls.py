@@ -262,8 +262,7 @@ def _enumerate_ellipsoid_int(
     r = ex.fr(radius)
     if r < 0:
         return
-    flat, scale = ex.scale_to_integers([x for row in a for x in row])
-    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    m, scale = ex.scale_matrix_to_integers(a)
     hd, hl, shift, logdet = _dyadic_ldl(a, m, scale)
     if r > 0:
         log_points = (
@@ -276,7 +275,7 @@ def _enumerate_ellipsoid_int(
                 f" above the budget of {max_points}; reduce the radius"
             )
     num, den = r.numerator, r.denominator
-    weight = den * sum(abs(v) for v in flat)
+    weight = den * sum(abs(v) for row in m for v in row)
     rhs = num * scale
     emitted = 0
     buf: list[tuple[int, int, tuple]] = []
@@ -394,9 +393,7 @@ def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[Wa
     radius = ex.fr(radius)
     dual = majorant(L, span).dual_matrix()
     # integer filter: with M = D * dual, v.dual.v <= radius iff v.M.v * den <= num * D
-    n = L.rank
-    flat, scale = ex.scale_to_integers([x for row in dual for x in row])
-    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    m, scale = ex.scale_matrix_to_integers(dual)
     bound = radius.numerator * scale
     found = []
     for vec in _box_scan(L, d, box):

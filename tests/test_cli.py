@@ -150,6 +150,8 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
         {"tolerances": {"iso": None}},
         {"tolerances": [1e-9]},
         {"tolerances": {"iso": float("nan")}},
+        {"tolerances": {"iso": "1e-2"}},
+        {"tolerances": {"iso": True}},
         {"threads": 1},
         {"seed": "7"},
         [7],
@@ -159,6 +161,8 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
         "null-tolerance",
         "tolerances-not-object",
         "nan-tolerance",
+        "string-tolerance",
+        "bool-tolerance",
         "unknown-top-level-key",
         "string-seed",
         "not-an-object",

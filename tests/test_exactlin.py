@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,37 @@ def test_det_and_inverse():
     assert ex.mat_mul(ex.frmat(a), inv) == ex.identity(2)
     with pytest.raises(DomainError):
         ex.inverse([[1, 2], [2, 4]])
+
+
+def _leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_det_adjugate_matches_inverse_times_det():
+    rng = random.Random(8)
+    singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        sym = [[a[i][j] + a[j][i] if rng.random() < 0.8 else 0 for j in range(n)] for i in range(n)]
+        sym = [[sym[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        d, adj = ex.det_adjugate(sym)
+        assert d == _leibniz_det(sym) == ex.det(sym)
+        if d == 0:
+            assert adj is None
+            singular += 1
+            continue
+        assert adj == [[d * x for x in row] for row in ex.inverse(sym)]
+    assert singular > 0
+    assert ex.det([["1/2", 0], [0, "2/3"]]) == Fraction(1, 3)
 
 
 def test_nullspace_and_solve():

@@ -130,6 +130,8 @@ def test_is_negative_form_examples():
     coords = [-1, 1, 0, 0, 0, 0]
     assert lat.is_negative_form(U3, coords) is True
     assert lat.kernel_signature(U3, coords) == (3, 2)
+    with pytest.raises(DomainError):
+        lat.kernel_signature(U3, coords[:5])
     # dual to e1 + f1: q^vee = 2 > 0
     assert lat.is_negative_form(U3, [1, 1, 0, 0, 0, 0]) is False
     # dual to e1: isotropic
@@ -270,6 +272,95 @@ def test_spinor_norm_rejects_non_isometry():
     bad = ex.frmat([[1, 1], [0, 1]])
     with pytest.raises(DomainError):
         lat.spinor_norm_sign(U, bad)
+    for wrong_shape in ([[1, 0], [0, 1], [5, 7]], [[1, 0, 9], [0, 1, 9]], [[1, 0], [0]]):
+        assert not lat.is_isometry_matrix(U, wrong_shape)
+        with pytest.raises(DomainError):
+            lat.spinor_norm_sign(U, wrong_shape)
+
+
+def _random_anisotropic(rng, L, norms):
+    norm = rng.choice(norms)
+    while True:
+        v = [rng.choice((-1, 0, 0, 0, 1)) for _ in range(L.rank)]
+        if L.q(v) == norm:
+            return v
+
+
+def _cd_and_product_signs(L, vs):
+    g = _product_of_reflections(L, vs)
+    by_product = 1
+    for v in vs:
+        by_product *= 1 if -L.q(v) > 0 else -1
+    return g, by_product, lat.spinor_norm_sign(L, g, order=list(range(L.rank))[::-1])
+
+
+@pytest.mark.parametrize(
+    "L, norms, trials",
+    [
+        (K3, (-2, 2), 3),
+        (lat.direct_sum(U, U, lat.rank_one(-2)), (-4, -2, 2, 4), 20),
+        (lat.QuadLattice.from_rows([[1, 0, 0, 0], [0, -3, 0, 0], [0, 0, 5, 0], [0, 0, 0, -7]]),
+         (1, -2, 2, -3, 5, -6, 6, -7), 20),
+        (U3, (-4, 4), 20),
+    ],
+    ids=["k3", "u2-plus-minus2", "diag-1-3-5-7", "u3-rational-4"],
+)
+def test_spinor_sign_matches_cartan_dieudonne_and_product(L, norms, trials):
+    rng = random.Random(17)
+    for _ in range(trials):
+        vs = [_random_anisotropic(rng, L, norms) for _ in range(rng.randint(1, 4))]
+        g, by_product, by_cd = _cd_and_product_signs(L, vs)
+        assert lat.spinor_norm_sign(L, g) == by_product == by_cd
+
+
+@pytest.mark.parametrize("s", [1, -1], ids=["positive-definite", "negative-definite"])
+def test_spinor_sign_on_definite_lattices(s):
+    L = lat.rescale(lat.e8_lattice(), s)
+    rng = random.Random(23)
+    for _ in range(10):
+        vs = [_random_anisotropic(rng, L, (2 * s, 4 * s)) for _ in range(rng.randint(1, 4))]
+        g, by_product, by_cd = _cd_and_product_signs(L, vs)
+        expected = int(ex.det(g)) if s > 0 else 1
+        assert lat.spinor_norm_sign(L, g) == by_product == by_cd == expected
+
+
+def test_spinor_sign_without_order_runs_no_cartan_dieudonne(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reflection_vectors called")
+
+    monkeypatch.setattr(lat, "reflection_vectors", forbidden)
+    r_pos = lat.reflection_matrix(U3, [1, 1, 0, 0, 0, 0])
+    assert lat.spinor_norm_sign(U3, r_pos) == -1
+    assert not lat.in_o_sharp(U3, r_pos)
+    v = [0] * 22
+    v[6] = 1
+    assert lat.in_o_sharp(K3, lat.reflection_matrix(K3, v))
+    with pytest.raises(AssertionError):
+        lat.spinor_norm_sign(U3, r_pos, order=[0])
+
+
+def _random_nondegenerate_forms(rng, count):
+    forms = []
+    while len(forms) < count:
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        sym = [[a[i][j] + a[j][i] if i != j else rng.choice((0, 0, a[i][i])) for j in range(n)]
+               for i in range(n)]
+        if ex.det(sym) != 0:
+            forms.append(lat.QuadLattice.from_rows(sym))
+    return forms
+
+
+def test_positive_plane_is_pairwise_orthogonal_and_positive():
+    standard = [U, U3, K3, lat.e8_lattice(), lat.rescale(lat.e8_lattice(), -1), lat.rank_one(-2),
+                lat.direct_sum(U, U, lat.rank_one(-2))]
+    for L in standard + _random_nondegenerate_forms(random.Random(31), 60):
+        w = L.positive_plane
+        assert len(w) == L.signature[0]
+        assert all(isinstance(x, int) for row in w for x in row)
+        for i, u in enumerate(w):
+            assert L.q(u) > 0
+            assert all(L.bform(u, w[j]) == 0 for j in range(i))
 
 
 def test_k3_spinor_reflection():
