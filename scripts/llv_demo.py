@@ -3,7 +3,8 @@
 
 Builds the sl2 family over a positive 3-plane (closure so(5): dimension 10,
 graded (3, 4, 3)) and the full Lefschetz family over the whole degree-2
-basis (dimension 276 = dim so(24)), printing dimensions and residuals.
+basis (dimension 276 = dim so(24)), printing dimensions, residuals and the
+worklist's bracket counts.
 """
 
 import sys
@@ -15,6 +16,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from hkgeom import full_llv_closure, k3_ring, orient_three_plane, so5_closure
+
+
+def work(closure) -> str:
+    return (
+        f"brackets formed {closure.brackets_formed}, screened into the rank test "
+        f"{closure.brackets_tried}, accepted {closure.brackets_accepted}"
+    )
 
 
 def main() -> int:
@@ -32,6 +40,7 @@ def main() -> int:
         f"3-plane closure : dim {small.dimension}, by degree {small.by_degree}, "
         f"residual {small.residual:.2e}, {time.monotonic() - start:.2f}s"
     )
+    print(f"                  {work(small)}")
 
     # Killing form signature of the 10-dimensional closure
     mats = [op.matrix for op in small.elements]
@@ -58,6 +67,7 @@ def main() -> int:
         f"full closure    : dim {full.dimension}, by degree {full.by_degree}, "
         f"residual {full.residual:.2e}, {time.monotonic() - start:.2f}s"
     )
+    print(f"                  {work(full)}")
     return 0
 
 

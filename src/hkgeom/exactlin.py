@@ -293,10 +293,13 @@ def inertia(s) -> tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) of a symmetric matrix over Q.
 
     Scales the matrix by the positive lcm of its denominators, which leaves
-    the inertia unchanged, and runs the integer elimination on the result.
+    the inertia unchanged, and runs the integer elimination on the result;
+    an all-int matrix goes to the elimination as it is.
     """
     if not is_symmetric(s):
         raise DomainError("inertia requires a symmetric matrix")
+    if all(type(x) is int for row in s for x in row):
+        return _inertia_int(s)
     return _inertia_int(scale_matrix_to_integers(s)[0])
 
 

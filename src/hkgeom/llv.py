@@ -133,6 +133,27 @@ class CohomologyRing:
     def degree_indices(self, d: int) -> list[int]:
         return [i for i in range(self.dim) if self.degrees[i] == d]
 
+    @cached_property
+    def _cup_tensor(self) -> np.ndarray:
+        """Read-only (rank, dim, dim) stack: slice a is cup product with the
+        a-th lattice basis class, so e_eta is its contraction with eta."""
+        t = np.zeros((len(self.lattice_indices), self.dim, self.dim))
+        for a, idx in enumerate(self.lattice_indices):
+            for j in range(self.dim):
+                for k, c in self._table.get((idx, j), {}).items():
+                    t[a, k, j] += c
+        t.setflags(write=False)
+        return t
+
+    @cached_property
+    def _lowering_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the degree -2 block entries (i, j), in column-major order."""
+        deg = self.degrees
+        pairs = [(i, j) for j in range(self.dim) for i in range(self.dim) if deg[i] == deg[j] - 2]
+        ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        ij.setflags(write=False)
+        return ij[:, 0], ij[:, 1]
+
     def embed_lattice_vector(self, eta) -> np.ndarray:
         """Lift a lattice vector to ring coordinates on the degree-2 block."""
         out = np.zeros(self.dim)
@@ -192,17 +213,9 @@ class GradedOperator:
 
 def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
-    n = ring.lattice.rank
-    if len(eta) != n:
+    if len(eta) != ring.lattice.rank:
         raise DomainError("eta must be a degree-2 class in lattice coordinates")
-    mat = np.zeros((ring.dim, ring.dim))
-    for a, idx in enumerate(ring.lattice_indices):
-        ea = float(eta[a])
-        if ea == 0.0:
-            continue
-        for j in range(ring.dim):
-            for k, c in ring._table.get((idx, j), {}).items():
-                mat[k, j] += ea * c
+    mat = np.tensordot(np.array([float(x) for x in eta]), ring._cup_tensor, axes=1)
     return GradedOperator(ring, mat, degree=+2)
 
 
@@ -224,20 +237,17 @@ def lefschetz_f(
     """
     e_op = lefschetz_e(ring, eta).matrix
     h_op = grading_h(ring).matrix
-    positions = [
-        (i, j)
-        for j in range(ring.dim)
-        for i in range(ring.dim)
-        if ring.degrees[i] == ring.degrees[j] - 2
-    ]
-    if not positions:
+    rows, cols = ring._lowering_positions
+    if not len(rows):
         raise HardLefschetzError("ring has no degree -2 block")
-    cols = []
-    for (i, j) in positions:
-        basis_mat = np.zeros((ring.dim, ring.dim))
-        basis_mat[i, j] = 1.0
-        cols.append((e_op @ basis_mat - basis_mat @ e_op).ravel())
-    a_mat = np.array(cols).T
+    # column p is [e, E_ij] for (i, j) = (rows[p], cols[p]), flattened: e[:, i]
+    # placed in column j, minus e[j, :] placed in row i
+    n = ring.dim
+    span = np.arange(n)[:, None]
+    p = np.arange(len(rows))
+    a_mat = np.zeros((n * n, len(rows)))
+    a_mat[span * n + cols, p] = e_op[:, rows]
+    a_mat[rows * n + span, p] -= e_op[cols, :].T
     rhs = (-h_op).ravel()
     sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     residual = np.linalg.norm(a_mat @ sol - rhs)
@@ -246,9 +256,8 @@ def lefschetz_f(
         raise HardLefschetzError(
             f"hard Lefschetz fails for this class (residual {residual:.3e})"
         )
-    f_mat = np.zeros((ring.dim, ring.dim))
-    for (i, j), v in zip(positions, sol):
-        f_mat[i, j] = v
+    f_mat = np.zeros((n, n))
+    f_mat[rows, cols] = sol
     return GradedOperator(ring, f_mat, degree=-2)
 
 
@@ -273,13 +282,21 @@ def sl2_residuals(ring: CohomologyRing, eta) -> dict[str, float]:
 
 @dataclasses.dataclass(frozen=True)
 class LieClosure:
-    """Orthonormalized basis of the Lie algebra generated by the input operators."""
+    """Orthonormalized basis of the Lie algebra generated by the input operators.
+
+    The work counters are deterministic for a fixed input: brackets formed by
+    the worklist, those that passed the screen into the rank decision, and
+    those accepted into the basis.
+    """
 
     ring: CohomologyRing
     elements: tuple[GradedOperator, ...]
     dimension: int
     by_degree: dict[int, int]
     residual: float
+    brackets_formed: int
+    brackets_tried: int
+    brackets_accepted: int
 
     def degree_zero_basis(self) -> list[np.ndarray]:
         return [op.matrix for op in self.elements if op.degree == 0]
@@ -290,6 +307,10 @@ _CLOSURE_CAP = 600
 # Bracket pairs drawn, with a fixed seed, for the independent residual sweep.
 _RESIDUAL_SAMPLES = 400
 _RESIDUAL_SEED = 0
+# Pairs bracketed per batched product in the residual sweep; bounds its scratch memory.
+_SWEEP_CHUNK = 32
+# Norm below which a bracket counts as zero.
+_ZERO_NORM = 1e-13
 
 
 def lie_closure(generators, tau: float | None = None) -> LieClosure:
@@ -304,6 +325,17 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
     ad(s) for every s in S is the whole algebra. Brackets are processed in
     deterministic FIFO order, so the result is stable for a fixed input order.
     Raises when the dimension exceeds ``_CLOSURE_CAP`` (runaway non-closure).
+
+    The brackets of one popped element are screened together before the
+    one-at-a-time rank decision: per target degree, one product projects them
+    all against the basis as it stands, and a bracket is dropped when its norm
+    is below half the zero threshold or its projected residual is at most
+    tau/2. The basis only grows, so the residual the rank decision would
+    compute later, against a larger orthonormal basis, is never larger than
+    the screened one; the factor 2 absorbs the rounding of either
+    computation (about 1e-15 per unit vector, far below tau). Every dropped
+    bracket would therefore have been rejected, and the accepted basis is the
+    one the unscreened loop builds, bit for bit.
     """
     if not generators:
         raise DomainError("no generators")
@@ -311,18 +343,20 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
     if any(g.ring is not ring and g.ring != ring for g in generators):
         raise DomainError("generators act on different rings")
     tau = DEFAULT_TOL.lie if tau is None else tau
-    blocks: dict[int, list[np.ndarray]] = {}
+    # the first counts[d] rows of stacks[d] are the degree-d orthonormal basis;
+    # the buffer doubles when full
     stacks: dict[int, np.ndarray] = {}
+    counts: dict[int, int] = {}
     elements: list[tuple[int, np.ndarray]] = []
 
     def try_add(mat: np.ndarray, degree: int) -> bool:
         norm = np.linalg.norm(mat)
-        if norm < 1e-13:
+        if norm < _ZERO_NORM:
             return False
         v = mat.ravel() / norm
-        basis = blocks.setdefault(degree, [])
-        if basis:
-            q = stacks[degree]
+        k = counts.get(degree, 0)
+        if k:
+            q = stacks[degree][:k]
             r = v - q.T @ (q @ v)
             r -= q.T @ (q @ r)
         else:
@@ -331,61 +365,99 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
         if rnorm <= tau:
             return False
         r /= rnorm
-        basis.append(r)
-        stacks[degree] = np.vstack(basis)
+        if not k:
+            stacks[degree] = np.empty((8, r.size))
+        elif k == len(stacks[degree]):
+            stacks[degree] = np.vstack([stacks[degree], np.empty_like(stacks[degree])])
+        stacks[degree][k] = r
+        counts[degree] = k + 1
         elements.append((degree, r.reshape(ring.dim, ring.dim)))
         if len(elements) > _CLOSURE_CAP:
             raise NumericalError(f"closure dimension exceeded the cap {_CLOSURE_CAP}")
         return True
 
+    def screen(rows: np.ndarray, degree: int) -> np.ndarray:
+        """Mask of the flattened brackets that try_add might accept."""
+        norms = np.linalg.norm(rows, axis=1)
+        keep = norms >= _ZERO_NORM / 2
+        k = counts.get(degree, 0)
+        if k and keep.any():
+            q = stacks[degree][:k]
+            v = rows[keep] / norms[keep, None]
+            r = v - (v @ q.T) @ q
+            r -= (r @ q.T) @ q
+            keep[keep] = np.linalg.norm(r, axis=1) > tau / 2
+        return keep
+
     for g in generators:
         try_add(np.asarray(g.matrix, dtype=float), g.degree)
     gen_degrees = [d for d, _ in elements]
     gen_mats = np.array([m for _, m in elements])
+    by_gen_degree = {
+        d: np.array([j for j, dj in enumerate(gen_degrees) if dj == d])
+        for d in sorted(set(gen_degrees))
+    }
+    formed = tried = 0
     queue = deque(range(len(elements)))
     while queue:
-        idx = queue.popleft()
-        deg_x, x = elements[idx]
+        deg_x, x = elements[queue.popleft()]
         brackets = x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]
-        for bracket, deg_g in zip(brackets, gen_degrees):
-            if try_add(bracket, deg_x + deg_g):
+        flat = brackets.reshape(len(brackets), -1)
+        formed += len(brackets)
+        live = sorted(
+            int(j)
+            for d, idx in by_gen_degree.items()
+            for j in idx[screen(flat[idx], deg_x + d)]
+        )
+        tried += len(live)
+        for j in live:
+            if try_add(brackets[j], deg_x + gen_degrees[j]):
                 queue.append(len(elements) - 1)
-    # independent residual sweep over sampled pairs
-    rng = np.random.default_rng(_RESIDUAL_SEED)
-    count = len(elements)
-    worst = 0.0
-    pairs = (
-        [(i, j) for i in range(count) for j in range(i)]
-        if count * (count - 1) // 2 <= _RESIDUAL_SAMPLES
-        else [
-            (int(a), int(b))
-            for a, b in zip(
-                rng.integers(0, count, _RESIDUAL_SAMPLES),
-                rng.integers(0, count, _RESIDUAL_SAMPLES),
-            )
-        ]
-    )
-    for i, j in pairs:
-        deg = elements[i][0] + elements[j][0]
-        bracket = elements[i][1] @ elements[j][1] - elements[j][1] @ elements[i][1]
-        norm = np.linalg.norm(bracket)
-        if norm < 1e-13:
-            continue
-        v = bracket.ravel() / norm
-        for u in blocks.get(deg, []):
-            v -= (u @ v) * u
-        worst = max(worst, float(np.linalg.norm(v)))
-    by_degree = {d: len(b) for d, b in sorted(blocks.items()) if b}
-    ops = tuple(
-        GradedOperator(ring, m, degree=d) for d, m in elements
-    )
     return LieClosure(
         ring=ring,
-        elements=ops,
+        elements=tuple(GradedOperator(ring, m, degree=d) for d, m in elements),
         dimension=len(elements),
-        by_degree=by_degree,
-        residual=worst,
+        by_degree=dict(sorted(counts.items())),
+        residual=_residual_sweep(elements, {d: stacks[d][:k] for d, k in counts.items()}),
+        brackets_formed=formed,
+        brackets_tried=tried,
+        brackets_accepted=len(elements) - len(gen_degrees),
     )
+
+
+def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict[int, np.ndarray]) -> float:
+    """Worst projected residual of the brackets of sampled element pairs.
+
+    All pairs when there are at most ``_RESIDUAL_SAMPLES`` of them, otherwise
+    that many pairs drawn with ``_RESIDUAL_SEED``; ``blocks[d]`` holds the
+    orthonormal basis rows of degree d.
+    """
+    count = len(elements)
+    if count * (count - 1) // 2 <= _RESIDUAL_SAMPLES:
+        first, second = np.tril_indices(count, -1)
+    else:
+        rng = np.random.default_rng(_RESIDUAL_SEED)
+        first = rng.integers(0, count, _RESIDUAL_SAMPLES)
+        second = rng.integers(0, count, _RESIDUAL_SAMPLES)
+    degrees = np.array([d for d, _ in elements], dtype=int)
+    worst = 0.0
+    for s in range(0, len(first), _SWEEP_CHUNK):
+        i, j = first[s : s + _SWEEP_CHUNK], second[s : s + _SWEEP_CHUNK]
+        x = np.array([elements[a][1] for a in i])
+        y = np.array([elements[b][1] for b in j])
+        flat = (x @ y - y @ x).reshape(len(i), -1)
+        norms = np.linalg.norm(flat, axis=1)
+        target = degrees[i] + degrees[j]
+        for d in set(target.tolist()):
+            sel = (target == d) & (norms >= _ZERO_NORM)
+            if not sel.any():
+                continue
+            v = flat[sel] / norms[sel, None]
+            q = blocks.get(d)
+            if q is not None:
+                v = v - (v @ q.T) @ q
+            worst = max(worst, float(np.linalg.norm(v, axis=1).max()))
+    return worst
 
 
 def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[list]]]):

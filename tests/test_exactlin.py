@@ -95,6 +95,10 @@ def test_inertia_hyperbolic_and_degenerate():
     assert ex.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
     assert ex.inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     assert ex.inertia([[0, 2, 0], [2, 0, 0], [0, 0, -3]]) == (1, 2, 0)
+    # the all-int path keeps the symmetry check of the rational one
+    for bad in ([[1, 2], [3, 4]], [[1, 2], [3, Fraction(1, 2)]], [[1, 2]]):
+        with pytest.raises(DomainError):
+            ex.inertia(bad)
 
 
 def test_primitive_vector():

@@ -338,3 +338,175 @@ def test_cup_vector_is_bilinear_expansion_of_cup_basis():
                     for k, c in enumerate(RING.cup_basis(i, j)):
                         expected[k] += x[i] * y[j] * c
         assert RING.cup_vector(x, y) == expected
+
+
+# -- batched closure kernels against their one-at-a-time references -------------------
+
+
+def _unscreened_closure(generators, tau=1e-8):
+    """The worklist before screening: every bracket goes through the rank decision."""
+    blocks, stacks, elements = {}, {}, []
+
+    def try_add(mat, degree):
+        norm = np.linalg.norm(mat)
+        if norm < 1e-13:
+            return False
+        v = mat.ravel() / norm
+        basis = blocks.setdefault(degree, [])
+        if basis:
+            q = stacks[degree]
+            r = v - q.T @ (q @ v)
+            r -= q.T @ (q @ r)
+        else:
+            r = v.copy()
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tau:
+            return False
+        r /= rnorm
+        basis.append(r)
+        stacks[degree] = np.vstack(basis)
+        elements.append((degree, r.reshape(mat.shape)))
+        return True
+
+    for g in generators:
+        try_add(np.asarray(g.matrix, dtype=float), g.degree)
+    gen_degrees = [d for d, _ in elements]
+    gen_mats = np.array([m for _, m in elements])
+    queue = list(range(len(elements)))
+    while queue:
+        deg_x, x = elements[queue.pop(0)]
+        brackets = x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]
+        for bracket, deg_g in zip(brackets, gen_degrees):
+            if try_add(bracket, deg_x + deg_g):
+                queue.append(len(elements) - 1)
+    return elements
+
+
+def _per_pair_residual(elements, blocks):
+    """The residual sweep as a loop over pairs and basis rows."""
+    count = len(elements)
+    if count * (count - 1) // 2 <= llv._RESIDUAL_SAMPLES:
+        pairs = [(i, j) for i in range(count) for j in range(i)]
+    else:
+        rng = np.random.default_rng(llv._RESIDUAL_SEED)
+        a = rng.integers(0, count, llv._RESIDUAL_SAMPLES)
+        b = rng.integers(0, count, llv._RESIDUAL_SAMPLES)
+        pairs = list(zip(a, b))
+    worst = 0.0
+    for i, j in pairs:
+        (di, x), (dj, y) = elements[i], elements[j]
+        bracket = x @ y - y @ x
+        norm = np.linalg.norm(bracket)
+        if norm < 1e-13:
+            continue
+        v = bracket.ravel() / norm
+        for u in blocks.get(di + dj, []):
+            v -= (u @ v) * u
+        worst = max(worst, float(np.linalg.norm(v)))
+    return worst
+
+
+def _generic_planes(count):
+    """Seeded positive 3-planes: the diagonal frame plus Gaussian noise."""
+    g = per.gram_float(L)
+    base = np.array([E1F1, E2F2, E3F3], dtype=float) / np.sqrt(2.0)
+    planes = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        while True:
+            frame = base + 0.1 * rng.standard_normal(base.shape)
+            if np.linalg.eigvalsh(frame @ g @ frame.T)[0] > 0.5:
+                planes.append(per.orient_three_plane(L, list(frame)))
+                break
+    return planes
+
+
+def _closure_cases(monkeypatch):
+    """(generators, closure) for the K3 full closure, the diagonal so5 and 5 generic so5."""
+    seen = []
+    real = llv.lie_closure
+
+    def capture(generators, tau=None):
+        seen.append((generators, real(generators, tau=tau)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(llv, "lie_closure", capture)
+    llv.full_llv_closure(RING)
+    llv.so5_closure(RING, per.orient_three_plane(L, [E1F1, E2F2, E3F3]))
+    for plane in _generic_planes(5):
+        llv.so5_closure(RING, plane)
+    # a degree-0 generator: one popped element yields new brackets in two degrees
+    e1, f1 = llv.lefschetz_e(RING, E1F1), llv.lefschetz_f(RING, E1F1)
+    f2 = llv.lefschetz_f(RING, E2F2).matrix
+    mixed = llv.GradedOperator(RING, e1.matrix @ f2 - f2 @ e1.matrix, degree=0)
+    llv.lie_closure([mixed, e1, f1])
+    return seen
+
+
+def test_screened_closure_is_bit_identical_to_unscreened(monkeypatch):
+    cases = _closure_cases(monkeypatch)
+    assert [c.dimension for _, c in cases] == [276] + [10] * 6 + [6]
+    for generators, closure in cases:
+        reference = _unscreened_closure(generators)
+        assert [op.degree for op in closure.elements] == [d for d, _ in reference]
+        for op, (_, m) in zip(closure.elements, reference):
+            assert op.matrix.tobytes() == m.tobytes()
+
+
+def test_chunked_residual_sweep_matches_per_pair_loop(monkeypatch):
+    for _, closure in _closure_cases(monkeypatch):
+        elements = [(op.degree, op.matrix) for op in closure.elements]
+        blocks = {}
+        for d, m in elements:
+            blocks.setdefault(d, []).append(m.ravel())
+        assert abs(closure.residual - _per_pair_residual(elements, blocks)) <= 1e-14
+        # without the last degree-0 row the residuals spread over [0, 1], so a
+        # sweep that skips or misprojects pairs moves the maximum
+        blocks[0] = blocks[0][:-1]
+        stacks = {d: np.array(rows) for d, rows in blocks.items()}
+        swept = llv._residual_sweep(elements, stacks)
+        assert abs(swept - _per_pair_residual(elements, blocks)) <= 1e-14
+
+
+def test_full_closure_work_counters():
+    closure = llv.full_llv_closure(RING)
+    # 41 of the 44 generators are independent; 276 pops against them
+    assert closure.brackets_formed == 276 * 41
+    assert closure.brackets_tried == 238
+    assert closure.brackets_accepted == 235 == closure.dimension - 41
+
+
+def test_closure_cap_still_raises(monkeypatch):
+    monkeypatch.setattr(llv, "_CLOSURE_CAP", 100)
+    with pytest.raises(NumericalError):
+        llv.full_llv_closure(RING)
+
+
+def test_lefschetz_e_matches_structure_constant_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        eta = [int(x) for x in rng.integers(-9, 10, size=22)]
+        expected = np.zeros((24, 24))
+        for a, idx in enumerate(RING.lattice_indices):
+            for j in range(24):
+                for k, c in RING._table.get((idx, j), {}).items():
+                    expected[k, j] += eta[a] * c
+        assert np.array_equal(llv.lefschetz_e(RING, eta).matrix, expected)
+
+
+def test_lefschetz_f_matches_per_position_construction():
+    rng = np.random.default_rng(13)
+    h_op = llv.grading_h(RING).matrix
+    positions = [(i, j) for j in range(24) for i in range(24) if RING.degrees[i] == RING.degrees[j] - 2]
+    for eta in [E1F1] + [random_positive_class(rng, L) for _ in range(5)]:
+        e_op = llv.lefschetz_e(RING, eta).matrix
+        cols = []
+        for i, j in positions:
+            unit = np.zeros((24, 24))
+            unit[i, j] = 1.0
+            cols.append((e_op @ unit - unit @ e_op).ravel())
+        sol, *_ = np.linalg.lstsq(np.array(cols).T, (-h_op).ravel(), rcond=None)
+        expected = np.zeros((24, 24))
+        for (i, j), v in zip(positions, sol):
+            expected[i, j] = v
+        assert np.abs(llv.lefschetz_f(RING, eta).matrix - expected).max() <= 1e-12

@@ -32,3 +32,14 @@ def test_exact_modules_never_import_numpy():
         assert "numpy" not in names, f"{module}.py imports numpy"
         todo += [n[1:] for n in names if n.startswith(".")]
     assert "errors" in seen  # the walk followed the package-relative imports
+
+
+def test_exact_closure_oracle_stays_independent_of_the_float_path():
+    # the oracle may neither call the float closure nor touch numpy
+    tree = ast.parse((PACKAGE / "llv.py").read_text(encoding="utf-8"))
+    oracle = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "lie_closure_exact"
+    )
+    names = {n.id for n in ast.walk(oracle) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(oracle) if isinstance(n, ast.Attribute)}
+    assert not {"np", "numpy", "lie_closure"} & names
