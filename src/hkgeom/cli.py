@@ -277,9 +277,7 @@ def _h_walls_chamber(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
-    contains = wl.kahler_chamber_contains(
-        z, walls, ser.decode_float_vector(payload["vector"]), tau=cfg.tol.wall, tol=cfg.tol
-    )
+    contains = wl.kahler_chamber_contains(z, walls, ser.decode_float_vector(payload["vector"]), cfg.tol)
     relevant = wl.relevant_walls(z, walls, tau=cfg.tol.wall)
     return {
         "contains": contains,
@@ -340,7 +338,7 @@ def _h_llv_fujiki(payload, args, cfg):
 def _h_llv_hodge(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    dec = llv.hodge_decompose(L, z, cfg.tol)
+    dec = llv.hodge_decompose(L, z)
     return {
         "dims": list(dec.dims),
         "inertia_h11": list(dec.inertia_h11),

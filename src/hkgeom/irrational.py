@@ -27,8 +27,6 @@ class ClosureReport:
     closure_dim: int
     relations: tuple[tuple, ...]  # rational forms vanishing on the span
     mode: str
-    height: int | None = None
-    tol: float | None = None
 
 
 def rational_closure_exact(vectors) -> ClosureReport:
@@ -56,29 +54,36 @@ def rational_closure_exact(vectors) -> ClosureReport:
     )
 
 
-def _verified_relations(vectors: list[np.ndarray], candidates, height: int, tol: float):
-    """Filter candidate integer forms: nonzero, height-bounded, vanishing within tol."""
-    accepted = []
-    for delta in candidates:
-        if not any(delta):
-            continue
-        if max(abs(x) for x in delta) > height:
+def _lll_relations(vectors: list[np.ndarray], height: int, tol: float) -> list[tuple[int, ...]]:
+    """Integer forms of height <= ``height`` vanishing on every vector within ``tol``.
+
+    LLL-reduces the lattice spanned by the rows (e_j | N w_1[j] | ... |
+    N w_k[j]), with N ~ 16/tol over the largest entry (at least 1), and
+    returns the leading blocks of the reduced rows that are nonzero, of
+    sup-norm <= ``height`` and vanishing within ``tol``, in reduced order.
+    """
+    n = len(vectors[0])
+    scale = max(1.0, max(float(np.max(np.abs(w))) for w in vectors))
+    big = int(round(16.0 / tol))
+    rows = [
+        [int(i == j) for i in range(n)] + [int(round(big * float(w[j]) / scale)) for w in vectors]
+        for j in range(n)
+    ]
+    found = []
+    for row in ex.lll_reduce(rows):
+        delta = row[:n]
+        if not any(delta) or max(abs(x) for x in delta) > height:
             continue
         d = np.array(delta, dtype=float)
         if all(abs(float(d @ w)) < tol for w in vectors):
-            accepted.append(tuple(int(x) for x in delta))
-    # deduplicate up to sign and keep an independent subset, deterministically
-    seen = set()
-    unique = []
-    for delta in accepted:
-        key = tuple(delta)
-        neg = tuple(-x for x in delta)
-        if key in seen or neg in seen:
-            continue
-        seen.add(key)
-        unique.append(delta)
+            found.append(tuple(int(x) for x in delta))
+    return found
+
+
+def _independent(relations: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The greedy independent subset, in order (repeats and negatives drop out)."""
     independent: list[tuple] = []
-    for delta in unique:
+    for delta in relations:
         trial = independent + [delta]
         if ex.rank(ex.frmat([list(t) for t in trial])) == len(trial):
             independent.append(delta)
@@ -88,12 +93,12 @@ def _verified_relations(vectors: list[np.ndarray], candidates, height: int, tol:
 def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> ClosureReport:
     """Best-effort rational closure of a real span by integer-relation search.
 
-    Builds the lattice spanned by rows (e_j | N w_1[j] | ... | N w_k[j]) with
-    N ~ 16/tol, LLL-reduces, and keeps reduced vectors whose leading block is
-    a nonzero integer form of height <= ``height`` vanishing on every input
-    vector within ``tol``. The reported closure dimension (ambient minus the
-    number of independent relations found) is an upper bound that holds with
-    high probability; missed relations would only lower it.
+    Keeps the independent forms among those ``_lll_relations`` finds: the
+    LLL-reduced vectors whose leading block is a nonzero integer form of
+    height <= ``height`` vanishing on every input vector within ``tol``. The
+    reported closure dimension (ambient minus the number of independent
+    relations found) is an upper bound that holds with high probability;
+    missed relations would only lower it.
     """
     if not vectors:
         raise DomainError("empty input")
@@ -105,16 +110,7 @@ def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> Cl
         raise DomainError("height bound must be >= 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    scale = max(1.0, max(float(np.max(np.abs(w))) for w in ws))
-    big = int(round(16.0 / tol))
-    rows = []
-    for j in range(n):
-        row = [int(i == j) for i in range(n)]
-        row += [int(round(big * float(w[j]) / scale)) for w in ws]
-        rows.append(row)
-    reduced = ex.lll_reduce(rows)
-    candidates = [r[:n] for r in reduced]
-    relations = _verified_relations(ws, candidates, height, tol)
+    relations = _independent(_lll_relations(ws, height, tol))
     span_dim = int(np.linalg.matrix_rank(np.vstack(ws)))
     return ClosureReport(
         ambient_dim=n,
@@ -122,8 +118,6 @@ def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> Cl
         closure_dim=n - len(relations),
         relations=tuple(relations),
         mode="detect",
-        height=height,
-        tol=tol,
     )
 
 
@@ -147,8 +141,6 @@ class IrrationalityVerdict:
     fully_irrational: bool
     deterministic: bool
     witness: tuple | None
-    height: int
-    tol: float
 
 
 def is_fully_irrational(vectors, height: int = 100, tol: float = 1e-9) -> IrrationalityVerdict:
@@ -158,73 +150,60 @@ def is_fully_irrational(vectors, height: int = 100, tol: float = 1e-9) -> Irrati
         raise DomainError("empty input")
     n = ws[0].shape[0]
     if int(np.linalg.matrix_rank(np.vstack(ws))) == n:
-        return IrrationalityVerdict(True, True, None, height, tol)
+        return IrrationalityVerdict(True, True, None)
     report = rational_closure_detect(vectors, height=height, tol=tol)
     if report.relations:
-        return IrrationalityVerdict(False, False, report.relations[0], height, tol)
-    return IrrationalityVerdict(True, False, None, height, tol)
+        return IrrationalityVerdict(False, False, report.relations[0])
+    return IrrationalityVerdict(True, False, None)
 
 
 @dataclasses.dataclass(frozen=True)
 class PicardVerdict:
-    """Outcome of the lattice-vector search orthogonal to a period plane."""
+    """Outcome of the lattice-vector search orthogonal to a period plane.
+
+    ``method`` names the search that ran: "exhaustive" (box scan), "lll"
+    or "vacuous" (height below 1).
+    """
 
     trivial_up_to_height: bool
     witness: tuple[int, ...] | None
-    height: int
-    tol: float
     method: str
 
 
-def picard_trivial(z, height: int = 10, tol: float = 1e-9, method: str = "auto") -> PicardVerdict:
+# Box size (2 height + 1)^rank up to which picard_trivial scans the whole box.
+_BOX_SCAN_POINTS = 2_000_000
+
+
+def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     """Search for nonzero lattice vectors orthogonal to the period plane of z.
 
     Looks for integer v with sup-norm <= height and |b(v, a)|, |b(v, b)| < tol.
     A witness certifies a nontrivial orthogonal lattice vector (the period
     point then fails the trivial-Picard hypothesis); absence of a witness is
-    a verdict "trivial up to the height bound". Methods: "exhaustive" scans
-    the full box (small rank only), "lll" searches a reduced basis, "auto"
-    picks exhaustive when the box is small.
+    a verdict "trivial up to the height bound". The whole box is scanned
+    when it holds at most ``_BOX_SCAN_POINTS`` vectors; otherwise the first
+    form ``_lll_relations`` finds for (G a, G b) is the witness.
     """
     from .period import gram_float
 
     L: QuadLattice = z.lattice
     n = L.rank
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
     if height < 1:
-        return PicardVerdict(True, None, height, tol, "vacuous")
+        return PicardVerdict(True, None, "vacuous")
     g = gram_float(L)
     pa = g @ z.re
     pb = g @ z.im
-
-    def pairs_ok(v: np.ndarray) -> bool:
-        return abs(float(v @ pa)) < tol and abs(float(v @ pb)) < tol
-
-    box_size = (2 * height + 1) ** n
-    if method == "exhaustive" or (method == "auto" and box_size <= 2_000_000):
+    if (2 * height + 1) ** n <= _BOX_SCAN_POINTS:
         import itertools
 
         for tup in itertools.product(range(-height, height + 1), repeat=n):
             if not any(tup):
                 continue
             v = np.array(tup, dtype=float)
-            if pairs_ok(v):
-                return PicardVerdict(False, tuple(tup), height, tol, "exhaustive")
-        return PicardVerdict(True, None, height, tol, "exhaustive")
-    big = int(round(16.0 / tol))
-    scale = max(1.0, float(np.max(np.abs(pa))), float(np.max(np.abs(pb))))
-    rows = []
-    for j in range(n):
-        row = [int(i == j) for i in range(n)]
-        row.append(int(round(big * float(pa[j]) / scale)))
-        row.append(int(round(big * float(pb[j]) / scale)))
-        rows.append(row)
-    reduced = ex.lll_reduce(rows)
-    for r in reduced:
-        v = r[:n]
-        if not any(v):
-            continue
-        if max(abs(x) for x in v) > height:
-            continue
-        if pairs_ok(np.array(v, dtype=float)):
-            return PicardVerdict(False, tuple(int(x) for x in v), height, tol, "lll")
-    return PicardVerdict(True, None, height, tol, "lll")
+            if abs(float(v @ pa)) < tol and abs(float(v @ pb)) < tol:
+                return PicardVerdict(False, tuple(tup), "exhaustive")
+        return PicardVerdict(True, None, "exhaustive")
+    found = _lll_relations([pa, pb], height, tol)
+    return PicardVerdict(not found, found[0] if found else None, "lll")

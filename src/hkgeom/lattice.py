@@ -218,24 +218,18 @@ def k3_lattice() -> QuadLattice:
     return direct_sum(u, u, u, e8m, e8m)
 
 
-def standard_lattice(name: str, *params) -> QuadLattice:
-    """Build a named lattice: U, E8, rank1(k), rescale(L, s), K3, U3."""
+def standard_lattice(name: str) -> QuadLattice:
+    """The named lattice U, E8, K3 or U3; ``rank_one``, ``rescale`` and ``direct_sum`` build others."""
     key = name.upper()
     if key == "U":
         return hyperbolic_plane()
     if key == "E8":
         return e8_lattice()
-    if key == "RANK1":
-        return rank_one(int(params[0]))
-    if key == "RESCALE":
-        return rescale(params[0], int(params[1]))
-    if key == "DIRECT_SUM":
-        return direct_sum(*params)
     if key == "K3":
         return k3_lattice()
     if key == "U3":
         return direct_sum(*([hyperbolic_plane()] * 3))
-    raise DomainError(f"unknown lattice name {name!r}")
+    raise DomainError(f"unknown lattice name {name!r}; expected U, E8, K3 or U3")
 
 
 # -- operations ----------------------------------------------------------------

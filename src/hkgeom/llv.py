@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exactlin as ex
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import DomainError, HardLefschetzError, NumericalError
 from .lattice import QuadLattice, k3_lattice
 from .period import (
@@ -52,6 +52,21 @@ class CohomologyRing:
     lattice_indices: tuple[int, ...]
     lattice: QuadLattice
 
+    def __post_init__(self):
+        """Shape checks, linear in the input; ``validate`` checks the algebra."""
+        n = len(self.degrees)
+        if any(d < 0 or d > 4 * self.m for d in self.degrees):
+            raise DomainError("degrees out of range")
+        if len(self.integration) != n:
+            raise DomainError(f"integration needs one value per basis element ({n})")
+        if any(len(t) != 4 or not all(0 <= x < n for x in t[:3]) for t in self.products):
+            raise DomainError(f"structure constants must be [i, j, k, c] with i, j, k < {n}")
+        block = self.lattice_indices
+        if len(set(block)) != len(block) or len(block) != self.lattice.rank:
+            raise DomainError("lattice block needs one distinct index per lattice basis vector")
+        if any(not 0 <= i < n or self.degrees[i] != 2 for i in block):
+            raise DomainError("lattice block must sit in degree 2")
+
     @cached_property
     def dim(self) -> int:
         return len(self.degrees)
@@ -65,12 +80,9 @@ class CohomologyRing:
 
     def validate(self) -> None:
         """Exhaustive exact checks: grading, graded commutativity,
-        associativity on all basis triples, Poincare nondegeneracy, and the
-        degree-2 block reproducing the lattice form."""
+        associativity on all basis triples and Poincare nondegeneracy."""
         n = self.dim
         top = 4 * self.m
-        if any(d < 0 or d > top for d in self.degrees):
-            raise DomainError("degrees out of range")
         if any(self.integration[i] and self.degrees[i] != top for i in range(n)):
             raise DomainError("integration supported off the top degree")
         for (i, j), terms in self._table.items():
@@ -97,10 +109,6 @@ class CohomologyRing:
         ]
         if ex.det(ex.frmat(pairing)) == 0:
             raise DomainError("Poincare pairing is degenerate")
-        if len(self.lattice_indices) != self.lattice.rank:
-            raise DomainError("lattice block size does not match the lattice rank")
-        if any(self.degrees[i] != 2 for i in self.lattice_indices):
-            raise DomainError("lattice block must sit in degree 2")
 
     def basis_vector(self, i: int) -> list[int]:
         v = [0] * self.dim
@@ -225,9 +233,10 @@ def grading_h(ring: CohomologyRing) -> GradedOperator:
     return GradedOperator(ring, np.diag(np.array(diag, dtype=float)), degree=0)
 
 
-def lefschetz_f(
-    ring: CohomologyRing, eta, tol: float = 1e-9
-) -> GradedOperator:
+_F_SOLVE_TOL = 1e-9  # sl2-completion residual, relative to |h|, past which hard Lefschetz fails
+
+
+def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
     """The degree -2 operator completing (e_eta, h, f_eta) to an sl2 triple.
 
     Solved from the bracket relation [e, f] = -h as a linear system over the
@@ -252,7 +261,7 @@ def lefschetz_f(
     sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     residual = np.linalg.norm(a_mat @ sol - rhs)
     scale = max(np.linalg.norm(h_op), 1.0)
-    if residual > tol * scale:
+    if residual > _F_SOLVE_TOL * scale:
         raise HardLefschetzError(
             f"hard Lefschetz fails for this class (residual {residual:.3e})"
         )
@@ -604,9 +613,10 @@ def fujiki_constant(ring: CohomologyRing, samples: int | None = None, seed: int 
 # -- weight operator and Hodge decomposition ----------------------------------------
 
 
-def deligne_generator(
-    closure: LieClosure, z: PeriodPoint, tol: float = 1e-8
-) -> GradedOperator:
+_WEIGHT_SOLVE_TOL = 1e-8  # weight-operator residual, relative to its right-hand side
+
+
+def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
     """The rotation generator of the period plane inside the degree-0 part.
 
     Solves for X in the closure's degree-0 block with X a = 2b, X b = -2a,
@@ -654,7 +664,7 @@ def deligne_generator(
     b_sys = np.concatenate(rhs)
     sol, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
     residual = float(np.linalg.norm(a_sys @ sol - b_sys))
-    if residual > tol * max(1.0, float(np.linalg.norm(b_sys))):
+    if residual > _WEIGHT_SOLVE_TOL * max(1.0, float(np.linalg.norm(b_sys))):
         raise NumericalError(f"weight-operator solve inconsistent (residual {residual:.3e})")
     x_mat = sum(c * mat for c, mat in zip(sol, basis))
     return GradedOperator(ring, x_mat, degree=0)
@@ -706,7 +716,7 @@ class HodgeDecomposition:
         return 1, self.h11.shape[0], 1
 
 
-def hodge_decompose(L: QuadLattice, z: PeriodPoint, tol: Tolerances = DEFAULT_TOL) -> HodgeDecomposition:
+def hodge_decompose(L: QuadLattice, z: PeriodPoint) -> HodgeDecomposition:
     """Split the complexified lattice by the period point, with certificates.
 
     H^{2,0} = C sigma, H^{0,2} = C conj(sigma), H^{1,1} their h_q-orthogonal

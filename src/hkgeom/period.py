@@ -191,15 +191,21 @@ def plane_to_point(plane: OrientedTwoPlane, tol: Tolerances = DEFAULT_TOL) -> Pe
     return period_point(plane.lattice, plane.a, plane.b, tol)
 
 
-def same_period_point(z1: PeriodPoint, z2: PeriodPoint, tol: float = 1e-7) -> bool:
-    """Equality as oriented 2-planes (equivalently as period points)."""
+_POINT_TOL = 1e-7  # frame reconstruction residual per unit of frame norm
+
+
+def same_period_point(z1: PeriodPoint, z2: PeriodPoint) -> bool:
+    """Equality as oriented 2-planes (equivalently as period points).
+
+    The frame of z2 rebuilt from its q-projection onto z1 must match within
+    ``_POINT_TOL`` times the larger Euclidean frame norm: a scale-free test.
+    """
     if z1.lattice != z2.lattice:
         return False
-    f1 = z1.plane_frame()
-    m = f1 @ gram_float(z1.lattice) @ z2.plane_frame().T
-    recon = m.T @ f1
-    res = np.linalg.norm(recon - z2.plane_frame())
-    return res < tol and float(np.linalg.det(m)) > 0
+    f1, f2 = z1.plane_frame(), z2.plane_frame()
+    m = f1 @ gram_float(z1.lattice) @ f2.T
+    res = np.linalg.norm(m.T @ f1 - f2)
+    return res < _POINT_TOL * max(np.linalg.norm(f1), np.linalg.norm(f2)) and np.linalg.det(m) > 0
 
 
 # -- positive 3-planes -----------------------------------------------------------
@@ -371,7 +377,6 @@ def verify_chain(
     source: PeriodPoint,
     target: PeriodPoint,
     tol: Tolerances = DEFAULT_TOL,
-    point_tol: float = 1e-7,
 ) -> None:
     """Re-check all chain invariants by independent code paths; raises on failure.
 
@@ -390,10 +395,10 @@ def verify_chain(
             raise NumericalError("chain entry point is off its conic")
         if not conic_contains(link.plane, link.exit, tol):
             raise NumericalError("chain exit point is off its conic")
-        if not same_period_point(prev, link.entry, point_tol):
+        if not same_period_point(prev, link.entry):
             raise NumericalError("chain links do not share junction points")
         prev = link.exit
-    if not same_period_point(prev, target, point_tol):
+    if not same_period_point(prev, target):
         raise NumericalError("chain does not end at the target")
 
 
@@ -426,12 +431,7 @@ def _perp_positive_direction(g: np.ndarray, rows: np.ndarray, drop=()) -> np.nda
     return ell / np.sqrt(ell @ g @ ell)
 
 
-def chain_connect(
-    z: PeriodPoint,
-    target: PeriodPoint,
-    tol: Tolerances = DEFAULT_TOL,
-    point_tol: float = 1e-7,
-) -> TwistorChain:
+def chain_connect(z: PeriodPoint, target: PeriodPoint, tol: Tolerances = DEFAULT_TOL) -> TwistorChain:
     """Connect two period points by a chain of at most 3 twistor conics.
 
     Twistor-path connectivity (Verbitsky, arXiv:0908.4121; Huybrechts,
@@ -472,12 +472,12 @@ def chain_connect(
         if L.rank - 3 == 0:
             raise DomainError("signature too small: rank 3 leaves no pivot room")
         raise DomainError("chain connectivity needs signature (3, n)")
-    return TwistorChain(tuple(_chain_links(z, target, tol, point_tol)))
+    return TwistorChain(tuple(_chain_links(z, target, tol)))
 
 
-def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances, point_tol: float) -> list[ChainLink]:
+def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances) -> list[ChainLink]:
     """The links of chain_connect, one construction per case."""
-    if same_period_point(z, target, point_tol):
+    if same_period_point(z, target):
         return []
     L = z.lattice
     g = gram_float(L)
@@ -503,25 +503,25 @@ def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances, point_tol
     # the 3-link route, which needs only s_1 > 0, takes over
     if s[1] < 1 - 1e-3:
         planes = [orient_three_plane(L, [*fa, x1], tol), orient_three_plane(L, [*fb, y1], tol)]
-        mid = _junction(planes, *orthonormal_pair(L, p1, x1, tol), tol, point_tol)
+        mid = _junction(planes, *orthonormal_pair(L, p1, x1, tol), tol)
         return [ChainLink(planes[0], z, mid), ChainLink(planes[1], mid, target)]
     c = _perp_positive_direction(g, np.vstack([p0, q1]), drop=[x0, y1])
     planes = [orient_three_plane(L, vs, tol) for vs in ([*fa, c], [c, p0, q1], [*fb, c])]
-    w1 = _junction(planes[:2], c, p0, tol, point_tol)
-    w2 = _junction(planes[1:], c, q1, tol, point_tol)
+    w1 = _junction(planes[:2], c, p0, tol)
+    w2 = _junction(planes[1:], c, q1, tol)
     return [ChainLink(planes[0], z, w1), ChainLink(planes[1], w1, w2), ChainLink(planes[2], w2, target)]
 
 
-def _junction(planes: list[PositiveThreePlane], a, b, tol: Tolerances, point_tol: float) -> PeriodPoint:
+def _junction(planes: list[PositiveThreePlane], a, b, tol: Tolerances) -> PeriodPoint:
     """The period point [a + i b] where two links of a chain meet.
 
     Checks what verify_chain will ask of it: it lies on both conics and
-    same_period_point matches it with itself at ``point_tol``. Near a
-    degenerate pair either can fail (a far-out frame, a plane known only to
-    the rounding of a tiny vector); that raises NumericalError.
+    same_period_point matches it with itself. Near a degenerate pair either
+    can fail (a far-out frame, a plane known only to the rounding of a tiny
+    vector); that raises NumericalError.
     """
     w = period_point(planes[0].lattice, a, b, tol)
-    if not (all(conic_contains(P, w, tol) for P in planes) and same_period_point(w, w, point_tol)):
+    if not (all(conic_contains(P, w, tol) for P in planes) and same_period_point(w, w)):
         raise NumericalError("junction point fails the chain checks (near-degenerate pair)")
     return w
 
@@ -560,19 +560,22 @@ def sample_period_point(L: QuadLattice, seed: int, tol: Tolerances = DEFAULT_TOL
     raise NumericalError("failed to sample a positive 2-plane")
 
 
+_LINE_TRIES = 64  # candidate lines drawn by sample_irrational_line before it gives up
+
+
 def sample_irrational_line(
     z: PeriodPoint,
     height: int = 100,
     relation_tol: float = 1e-9,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    max_tries: int = 64,
 ) -> np.ndarray:
     """Positive line orthogonal to the period plane passing the irrationality test.
 
-    Draws seeded random mixtures of the top positive direction with the rest
-    of the orthogonal complement until the spanned twistor 3-plane is flagged
-    fully irrational at the given height bound and tolerance.
+    Draws up to ``_LINE_TRIES`` seeded random mixtures of the top positive
+    direction with the rest of the orthogonal complement until the spanned
+    twistor 3-plane is flagged fully irrational at the given height bound
+    and tolerance.
     """
     from .irrational import is_fully_irrational
 
@@ -581,7 +584,7 @@ def sample_irrational_line(
         raise DomainError("signature too small: the complement has no room to sample")
     rng = np.random.default_rng(seed)
     basis, _, evecs = _complement(gram_float(L), z.plane_frame())
-    for _ in range(max_tries):
+    for _ in range(_LINE_TRIES):
         mix = evecs[:, -1] + 0.4 * rng.standard_normal(basis.shape[0])
         ell = mix @ basis
         if qform(L, ell) <= tol.pos:

@@ -140,6 +140,7 @@ def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:
 # -- enumeration ------------------------------------------------------------------
 
 _BLOCK = 1 << 13  # candidates per vectorized exact test; bounds the memory of a search
+_MAX_POINTS = 2_000_000  # points an ellipsoid search may hold or emit; bounds its time
 
 
 def _exact_dtype(xmax: int, weight: int, rhs) -> type:
@@ -234,9 +235,7 @@ def _innermost_ranges(hd, hl, shift: int, num: int, den: int):
     return level(n - 1, num << (3 * shift))
 
 
-def _enumerate_ellipsoid_int(
-    a_rows: list[list[Fraction]], radius: Fraction, max_points: int = 2_000_000
-):
+def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
     """All integer points x with x^T A x <= radius, A positive definite, exact.
 
     Yields them in blocks (numpy arrays of rows, int64 or Python ints), so
@@ -254,8 +253,8 @@ def _enumerate_ellipsoid_int(
     exact test (x M x) den <= num D with M = D A integral, radius = num/den.
 
     Fails fast with a domain error when the volume estimate
-    V_n r^(n/2) / sqrt(det A) exceeds ``max_points``, and when more than
-    ``max_points`` candidates are emitted (so no input escapes the estimate).
+    V_n r^(n/2) / sqrt(det A) exceeds ``_MAX_POINTS``, and when more than
+    ``_MAX_POINTS`` candidates are emitted (so no input escapes the estimate).
     """
     n = len(a_rows)
     a = [[ex.fr(x) for x in row] for row in a_rows]
@@ -269,10 +268,10 @@ def _enumerate_ellipsoid_int(
             n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1)
             + n / 2 * (math.log(r.numerator) - math.log(r.denominator)) - logdet / 2
         )
-        if log_points > math.log(max_points):
+        if log_points > math.log(_MAX_POINTS):
             raise DomainError(
                 f"the ellipsoid holds about {math.exp(min(log_points, 700)):.3g} lattice points,"
-                f" above the budget of {max_points}; reduce the radius"
+                f" above the budget of {_MAX_POINTS}; reduce the radius"
             )
     num, den = r.numerator, r.denominator
     weight = den * sum(abs(v) for row in m for v in row)
@@ -296,7 +295,7 @@ def _enumerate_ellipsoid_int(
 
     for lo, top, prefix, reach in _innermost_ranges(hd, hl, shift, num, den):
         emitted += top - lo + 1
-        if emitted > max_points:
+        if emitted > _MAX_POINTS:
             raise DomainError(
                 "ellipsoid enumeration exceeded the point budget; reduce the radius"
             )
@@ -312,13 +311,7 @@ def _enumerate_ellipsoid_int(
         yield flush(reach)
 
 
-def enumerate_walls_near(
-    L: QuadLattice,
-    span,
-    d: int,
-    radius,
-    rank_cap: int = 12,
-) -> list[WallForm]:
+def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]:
     """All indivisible dual functionals with q^vee = d and majorant norm <= radius.
 
     The majorant of the positive span is transported to the dual lattice by
@@ -326,18 +319,14 @@ def enumerate_walls_near(
     completely, then filtered block by block with exact integer tests: dual
     square (v adj v == d det) and indivisibility (gcd of the coordinates 1).
     One representative per antipodal pair is returned (leading coordinate
-    positive), sorted lexicographically.
+    positive), sorted lexicographically. Any rank is accepted: the point
+    budget of the ellipsoid search refuses a radius too large to finish.
     """
     if d >= 0:
         raise DomainError("wall square d must be negative")
     radius = ex.fr(radius)
     if radius <= 0:
         raise DomainError("radius must be positive")
-    if L.rank > rank_cap:
-        raise DomainError(
-            f"rank {L.rank} exceeds the enumeration cap {rank_cap}; reduce the radius"
-            " and raise rank_cap explicitly if the search volume is known to be small"
-        )
     dual = majorant(L, span).dual_matrix()
     # dual_value(v) == d  iff  v adj v == d det, with the cached integer adjugate
     target = d * L.det
@@ -445,25 +434,21 @@ def relevant_walls(z: PeriodPoint, walls: WallSet, tau: float | None = None) -> 
 
 
 def kahler_chamber_contains(
-    z: PeriodPoint,
-    walls: WallSet,
-    kappa,
-    tau: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    z: PeriodPoint, walls: WallSet, kappa, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
     """Positive-cone membership plus strict positivity on every relevant wall.
 
     The chamber is the intersection of the spin-selected positive cone with
-    the open half spaces delta > 0 over the walls relevant to z; errors if
-    kappa is not orthogonal to the period plane.
+    the open half spaces delta > 0 over the walls relevant to z, with
+    ``tol.wall`` as the margin of both; errors if kappa is not orthogonal
+    to the period plane.
     """
-    tau = DEFAULT_TOL.wall if tau is None else tau
     if not positive_cone_contains(z, kappa, tol):
         return False
     karr = np.asarray(kappa, dtype=float)
     knorm = float(np.linalg.norm(karr))
-    for w in relevant_walls(z, walls, tau):
+    for w in relevant_walls(z, walls, tol.wall):
         coords = np.array([float(c) for c in w.coords])
-        if float(coords @ karr) <= tau * knorm:
+        if float(coords @ karr) <= tol.wall * knorm:
             return False
     return True

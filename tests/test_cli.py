@@ -283,6 +283,67 @@ def test_data_flag_is_usage_error_exit_3(argv, payload, tmp_path):
     assert out["error"]["type"] == "usage"
 
 
+# the ring of a rank-one lattice <2>: unit, one degree-2 class x, point class
+SMALL_RING = {
+    "m": 1,
+    "degrees": [0, 2, 4],
+    "structure_constants": [
+        [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [0, 2, 2, 1], [2, 0, 2, 1], [1, 1, 2, 2]
+    ],
+    "integration": [0, 0, 1],
+    "lattice_block": {"indices": [1], "gram": [[2]]},
+}
+
+
+def _ring_with(**changes):
+    block = {**SMALL_RING["lattice_block"], **changes.pop("lattice_block", {})}
+    return {**SMALL_RING, **changes, "lattice_block": block}
+
+
+@pytest.mark.parametrize(
+    "argv,ring",
+    [
+        (["llv", "e"], _ring_with(structure_constants=[[1, 1, 9, 1]])),
+        (["llv", "f"], _ring_with(structure_constants=[[1, 1, 9, 1]])),
+        (["llv", "e"], _ring_with(lattice_block={"indices": [7]})),
+        (["llv", "fujiki"], _ring_with(lattice_block={"indices": [7]})),
+        (["llv", "fujiki"], _ring_with(lattice_block={"indices": [1, 1], "gram": [[2, 0], [0, 2]]})),
+        (["llv", "fujiki"], _ring_with(lattice_block={"indices": [0]})),
+        (["llv", "fujiki"], _ring_with(integration=[0, 1])),
+        (["llv", "e"], _ring_with(structure_constants=[[1, 1, 2]])),
+    ],
+    ids=[
+        "e-product-index-past-basis",
+        "f-product-index-past-basis",
+        "e-lattice-index-past-basis",
+        "fujiki-lattice-index-past-basis",
+        "fujiki-repeated-lattice-index",
+        "fujiki-lattice-index-off-degree-2",
+        "fujiki-short-integration",
+        "e-product-not-a-quadruple",
+    ],
+)
+def test_malformed_ring_exit_1(argv, ring, tmp_path):
+    code, out = _run_fresh(argv, {"ring": ring, "eta": [1]}, tmp_path)
+    assert code == 1
+    assert out["ok"] is False and out["error"]["type"] == "domain"
+
+
+def test_small_ring_payload_is_well_formed(tmp_path):
+    # the ring the malformed cases above start from: e_x sends 1 to x and x to 2 pt
+    code, out = _run_fresh(["llv", "e"], {"ring": SMALL_RING, "eta": [1]}, tmp_path)
+    assert code == 0
+    assert out["result"]["matrix"] == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+
+
+@pytest.mark.parametrize("name", ["rank1", "rescale"])
+def test_parameterized_lattice_name_is_domain_error(name, tmp_path):
+    code, out = _run_fresh(["lattice", "signature"], {"lattice": name}, tmp_path)
+    assert code == 1
+    assert out["error"]["type"] == "domain"
+    assert "U, E8, K3 or U3" in out["error"]["message"]
+
+
 def test_walls_enum_oversized_radius_fails_fast(tmp_path):
     # ~5e15 lattice points by the volume estimate: refused before any enumeration
     job = json.loads((FIXTURES / "walls_enum_job.json").read_text())

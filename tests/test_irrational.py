@@ -67,7 +67,7 @@ def test_fully_irrational_verdicts():
     assert verdict.witness is not None
     delta = np.array(verdict.witness, dtype=float)
     for v in vecs:
-        assert abs(delta @ np.array(v, dtype=float)) < verdict.tol
+        assert abs(delta @ np.array(v, dtype=float)) < 1e-9
     # the full space is deterministically fully irrational
     full = irr.is_fully_irrational([row for row in np.eye(6)])
     assert full.fully_irrational and full.deterministic
@@ -107,17 +107,34 @@ def test_picard_height_zero_vacuous():
 def test_picard_irrational_plane_trivial():
     for seed in (3, 9):
         z = per.sample_period_point(U3, seed)
-        verdict = irr.picard_trivial(z, height=10, tol=1e-9, method="lll")
+        verdict = irr.picard_trivial(z, height=10, tol=1e-9)
         assert verdict.trivial_up_to_height
+        assert verdict.method == "lll"  # 21^6 vectors are past the box-scan budget
 
 
 def test_picard_lll_matches_exhaustive_on_rational_plane():
+    # the box scan that picard_trivial runs at height 2 and the LLL kernel
+    # behind its large-box path agree on a plane whose Picard lattice is
+    # span(e1 - f1, e2 - f2, e3, f3)
     z = per.period_point(
         U3,
         np.array([1, 1, 0, 0, 0, 0], dtype=float),
         np.array([0, 0, 1, 1, 0, 0], dtype=float),
     )
-    ex_verdict = irr.picard_trivial(z, height=2, tol=1e-9, method="exhaustive")
-    lll_verdict = irr.picard_trivial(z, height=2, tol=1e-9, method="lll")
-    assert not ex_verdict.trivial_up_to_height
-    assert not lll_verdict.trivial_up_to_height
+    box = irr.picard_trivial(z, height=2, tol=1e-9)
+    assert box.method == "exhaustive"
+    assert not box.trivial_up_to_height
+    g = per.gram_float(U3)
+    found = irr._lll_relations([g @ z.re, g @ z.im], 2, 1e-9)
+    assert found
+    picard = [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    for v in [box.witness, *found]:
+        assert max(abs(x) for x in v) <= 2
+        assert sympy.Matrix([*picard, list(v)]).rank() == 4
+
+
+def test_picard_rejects_non_positive_tolerance():
+    z = per.sample_period_point(U3, 1)
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(DomainError):
+            irr.picard_trivial(z, height=100, tol=tol)

@@ -35,6 +35,11 @@ def test_standard_lattices():
         lat.rescale(U, 0)
     with pytest.raises(DomainError):
         lat.standard_lattice("nope")
+    assert [lat.standard_lattice(n).rank for n in ("U", "e8", "K3", "u3")] == [2, 8, 22, 6]
+    # parameterized lattices are built by rank_one / rescale / direct_sum, not by name
+    for name in ("rank1", "rescale", "direct_sum"):
+        with pytest.raises(DomainError):
+            lat.standard_lattice(name)
 
 
 def test_degenerate_rejected():

@@ -453,6 +453,20 @@ def test_screened_closure_is_bit_identical_to_unscreened(monkeypatch):
             assert op.matrix.tobytes() == m.tobytes()
 
 
+def _commuting_but_one_pair(count, a, b):
+    """``count`` degree-0 elements on R^4 whose brackets all vanish but [x_a, x_b].
+
+    The others are diagonal on the first two coordinates; x_a = E_23 and
+    x_b = E_32 bracket to E_22 - E_33, at residual 1 against the basis
+    {E_00, E_11}.
+    """
+    rng = np.random.default_rng(2)
+    elements = [(0, np.diag([*rng.standard_normal(2), 0.0, 0.0])) for _ in range(count)]
+    elements[a] = (0, np.eye(4)[:, [2]] @ np.eye(4)[[3]])
+    elements[b] = (0, elements[a][1].T.copy())
+    return elements, {0: np.eye(16)[[0, 5]]}
+
+
 def test_chunked_residual_sweep_matches_per_pair_loop(monkeypatch):
     for _, closure in _closure_cases(monkeypatch):
         elements = [(op.degree, op.matrix) for op in closure.elements]
@@ -466,6 +480,26 @@ def test_chunked_residual_sweep_matches_per_pair_loop(monkeypatch):
         stacks = {d: np.array(rows) for d, rows in blocks.items()}
         swept = llv._residual_sweep(elements, stacks)
         assert abs(swept - _per_pair_residual(elements, blocks)) <= 1e-14
+    # the worst bracket is the last pair swept, so a sweep that stops short of
+    # its last chunk reads 0 instead of 1; 28 elements give all 378 pairs in
+    # tril order, whose last pair is (27, 26)
+    elements, blocks = _commuting_but_one_pair(28, 27, 26)
+    assert llv._residual_sweep(elements, blocks) == pytest.approx(1.0, abs=1e-15)
+    assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
+    # past 400 pairs the sweep samples: put the bracket on the last sampled
+    # pair that no earlier sample repeats
+    for count in range(40, 80):
+        rng = np.random.default_rng(llv._RESIDUAL_SEED)
+        first = rng.integers(0, count, llv._RESIDUAL_SAMPLES)
+        second = rng.integers(0, count, llv._RESIDUAL_SAMPLES)
+        pairs = [{int(i), int(j)} for i, j in zip(first, second)]
+        if len(pairs[-1]) == 2 and pairs[-1] not in pairs[:-1]:
+            break
+    else:
+        raise AssertionError("no element count puts a fresh pair last")
+    elements, blocks = _commuting_but_one_pair(count, int(first[-1]), int(second[-1]))
+    assert llv._residual_sweep(elements, blocks) == pytest.approx(1.0, abs=1e-15)
+    assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_full_closure_work_counters():

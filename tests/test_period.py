@@ -176,8 +176,13 @@ def test_conic_point_completion_independent():
             per.conic_point(p, u, index_order=order)
             for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0))
         ]
+        f0 = pts[0].plane_frame()
         for w in pts[1:]:
-            assert per.same_period_point(pts[0], w, tol=1e-10)
+            # the frame of w rebuilt from its q-projection onto pts[0]
+            m = f0 @ per.gram_float(U3) @ w.plane_frame().T
+            assert np.linalg.norm(m.T @ f0 - w.plane_frame()) < 1e-10
+            assert np.linalg.det(m) > 0
+            assert per.same_period_point(pts[0], w)
         assert per.conic_contains(p, pts[0])
 
 
@@ -361,13 +366,36 @@ def _q_orthonormal_basis(L, boost):
     return pos, neg
 
 
+@pytest.mark.parametrize("lattice", [L31, K3], ids=["L31", "K3"])
+def test_same_period_point_on_boosted_frames(lattice):
+    # boosting e1 against f1 by b gives frames of Euclidean norm ~cosh(b), out
+    # to ~1000 where period_point stops admitting them (q(a) = 1 <= tol.pos |a|^2);
+    # every admitted point equals itself and its in-plane rotations, never its
+    # conjugate
+    rng = np.random.default_rng(3)
+    norms = []
+    for boost in np.linspace(0, 8, 321):
+        pos, _ = _q_orthonormal_basis(lattice, boost)
+        try:
+            z = per.period_point(lattice, pos[0], pos[1])
+        except DomainError:
+            continue
+        t = rng.uniform(0, 2 * math.pi)
+        c, s = math.cos(t), math.sin(t)
+        turned = per.PeriodPoint(lattice, c * z.re + s * z.im, c * z.im - s * z.re)
+        assert per.same_period_point(z, z)
+        assert per.same_period_point(z, turned) and per.same_period_point(turned, z)
+        assert not per.same_period_point(z, z.conjugate())
+        norms.append(np.linalg.norm(z.plane_frame()))
+    assert len(norms) > 250 and max(norms) > 900
+
+
 def _near_degenerate_pair(lattice, boost, phi, psi, s, t, conjugate):
     # P = span(e1, e2) and Q = span(e1 + s w1, e2 + t w2), with w1 and w2 in
     # span(e3, f_a, f_b). That covers P close to Q, P + Q close to degenerate or
     # of positive index 3 with a tiny negative part (w nearly null) and, on U3
     # with psi = pi/2, a nearly isotropic c in (P + Q)^perp. None when Q is not
-    # a positive plane or an endpoint's frame is too far out for verify_chain,
-    # which compares each endpoint with itself at point_tol.
+    # a positive plane.
     pos, neg = _q_orthonormal_basis(lattice, boost)
     e1, e2, e3 = pos
     f_a, f_b = (neg[1], neg[2]) if len(neg) == 3 else (neg[0], neg[0])
@@ -380,8 +408,6 @@ def _near_degenerate_pair(lattice, boost, phi, psi, s, t, conjugate):
         return None
     if conjugate:
         z2 = z2.conjugate()
-    if not (per.same_period_point(z1, z1) and per.same_period_point(z2, z2)):
-        return None
     return z1, z2
 
 

@@ -43,3 +43,56 @@ def test_exact_closure_oracle_stays_independent_of_the_float_path():
     names = {n.id for n in ast.walk(oracle) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(oracle) if isinstance(n, ast.Attribute)}
     assert not {"np", "numpy", "lie_closure"} & names
+
+
+# Every parameter with a default, per function, across the package: trailing
+# defaulted positional parameters and keyword-only ones with defaults. A new
+# knob, or one a change forgot to retire, fails the test by name.
+DEFAULTED = {
+    "cech.from_simplices": ["vertices"],
+    "cli.main": ["argv"],
+    "irrational.rational_closure_detect": ["height", "tol"],
+    "irrational.rational_closure": ["mode", "height", "tol"],
+    "irrational.is_fully_irrational": ["height", "tol"],
+    "irrational.picard_trivial": ["height", "tol"],
+    "lattice.reflection_vectors": ["order"],
+    "lattice.spinor_norm_sign": ["order"],
+    "llv.lie_closure": ["tau"],
+    "llv.so5_closure": ["tau"],
+    "llv.full_llv_closure": ["tau"],
+    "llv.fujiki_constant": ["samples", "seed"],
+    "period.orthonormal_pair": ["tol"],
+    "period.oriented_two_plane": ["tol"],
+    "period.period_point": ["tol"],
+    "period.plane_to_point": ["tol"],
+    "period.orient_three_plane": ["tol"],
+    "period.positive_cone_contains": ["tol"],
+    "period.twistor_plane": ["tol"],
+    "period.conic_contains": ["tol"],
+    "period.conic_point": ["tol", "index_order"],
+    "period.verify_chain": ["tol"],
+    "period._complement": ["drop"],
+    "period._perp_positive_direction": ["drop"],
+    "period.chain_connect": ["tol"],
+    "period.sample_period_point": ["tol"],
+    "period.sample_irrational_line": ["height", "relation_tol", "seed", "tol"],
+    "walls.wall_avoidance": ["tau"],
+    "walls.relevant_walls": ["tau"],
+    "walls.kahler_chamber_contains": ["tol"],
+}
+
+
+def test_defaulted_parameters_are_the_listed_ones():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if names:
+                found[f"{path.stem}.{node.name}"] = names
+    assert found == DEFAULTED
+    assert sum(map(len, found.values())) == 40

@@ -135,14 +135,54 @@ def test_enumeration_sign_symmetric_representatives():
         assert next(x for x in c if x) > 0
 
 
-def test_enumeration_rank_cap():
-    k3 = lat.k3_lattice()
-    span = [[0] * 22 for _ in range(3)]
-    for i in range(3):
-        span[i][2 * i] = 1
-        span[i][2 * i + 1] = 1
-    with pytest.raises(DomainError):
-        wl.enumerate_walls_near(k3, span, -2, 2)
+K3_DIAG_SPAN = [[int(j in (2 * i, 2 * i + 1)) for j in range(22)] for i in range(3)]
+
+
+def _canonical(v):
+    return tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v)
+
+
+def _e8_root_functionals():
+    """The 240 roots of E8 as dual functionals c = C v, up to sign.
+
+    The roots are the Weyl orbit of the simple roots (the Cartan basis),
+    closed under the simple reflections v -> v - (C v)_i e_i.
+    """
+    cartan = lat.e8_lattice().gram
+    roots = {tuple(int(i == j) for j in range(8)) for i in range(8)}
+    todo = list(roots)
+    while todo:
+        v = todo.pop()
+        cv = [sum(a * b for a, b in zip(row, v)) for row in cartan]
+        for i in range(8):
+            w = list(v)
+            w[i] -= cv[i]
+            if tuple(w) not in roots:
+                roots.add(tuple(w))
+                todo.append(tuple(w))
+    assert len(roots) == 240
+    return {_canonical([sum(a * b for a, b in zip(row, v)) for row in cartan]) for v in roots}
+
+
+def test_k3_walls_at_radius_2_are_u3_walls_and_e8_roots():
+    # K3 = U3 + E8(-1)^2 with the span inside U3: a wall of majorant norm <= 2
+    # is a U3 wall or, as the E8 part alone has norm >= 2, a root of one E8(-1)
+    walls = wl.enumerate_walls_near(lat.k3_lattice(), K3_DIAG_SPAN, -2, 2)
+    oracle = wl.brute_force_walls(U3, DIAG_SPAN_U3, -2, 2, box=6)
+    roots = _e8_root_functionals()
+    zeros6, zeros8 = (0,) * 6, (0,) * 8
+    expected = [w.coords + (0,) * 16 for w in oracle]
+    expected += [zeros6 + r + zeros8 for r in roots] + [zeros6 + zeros8 + r for r in roots]
+    assert len(oracle) == 3 and len(roots) == 120
+    assert len(walls) == 243
+    assert [w.coords for w in walls] == sorted(expected)
+
+
+def test_k3_wall_search_past_the_point_budget_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="budget"):
+        wl.enumerate_walls_near(lat.k3_lattice(), K3_DIAG_SPAN, -2, 8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_wall_avoidance_on_wall():
@@ -270,8 +310,8 @@ def _box_scan_ellipsoid(a, radius):
     return sorted(map(tuple, grid[inside].tolist()))
 
 
-def _enumerated(a, radius, **kw):
-    blocks = wl._enumerate_ellipsoid_int(a, radius, **kw)
+def _enumerated(a, radius):
+    blocks = wl._enumerate_ellipsoid_int(a, radius)
     return sorted(tuple(x) for block in blocks for x in block.tolist())
 
 
@@ -339,12 +379,13 @@ def test_ellipsoid_volume_estimate_fails_fast():
     assert time.perf_counter() - start < 1.0
 
 
-def test_ellipsoid_candidate_budget_catches_thin_ellipsoids():
+def test_ellipsoid_candidate_budget_catches_thin_ellipsoids(monkeypatch):
     # volume pi / sqrt(det) = pi, but x_0 alone runs over 2001 values
     thin = [[Fraction(1, 10**6), 0], [0, 10**6]]
     assert len(_enumerated(thin, 1)) == 2001
+    monkeypatch.setattr(wl, "_MAX_POINTS", 1000)
     with pytest.raises(DomainError, match="budget"):
-        _enumerated(thin, 1, max_points=1000)
+        _enumerated(thin, 1)
 
 
 def test_walls_filter_in_blocks_matches_oracle_beyond_one_block():
