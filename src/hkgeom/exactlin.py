@@ -3,8 +3,8 @@
 Everything here is pure Python on ``fractions.Fraction`` and ``int``; no
 floating point enters. This module backs the discrete invariants of the
 toolkit: signatures of integral quadratic forms, kernels of rational
-functionals, Smith normal forms for cochain solving, and an LLL wrapper
-used by the integer-relation detectors.
+functionals, Smith normal forms for cochain solving, and the integral LLL
+behind the integer-relation detectors.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ Mat = list[list[Fraction]]
 
 
 def fr(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; reject floats."""
+    """Coerce ints, strings like '3/4', and Fractions; reject floats and strings like '1/0'."""
     if isinstance(x, float):
         raise DomainError("exact arithmetic rejects floats; pass int, Fraction or 'p/q'")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as err:
+        raise DomainError(f"not a rational number: {x!r}") from err
 
 
 def frmat(rows) -> Mat:
@@ -154,63 +157,23 @@ def nullspace(a: Mat) -> list[Vec]:
     return basis
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of a x = b over Q, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(map(fr, a[i])) + [fr(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    for r in range(len(pivots), rows):
-        if red[r][cols] != 0:
-            return None
-    if pivots and pivots[-1] == cols:
-        return None
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
-    return x
-
-
 def inverse(a: Mat) -> Mat:
-    n = len(a)
-    aug = [list(map(fr, a[i])) + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    """Exact inverse of a rational matrix: D adj(D a) / det(D a), D the lcm of its denominators."""
+    m, scale = scale_matrix_to_integers(a)
+    d, adj = det_adjugate(m)
+    if not d:
         raise DomainError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(scale * x, d) for x in row] for row in adj]
 
 
 def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix of determinant +-1, by integer row reduction.
-
-    Euclidean row steps on [a | I] leave one pivot per column, which must be
-    +-1; every step is unimodular, so the right half ends as a^-1, in ints.
-    """
-    n = len(a)
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        while True:
-            live = [r for r in range(c, n) if m[r][c]]
-            if not live:
-                raise DomainError("matrix is singular")
-            p = min(live, key=lambda r: abs(m[r][c]))
-            m[c], m[p] = m[p], m[c]
-            pivot_row, d = m[c], m[c][c]
-            if all(m[r][c] % d == 0 for r in live):
-                break
-            for r in live:
-                if r != c:
-                    f = m[r][c] // d
-                    m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
-        if abs(d) != 1:
-            raise DomainError("matrix is not unimodular")
-        if d < 0:
-            m[c] = pivot_row = [-x for x in pivot_row]
-        for r in range(n):
-            f = m[r][c]
-            if r != c and f:
-                m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
-    return [row[n:] for row in m]
+    """Inverse of an integer matrix of determinant +-1: det * adj, in ints."""
+    d, adj = det_adjugate(a)
+    if not d:
+        raise DomainError("matrix is singular")
+    if abs(d) != 1:
+        raise DomainError("matrix is not unimodular")
+    return [[d * x for x in row] for row in adj]
 
 
 def _inertia_int(s: list[list[int]]) -> tuple[int, int, int]:
@@ -440,10 +403,56 @@ def invariant_factors(values: list[int]) -> list[int]:
 
 
 def lll_reduce(rows: list[list[int]]) -> list[list[int]]:
-    """LLL-reduced basis of the lattice spanned by the given independent rows."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by independent integer rows.
 
-    dm = DomainMatrix.from_list([[int(x) for x in r] for r in rows], ZZ)
-    red = dm.lll()
-    return [[int(x) for x in row] for row in red.to_list()]
+    Cohen's integral LLL (A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) on d[i], the Gram determinant of the first i rows, and
+    lam[k][j] = d[j + 1] mu_kj. It takes the steps of the rational textbook LLL
+    in its order, with its tests in integers: round(mu) = (2 lam + d) // (2 d),
+    |mu| <= 1/2 iff 2 |lam| <= d, Lovasz iff 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam^2.
+    So the result is, bit for bit, sympy's ``DomainMatrix.lll`` (the tests' oracle).
+    """
+    b = [[int(x) for x in r] for r in rows]
+    m = len(b)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for h in range(j):
+                u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise DomainError("LLL needs linearly independent rows")
+
+    def size_reduce(k: int, l: int) -> None:
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) > dl:
+            q = (2 * lam[k][l] + dl) // (2 * dl)
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * dl
+            for h in range(l):
+                lam[k][h] -= q * lam[l][h]
+
+    k = 1
+    while k < m:
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+        dk_new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, m):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (dk_new * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk_new
+        k = max(k - 1, 1)
+    return b

@@ -170,8 +170,10 @@ class PicardVerdict:
     method: str
 
 
-# Box size (2 height + 1)^rank up to which picard_trivial scans the whole box.
+# Box size (2 height + 1)^rank up to which picard_trivial scans the whole box,
+# and the number of box points each matrix product of the scan takes.
 _BOX_SCAN_POINTS = 2_000_000
+_BOX_BLOCK = 65_536
 
 
 def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
@@ -180,9 +182,10 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     Looks for integer v with sup-norm <= height and |b(v, a)|, |b(v, b)| < tol.
     A witness certifies a nontrivial orthogonal lattice vector (the period
     point then fails the trivial-Picard hypothesis); absence of a witness is
-    a verdict "trivial up to the height bound". The whole box is scanned
-    when it holds at most ``_BOX_SCAN_POINTS`` vectors; otherwise the first
-    form ``_lll_relations`` finds for (G a, G b) is the witness.
+    a verdict "trivial up to the height bound". The whole box is scanned, in
+    ``itertools.product`` order and ``_BOX_BLOCK`` points per product, when it
+    holds at most ``_BOX_SCAN_POINTS`` vectors; otherwise the first form
+    ``_lll_relations`` finds for (G a, G b) is the witness.
     """
     from .period import gram_float
 
@@ -195,15 +198,16 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     g = gram_float(L)
     pa = g @ z.re
     pb = g @ z.im
-    if (2 * height + 1) ** n <= _BOX_SCAN_POINTS:
-        import itertools
-
-        for tup in itertools.product(range(-height, height + 1), repeat=n):
-            if not any(tup):
-                continue
-            v = np.array(tup, dtype=float)
-            if abs(float(v @ pa)) < tol and abs(float(v @ pb)) < tol:
-                return PicardVerdict(False, tuple(tup), "exhaustive")
-        return PicardVerdict(True, None, "exhaustive")
-    found = _lll_relations([pa, pb], height, tol)
-    return PicardVerdict(not found, found[0] if found else None, "lll")
+    side = 2 * height + 1
+    points = side**n
+    if points > _BOX_SCAN_POINTS:
+        found = _lll_relations([pa, pb], height, tol)
+        return PicardVerdict(not found, found[0] if found else None, "lll")
+    pair = np.column_stack([pa, pb])
+    for start in range(0, points, _BOX_BLOCK):
+        flat = np.arange(start, min(start + _BOX_BLOCK, points))
+        block = np.column_stack(np.unravel_index(flat, (side,) * n)) - height
+        hits = np.flatnonzero((np.abs(block @ pair) < tol).all(axis=1) & block.any(axis=1))
+        if hits.size:
+            return PicardVerdict(False, tuple(int(x) for x in block[hits[0]]), "exhaustive")
+    return PicardVerdict(True, None, "exhaustive")

@@ -265,7 +265,8 @@ def kernel_signature(L: QuadLattice, coords) -> tuple[int, int]:
     if all(x == 0 for x in c):
         raise DomainError("zero functional")
     bordered = [list(row) + [x] for row, x in zip(L.gram, c)] + [c + [0]]
-    pos, neg, _zero = ex.inertia(bordered)
+    # integral and symmetric by construction, so inertia's two scans are skipped
+    pos, neg, _zero = ex._inertia_int(bordered)
     return pos - 1, neg - 1
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cech as cech_mod
+from . import exactlin as ex
 from .errors import DomainError
 from .lattice import QuadLattice, WallForm
 from .llv import CohomologyRing
@@ -39,7 +40,7 @@ def decode_scalar(v):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        return Fraction(v)
+        return ex.fr(v)
     if isinstance(v, float):
         return v
     raise DomainError(f"cannot decode scalar {v!r}")

@@ -219,6 +219,7 @@ EDGE_COCHAIN = {
     "group": {"factors": [2]},
     "cochain": {"degree": 1, "values": {",".join(map(str, EDGE)): [1.9]}},
 }
+CONE_JOB = json.loads((FIXTURES / "cone_job_u3.json").read_text())
 CHAMBER_JOB = {
     "lattice": "U3",
     "point": {"re": [1, 1, 0, 0, 0, 0], "im": [0, 0, 1, 1, 0, 0]},
@@ -241,6 +242,10 @@ UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 
         (["walls", "chamber"], CHAMBER_JOB),
         (["irrational", "closure"], {"vectors": [[1.0, 0.5]], "mode": "detcet"}),
         (["llv", "fujiki"], ["ring", "k3"]),
+        (["lattice", "dual"], {"lattice": "U3", "coords": ["1/0", 0, 0, 0, 0, 1]}),
+        (["lattice", "negative"], {"lattice": "U3", "coords": ["1/0", 0, 0, 0, 0, 1]}),
+        (["period", "cone"], {**CONE_JOB, "vector": ["1/0", 0, 0, 0, 1, 1]}),
+        (["lattice", "signature"], {"lattice": {"gram": [["1/0", 0], [0, 1]]}}),
     ],
     ids=[
         "walls-enum-scalar-span",
@@ -253,6 +258,10 @@ UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 
         "walls-chamber-float-sign",
         "irrational-closure-unknown-mode",
         "llv-fujiki-payload-not-an-object",
+        "lattice-dual-zero-denominator",
+        "lattice-negative-zero-denominator",
+        "period-cone-zero-denominator",
+        "lattice-signature-zero-denominator-gram",
     ],
 )
 def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkgeom import exactlin as ex
+from hkgeom import irrational as irr
 from hkgeom.errors import DomainError
 
 
 def test_fr_rejects_floats():
-    with pytest.raises(DomainError):
-        ex.fr(0.5)
+    for bad in (0.5, "1/0", "abc"):
+        with pytest.raises(DomainError):
+            ex.fr(bad)
     assert ex.fr("3/4") == Fraction(3, 4)
     assert ex.fr(7) == 7
 
@@ -64,9 +67,6 @@ def test_nullspace_and_solve():
     assert len(ker) == 2
     for v in ker:
         assert ex.mat_vec(ex.frmat(a), v) == [0, 0]
-    sol = ex.solve([[1, 1], [1, -1]], [3, 1])
-    assert sol == [2, 1]
-    assert ex.solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 @settings(max_examples=60)
@@ -153,6 +153,79 @@ def test_lll_finds_short_relation():
     assert any(
         sum(r[i] * w[i] for i in range(n)) == 0 and any(r[:n]) for r in red
     )
+
+
+def _sympy_lll(rows):
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return [[int(x) for x in row] for row in DomainMatrix.from_list(rows, ZZ).lll().to_list()]
+
+
+def _recorded_lll_calls(monkeypatch, run):
+    """(rows, reduced rows) of every lll_reduce call that run() makes."""
+    calls = []
+    reduce = ex.lll_reduce
+
+    def record(rows):
+        calls.append((rows, reduce(rows)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(ex, "lll_reduce", record)
+        run()
+    return calls
+
+
+def test_lll_matches_sympy_on_seeded_embeddings(monkeypatch):
+    # the relation embeddings _lll_relations builds, at rank 2-22 with 1-3
+    # real vectors, half of them orthogonal to a planted integer form
+    rng = np.random.default_rng(11)
+
+    def run():
+        for n in (2, 3, 6, 10, 22):
+            for k in (1, 2, 3):
+                ws = [rng.standard_normal(n) for _ in range(k)]
+                if (n + k) % 2:
+                    delta = rng.integers(-5, 6, size=n).astype(float)
+                    delta[0] = delta[0] or 1.0
+                    ws = [w - (w @ delta) / (delta @ delta) * delta for w in ws]
+                irr._lll_relations(ws, 100, 1e-9)
+
+    calls = _recorded_lll_calls(monkeypatch, run)
+    assert len(calls) == 15
+    for rows, reduced in calls:
+        assert reduced == _sympy_lll(rows)
+
+
+def test_lll_matches_sympy_on_detector_inputs(monkeypatch):
+    # every LLL call made by acceptance 09 and the irrationality tests
+    import test_acceptance
+    import test_irrational
+
+    def run():
+        test_acceptance.test_09_irrationality_detection()
+        for name, test in vars(test_irrational).items():
+            if name.startswith("test_") and not inspect.signature(test).parameters:
+                test()
+
+    calls = _recorded_lll_calls(monkeypatch, run)
+    assert len(calls) > 200
+    for rows, reduced in calls:
+        assert reduced == _sympy_lll(rows)
+
+
+def test_lll_rejects_dependent_rows():
+    for rows in ([[1, 2, 3], [2, 4, 6]], [[0, 0]], [[1], [2]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(DomainError):
+            ex.lll_reduce(rows)
+
+
+def test_lll_leaves_reduced_bases_unchanged():
+    # [[2, 0, 0], [1, 1, 1]] sits on both boundaries: mu = 1/2 and Lovasz with equality
+    reduced = ([[5]], [[-3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 1], [-1, 2]], [[2, 0, 0], [1, 1, 1]])
+    for rows in reduced:
+        assert ex.lll_reduce(rows) == rows == _sympy_lll(rows)
 
 
 def _random_unimodular(rng, n):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy
@@ -131,6 +133,38 @@ def test_picard_lll_matches_exhaustive_on_rational_plane():
     for v in [box.witness, *found]:
         assert max(abs(x) for x in v) <= 2
         assert sympy.Matrix([*picard, list(v)]).rank() == 4
+
+
+def _point_loop_witness(z, height, tol):
+    """The first box point in itertools.product order orthogonal to the plane, one dot product at a time."""
+    g = per.gram_float(z.lattice)
+    pa, pb = g @ z.re, g @ z.im
+    for tup in itertools.product(range(-height, height + 1), repeat=z.lattice.rank):
+        v = np.array(tup, dtype=float)
+        if any(tup) and abs(float(v @ pa)) < tol and abs(float(v @ pb)) < tol:
+            return tup
+    return None
+
+
+def test_picard_box_scan_matches_point_loop(monkeypatch):
+    # blocks of 97 points, so witnesses fall inside later, unaligned blocks
+    monkeypatch.setattr(irr, "_BOX_BLOCK", 97)
+    g = per.gram_float(U3)
+    points = [per.sample_period_point(U3, seed) for seed in (1, 2)]
+    for seed, root in enumerate([(1, -1, 0, 0, 0, 0), (0, 0, 1, -1, 1, 0), (1, -1, 1, 0, 0, 0)]):
+        z = per.sample_period_point(U3, seed)
+        v = np.array(root, dtype=float)  # q(v) = -2: moving along v into v-perp keeps the plane positive
+        a, b = (x + 0.5 * float(x @ g @ v) * v for x in (z.re, z.im))
+        points.append(per.period_point(U3, *per.orthonormal_pair(U3, a, b)))
+    witnesses = 0
+    for z in points:
+        for height in (1, 2):
+            verdict = irr.picard_trivial(z, height=height, tol=1e-9)
+            assert verdict.method == "exhaustive"
+            assert verdict.witness == _point_loop_witness(z, height, 1e-9)
+            assert verdict.trivial_up_to_height == (verdict.witness is None)
+            witnesses += verdict.witness is not None
+    assert witnesses == 6
 
 
 def test_picard_rejects_non_positive_tolerance():

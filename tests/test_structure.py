@@ -34,6 +34,12 @@ def test_exact_modules_never_import_numpy():
     assert "errors" in seen  # the walk followed the package-relative imports
 
 
+def test_no_module_imports_sympy():
+    # sympy is a test oracle only; the package runs on numpy and the standard library
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "sympy" not in _imports(path.stem), f"{path.name} imports sympy"
+
+
 def test_exact_closure_oracle_stays_independent_of_the_float_path():
     # the oracle may neither call the float closure nor touch numpy
     tree = ast.parse((PACKAGE / "llv.py").read_text(encoding="utf-8"))
