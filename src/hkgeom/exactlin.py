@@ -79,9 +79,28 @@ def is_symmetric(a) -> bool:
 
 
 def det(a: Mat) -> Fraction:
-    """Exact determinant of a rational matrix: det(D a) / D^n for D the lcm of its denominators."""
+    """Exact determinant of a rational matrix: det(D a) / D^n for D the lcm of its denominators.
+
+    Fraction-free (Bareiss) elimination below the pivots of the integer
+    matrix D a: after step c each remaining entry is a (c+1)-minor, so the
+    division by the previous pivot is exact and the last pivot is +-det.
+    """
     m, scale = scale_matrix_to_integers(a)
-    return Fraction(det_adjugate(m)[0], scale ** len(m))
+    n = len(m)
+    prev, sign = 1, 1
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        pivot_row, p = m[c], m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c]
+            m[r] = [0] * (c + 1) + [(p * x - f * y) // prev for x, y in zip(m[r][c + 1 :], pivot_row[c + 1 :])]
+        prev = p
+    return Fraction(sign * m[-1][-1] if n else 1, scale**n)
 
 
 def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:

@@ -154,13 +154,23 @@ class CohomologyRing:
         return t
 
     @cached_property
-    def _lowering_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the degree -2 block entries (i, j), in column-major order."""
-        deg = self.degrees
-        pairs = [(i, j) for j in range(self.dim) for i in range(self.dim) if deg[i] == deg[j] - 2]
-        ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        ij.setflags(write=False)
-        return ij[:, 0], ij[:, 1]
+    def _degree_blocks(self) -> tuple[np.ndarray, ...]:
+        """Basis indices of each degree 0..4m, ascending."""
+        deg = np.array(self.degrees)
+        return tuple(np.flatnonzero(deg == d) for d in range(4 * self.m + 1))
+
+    @cached_property
+    def _masks_by_shift(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def _off_block_mask(self, shift: int) -> np.ndarray:
+        """Read-only mask of the entries (i, j) with deg i != deg j + shift, built once per shift."""
+        masks = self._masks_by_shift
+        if shift not in masks:
+            deg = np.array(self.degrees)
+            masks[shift] = deg[:, None] != deg[None, :] + shift
+            masks[shift].setflags(write=False)
+        return masks[shift]
 
     def embed_lattice_vector(self, eta) -> np.ndarray:
         """Lift a lattice vector to ring coordinates on the degree-2 block."""
@@ -214,8 +224,7 @@ class GradedOperator:
         n = self.ring.dim
         if m.shape != (n, n):
             raise DomainError(f"operator matrix must be {n}x{n}")
-        deg = np.array(self.ring.degrees)
-        if np.any((m != 0) & (deg[:, None] != deg[None, :] + self.degree)):
+        if np.any((m != 0) & self.ring._off_block_mask(self.degree)):
             raise DomainError("matrix entries off the degree-shift blocks")
 
 
@@ -239,35 +248,55 @@ _F_SOLVE_TOL = 1e-9  # sl2-completion residual, relative to |h|, past which hard
 def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
     """The degree -2 operator completing (e_eta, h, f_eta) to an sl2 triple.
 
-    Solved from the bracket relation [e, f] = -h as a linear system over the
-    degree -2 block entries ([h, f] = 2f holds automatically for block
-    matrices). An inconsistent system is exactly the failure of hard
+    Built one degree at a time from the Lefschetz decomposition, going up in
+    degree k. For k <= 2m, H^k = e(H^{k-2}) + P^k, where the primitive part
+    P^k is the kernel of e^{2m-k+1} on H^k and f vanishes on it; above the
+    middle degree e(H^{k-2}) is all of H^k. On the image of e, [e, f] = -h
+    applied to u in H^{k-2} reads f(e u) = e f(u) + h u, and f(u) lies in
+    degree k - 4, already solved. So f on H^k is one least-squares solve
+    f_k B = R with B = [e_{k-2} | basis of P^k] and R = [e f_{k-2} + h | 0]
+    on H^{k-2}; each row of f_k has dim H^k unknowns.
+
+    Under hard Lefschetz the solution is unique: End(H) is an sl2-module
+    under ad, the degree -2 operators have ad_h-weight +2 (so [h, f] = 2f
+    holds for every block matrix), and ad_e lowers the weight by 2, which
+    is injective on positive weights, so two solutions of [e, f] = -h agree.
+    The assembled f is checked against [e, f] = -h in full: a residual past
+    ``_F_SOLVE_TOL`` relative to |h| is exactly the failure of hard
     Lefschetz for eta and raises HardLefschetzError.
     """
     e_op = lefschetz_e(ring, eta).matrix
     h_op = grading_h(ring).matrix
-    rows, cols = ring._lowering_positions
-    if not len(rows):
+    blocks = ring._degree_blocks
+    steps = [(k, blocks[k - 2], blocks[k]) for k in range(2, len(blocks)) if len(blocks[k - 2]) and len(blocks[k])]
+    if not steps:
         raise HardLefschetzError("ring has no degree -2 block")
-    # column p is [e, E_ij] for (i, j) = (rows[p], cols[p]), flattened: e[:, i]
-    # placed in column j, minus e[j, :] placed in row i
-    n = ring.dim
-    span = np.arange(n)[:, None]
-    p = np.arange(len(rows))
-    a_mat = np.zeros((n * n, len(rows)))
-    a_mat[span * n + cols, p] = e_op[:, rows]
-    a_mat[rows * n + span, p] -= e_op[cols, :].T
-    rhs = (-h_op).ravel()
-    sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    residual = np.linalg.norm(a_mat @ sol - rhs)
+    f_mat = np.zeros_like(e_op)
+    for k, lo, hi in steps:
+        b_mat = e_op[hi[:, None], lo]
+        r_mat = e_op[lo] @ f_mat[:, lo] + h_op[lo[:, None], lo]
+        if k <= 2 * ring.m:
+            power = e_op[:, hi]
+            for _ in range(2 * ring.m - k):
+                power = e_op @ power
+            prim = _kernel(power)
+            b_mat = np.hstack([b_mat, prim])
+            r_mat = np.hstack([r_mat, np.zeros((len(lo), prim.shape[1]))])
+        f_mat[lo[:, None], hi] = np.linalg.lstsq(b_mat.T, r_mat.T, rcond=None)[0].T
+    residual = np.linalg.norm(e_op @ f_mat - f_mat @ e_op + h_op)
     scale = max(np.linalg.norm(h_op), 1.0)
     if residual > _F_SOLVE_TOL * scale:
         raise HardLefschetzError(
             f"hard Lefschetz fails for this class (residual {residual:.3e})"
         )
-    f_mat = np.zeros((n, n))
-    f_mat[rows, cols] = sol
     return GradedOperator(ring, f_mat, degree=-2)
+
+
+def _kernel(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning ker a, the rank taken at numpy's matrix_rank tolerance."""
+    _, s, vt = np.linalg.svd(a)
+    rank = int((s > s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps).sum())
+    return vt[rank:].T
 
 
 def sl2_residuals(ring: CohomologyRing, eta) -> dict[str, float]:
@@ -572,40 +601,71 @@ def _mixed_square_nonzero(L: QuadLattice, a: int, b: int) -> bool:
 def fujiki_constant(ring: CohomologyRing, samples: int | None = None, seed: int = 0) -> Fraction:
     """The rational constant c with q(a)^m = c * integral(a^{2m}), fit exactly.
 
-    Samples random integer degree-2 classes, computes both sides with exact
-    integer arithmetic, and requires a single consistent c across samples;
-    an inconsistent pair raises with the offending sample.
+    Samples random integer degree-2 classes a with entries in [-9, 9] and
+    requires a single consistent c across them; an inconsistent sample
+    raises, naming the first offender in draw order. All samples come from
+    one draw, the same stream as one draw per sample, and are evaluated
+    together in exact integers: a^{t+1} = a^t a runs over the
+    structure constants on integer columns, the integral is one product with
+    the integration vector, q(a) is one einsum, and consistency with the
+    first informative sample is a cross-multiplication.
+
+    Columns are int64 when an a-priori magnitude bound lies below 2^62, and
+    Python ints (dtype=object) otherwise, in the same loop. With S the
+    largest sum of |c_ijk| over the constants that land in one basis element
+    k and pair with a lattice class j, every entry and partial sum of a^t is
+    at most 9^t S^(t-1), the integral at most max(sum|w|, 1) 9^(2m) S^(2m-1),
+    and |q(a)| at most 81 sum|g_ij|. The bound is the integral's bound times
+    the m-th power of q's, which caps every cross product and every value
+    before it.
     """
     L = ring.lattice
     n = L.rank
     count = samples if samples is not None else max(2 * n * n, 32)
-    rng = np.random.default_rng(seed)
-    c_val: Fraction | None = None
-    witness = None
-    for _ in range(count):
-        a = [int(x) for x in rng.integers(-9, 10, size=n)]
-        if not any(a):
-            continue
-        vec = [0] * ring.dim
-        for i, idx in enumerate(ring.lattice_indices):
-            vec[idx] = a[i]
-        power = vec
-        for _k in range(2 * ring.m - 1):
-            power = ring.cup_vector(power, vec)
-        integral = ring.integrate(power)
-        qm = Fraction(L.q(a)) ** ring.m
-        if integral == 0:
-            if qm != 0:
-                raise NumericalError(f"Fujiki relation violated on {a}")
-            continue
-        c_here = qm / integral
-        if c_val is None:
-            c_val, witness = c_here, a
-        elif c_here != c_val:
-            raise NumericalError(
-                f"Fujiki relation violated: {witness} gives {c_val}, {a} gives {c_here}"
-            )
-    if c_val is None:
+    position = {idx: a for a, idx in enumerate(ring.lattice_indices)}
+    terms = [
+        (i, position[j], k, c)
+        for (i, j), out in ring._table.items()
+        if j in position
+        for k, c in out.items()
+        if c
+    ]
+    per_target = [0] * ring.dim
+    for _, _, k, c in terms:
+        per_target[k] += abs(c)
+    power_bound = 9 ** (2 * ring.m) * max(per_target) ** (2 * ring.m - 1)
+    integral_bound = max(sum(map(abs, ring.integration)), 1) * power_bound
+    q_bound = 81 * sum(abs(x) for row in L.gram for x in row)
+    dtype = np.int64 if integral_bound * q_bound**ring.m < 2**62 else object
+
+    a = np.random.default_rng(seed).integers(-9, 10, size=(max(count, 0), n)).astype(dtype)
+    power = np.zeros((len(a), ring.dim), dtype=dtype)
+    power[:, list(ring.lattice_indices)] = a
+    for _ in range(2 * ring.m - 1):
+        step = np.zeros_like(power)
+        for i, j, k, c in terms:
+            step[:, k] += c * power[:, i] * a[:, j]
+        power = step
+    integral = power @ np.array(ring.integration, dtype=dtype)
+    qm = np.einsum("si,ij,sj->s", a, np.array(L.gram, dtype=dtype), a) ** ring.m
+
+    live = a.any(axis=1)
+    informative = live & (integral != 0)
+    bad = live & ~informative & (qm != 0)
+    if informative.any():
+        w = int(np.argmax(informative))
+        c_val = Fraction(int(qm[w]), int(integral[w]))
+        bad |= informative & (qm * integral[w] != qm[w] * integral)
+    if bad.any():
+        s = int(np.argmax(bad))
+        sample = [int(x) for x in a[s]]
+        if not informative[s]:
+            raise NumericalError(f"Fujiki relation violated on {sample}")
+        raise NumericalError(
+            f"Fujiki relation violated: {[int(x) for x in a[w]]} gives {c_val}, "
+            f"{sample} gives {Fraction(int(qm[s]), int(integral[s]))}"
+        )
+    if not informative.any():
         raise NumericalError("no informative samples for the Fujiki fit")
     return c_val
 
@@ -729,9 +789,8 @@ def hodge_decompose(L: QuadLattice, z: PeriodPoint) -> HodgeDecomposition:
     pairings = np.vstack([sbar @ g, sigma @ g])  # h(x, sigma) = x^T G conj(sigma)
     _, svals, vt = np.linalg.svd(pairings)
     h11 = np.conj(vt[2:])
-    for row in h11:
-        if abs(row @ g @ np.conj(sigma)) > 1e-8 or abs(row @ g @ sigma) > 1e-8:
-            raise NumericalError("H^{1,1} fails h_q-orthogonality")
+    if np.abs(h11 @ pairings.T).max(initial=0.0) > 1e-8:  # columns h(row, sigma), h(row, conj sigma)
+        raise NumericalError("H^{1,1} fails h_q-orthogonality")
     herm = h11 @ g @ np.conj(h11).T
     evals = np.linalg.eigvalsh((herm + np.conj(herm).T) / 2)
     pos = int((evals > 1e-9).sum())

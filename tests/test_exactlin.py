@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,22 @@ def test_fr_rejects_floats():
             ex.fr(bad)
     assert ex.fr("3/4") == Fraction(3, 4)
     assert ex.fr(7) == 7
+
+
+def test_det_matches_det_adjugate_on_random_matrices():
+    rng = random.Random(21)
+    singular = 0
+    for trial in range(200):
+        n = rng.randint(0, 7)
+        # sparse entries give zero pivots (row swaps) and singular matrices
+        a = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            a = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in a]
+        scale = math.lcm(1, *(Fraction(x).denominator for row in a for x in row))
+        expected = Fraction(ex.det_adjugate([[int(scale * x) for x in row] for row in a])[0], scale**n)
+        assert ex.det(a) == expected
+        singular += expected == 0
+    assert singular > 10
 
 
 def test_det_and_inverse():

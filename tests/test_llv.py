@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hkgeom import lattice as lat
 from hkgeom import llv
 from hkgeom import period as per
 from hkgeom.errors import DomainError, HardLefschetzError, NumericalError
@@ -544,3 +547,213 @@ def test_lefschetz_f_matches_per_position_construction():
         for (i, j), v in zip(positions, sol):
             expected[i, j] = v
         assert np.abs(llv.lefschetz_f(RING, eta).matrix - expected).max() <= 1e-12
+
+
+# -- per-degree sl2 completion against the dense Kronecker system ------------------------
+
+
+def _dense_lefschetz_f(ring, eta):
+    """f from one least-squares system over every degree -2 entry: (f, residual of [e, f] = -h)."""
+    e_op = llv.lefschetz_e(ring, eta).matrix
+    h_op = llv.grading_h(ring).matrix
+    n = ring.dim
+    positions = [(i, j) for j in range(n) for i in range(n) if ring.degrees[i] == ring.degrees[j] - 2]
+    rows = np.array([i for i, _ in positions])
+    cols = np.array([j for _, j in positions])
+    # column p is [e, E_ij] flattened: e[:, i] placed in column j, minus e[j, :] placed in row i
+    span = np.arange(n)[:, None]
+    p = np.arange(len(positions))
+    a_mat = np.zeros((n * n, len(positions)))
+    a_mat[span * n + cols, p] = e_op[:, rows]
+    a_mat[rows * n + span, p] -= e_op[cols, :].T
+    sol, *_ = np.linalg.lstsq(a_mat, (-h_op).ravel(), rcond=None)
+    f = np.zeros((n, n))
+    f[rows, cols] = sol
+    return f, float(np.linalg.norm(a_mat @ sol + h_op.ravel()))
+
+
+def _surface_type_ring(lattice):
+    """m = 1 ring like the K3 ring, on any lattice: unit, the lattice classes, point."""
+    n = lattice.rank
+    top = n + 1
+    products = [(0, i, i, 1) for i in range(n + 2)] + [(i, 0, i, 1) for i in range(1, n + 2)]
+    products += [(1 + a, 1 + b, top, g) for a, row in enumerate(lattice.gram) for b, g in enumerate(row) if g]
+    return llv.CohomologyRing(
+        m=1,
+        degrees=(0,) + (2,) * n + (4,),
+        products=tuple(products),
+        integration=(0,) * top + (1,),
+        lattice_indices=tuple(range(1, n + 1)),
+        lattice=lattice,
+    )
+
+
+def _cp4_ring():
+    """H*(CP^4): h^0..h^4 in degrees 0..8, q(a h) = a^2, so m = 2 and c = 1."""
+    products = tuple((i, j, i + j, 1) for i in range(5) for j in range(5) if i + j <= 4)
+    return llv.CohomologyRing(
+        m=2,
+        degrees=(0, 2, 4, 6, 8),
+        products=products,
+        integration=(0, 0, 0, 0, 1),
+        lattice_indices=(1,),
+        lattice=lat.rank_one(1),
+    )
+
+
+def _surface_square_ring():
+    """H*(S x S) for S with H^2 = U: dim 16, degrees 0..8, lattice U + U on x1, y1, 1x, 1y."""
+    deg = (0, 2, 2, 4)  # basis 1, x, y, pt of S, with x y = y x = pt
+    table = {(0, s): {s: 1} for s in range(4)}
+    table.update({(s, 0): {s: 1} for s in range(1, 4)})
+    table[1, 2] = table[2, 1] = {3: 1}
+    products = tuple(
+        (4 * i1 + j1, 4 * i2 + j2, 4 * k1 + k2, c1 * c2)
+        for (i1, i2), out1 in table.items()
+        for (j1, j2), out2 in table.items()
+        for k1, c1 in out1.items()
+        for k2, c2 in out2.items()
+    )
+    u = lat.hyperbolic_plane()
+    return llv.CohomologyRing(
+        m=2,
+        degrees=tuple(deg[i] + deg[j] for i in range(4) for j in range(4)),
+        products=products,
+        integration=(0,) * 15 + (1,),
+        lattice_indices=(4, 8, 1, 2),
+        lattice=lat.direct_sum(u, u),
+    )
+
+
+CP4 = _cp4_ring()
+SQUARE = _surface_square_ring()
+
+
+def test_m2_test_rings_validate():
+    for ring in (CP4, SQUARE):
+        ring.validate()
+    assert sorted(set(SQUARE.degrees)) == [0, 2, 4, 6, 8] and SQUARE.dim == 16
+
+
+def test_lefschetz_f_per_degree_matches_dense_oracle():
+    rng = np.random.default_rng(17)
+    cases = [(RING, E1F1)] + [(RING, random_positive_class(rng, L)) for _ in range(4)]
+    cases += [(CP4, [1]), (CP4, [-3]), (SQUARE, [1, 1, 1, 1]), (SQUARE, [2, 1, -1, 3]), (SQUARE, [1, -2, 5, 1])]
+    for ring, eta in cases:
+        expected, residual = _dense_lefschetz_f(ring, eta)
+        assert residual < 1e-9
+        f = llv.lefschetz_f(ring, eta).matrix
+        assert np.abs(f - expected).max() <= 1e-12
+        e, h = llv.lefschetz_e(ring, eta).matrix, llv.grading_h(ring).matrix
+        assert np.abs(e @ f - f @ e + h).max() < 1e-10
+        assert np.abs(h @ f - f @ h - 2 * f).max() < 1e-10
+
+
+def test_lefschetz_f_degenerate_class_on_product_fails():
+    # eta = x + y on the first factor only: e^4 kills H^0, so hard Lefschetz fails
+    assert _dense_lefschetz_f(SQUARE, [1, 1, 0, 0])[1] > 1e-3
+    with pytest.raises(HardLefschetzError):
+        llv.lefschetz_f(SQUARE, [1, 1, 0, 0])
+    with pytest.raises(HardLefschetzError):
+        llv.lefschetz_f(CP4, [0])
+
+
+def test_lefschetz_f_memory_stays_per_degree_at_rank_200():
+    ring = _surface_type_ring(lat.direct_sum(*[lat.hyperbolic_plane()] * 100))
+    eta = [1, 1] + [0] * 198
+    llv.lefschetz_e(ring, eta)  # builds the ring's cup tensor outside the measurement
+    n = ring.dim
+    dense_bytes = n * n * (2 * ring.lattice.rank) * 8  # the 40,804 x 400 float system alone
+    cap = 8 * 2**20  # the per-degree solve peaks near 2.5 MiB
+    assert dense_bytes > 15 * cap
+    tracemalloc.start()
+    try:
+        f = llv.lefschetz_f(ring, eta).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+    # closed form, as on the K3 ring: f(eta) = 2 unit, f(pt) = (2 / q(eta)) eta
+    assert np.allclose(f @ ring.embed_lattice_vector(eta), 2.0 * np.eye(n)[0])
+    assert np.allclose(f @ np.eye(n)[n - 1], ring.embed_lattice_vector(eta))
+
+
+# -- batched Fujiki fit against the per-sample loop ----------------------------------------
+
+
+def _fujiki_loop(ring, samples=None, seed=0):
+    """The Fujiki fit one sample at a time with cup_vector: the constant, or the error message."""
+    n = ring.lattice.rank
+    count = samples if samples is not None else max(2 * n * n, 32)
+    rng = np.random.default_rng(seed)
+    c_val = witness = None
+    for _ in range(count):
+        a = [int(x) for x in rng.integers(-9, 10, size=n)]
+        if not any(a):
+            continue
+        vec = [0] * ring.dim
+        for i, idx in enumerate(ring.lattice_indices):
+            vec[idx] = a[i]
+        power = vec
+        for _k in range(2 * ring.m - 1):
+            power = ring.cup_vector(power, vec)
+        integral = ring.integrate(power)
+        qm = Fraction(ring.lattice.q(a)) ** ring.m
+        if integral == 0:
+            if qm != 0:
+                return f"Fujiki relation violated on {a}"
+            continue
+        c_here = qm / integral
+        if c_val is None:
+            c_val, witness = c_here, a
+        elif c_here != c_val:
+            return f"Fujiki relation violated: {witness} gives {c_val}, {a} gives {c_here}"
+    return c_val if c_val is not None else "no informative samples for the Fujiki fit"
+
+
+def _fujiki_batched(ring, samples=None, seed=0):
+    try:
+        return llv.fujiki_constant(ring, samples, seed)
+    except NumericalError as err:
+        return str(err)
+
+
+def test_fujiki_batched_matches_loop_on_k3_seeds():
+    for seed in range(10):
+        assert _fujiki_batched(RING, seed=seed) == _fujiki_loop(RING, seed=seed) == 1
+
+
+def test_fujiki_batched_matches_loop_on_other_rings():
+    broken = dataclasses.replace(RING, products=RING.products + ((1, 2, 23, 1),))
+    cases = [
+        (dataclasses.replace(RING, integration=tuple(2 * x for x in RING.integration)), Fraction(1, 2)),
+        (CP4, 1),
+        (broken, None),
+        (SQUARE, None),  # not hyperkaehler: integral(a^4) = 6 q1 q2 is not a multiple of (q1 + q2)^2
+        (dataclasses.replace(RING, integration=(0,) * 24), None),  # every integral 0 while q(a) is not
+    ]
+    for ring, expected in cases:
+        for seed in (0, 1, 2):
+            got = _fujiki_batched(ring, samples=300, seed=seed)
+            assert got == _fujiki_loop(ring, samples=300, seed=seed)
+            if expected is None:
+                assert got.startswith("Fujiki relation violated")
+            else:
+                assert got == expected
+    assert _fujiki_batched(broken).startswith("Fujiki relation violated: [")
+    for samples in (0, -1):
+        assert _fujiki_batched(RING, samples=samples) == _fujiki_loop(RING, samples=samples)
+        assert _fujiki_loop(RING, samples=samples) == "no informative samples for the Fujiki fit"
+
+
+def test_fujiki_batched_takes_exact_ints_past_int64():
+    # structure constants of size 2^70 on the point class: every integral exceeds
+    # int64, so only the dtype=object columns can return c = 2^-70 exactly
+    big = 2**70
+    products = tuple((i, j, k, c * big if k == 23 and i and j else c) for i, j, k, c in RING.products)
+    huge = dataclasses.replace(RING, products=products)
+    assert _fujiki_batched(huge, samples=200) == _fujiki_loop(huge, samples=200) == Fraction(1, big)
+    broken = dataclasses.replace(huge, products=products + ((1, 2, 23, big + 1),))
+    message = _fujiki_batched(broken, samples=200, seed=4)
+    assert message == _fujiki_loop(broken, samples=200, seed=4)
+    assert message.startswith("Fujiki relation violated")
