@@ -12,16 +12,17 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import cech as cech_mod
-from . import irrational as irr
-from . import lattice as lat
-from . import llv
-from . import period as per
 from . import serialize as ser
-from . import walls as wl
 from .config import DEFAULT_TOL, TOL_NAMES, RunConfig
 from .errors import DomainError, HkgeomError, NumericalError
+
+# Each handler imports the library module it calls, so that a subcommand
+# loads only its own layers: the exact ones never import numpy.
+if TYPE_CHECKING:
+    from .lattice import QuadLattice
+    from .llv import CohomologyRing
 
 CONFIG_ENV = "HKGEOM_CONFIG"
 
@@ -74,13 +75,13 @@ def _read_payload(args) -> dict:
     return payload
 
 
-def _payload_lattice(payload) -> lat.QuadLattice:
+def _payload_lattice(payload) -> QuadLattice:
     if "lattice" in payload:
         return ser.decode_lattice(payload["lattice"])
     return ser.decode_lattice(payload)
 
 
-def _payload_ring(payload) -> llv.CohomologyRing:
+def _payload_ring(payload) -> CohomologyRing:
     if "ring" not in payload:
         raise DomainError("no ring given: add a 'ring' payload field")
     return ser.decode_ring(payload["ring"])
@@ -102,12 +103,16 @@ def _h_lattice_signature(payload, args, cfg):
 
 
 def _h_lattice_dual(payload, args, cfg):
+    from . import lattice as lat
+
     L = _payload_lattice(payload)
     coords = ser.decode_exact_vector(payload["coords"], "dual values")
     return {"value": ser.encode_scalar(lat.dual_value(L, coords))}, {}
 
 
 def _h_lattice_negative(payload, args, cfg):
+    from . import lattice as lat
+
     L = _payload_lattice(payload)
     coords = ser.decode_exact_vector(payload["coords"], "negativity tests")
     verdict = lat.is_negative_form(L, coords)
@@ -120,6 +125,8 @@ def _h_lattice_negative(payload, args, cfg):
 
 
 def _h_lattice_spinor(payload, args, cfg):
+    from . import lattice as lat
+
     L = _payload_lattice(payload)
     rows = [[ser.decode_scalar(x) for x in row] for row in payload["matrix"]]
     sign = lat.spinor_norm_sign(L, rows)
@@ -127,6 +134,8 @@ def _h_lattice_spinor(payload, args, cfg):
 
 
 def _h_period_validate(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     return {
@@ -138,6 +147,8 @@ def _h_period_validate(payload, args, cfg):
 
 
 def _h_period_convert(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     if "point" in payload:
         z = ser.decode_period_point(L, payload["point"], cfg.tol)
@@ -154,6 +165,8 @@ def _h_period_convert(payload, args, cfg):
 
 
 def _h_period_cone(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     vec = ser.decode_float_vector(payload["vector"])
@@ -161,6 +174,8 @@ def _h_period_cone(payload, args, cfg):
 
 
 def _h_period_sample(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     seed = _require_seed(cfg)
     z = per.sample_period_point(L, seed, cfg.tol)
@@ -174,6 +189,8 @@ def _h_period_sample(payload, args, cfg):
 
 
 def _h_twistor_plane(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     plane = per.twistor_plane(z, ser.decode_float_vector(payload["line"]), cfg.tol)
@@ -181,6 +198,8 @@ def _h_twistor_plane(payload, args, cfg):
 
 
 def _h_twistor_point(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     span = [ser.decode_float_vector(v) for v in payload["plane"]]
     plane = per.orient_three_plane(L, span, cfg.tol)
@@ -189,6 +208,8 @@ def _h_twistor_point(payload, args, cfg):
 
 
 def _h_twistor_chain(payload, args, cfg):
+    from . import period as per
+
     L = _payload_lattice(payload)
     source = ser.decode_period_point(L, payload["source"], cfg.tol)
     target = ser.decode_period_point(L, payload["target"], cfg.tol)
@@ -198,6 +219,8 @@ def _h_twistor_chain(payload, args, cfg):
 
 
 def _h_irrational_closure(payload, args, cfg):
+    from . import irrational as irr
+
     vectors = payload["vectors"]
     mode = payload.get("mode", "exact")
     if mode == "exact":
@@ -220,6 +243,8 @@ def _h_irrational_closure(payload, args, cfg):
 
 
 def _h_irrational_test(payload, args, cfg):
+    from . import irrational as irr
+
     rows = [ser.decode_float_vector(v) for v in payload["vectors"]]
     verdict = irr.is_fully_irrational(rows, height=args.height, tol=args.tol_relation)
     return {
@@ -230,6 +255,8 @@ def _h_irrational_test(payload, args, cfg):
 
 
 def _h_irrational_picard(payload, args, cfg):
+    from . import irrational as irr
+
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     verdict = irr.picard_trivial(z, height=args.height, tol=args.tol_relation)
@@ -241,6 +268,8 @@ def _h_irrational_picard(payload, args, cfg):
 
 
 def _h_walls_enum(payload, args, cfg):
+    from . import walls as wl
+
     L = _payload_lattice(payload)
     span = [ser.decode_vector(row)[0] for row in payload["span"]]
     d = ser.decode_int(payload.get("square", -2), "wall square")
@@ -259,6 +288,9 @@ def _h_walls_enum(payload, args, cfg):
 
 
 def _h_walls_avoid(payload, args, cfg):
+    from . import period as per
+    from . import walls as wl
+
     L = _payload_lattice(payload)
     span = [ser.decode_float_vector(v) for v in payload["span"]]
     plane = per.orient_three_plane(L, span, cfg.tol)
@@ -274,6 +306,8 @@ def _h_walls_avoid(payload, args, cfg):
 
 
 def _h_walls_chamber(payload, args, cfg):
+    from . import walls as wl
+
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
@@ -286,6 +320,8 @@ def _h_walls_chamber(payload, args, cfg):
 
 
 def _h_walls_ueps(payload, args, cfg):
+    from . import walls as wl
+
     L = _payload_lattice(payload)
     span = [ser.decode_float_vector(v) for v in payload["span"]]
     vec = ser.decode_float_vector(payload["vector"])
@@ -294,12 +330,16 @@ def _h_walls_ueps(payload, args, cfg):
 
 
 def _h_llv_e(payload, args, cfg):
+    from . import llv
+
     ring = _payload_ring(payload)
     op = llv.lefschetz_e(ring, ser.decode_float_vector(payload["eta"]))
     return {"matrix": [ser.encode_float_vector(r) for r in op.matrix], "degree": 2}, {}
 
 
 def _h_llv_f(payload, args, cfg):
+    from . import llv
+
     ring = _payload_ring(payload)
     eta = ser.decode_float_vector(payload["eta"])
     op = llv.lefschetz_f(ring, eta)
@@ -312,6 +352,9 @@ def _h_llv_f(payload, args, cfg):
 
 
 def _h_llv_closure(payload, args, cfg):
+    from . import llv
+    from . import period as per
+
     ring = _payload_ring(payload)
     full = payload.get("full", False)
     if not isinstance(full, bool):
@@ -330,12 +373,16 @@ def _h_llv_closure(payload, args, cfg):
 
 
 def _h_llv_fujiki(payload, args, cfg):
+    from . import llv
+
     ring = _payload_ring(payload)
     c = llv.fujiki_constant(ring, seed=cfg.seed or 0)
     return {"constant": ser.encode_scalar(c)}, {"seed": cfg.seed or 0}
 
 
 def _h_llv_hodge(payload, args, cfg):
+    from . import llv
+
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     dec = llv.hodge_decompose(L, z)
@@ -346,6 +393,9 @@ def _h_llv_hodge(payload, args, cfg):
 
 
 def _h_llv_deligne(payload, args, cfg):
+    from . import llv
+    from . import period as per
+
     ring = _payload_ring(payload)
     span = [ser.decode_float_vector(v) for v in payload["span"]]
     plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
@@ -363,6 +413,8 @@ def _h_llv_deligne(payload, args, cfg):
 
 
 def _h_cech_d(payload, args, cfg):
+    from . import cech as cech_mod
+
     nerve = ser.decode_nerve(payload["nerve"])
     group = ser.decode_group(payload["group"])
     c = ser.decode_cochain(nerve, group, payload["cochain"])
@@ -370,6 +422,8 @@ def _h_cech_d(payload, args, cfg):
 
 
 def _h_cech_cocycle(payload, args, cfg):
+    from . import cech as cech_mod
+
     nerve = ser.decode_nerve(payload["nerve"])
     group = ser.decode_group(payload["group"])
     c = ser.decode_cochain(nerve, group, payload["cochain"])
@@ -377,6 +431,8 @@ def _h_cech_cocycle(payload, args, cfg):
 
 
 def _h_cech_solve(payload, args, cfg):
+    from . import cech as cech_mod
+
     nerve = ser.decode_nerve(payload["nerve"])
     group = ser.decode_group(payload["group"])
     c = ser.decode_cochain(nerve, group, payload["cochain"])
@@ -392,6 +448,8 @@ class _Obstructed(Exception):
 
 
 def _h_cech_cohomology(payload, args, cfg):
+    from . import cech as cech_mod
+
     nerve = ser.decode_nerve(payload["nerve"])
     group = ser.decode_group(payload["group"])
     degree = ser.decode_int(payload.get("degree", 0), "cohomology degree")

@@ -162,7 +162,7 @@ class PicardVerdict:
     """Outcome of the lattice-vector search orthogonal to a period plane.
 
     ``method`` names the search that ran: "exhaustive" (box scan), "lll"
-    or "vacuous" (height below 1).
+    or "vacuous" (height 0; a negative height is a domain error).
     """
 
     trivial_up_to_height: bool
@@ -189,6 +189,8 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     """
     from .period import gram_float
 
+    if height < 0:
+        raise DomainError("height bound must be >= 0")
     L: QuadLattice = z.lattice
     n = L.rank
     if not tol > 0:

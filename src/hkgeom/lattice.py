@@ -61,12 +61,8 @@ class QuadLattice:
         return len(self.gram)
 
     @cached_property
-    def _det_adjugate(self) -> tuple[int, list[list[int]] | None]:
-        return ex.det_adjugate(self.gram)
-
-    @property
     def det(self) -> int:
-        return self._det_adjugate[0]
+        return int(ex.det(self.gram))
 
     @cached_property
     def signature(self) -> tuple[int, int]:
@@ -76,10 +72,10 @@ class QuadLattice:
             raise DomainError("degenerate form")
         return pos, neg
 
-    @property
+    @cached_property
     def adjugate(self) -> list[list[int]]:
-        """det * gram^{-1}, an integer matrix; computed once with det, used for dual values."""
-        return self._det_adjugate[1]
+        """det * gram^{-1}, an integer matrix; computed once, used for dual values."""
+        return ex.det_adjugate(self.gram)[1]
 
     @cached_property
     def positive_plane(self) -> list[list[int]]:
@@ -439,7 +435,7 @@ def spinor_norm_sign(L: QuadLattice, g, order: list[int] | None = None) -> int:
     h, _ = ex.scale_matrix_to_integers(g)  # D g, D > 0, leaves the sign unchanged
     w = L.positive_plane
     m = ex.mat_mul(ex.mat_mul(w, L.gram), ex.mat_mul(h, ex.transpose(w)))
-    return 1 if ex.det_adjugate(m)[0] > 0 else -1
+    return 1 if ex.det(m) > 0 else -1
 
 
 def in_o_sharp(L: QuadLattice, g) -> bool:

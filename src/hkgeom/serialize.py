@@ -8,28 +8,33 @@ fast path is taken when every entry is rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral, Real
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cech as cech_mod
 from . import exactlin as ex
 from .errors import DomainError
-from .lattice import QuadLattice, WallForm
-from .llv import CohomologyRing
-from .period import OrientedTwoPlane, PeriodPoint, PositiveThreePlane, TwistorChain
-from .walls import WallSet
+from .lattice import QuadLattice
+
+# The float layers (llv, period, walls) and cech are imported by the decoders
+# that construct their objects, so that exact subcommands never load numpy.
+if TYPE_CHECKING:
+    from . import cech as cech_mod
+    from .lattice import WallForm
+    from .llv import CohomologyRing
+    from .period import OrientedTwoPlane, PeriodPoint, PositiveThreePlane, TwistorChain
+    from .walls import WallSet
 
 
 def encode_scalar(x):
     if isinstance(x, bool):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, Integral):  # numpy integer scalars are registered as Integral
         return int(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, Real):  # and numpy floating scalars as Real
         return float(x)
     raise DomainError(f"cannot encode scalar {x!r}")
 
@@ -147,6 +152,8 @@ def encode_wall(w: WallForm) -> dict:
 
 
 def decode_wallset(L: QuadLattice, entries) -> WallSet:
+    from .walls import WallSet
+
     coords = []
     for entry in entries:
         if isinstance(entry, dict):
@@ -178,7 +185,7 @@ def encode_ring(ring: CohomologyRing) -> dict:
 
 
 def decode_ring(obj) -> CohomologyRing:
-    from .llv import k3_ring
+    from .llv import CohomologyRing, k3_ring
 
     if isinstance(obj, str):
         if obj.lower() == "k3":
@@ -209,12 +216,16 @@ def encode_nerve(n: cech_mod.Nerve) -> dict:
 
 
 def decode_nerve(obj) -> cech_mod.Nerve:
+    from . import cech as cech_mod
+
     simplices = [tuple(s) for s in obj["simplices"]]
     vertices = obj.get("vertices")
     return cech_mod.Nerve.from_simplices(simplices, vertices=vertices)
 
 
 def decode_group(obj) -> cech_mod.FiniteAbelianGroup:
+    from . import cech as cech_mod
+
     return cech_mod.FiniteAbelianGroup(tuple(decode_int(k, "group factor") for k in obj["factors"]))
 
 
@@ -239,6 +250,8 @@ def encode_cochain(c: cech_mod.Cochain) -> dict:
 def decode_cochain(
     nerve: cech_mod.Nerve, group: cech_mod.FiniteAbelianGroup, obj
 ) -> cech_mod.Cochain:
+    from . import cech as cech_mod
+
     degree = decode_int(obj["degree"], "cochain degree")
     sample = nerve.vertices[0] if nerve.vertices else 0
     data = {

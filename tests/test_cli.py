@@ -270,6 +270,14 @@ def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
     assert out["error"]["type"] == "domain"
 
 
+def test_irrational_picard_negative_height_exit_1(tmp_path):
+    # height 0 is the vacuous verdict; a negative bound is refused before any search
+    job = {"lattice": "U3", "point": CONE_JOB["point"]}
+    code, out = _run_fresh(["irrational", "picard", "--height=-3"], job, tmp_path)
+    assert code == 1
+    assert out["error"] == {"type": "domain", "message": "height bound must be >= 0"}
+
+
 @pytest.mark.parametrize(
     "argv,payload",
     [

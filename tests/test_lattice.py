@@ -88,6 +88,28 @@ def test_dual_value_examples():
         lat.dual_value(U3, [1, 0])
 
 
+def test_det_signature_and_spinor_sign_never_build_the_adjugate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("det_adjugate called")
+
+    u100 = [list(row) for row in lat.direct_sum(*[U] * 100).gram]
+    twisted = [list(row) for row in lat.direct_sum(lat.rank_one(-6), lat.rescale(U3, 3)).gram]
+    r_pos = lat.reflection_matrix(U3, [1, 1, 0, 0, 0, 0])
+    monkeypatch.setattr(ex, "det_adjugate", forbidden)
+    big, small = lat.QuadLattice.from_rows(u100), lat.QuadLattice.from_rows(twisted)
+    assert type(big.det) is int and big.det == 1
+    assert big.signature == (100, 100)
+    assert type(small.det) is int and small.det == -6 * (-9) ** 3
+    assert small.signature == (3, 4)
+    assert lat.spinor_norm_sign(lat.QuadLattice.from_rows(U3.gram), r_pos) == -1
+    monkeypatch.undo()
+    # the adjugate is built on first use by dual values, which keep their values
+    v = [(-1) ** i * (i % 7) for i in range(200)]
+    assert lat.dual_value(big, v) == big.q(v)  # the gram of U^100 is its own inverse
+    assert lat.dual_value(small, [1, 0, 0, 0, 0, 0, 1]) == Fraction(-1, 6)
+    assert lat.dual_value(small, [0, -1, 1, 0, 0, 0, 0]) == Fraction(-2, 3)
+
+
 def test_bform_rejects_wrong_length():
     with pytest.raises(DomainError):
         K3.q([1, 1])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkgeom import cech, lattice, llv, serialize as ser
@@ -14,6 +15,21 @@ def test_scalar_round_trip():
     assert ser.decode_scalar(0.5) == 0.5
     with pytest.raises(DomainError):
         ser.decode_scalar(True)
+
+
+def test_encode_scalar_takes_numpy_scalars():
+    # the float kernels hand numpy scalars to the encoder
+    for x, expected, kind in (
+        (np.int64(3), 3, int),
+        (np.uint8(7), 7, int),
+        (np.float32(0.5), 0.5, float),
+        (np.float64(-1.25), -1.25, float),
+    ):
+        out = ser.encode_scalar(x)
+        assert type(out) is kind and out == expected
+    for bad in (np.bool_(True), np.complex128(1j), "1/2"):
+        with pytest.raises(DomainError):
+            ser.encode_scalar(bad)
 
 
 def test_strict_decoders_refuse_instead_of_truncating():

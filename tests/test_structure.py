@@ -1,7 +1,17 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hkgeom"
+import pytest
+
+import hkgeom
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "hkgeom"
+FIXTURES = REPO / "fixtures"
 
 
 def _imports(module: str) -> set[str]:
@@ -32,6 +42,117 @@ def test_exact_modules_never_import_numpy():
         assert "numpy" not in names, f"{module}.py imports numpy"
         todo += [n[1:] for n in names if n.startswith(".")]
     assert "errors" in seen  # the walk followed the package-relative imports
+
+
+OCTAHEDRON = json.loads((FIXTURES / "octahedron_nerve.json").read_text())
+
+
+def _octahedron_cochain(simplex):
+    cochain = {"degree": len(simplex) - 1, "values": {",".join(map(str, simplex)): [1]}}
+    return {"nerve": OCTAHEDRON, "group": {"factors": [2]}, "cochain": cochain}
+
+
+FLOAT_ONLY = ("hkgeom.llv", "hkgeom.walls", "hkgeom.cech", "hkgeom.irrational")
+# Runs one CLI leaf and reports, on stderr, every module the process loaded.
+COLD_START = (
+    "import sys\n"
+    "from hkgeom.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(' '.join(sys.modules))\n"
+    "sys.exit(code)\n"
+)
+COLD_LEAVES = [
+    (["lattice", "signature"], "k3_lattice.json", ("numpy",)),
+    (["lattice", "dual"], {"lattice": "U3", "coords": [-1, 1, 0, 0, 0, 0]}, ("numpy",)),
+    (["lattice", "negative"], {"lattice": "U3", "coords": [-1, 1, 0, 0, 0, 0]}, ("numpy",)),
+    (["lattice", "spinor"], "spinor_job.json", ("numpy",)),
+    (["cech", "d"], _octahedron_cochain([0, 2]), ("numpy",)),
+    (["cech", "cocycle"], _octahedron_cochain([0, 2, 4]), ("numpy",)),
+    (
+        ["cech", "solve"],
+        {
+            "nerve": {"vertices": [0, 1, 2], "simplices": [[0, 1, 2]]},
+            "group": {"factors": [2]},
+            "cochain": {"degree": 2, "values": {"0,1,2": [1]}},
+        },
+        ("numpy",),
+    ),
+    (["cech", "cohomology"], "cech_cohomology_job.json", ("numpy",)),
+    (["period", "cone"], "cone_job_u3.json", FLOAT_ONLY),
+    (["twistor", "chain"], "chain_job_u3.json", FLOAT_ONLY),
+]
+
+
+@pytest.mark.parametrize("argv,payload,unloaded", COLD_LEAVES, ids=[" ".join(c[0]) for c in COLD_LEAVES])
+def test_cold_start_loads_only_the_leaf_modules(argv, payload, unloaded, tmp_path):
+    # exact subcommands never import numpy; float ones skip the layers they never call
+    if isinstance(payload, str):
+        path = FIXTURES / payload
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *argv, "-i", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["ok"] is True
+    loaded = set(proc.stderr.split())
+    assert "hkgeom.cli" in loaded
+    assert not loaded & set(unloaded)
+
+
+# The package's public names: `from hkgeom import *` exports exactly these.
+PUBLIC = [
+    "Cochain", "FiniteAbelianGroup", "Nerve", "coboundary", "cohomology", "is_cocycle",
+    "octahedron_nerve", "solve_coboundary",
+    "DEFAULT_TOL", "RunConfig", "Tolerances",
+    "DomainError", "HardLefschetzError", "HkgeomError", "InternalInconsistencyError",
+    "NumericalError",
+    "is_fully_irrational", "picard_trivial", "rational_closure",
+    "QuadLattice", "Reflection", "WallForm", "direct_sum", "dual_value", "e8_lattice",
+    "hyperbolic_plane", "in_o_sharp", "is_negative_form", "k3_lattice", "kernel_signature",
+    "rank_one", "reflection", "reflection_matrix", "rescale", "signature", "spinor_norm_sign",
+    "standard_lattice",
+    "CohomologyRing", "GradedOperator", "LieClosure", "deligne_generator", "fujiki_constant",
+    "full_llv_closure", "grading_h", "hodge_decompose", "k3_ring", "lefschetz_e",
+    "lefschetz_f", "lie_closure", "so5_closure",
+    "OrientedTwoPlane", "PeriodPoint", "PositiveThreePlane", "TwistorChain", "chain_connect",
+    "conic_contains", "conic_point", "orient_three_plane", "period_point", "plane_to_point",
+    "point_to_plane", "positive_cone_contains", "sample_irrational_line",
+    "sample_period_point", "twistor_plane", "verify_chain",
+    "MajorantForm", "WallSet", "enumerate_walls_near", "in_u_eps", "kahler_chamber_contains",
+    "majorant", "relevant_walls", "wall_avoidance",
+]
+
+
+def test_public_namespace_resolves_lazily():
+    assert hkgeom.__all__ == PUBLIC
+    listed = dir(hkgeom)
+    for name in PUBLIC:
+        obj = getattr(hkgeom, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert name in listed
+    namespace = {}
+    exec("from hkgeom import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    # a fresh `import hkgeom` loads no submodule; attribute access loads one on demand
+    probe = (
+        "import sys, hkgeom\n"
+        "before = sorted(m for m in sys.modules if m.startswith('hkgeom'))\n"
+        "print(before, hkgeom.lattice.k3_lattice().rank, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.stdout.split() == ["['hkgeom']", "22", "False"], proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        hkgeom.not_a_name
 
 
 def test_no_module_imports_sympy():
