@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from .errors import DomainError
+
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
@@ -42,7 +44,7 @@ class RunConfig:
         for name in TOL_NAMES:
             value = getattr(self.tol, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
+                raise DomainError(f"tolerance {name} must be positive and finite, got {value}")
         seed = self.seed
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            raise DomainError(f"seed must be an integer, got {self.seed!r}")

@@ -10,6 +10,7 @@ bound and tolerance are explicit everywhere.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -90,6 +91,14 @@ def _independent(relations: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return independent
 
 
+def _check_budget(height: int, tol: float, least: int) -> None:
+    """Refuse a relation-search budget before any work: height >= least, tol finite and positive."""
+    if height < least:
+        raise DomainError(f"height bound must be >= {least}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be positive and finite")
+
+
 def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> ClosureReport:
     """Best-effort rational closure of a real span by integer-relation search.
 
@@ -106,10 +115,7 @@ def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> Cl
     n = ws[0].shape[0]
     if any(w.shape != (n,) for w in ws):
         raise DomainError("vectors have mismatched lengths")
-    if height < 1:
-        raise DomainError("height bound must be >= 1")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _check_budget(height, tol, least=1)
     relations = _independent(_lll_relations(ws, height, tol))
     span_dim = int(np.linalg.matrix_rank(np.vstack(ws)))
     return ClosureReport(
@@ -145,6 +151,7 @@ class IrrationalityVerdict:
 
 def is_fully_irrational(vectors, height: int = 100, tol: float = 1e-9) -> IrrationalityVerdict:
     """Test whether the rational closure of the span is the whole space."""
+    _check_budget(height, tol, least=1)
     ws = [np.asarray(v, dtype=float) for v in vectors]
     if not ws:
         raise DomainError("empty input")
@@ -189,12 +196,9 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     """
     from .period import gram_float
 
-    if height < 0:
-        raise DomainError("height bound must be >= 0")
+    _check_budget(height, tol, least=0)
     L: QuadLattice = z.lattice
     n = L.rank
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
     if height < 1:
         return PicardVerdict(True, None, "vacuous")
     g = gram_float(L)

@@ -138,39 +138,23 @@ class CohomologyRing:
     def integrate(self, x) -> int | Fraction:
         return sum(xi * w for xi, w in zip(x, self.integration))
 
-    def degree_indices(self, d: int) -> list[int]:
-        return [i for i in range(self.dim) if self.degrees[i] == d]
-
     @cached_property
-    def _cup_tensor(self) -> np.ndarray:
-        """Read-only (rank, dim, dim) stack: slice a is cup product with the
-        a-th lattice basis class, so e_eta is its contraction with eta."""
-        t = np.zeros((len(self.lattice_indices), self.dim, self.dim))
-        for a, idx in enumerate(self.lattice_indices):
-            for j in range(self.dim):
-                for k, c in self._table.get((idx, j), {}).items():
-                    t[a, k, j] += c
-        t.setflags(write=False)
-        return t
+    def _lattice_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (a, k, j) and float values c of the constants e_idx e_j = c e_k, idx the a-th lattice class."""
+        terms = [
+            (a, k, j, c)
+            for a, idx in enumerate(self.lattice_indices)
+            for j in range(self.dim)
+            for k, c in self._table.get((idx, j), {}).items()
+        ]
+        index = np.array([t[:3] for t in terms], dtype=int).reshape(-1, 3).T
+        return index, np.array([t[3] for t in terms], dtype=float)
 
     @cached_property
     def _degree_blocks(self) -> tuple[np.ndarray, ...]:
         """Basis indices of each degree 0..4m, ascending."""
         deg = np.array(self.degrees)
         return tuple(np.flatnonzero(deg == d) for d in range(4 * self.m + 1))
-
-    @cached_property
-    def _masks_by_shift(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def _off_block_mask(self, shift: int) -> np.ndarray:
-        """Read-only mask of the entries (i, j) with deg i != deg j + shift, built once per shift."""
-        masks = self._masks_by_shift
-        if shift not in masks:
-            deg = np.array(self.degrees)
-            masks[shift] = deg[:, None] != deg[None, :] + shift
-            masks[shift].setflags(write=False)
-        return masks[shift]
 
     def embed_lattice_vector(self, eta) -> np.ndarray:
         """Lift a lattice vector to ring coordinates on the degree-2 block."""
@@ -224,7 +208,9 @@ class GradedOperator:
         n = self.ring.dim
         if m.shape != (n, n):
             raise DomainError(f"operator matrix must be {n}x{n}")
-        if np.any((m != 0) & self.ring._off_block_mask(self.degree)):
+        rows, cols = m.nonzero()
+        deg = np.array(self.ring.degrees)
+        if (deg[rows] != deg[cols] + self.degree).any():
             raise DomainError("matrix entries off the degree-shift blocks")
 
 
@@ -232,7 +218,9 @@ def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
     if len(eta) != ring.lattice.rank:
         raise DomainError("eta must be a degree-2 class in lattice coordinates")
-    mat = np.tensordot(np.array([float(x) for x in eta]), ring._cup_tensor, axes=1)
+    (a, k, j), c = ring._lattice_terms
+    mat = np.zeros((ring.dim, ring.dim))
+    np.add.at(mat, (k, j), np.array([float(x) for x in eta])[a] * c)
     return GradedOperator(ring, mat, degree=+2)
 
 
@@ -707,7 +695,7 @@ def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
         raise NumericalError("could not extract the third frame vector")
     w_emb = ring.embed_lattice_vector(w)
     unit = np.zeros(ring.dim)
-    unit[ring.degree_indices(0)[0]] = 1.0
+    unit[ring._degree_blocks[0][0]] = 1.0
     conditions = [
         (a_emb, 2 * b_emb),
         (b_emb, -2 * a_emb),
@@ -741,7 +729,7 @@ def _closure_plane(closure: LieClosure) -> PositiveThreePlane:
 
     ring = closure.ring
     vectors = []
-    unit_index = ring.degree_indices(0)[0]
+    unit_index = ring._degree_blocks[0][0]
     for op in closure.elements:
         if op.degree != +2:
             continue
@@ -756,8 +744,9 @@ def _closure_plane(closure: LieClosure) -> PositiveThreePlane:
 def weight_spectrum(ring: CohomologyRing, x: GradedOperator) -> dict[int, list[complex]]:
     """Eigenvalues of the weight operator per cohomological degree block."""
     out: dict[int, list[complex]] = {}
-    for d in sorted(set(ring.degrees)):
-        idx = ring.degree_indices(d)
+    for d, idx in enumerate(ring._degree_blocks):
+        if not len(idx):
+            continue
         block = x.matrix[np.ix_(idx, idx)]
         evals = np.linalg.eigvals(block)
         out[d] = sorted((complex(v) for v in evals), key=lambda c: (c.imag, c.real))

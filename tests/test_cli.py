@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -184,7 +185,9 @@ def test_non_positive_or_non_finite_tolerance_rejected(value, capsys):
         ["lattice", "signature", "-i", "u3_lattice.json", f"--tol-iso={value}"], capsys
     )
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "domain"
+    error = json.loads(out)["error"]
+    assert error["type"] == "domain"
+    assert error["message"].startswith("tolerance iso must be positive and finite")
 
 
 @pytest.mark.parametrize("gram", [[[1.5]], [["3/2"]], [1]])
@@ -298,6 +301,39 @@ def test_data_flag_is_usage_error_exit_3(argv, payload, tmp_path):
     code, out = _run_fresh(argv, payload, tmp_path)
     assert code == 3
     assert out["error"]["type"] == "usage"
+
+
+DETECT_JOB = {"vectors": [[1.0, 2**0.5, 0.5]], "mode": "detect"}
+FULL_RANK_JOB = {"vectors": [[1.0, 0.0], [0.0, 1.0]]}
+PICARD_JOB = {"lattice": "U3", "point": CONE_JOB["point"]}
+
+
+@pytest.mark.parametrize(
+    "argv,payload,message",
+    [
+        (["irrational", "closure", "--tol-relation", "inf"], DETECT_JOB, "tolerance must be positive and finite"),
+        (["irrational", "closure", "--tol-relation", "nan"], DETECT_JOB, "tolerance must be positive and finite"),
+        (
+            ["irrational", "picard", "--height", "1", "--tol-relation", "inf"],
+            PICARD_JOB,
+            "tolerance must be positive and finite",
+        ),
+        (["irrational", "test", "--tol-relation", "nan"], FULL_RANK_JOB, "tolerance must be positive and finite"),
+        (["irrational", "test", "--height", "-5"], FULL_RANK_JOB, "height bound must be >= 1"),
+    ],
+    ids=[
+        "irrational-closure-inf-tolerance",
+        "irrational-closure-nan-tolerance",
+        "irrational-picard-inf-tolerance",
+        "irrational-test-nan-tolerance-full-rank",
+        "irrational-test-negative-height-full-rank",
+    ],
+)
+def test_bad_relation_search_budget_exit_1(argv, payload, message, tmp_path):
+    # refused before any search, the full-rank shortcut of `irrational test` included
+    code, out = _run_fresh(argv, payload, tmp_path)
+    assert code == 1
+    assert out["error"] == {"type": "domain", "message": message}
 
 
 # the ring of a rank-one lattice <2>: unit, one degree-2 class x, point class
@@ -439,6 +475,16 @@ def test_fixtures_are_current():
         text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_fixture_inputs_match_committed_files():
+    spec = importlib.util.spec_from_file_location("regen_fixtures", REPO / "scripts" / "regen_fixtures.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    texts = regen.input_texts()
+    assert sorted(texts) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    stale = [name for name, text in texts.items() if (FIXTURES / name).read_text(encoding="utf-8") != text]
+    assert not stale, f"run scripts/regen_fixtures.py --write and review: {stale}"
 
 
 def test_console_script_smoke():

@@ -635,6 +635,39 @@ def test_m2_test_rings_validate():
     assert sorted(set(SQUARE.degrees)) == [0, 2, 4, 6, 8] and SQUARE.dim == 16
 
 
+@pytest.mark.parametrize("ring", [RING, CP4], ids=["k3", "cp4"])
+@pytest.mark.parametrize("shift", [-2, 0, 2])
+def test_graded_operator_refuses_wrong_shape_and_off_block_entries(ring, shift):
+    n = ring.dim
+    for shape in [(n, n + 1), (n - 1, n - 1), (n,)]:
+        with pytest.raises(DomainError):
+            llv.GradedOperator(ring, np.zeros(shape), degree=shift)
+    deg = np.array(ring.degrees)
+    on_block = deg[:, None] == deg[None, :] + shift
+    llv.GradedOperator(ring, on_block.astype(float), degree=shift)  # every block entry may be nonzero
+    off = np.argwhere(~on_block)
+    assert len(off)
+    for (i, j), value in zip(off, [1.0, np.nan, -1e-300] * len(off)):
+        bad = on_block.astype(float)
+        bad[i, j] = value
+        with pytest.raises(DomainError):
+            llv.GradedOperator(ring, bad, degree=shift)
+
+
+def test_lefschetz_e_float_classes_match_loop_on_all_rings():
+    # the scatter adds each entry's terms in lattice-class order, as the loop does, so float classes agree exactly
+    rng = np.random.default_rng(19)
+    for ring in (RING, CP4, SQUARE):
+        for _ in range(5):
+            eta = list(rng.standard_normal(ring.lattice.rank))
+            expected = np.zeros((ring.dim, ring.dim))
+            for a, idx in enumerate(ring.lattice_indices):
+                for j in range(ring.dim):
+                    for k, c in ring._table.get((idx, j), {}).items():
+                        expected[k, j] += eta[a] * c
+            assert np.array_equal(llv.lefschetz_e(ring, eta).matrix, expected)
+
+
 def test_lefschetz_f_per_degree_matches_dense_oracle():
     rng = np.random.default_rng(17)
     cases = [(RING, E1F1)] + [(RING, random_positive_class(rng, L)) for _ in range(4)]
@@ -661,13 +694,13 @@ def test_lefschetz_f_degenerate_class_on_product_fails():
 def test_lefschetz_f_memory_stays_per_degree_at_rank_200():
     ring = _surface_type_ring(lat.direct_sum(*[lat.hyperbolic_plane()] * 100))
     eta = [1, 1] + [0] * 198
-    llv.lefschetz_e(ring, eta)  # builds the ring's cup tensor outside the measurement
     n = ring.dim
     dense_bytes = n * n * (2 * ring.lattice.rank) * 8  # the 40,804 x 400 float system alone
-    cap = 8 * 2**20  # the per-degree solve peaks near 2.5 MiB
-    assert dense_bytes > 15 * cap
+    cap = 4 * 2**20  # the ring's first e and the per-degree solve peak near 2.7 MiB
+    assert dense_bytes > 30 * cap
     tracemalloc.start()
     try:
+        llv.lefschetz_e(ring, eta)  # the first call builds the ring's cached index arrays
         f = llv.lefschetz_f(ring, eta).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
