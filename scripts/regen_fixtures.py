@@ -96,11 +96,6 @@ def fixture_inputs() -> dict[str, dict]:
     }
 
 
-def input_texts() -> dict[str, str]:
-    """The committed text of each fixture input file, by name."""
-    return {name: json.dumps(payload, sort_keys=True, indent=1) + "\n" for name, payload in fixture_inputs().items()}
-
-
 GOLDEN_RUNS = [
     ("lattice_signature_k3.json", ["lattice", "signature", "-i", "k3_lattice.json"]),
     ("llv_closure_diag.json", ["llv", "closure", "-i", "llv_closure_job.json"]),
@@ -133,9 +128,12 @@ def main() -> int:
     args = ap.parse_args()
     FIXTURES.mkdir(exist_ok=True)
     GOLDEN.mkdir(exist_ok=True)
-    stale = []
-    for name, text in input_texts().items():
+    inputs = fixture_inputs()
+    # a fixtures/*.json file that fixture_inputs() does not build is stale too
+    stale = [] if args.write else sorted(str(p) for p in FIXTURES.glob("*.json") if p.name not in inputs)
+    for name, payload in inputs.items():
         path = FIXTURES / name
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
         if args.write:
             path.write_text(text, encoding="utf-8")
         elif not path.exists() or path.read_text(encoding="utf-8") != text:

@@ -218,9 +218,12 @@ def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
     if len(eta) != ring.lattice.rank:
         raise DomainError("eta must be a degree-2 class in lattice coordinates")
+    coeffs = np.array([float(x) for x in eta])
+    if not np.isfinite(coeffs).all():
+        raise DomainError("eta must have finite coordinates")
     (a, k, j), c = ring._lattice_terms
     mat = np.zeros((ring.dim, ring.dim))
-    np.add.at(mat, (k, j), np.array([float(x) for x in eta])[a] * c)
+    np.add.at(mat, (k, j), coeffs[a] * c)
     return GradedOperator(ring, mat, degree=+2)
 
 
