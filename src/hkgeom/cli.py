@@ -22,7 +22,6 @@ from .errors import DomainError, HkgeomError, NumericalError
 # loads only its own layers: the exact ones never import numpy.
 if TYPE_CHECKING:
     from .lattice import QuadLattice
-    from .llv import CohomologyRing
 
 CONFIG_ENV = "HKGEOM_CONFIG"
 
@@ -41,8 +40,11 @@ def _load_config(args) -> RunConfig:
     seed = None
     path = args.config or os.environ.get(CONFIG_ENV)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as err:  # ValueError: malformed JSON or text
+            raise DomainError(f"cannot read config {path}: {err}") from err
         if not isinstance(data, dict) or not set(data) <= {"tolerances", "seed"}:
             raise DomainError("config must be a JSON object with keys 'tolerances', 'seed' only")
         overrides = data.get("tolerances", {})
@@ -62,29 +64,21 @@ def _load_config(args) -> RunConfig:
 
 
 def _read_payload(args) -> dict:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    if not text.strip():
-        return {}
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise DomainError("the payload must be a JSON object")
-    return payload
+    """The payload object, blank input as {}; every JSON object in it is a ``ser.Payload``."""
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        payload = json.loads(text.strip() or "{}", object_hook=ser.Payload)
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: malformed JSON or text
+        raise DomainError(f"cannot read the payload: {err}") from err
+    return ser.expect(payload, dict, "the payload")
 
 
 def _payload_lattice(payload) -> QuadLattice:
-    if "lattice" in payload:
-        return ser.decode_lattice(payload["lattice"])
-    return ser.decode_lattice(payload)
-
-
-def _payload_ring(payload) -> CohomologyRing:
-    if "ring" not in payload:
-        raise DomainError("no ring given: add a 'ring' payload field")
-    return ser.decode_ring(payload["ring"])
+    return ser.decode_lattice(payload.get("lattice", payload))
 
 
 def _require_seed(cfg: RunConfig) -> int:
@@ -128,7 +122,7 @@ def _h_lattice_spinor(payload, args, cfg):
     from . import lattice as lat
 
     L = _payload_lattice(payload)
-    rows = [[ser.decode_scalar(x) for x in row] for row in payload["matrix"]]
+    rows = [ser.decode_vector(row)[0] for row in ser.expect(payload["matrix"], list, "matrix")]
     sign = lat.spinor_norm_sign(L, rows)
     return {"sign": sign, "in_o_sharp": sign == 1}, {}
 
@@ -155,7 +149,7 @@ def _h_period_convert(payload, args, cfg):
         plane = per.point_to_plane(z)
         return {"plane": ser.encode_two_plane(plane)}, {}
     if "plane" in payload:
-        rows = [ser.decode_float_vector(v) for v in payload["plane"]]
+        rows = ser.decode_lattice_rows(L, payload["plane"], "plane")
         if len(rows) != 2:
             raise DomainError("a 2-plane needs exactly two spanning vectors")
         plane = per.oriented_two_plane(L, rows[0], rows[1], cfg.tol)
@@ -169,7 +163,7 @@ def _h_period_cone(payload, args, cfg):
 
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    vec = ser.decode_float_vector(payload["vector"])
+    vec = ser.decode_lattice_vector(L, payload["vector"])
     return {"contains": per.positive_cone_contains(z, vec, cfg.tol)}, {}
 
 
@@ -193,7 +187,7 @@ def _h_twistor_plane(payload, args, cfg):
 
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    plane = per.twistor_plane(z, ser.decode_float_vector(payload["line"]), cfg.tol)
+    plane = per.twistor_plane(z, ser.decode_lattice_vector(L, payload["line"]), cfg.tol)
     return {"plane": ser.encode_three_plane(plane)}, {}
 
 
@@ -201,9 +195,9 @@ def _h_twistor_point(payload, args, cfg):
     from . import period as per
 
     L = _payload_lattice(payload)
-    span = [ser.decode_float_vector(v) for v in payload["plane"]]
+    span = ser.decode_lattice_rows(L, payload["plane"], "plane")
     plane = per.orient_three_plane(L, span, cfg.tol)
-    z = per.conic_point(plane, ser.decode_float_vector(payload["direction"]), cfg.tol)
+    z = per.conic_point(plane, ser.decode_lattice_vector(L, payload["direction"]), cfg.tol)
     return {"point": ser.encode_period_point(z)}, {}
 
 
@@ -221,7 +215,7 @@ def _h_twistor_chain(payload, args, cfg):
 def _h_irrational_closure(payload, args, cfg):
     from . import irrational as irr
 
-    vectors = payload["vectors"]
+    vectors = ser.expect(payload["vectors"], list, "vectors")
     mode = payload.get("mode", "exact")
     if mode == "exact":
         decoded = [ser.decode_exact_vector(row, "exact mode vectors") for row in vectors]
@@ -245,7 +239,7 @@ def _h_irrational_closure(payload, args, cfg):
 def _h_irrational_test(payload, args, cfg):
     from . import irrational as irr
 
-    rows = [ser.decode_float_vector(v) for v in payload["vectors"]]
+    rows = [ser.decode_float_vector(v) for v in ser.expect(payload["vectors"], list, "vectors")]
     verdict = irr.is_fully_irrational(rows, height=args.height, tol=args.tol_relation)
     return {
         "fully_irrational": verdict.fully_irrational,
@@ -271,7 +265,7 @@ def _h_walls_enum(payload, args, cfg):
     from . import walls as wl
 
     L = _payload_lattice(payload)
-    span = [ser.decode_vector(row)[0] for row in payload["span"]]
+    span = [ser.decode_vector(row)[0] for row in ser.expect(payload["span"], list, "span")]
     d = ser.decode_int(payload.get("square", -2), "wall square")
     radius = ser.decode_scalar(payload.get("radius", 2))
     if isinstance(radius, float):
@@ -292,7 +286,7 @@ def _h_walls_avoid(payload, args, cfg):
     from . import walls as wl
 
     L = _payload_lattice(payload)
-    span = [ser.decode_float_vector(v) for v in payload["span"]]
+    span = ser.decode_lattice_rows(L, payload["span"], "span")
     plane = per.orient_three_plane(L, span, cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
     report = wl.wall_avoidance(plane, walls, tau=cfg.tol.wall)
@@ -311,7 +305,8 @@ def _h_walls_chamber(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
-    contains = wl.kahler_chamber_contains(z, walls, ser.decode_float_vector(payload["vector"]), cfg.tol)
+    vec = ser.decode_lattice_vector(L, payload["vector"])
+    contains = wl.kahler_chamber_contains(z, walls, vec, cfg.tol)
     relevant = wl.relevant_walls(z, walls, tau=cfg.tol.wall)
     return {
         "contains": contains,
@@ -323,16 +318,16 @@ def _h_walls_ueps(payload, args, cfg):
     from . import walls as wl
 
     L = _payload_lattice(payload)
-    span = [ser.decode_float_vector(v) for v in payload["span"]]
-    vec = ser.decode_float_vector(payload["vector"])
-    eps = float(ser.decode_scalar(payload.get("eps", 0.5)))
+    span = ser.decode_lattice_rows(L, payload["span"], "span")
+    vec = ser.decode_lattice_vector(L, payload["vector"])
+    eps = ser.decode_float(payload.get("eps", 0.5))
     return {"contains": wl.in_u_eps(L, span, vec, eps), "eps": eps}, {}
 
 
 def _h_llv_e(payload, args, cfg):
     from . import llv
 
-    ring = _payload_ring(payload)
+    ring = ser.decode_ring(payload["ring"])
     op = llv.lefschetz_e(ring, ser.decode_float_vector(payload["eta"]))
     return {"matrix": [ser.encode_float_vector(r) for r in op.matrix], "degree": 2}, {}
 
@@ -340,7 +335,7 @@ def _h_llv_e(payload, args, cfg):
 def _h_llv_f(payload, args, cfg):
     from . import llv
 
-    ring = _payload_ring(payload)
+    ring = ser.decode_ring(payload["ring"])
     eta = ser.decode_float_vector(payload["eta"])
     op = llv.lefschetz_f(ring, eta)
     res = llv.sl2_residuals(ring, eta)
@@ -355,14 +350,14 @@ def _h_llv_closure(payload, args, cfg):
     from . import llv
     from . import period as per
 
-    ring = _payload_ring(payload)
+    ring = ser.decode_ring(payload["ring"])
     full = payload.get("full", False)
     if not isinstance(full, bool):
         raise DomainError(f"full must be true or false, got {full!r}")
     if full:
         closure = llv.full_llv_closure(ring, tau=cfg.tol.lie)
     else:
-        span = [ser.decode_float_vector(v) for v in payload["span"]]
+        span = ser.decode_lattice_rows(ring.lattice, payload["span"], "span")
         plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
         closure = llv.so5_closure(ring, plane, tau=cfg.tol.lie)
     return {
@@ -375,7 +370,7 @@ def _h_llv_closure(payload, args, cfg):
 def _h_llv_fujiki(payload, args, cfg):
     from . import llv
 
-    ring = _payload_ring(payload)
+    ring = ser.decode_ring(payload["ring"])
     c = llv.fujiki_constant(ring, seed=cfg.seed or 0)
     return {"constant": ser.encode_scalar(c)}, {"seed": cfg.seed or 0}
 
@@ -396,8 +391,8 @@ def _h_llv_deligne(payload, args, cfg):
     from . import llv
     from . import period as per
 
-    ring = _payload_ring(payload)
-    span = [ser.decode_float_vector(v) for v in payload["span"]]
+    ring = ser.decode_ring(payload["ring"])
+    span = ser.decode_lattice_rows(ring.lattice, payload["span"], "span")
     plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
     closure = llv.so5_closure(ring, plane, tau=cfg.tol.lie)
     z = ser.decode_period_point(ring.lattice, payload["point"], cfg.tol)
@@ -535,7 +530,12 @@ def _build_parser() -> _Parser:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write obj as one line of strict JSON; a NaN or infinity in it is a NumericalError."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NumericalError(f"the result is not finite: {err}") from err
+    sys.stdout.write(text + "\n")
 
 
 def main(argv=None) -> int:
@@ -567,9 +567,6 @@ def main(argv=None) -> int:
     except NumericalError as err:
         _emit({"ok": False, "error": {"type": "numerical", "message": str(err)}})
         return 2
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as err:
-        _emit({"ok": False, "error": {"type": "domain", "message": f"{type(err).__name__}: {err}"}})
-        return 1
     except HkgeomError as err:
         _emit({"ok": False, "error": {"type": "internal", "message": str(err)}})
         return 2

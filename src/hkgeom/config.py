@@ -46,5 +46,5 @@ class RunConfig:
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"tolerance {name} must be positive and finite, got {value}")
         seed = self.seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")

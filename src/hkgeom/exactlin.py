@@ -19,12 +19,12 @@ Mat = list[list[Fraction]]
 
 
 def fr(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; reject floats and strings like '1/0'."""
+    """Coerce ints, 'p/q' strings and Fractions; reject floats, other types and strings like '1/0'."""
     if isinstance(x, float):
         raise DomainError("exact arithmetic rejects floats; pass int, Fraction or 'p/q'")
     try:
         return Fraction(x)
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, TypeError) as err:
         raise DomainError(f"not a rational number: {x!r}") from err
 
 

@@ -91,12 +91,24 @@ def _independent(relations: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return independent
 
 
+def _float_rows(vectors) -> list[np.ndarray]:
+    """The input vectors as float arrays: at least one, all of one nonzero length."""
+    ws = [np.asarray(v, dtype=float) for v in vectors]
+    if not ws:
+        raise DomainError("empty input")
+    if ws[0].ndim != 1 or not ws[0].size or any(w.shape != ws[0].shape for w in ws):
+        raise DomainError("vectors must share one nonzero length")
+    return ws
+
+
 def _check_budget(height: int, tol: float, least: int) -> None:
     """Refuse a relation-search budget before any work: height >= least, tol finite and positive."""
     if height < least:
         raise DomainError(f"height bound must be >= {least}")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be positive and finite")
+    if not math.isfinite(16.0 / tol):  # the LLL scale of _lll_relations
+        raise DomainError(f"tolerance {tol!r} is too small to scale the relation lattice")
 
 
 def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> ClosureReport:
@@ -109,12 +121,8 @@ def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> Cl
     relations found) is an upper bound that holds with high probability;
     missed relations would only lower it.
     """
-    if not vectors:
-        raise DomainError("empty input")
-    ws = [np.asarray(v, dtype=float) for v in vectors]
+    ws = _float_rows(vectors)
     n = ws[0].shape[0]
-    if any(w.shape != (n,) for w in ws):
-        raise DomainError("vectors have mismatched lengths")
     _check_budget(height, tol, least=1)
     relations = _independent(_lll_relations(ws, height, tol))
     span_dim = int(np.linalg.matrix_rank(np.vstack(ws)))
@@ -152,9 +160,7 @@ class IrrationalityVerdict:
 def is_fully_irrational(vectors, height: int = 100, tol: float = 1e-9) -> IrrationalityVerdict:
     """Test whether the rational closure of the span is the whole space."""
     _check_budget(height, tol, least=1)
-    ws = [np.asarray(v, dtype=float) for v in vectors]
-    if not ws:
-        raise DomainError("empty input")
+    ws = _float_rows(vectors)
     n = ws[0].shape[0]
     if int(np.linalg.matrix_rank(np.vstack(ws))) == n:
         return IrrationalityVerdict(True, True, None)

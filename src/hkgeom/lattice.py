@@ -48,10 +48,9 @@ class QuadLattice:
     @classmethod
     def from_rows(cls, rows) -> "QuadLattice":
         """Decode entries exactly (ints or 'p/q'); non-integral entries are rejected."""
-        try:
-            entries = [ex.frvec(row) for row in rows]
-        except TypeError as err:
-            raise DomainError(f"gram must be a list of rows of integers: {err}") from err
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise DomainError("gram must be a list of rows of integers")
+        entries = [ex.frvec(row) for row in rows]
         if any(x.denominator != 1 for row in entries for x in row):
             raise DomainError("gram entries must be integers")
         return cls(tuple(tuple(x.numerator for x in row) for row in entries))

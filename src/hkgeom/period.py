@@ -109,9 +109,6 @@ class OrientedTwoPlane:
     a: np.ndarray
     b: np.ndarray
 
-    def frame(self) -> np.ndarray:
-        return np.vstack([self.a, self.b])
-
 
 def orthonormal_pair(L: QuadLattice, a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """q-Gram-Schmidt of (a, b); requires the span to be q-positive."""
@@ -318,7 +315,6 @@ def conic_point(
     P: PositiveThreePlane,
     u,
     tol: Tolerances = DEFAULT_TOL,
-    index_order: tuple[int, int, int] | None = None,
 ) -> PeriodPoint:
     """Period point of the conic of P determined by a q-unit vector u in P.
 
@@ -327,19 +323,19 @@ def conic_point(
     u (threshold 0.9) in index order and Gram-Schmidts them, then flips the
     last vector if needed to preserve the frame orientation of P. Any other
     completion differs by a rotation of (v, w) and gives the same line, so
-    the point does not depend on the completion; ``index_order`` permutes the
-    candidate scan to let tests check exactly that.
+    the point does not depend on the completion.
     """
     L = P.lattice
     u = np.asarray(u, dtype=float)
+    if u.shape != (L.rank,):
+        raise DomainError(f"u must have length {L.rank}")
     if abs(qform(L, u) - 1.0) > 1e-6:
         raise DomainError("u must be a q-unit vector")
     if span_residual(L, P.frame, u) > tol.orth:
         raise DomainError("u does not lie in the 3-plane")
     g = gram_float(L)
     coords = P.frame @ g @ u
-    order = index_order if index_order is not None else (0, 1, 2)
-    picked = [i for i in order if abs(coords[i]) <= 0.9][:2]
+    picked = [i for i in range(3) if abs(coords[i]) <= 0.9][:2]
     if len(picked) < 2:
         raise NumericalError("frame completion failed to find two transverse vectors")
     j, k = picked

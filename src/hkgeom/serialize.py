@@ -7,6 +7,8 @@ fast path is taken when every entry is rational.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
@@ -25,6 +27,24 @@ if TYPE_CHECKING:
     from .walls import WallSet
 
 
+class Payload(dict):
+    """A decoded JSON object: reading a field it lacks is a DomainError that names the field."""
+
+    def __missing__(self, key):
+        raise DomainError(f"missing field {key!r}")
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def expect(obj, kind, what: str):
+    """obj if it is of the JSON kind (dict, list, str or a union of them), else a DomainError."""
+    if not isinstance(obj, kind):
+        names = " or ".join(_JSON_NAMES[t] for t in getattr(kind, "__args__", (kind,)))
+        raise DomainError(f"{what} must be a JSON {names}, got {obj!r:.60}")
+    return obj
+
+
 def encode_scalar(x):
     if isinstance(x, bool):
         return x
@@ -40,15 +60,12 @@ def encode_scalar(x):
 
 
 def decode_scalar(v):
-    if isinstance(v, bool):
-        raise DomainError("boolean is not a scalar")
-    if isinstance(v, int):
+    """An int, a finite float, or a 'p/q' string as a Fraction; booleans and the rest are refused."""
+    if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and math.isfinite(v):
         return v
     if isinstance(v, str):
         return ex.fr(v)
-    if isinstance(v, float):
-        return v
-    raise DomainError(f"cannot decode scalar {v!r}")
+    raise DomainError(f"a scalar must be a finite number or a 'p/q' string, got {v!r:.60}")
 
 
 def decode_int(v, what: str) -> int:
@@ -58,18 +75,38 @@ def decode_int(v, what: str) -> int:
     return v
 
 
+def decode_ints(values, what: str) -> tuple[int, ...]:
+    return tuple(decode_int(v, what) for v in expect(values, list, what))
+
+
 def decode_vector(values) -> tuple[list, bool]:
     """Returns (entries, exact): exact when every entry is an int or 'p/q'."""
-    if not isinstance(values, list):
-        raise DomainError(f"a vector must be a JSON array, got {values!r}")
-    out = [decode_scalar(v) for v in values]
+    out = [decode_scalar(v) for v in expect(values, list, "a vector")]
     exact = all(not isinstance(x, float) for x in out)
     return out, exact
 
 
+def decode_float(v) -> float:
+    x = decode_scalar(v)
+    if abs(x) > sys.float_info.max:
+        raise DomainError(f"{v!r:.60} is past the float range")
+    return float(x)
+
+
 def decode_float_vector(values) -> list[float]:
-    vec, _ = decode_vector(values)
-    return [float(x) for x in vec]
+    return [decode_float(v) for v in expect(values, list, "a vector")]
+
+
+def decode_lattice_vector(L: QuadLattice, values) -> list[float]:
+    """A float vector of L: one coordinate per basis vector."""
+    vec = decode_float_vector(values)
+    if len(vec) != L.rank:
+        raise DomainError(f"a vector of the lattice needs {L.rank} coordinates, got {len(vec)}")
+    return vec
+
+
+def decode_lattice_rows(L: QuadLattice, rows, what: str) -> list[list[float]]:
+    return [decode_lattice_vector(L, row) for row in expect(rows, list, what)]
 
 
 def decode_exact_vector(values, what: str) -> list:
@@ -94,17 +131,21 @@ def encode_lattice(L: QuadLattice) -> dict:
     return {"rank": L.rank, "gram": [list(row) for row in L.gram]}
 
 
+def decode_gram(rows) -> QuadLattice:
+    """A lattice from gram rows of JSON integers or integral 'p/q' strings."""
+    rows = [expect(row, list, "a gram row") for row in expect(rows, list, "gram")]
+    return QuadLattice.from_rows([[decode_scalar(x) for x in row] for row in rows])
+
+
 def decode_lattice(obj) -> QuadLattice:
-    if isinstance(obj, str):
+    if isinstance(expect(obj, str | dict, "lattice"), str):
         from .lattice import standard_lattice
 
         return standard_lattice(obj)
-    if "gram" not in obj:
-        raise DomainError("lattice object needs a 'gram' field")
-    gram = obj["gram"]
-    if "rank" in obj and len(gram) != obj["rank"]:
+    L = decode_gram(obj["gram"])
+    if "rank" in obj and obj["rank"] != L.rank:
         raise DomainError("rank does not match the gram matrix")
-    return QuadLattice.from_rows(gram)
+    return L
 
 
 # -- period-domain values ------------------------------------------------------
@@ -117,8 +158,7 @@ def encode_period_point(z: PeriodPoint) -> dict:
 def decode_period_point(L: QuadLattice, obj, tol) -> PeriodPoint:
     from .period import period_point
 
-    if "re" not in obj or "im" not in obj:
-        raise DomainError("period point needs 're' and 'im' fields")
+    expect(obj, dict, "a period point")
     return period_point(L, decode_float_vector(obj["re"]), decode_float_vector(obj["im"]), tol)
 
 
@@ -155,7 +195,7 @@ def decode_wallset(L: QuadLattice, entries) -> WallSet:
     from .walls import WallSet
 
     coords = []
-    for entry in entries:
+    for entry in expect(entries, list, "walls"):
         if isinstance(entry, dict):
             vec, _ = decode_vector(entry["coords"])
             sign = decode_int(entry.get("sign", 1), "wall sign")
@@ -187,21 +227,21 @@ def encode_ring(ring: CohomologyRing) -> dict:
 def decode_ring(obj) -> CohomologyRing:
     from .llv import CohomologyRing, k3_ring
 
-    if isinstance(obj, str):
+    if isinstance(expect(obj, str | dict, "ring"), str):
         if obj.lower() == "k3":
             return k3_ring()
         raise DomainError(f"unknown ring alias {obj!r}")
-    block = obj["lattice_block"]
+    block = expect(obj["lattice_block"], dict, "lattice_block")
     return CohomologyRing(
         m=decode_int(obj["m"], "ring m"),
-        degrees=tuple(decode_int(d, "ring degree") for d in obj["degrees"]),
+        degrees=decode_ints(obj["degrees"], "ring degrees"),
         products=tuple(
-            tuple(decode_int(x, "structure constant") for x in t)
-            for t in obj["structure_constants"]
+            decode_ints(t, "a structure constant")
+            for t in expect(obj["structure_constants"], list, "structure_constants")
         ),
-        integration=tuple(decode_int(x, "integration value") for x in obj["integration"]),
-        lattice_indices=tuple(decode_int(i, "lattice index") for i in block["indices"]),
-        lattice=QuadLattice.from_rows(block["gram"]),
+        integration=decode_ints(obj["integration"], "integration values"),
+        lattice_indices=decode_ints(block["indices"], "lattice indices"),
+        lattice=decode_gram(block["gram"]),
     )
 
 
@@ -218,26 +258,26 @@ def encode_nerve(n: cech_mod.Nerve) -> dict:
 def decode_nerve(obj) -> cech_mod.Nerve:
     from . import cech as cech_mod
 
-    simplices = [tuple(s) for s in obj["simplices"]]
+    simplices = expect(expect(obj, dict, "nerve")["simplices"], list, "simplices")
+    simplices = [tuple(expect(s, list, "a simplex")) for s in simplices]
     vertices = obj.get("vertices")
+    labels = [v for s in simplices for v in s]
+    if vertices is not None:
+        labels += expect(vertices, list, "vertices")
+    if not (all(type(v) is int for v in labels) or all(type(v) is str for v in labels)):
+        raise DomainError("nerve vertices must be all integers or all strings")
     return cech_mod.Nerve.from_simplices(simplices, vertices=vertices)
 
 
 def decode_group(obj) -> cech_mod.FiniteAbelianGroup:
     from . import cech as cech_mod
 
-    return cech_mod.FiniteAbelianGroup(tuple(decode_int(k, "group factor") for k in obj["factors"]))
+    factors = expect(obj, dict, "group")["factors"]
+    return cech_mod.FiniteAbelianGroup(decode_ints(factors, "group factors"))
 
 
 def _simplex_key(s) -> str:
     return ",".join(str(v) for v in s)
-
-
-def _parse_simplex(key: str, sample_vertex) -> tuple:
-    parts = key.split(",")
-    if isinstance(sample_vertex, int):
-        return tuple(int(p) for p in parts)
-    return tuple(parts)
 
 
 def encode_cochain(c: cech_mod.Cochain) -> dict:
@@ -252,10 +292,11 @@ def decode_cochain(
 ) -> cech_mod.Cochain:
     from . import cech as cech_mod
 
-    degree = decode_int(obj["degree"], "cochain degree")
-    sample = nerve.vertices[0] if nerve.vertices else 0
-    data = {
-        _parse_simplex(key, sample): tuple(decode_int(x, "cochain value") for x in val)
-        for key, val in obj.get("values", {}).items()
-    }
+    degree = decode_int(expect(obj, dict, "cochain")["degree"], "cochain degree")
+    simplices = {_simplex_key(s): s for s in nerve.simplices}
+    data = {}
+    for key, val in expect(obj.get("values", {}), dict, "cochain values").items():
+        if key not in simplices:
+            raise DomainError(f"cochain value on {key!r}, which names no simplex of the nerve")
+        data[simplices[key]] = decode_ints(val, "a cochain value")
     return cech_mod.Cochain.from_dict(nerve, group, degree, data)

@@ -125,9 +125,13 @@ def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:
     """Membership in the neighborhood q(v_P) < -eps q(v_{P perp}) of P-perp."""
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
+    if len(span) != 3 or any(len(x) != L.rank for x in (*span, v)):
+        raise DomainError(f"in_u_eps needs 3 span vectors and a vector of length {L.rank}")
     bmat = np.array(span, dtype=float).T
     g = gram_float(L)
     core = bmat.T @ g @ bmat
+    if np.linalg.matrix_rank(core) < 3:
+        raise DomainError("the span vectors have a singular gram matrix")
     varr = np.asarray(v, dtype=float)
     coeff = np.linalg.solve(core, bmat.T @ g @ varr)
     v_p = bmat @ coeff
@@ -149,7 +153,8 @@ def _exact_dtype(xmax: int, weight: int, rhs) -> type:
     ``weight`` bounds sum_ij |M_ij| (times any factor the test multiplies by),
     so the int64 path cannot overflow; the object path is exact for any size.
     """
-    return np.int64 if max(xmax * xmax * weight, abs(rhs)) < 1 << 62 else object
+    reach = max(xmax, 1)  # the test multiplies by weight's factors even when every x is 0
+    return np.int64 if max(reach * reach * weight, abs(rhs)) < 1 << 62 else object
 
 
 def _quad(block: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hkgeom.cli import main
+from hkgeom.cli import LEAVES, main
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -154,6 +154,7 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
         {"tolerances": {"iso": True}},
         {"threads": 1},
         {"seed": "7"},
+        {"seed": -1},
         [7],
     ],
     ids=[
@@ -165,6 +166,7 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
         "bool-tolerance",
         "unknown-top-level-key",
         "string-seed",
+        "negative-seed",
         "not-an-object",
     ],
 )
@@ -202,7 +204,7 @@ def test_non_integral_gram_exit_1(gram, tmp_path, capsys):
 def _run_fresh(argv, payload, tmp_path):
     """One CLI run in a fresh process; returns (exit code, the one JSON object)."""
     job = tmp_path / "job.json"
-    job.write_text(json.dumps(payload))
+    job.write_text(payload if isinstance(payload, str) else json.dumps(payload))  # str: verbatim
     proc = subprocess.run(
         [sys.executable, "-m", "hkgeom.cli", *argv, "-i", str(job)],
         capture_output=True,
@@ -249,6 +251,17 @@ UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 
         (["lattice", "negative"], {"lattice": "U3", "coords": ["1/0", 0, 0, 0, 0, 1]}),
         (["period", "cone"], {**CONE_JOB, "vector": ["1/0", 0, 0, 0, 1, 1]}),
         (["lattice", "signature"], {"lattice": {"gram": [["1/0", 0], [0, 1]]}}),
+        (["period", "cone"], {**CONE_JOB, "vector": [10**400, 0, 0, 0, 1, 1]}),
+        (["llv", "e"], {"ring": "k3", "eta": [10**400] + [0] * 21}),
+        (["walls", "ueps"], {**UEPS_JOB, "eps": 10**400}),
+        (
+            ["period", "validate"],
+            '{"lattice": "U3", "point": {"re": [1e400, 1, 0, 0, 0, 0], "im": [0, 0, 1, 1, 0, 0]}}',
+        ),
+        (["lattice", "signature"], {"gram": ["12", "21"]}),
+        (["walls", "avoid"], {"lattice": "U3", "span": WALLS_JOB["span"], "walls": {}}),
+        (["cech", "cohomology"], {**COHOMOLOGY_JOB, "nerve": {"simplices": [[0, "a"]]}}),
+        (["twistor", "plane"], {"lattice": "U3", "point": CONE_JOB["point"], "line": [0, 0, 0, 1, 1]}),
     ],
     ids=[
         "walls-enum-scalar-span",
@@ -265,12 +278,59 @@ UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 
         "lattice-negative-zero-denominator",
         "period-cone-zero-denominator",
         "lattice-signature-zero-denominator-gram",
+        "period-cone-400-digit-coordinate",
+        "llv-e-400-digit-eta",
+        "walls-ueps-400-digit-eps",
+        "period-validate-1e400-coordinate",
+        "lattice-signature-string-gram-rows",
+        "walls-avoid-walls-object",
+        "cech-cohomology-mixed-vertex-labels",
+        "twistor-plane-short-line",
     ],
 )
 def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):
     code, out = _run_fresh(argv, payload, tmp_path)
     assert code == 1
     assert out["error"]["type"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "files,config",
+    [
+        ({}, False),
+        ({"job.json": "{"}, False),
+        ({"job.json": '{"lattice": "U3"}'}, True),
+        ({"job.json": '{"lattice": "U3"}', "cfg.json": "{"}, True),
+    ],
+    ids=["missing-payload-file", "malformed-payload", "missing-config-file", "malformed-config"],
+)
+def test_unreadable_input_is_domain_error(files, config, tmp_path, capsys):
+    # a file that cannot be read or parsed is refused where it is read
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["lattice", "signature", "-i", str(tmp_path / "job.json")]
+    code = main(argv + ["--config", str(tmp_path / "cfg.json")] if config else argv)
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and error["type"] == "domain"
+    assert error["message"].startswith("cannot read")
+
+
+def test_walls_enum_radius_with_a_huge_denominator_finds_no_walls(tmp_path):
+    # only the origin lies inside: an empty answer, not an int64 overflow
+    code, out = _run_fresh(["walls", "enum"], {**WALLS_JOB, "radius": f"1/{2**64}"}, tmp_path)
+    assert code == 0
+    assert out["result"]["walls"] == [] and out["result"]["count"] == 0
+
+
+def test_non_finite_result_is_a_numerical_error(monkeypatch, capsys):
+    # stdout is strict JSON: a NaN in a result becomes a refusal, never a bare NaN token
+    handler = lambda payload, args, cfg: ({"value": float("nan")}, {})  # noqa: E731
+    monkeypatch.setitem(LEAVES["lattice"], "signature", (handler, ()))
+    code, out = run_cli(["lattice", "signature", "-i", "u3_lattice.json"], capsys)
+    assert code == 2
+    assert out.count("\n") == 1
+    error = json.loads(out, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "numerical" and error["message"].startswith("the result is not finite")
 
 
 def test_irrational_picard_negative_height_exit_1(tmp_path):
@@ -320,6 +380,13 @@ PICARD_JOB = {"lattice": "U3", "point": CONE_JOB["point"]}
         ),
         (["irrational", "test", "--tol-relation", "nan"], FULL_RANK_JOB, "tolerance must be positive and finite"),
         (["irrational", "test", "--height", "-5"], FULL_RANK_JOB, "height bound must be >= 1"),
+        (
+            ["irrational", "test", "--tol-relation", "1e-310"],
+            FULL_RANK_JOB,
+            "tolerance 1e-310 is too small to scale the relation lattice",
+        ),
+        (["period", "sample", "--seed", "-1"], {"lattice": "U3"}, "seed must be a non-negative integer, got -1"),
+        (["llv", "fujiki", "--seed", "-1"], {"ring": "k3"}, "seed must be a non-negative integer, got -1"),
     ],
     ids=[
         "irrational-closure-inf-tolerance",
@@ -327,6 +394,9 @@ PICARD_JOB = {"lattice": "U3", "point": CONE_JOB["point"]}
         "irrational-picard-inf-tolerance",
         "irrational-test-nan-tolerance-full-rank",
         "irrational-test-negative-height-full-rank",
+        "irrational-test-subnormal-tolerance",
+        "period-sample-negative-seed",
+        "llv-fujiki-negative-seed",
     ],
 )
 def test_bad_relation_search_budget_exit_1(argv, payload, message, tmp_path):
@@ -392,10 +462,11 @@ def test_small_ring_payload_is_well_formed(tmp_path):
 @pytest.mark.parametrize("leaf", ["e", "f"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_eta_exit_1(leaf, value, tmp_path):
-    # the payload's NaN/Infinity literal decodes; the operator refuses it before building a matrix
+    # the decoder refuses the payload's NaN/Infinity literal before any operator is built
     code, out = _run_fresh(["llv", leaf], {"ring": "k3", "eta": [value] + [0] * 21}, tmp_path)
     assert code == 1
-    assert out["error"] == {"type": "domain", "message": "eta must have finite coordinates"}
+    message = f"a scalar must be a finite number or a 'p/q' string, got {value!r}"
+    assert out["error"] == {"type": "domain", "message": message}
 
 
 @pytest.mark.parametrize("name", ["rank1", "rescale"])

@@ -61,6 +61,15 @@ def test_detect_planted_relation():
         assert abs(sum(d * x for d, x in zip(delta, w))) < 1e-9
 
 
+def test_relation_searches_refuse_ragged_and_empty_vectors():
+    with pytest.raises(DomainError, match="share one nonzero length"):
+        irr.is_fully_irrational([[1.0, 2.0], [3.0]])
+    with pytest.raises(DomainError, match="share one nonzero length"):
+        irr.rational_closure_detect([[]])
+    with pytest.raises(DomainError, match="empty input"):
+        irr.is_fully_irrational([])
+
+
 def test_fully_irrational_verdicts():
     # a rational 3-plane in U3 is not fully irrational; witness delivered
     vecs = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]

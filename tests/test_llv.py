@@ -42,6 +42,13 @@ def test_lefschetz_e_examples():
     assert llv.lefschetz_e(RING, [0] * 22).matrix.sum() == 0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_lefschetz_e_refuses_non_finite_eta(value):
+    # the CLI decoder refuses such a payload first; the library keeps its own check
+    with pytest.raises(DomainError, match="eta must have finite coordinates"):
+        llv.lefschetz_e(RING, [value] + [0] * 21)
+
+
 def test_lefschetz_e_linearity():
     rng = np.random.default_rng(7)
     for _ in range(20):

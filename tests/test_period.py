@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -172,10 +173,13 @@ def test_conic_point_completion_independent():
         coeff = rng.standard_normal(3)
         u = coeff @ p.frame
         u = u / np.sqrt(per.qform(U3, u))
-        pts = [
-            per.conic_point(p, u, index_order=order)
-            for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0))
-        ]
+        # other completions: the same plane with its frame rows permuted, and one
+        # row negated for the odd permutation so that the orientation is kept
+        pts = []
+        for order, sign in (((0, 1, 2), 1), ((2, 1, 0), -1), ((1, 2, 0), 1)):
+            frame = p.frame[list(order)]
+            frame[0] *= sign
+            pts.append(per.conic_point(dataclasses.replace(p, frame=frame), u))
         f0 = pts[0].plane_frame()
         for w in pts[1:]:
             # the frame of w rebuilt from its q-projection onto pts[0]
@@ -184,6 +188,13 @@ def test_conic_point_completion_independent():
             assert np.linalg.det(m) > 0
             assert per.same_period_point(pts[0], w)
         assert per.conic_contains(p, pts[0])
+
+
+def test_conic_point_refuses_u_of_the_wrong_length():
+    p = per.twistor_plane(diag_point(), E3F3)
+    for u in ([], p.frame[2][:5]):
+        with pytest.raises(DomainError, match="u must have length 6"):
+            per.conic_point(p, u)
 
 
 def test_conic_point_lands_on_conic_100_random():

@@ -196,7 +196,7 @@ DEFAULTED = {
     "period.positive_cone_contains": ["tol"],
     "period.twistor_plane": ["tol"],
     "period.conic_contains": ["tol"],
-    "period.conic_point": ["tol", "index_order"],
+    "period.conic_point": ["tol"],
     "period.verify_chain": ["tol"],
     "period._complement": ["drop"],
     "period._perp_positive_direction": ["drop"],
@@ -222,4 +222,4 @@ def test_defaulted_parameters_are_the_listed_ones():
             if names:
                 found[f"{path.stem}.{node.name}"] = names
     assert found == DEFAULTED
-    assert sum(map(len, found.values())) == 40
+    assert sum(map(len, found.values())) == 39

@@ -78,6 +78,20 @@ def test_in_u_eps_examples():
         wl.in_u_eps(U3, span, v, 1.5)
 
 
+def test_in_u_eps_refuses_wrong_lengths_and_a_singular_span():
+    v = [1, -1, 0, 0, 0, 0]
+    for span, vec in (
+        (DIAG_SPAN_U3[:2], v),
+        (DIAG_SPAN_U3, v[:5]),
+        ([row[:5] for row in DIAG_SPAN_U3], v),
+    ):
+        with pytest.raises(DomainError, match="3 span vectors and a vector of length 6"):
+            wl.in_u_eps(U3, span, vec, 0.5)
+    repeated = [DIAG_SPAN_U3[0], DIAG_SPAN_U3[0], DIAG_SPAN_U3[2]]
+    with pytest.raises(DomainError, match="singular gram matrix"):
+        wl.in_u_eps(U3, repeated, v, 0.5)
+
+
 def test_u_eps_monotonicity():
     # q(v_P) >= 0 and q(v_perp) <= 0, so the neighborhoods grow with eps:
     # membership at a smaller eps implies membership at any larger one
@@ -125,6 +139,11 @@ def test_enumeration_matches_brute_force_u2m2(d, radius):
 def test_enumeration_empty_below_minimum():
     walls = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -2, "1/2")
     assert walls == []
+
+
+def test_enumeration_radius_with_a_denominator_past_int64():
+    # only the origin is inside; its block once took int64 and overflowed on the denominator
+    assert wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -2, Fraction(1, 2**64)) == []
 
 
 def test_enumeration_sign_symmetric_representatives():
