@@ -508,21 +508,32 @@ LEAVES = {
 }
 
 
-def _build_parser() -> _Parser:
-    # every leaf takes these: the input and the values a config file can also set
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None, help="config JSON path")
-    for name in TOL_NAMES:
-        common.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
+def _build_parser(argv: list[str]) -> _Parser:
+    """The CLI's parser, with only the leaf that ``argv`` dispatches to built in full.
 
+    Every group and op name is registered, so help, choice lists and usage
+    errors read as for the whole tree. The top level and the groups take no
+    option but -h, so argparse reaches the leaf (group, op) only when these
+    are the first two tokens of ``argv`` that do not start with '-'.
+    """
+    dispatched = [token for token in argv if not token.startswith("-")][:2]
     parser = _Parser(prog="hkgeom", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
     for group, ops in LEAVES.items():
-        sub = groups.add_parser(group).add_subparsers(dest="op", required=True)
+        sub = groups.add_parser(group)
+        if dispatched[:1] != [group]:
+            continue
+        sub = sub.add_subparsers(dest="op", required=True)
         for op, (handler, flags) in ops.items():
-            leaf = sub.add_parser(op, parents=[common])
+            leaf = sub.add_parser(op)
+            if dispatched != [group, op]:
+                continue
+            # every leaf takes these: the input and the values a config file can also set
+            leaf.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
+            leaf.add_argument("--seed", type=int, default=None)
+            leaf.add_argument("--config", default=None, help="config JSON path")
+            for name in TOL_NAMES:
+                leaf.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
             for flag, options in flags:
                 leaf.add_argument(flag, **options)
             leaf.set_defaults(handler=handler)
@@ -539,9 +550,9 @@ def _emit(obj) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except UsageError as err:
         _emit({"ok": False, "error": {"type": "usage", "message": str(err)}})
         return 3

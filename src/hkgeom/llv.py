@@ -151,10 +151,30 @@ class CohomologyRing:
         return index, np.array([t[3] for t in terms], dtype=float)
 
     @cached_property
+    def _degree_array(self) -> np.ndarray:
+        return np.array(self.degrees)
+
+    @cached_property
     def _degree_blocks(self) -> tuple[np.ndarray, ...]:
         """Basis indices of each degree 0..4m, ascending."""
-        deg = np.array(self.degrees)
-        return tuple(np.flatnonzero(deg == d) for d in range(4 * self.m + 1))
+        return tuple(np.flatnonzero(self._degree_array == d) for d in range(4 * self.m + 1))
+
+    @cached_property
+    def _h_diagonal(self) -> np.ndarray:
+        """Eigenvalue 2m - k of the grading operator h on each basis element of degree k."""
+        return np.array([2 * self.m - d for d in self.degrees], dtype=float)
+
+    @cached_property
+    def _support(self) -> dict[int, np.ndarray]:
+        """Per degree shift d, the flat indices i * dim + j with deg i = deg j + d, ascending.
+
+        These are the only entries a homogeneous operator of shift d can have
+        nonzero; a shift missing here has none.
+        """
+        levels = set(self.degrees)
+        deg = self._degree_array
+        shift = (deg[:, None] - deg[None, :]).ravel()
+        return {d: np.flatnonzero(shift == d) for d in sorted({a - b for a in levels for b in levels})}
 
     def embed_lattice_vector(self, eta) -> np.ndarray:
         """Lift a lattice vector to ring coordinates on the degree-2 block."""
@@ -209,7 +229,7 @@ class GradedOperator:
         if m.shape != (n, n):
             raise DomainError(f"operator matrix must be {n}x{n}")
         rows, cols = m.nonzero()
-        deg = np.array(self.ring.degrees)
+        deg = self.ring._degree_array
         if (deg[rows] != deg[cols] + self.degree).any():
             raise DomainError("matrix entries off the degree-shift blocks")
 
@@ -229,8 +249,7 @@ def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
 
 def grading_h(ring: CohomologyRing) -> GradedOperator:
     """Diagonal operator with eigenvalue 2m - k on the degree-k block."""
-    diag = [2 * ring.m - d for d in ring.degrees]
-    return GradedOperator(ring, np.diag(np.array(diag, dtype=float)), degree=0)
+    return GradedOperator(ring, np.diag(ring._h_diagonal), degree=0)
 
 
 _F_SOLVE_TOL = 1e-9  # sl2-completion residual, relative to |h|, past which hard Lefschetz fails
@@ -256,8 +275,14 @@ def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
     ``_F_SOLVE_TOL`` relative to |h| is exactly the failure of hard
     Lefschetz for eta and raises HardLefschetzError.
     """
-    e_op = lefschetz_e(ring, eta).matrix
-    h_op = grading_h(ring).matrix
+    return _lefschetz_f(lefschetz_e(ring, eta))
+
+
+def _lefschetz_f(e: GradedOperator) -> GradedOperator:
+    """``lefschetz_f`` from e_eta itself, for callers that already hold it."""
+    ring = e.ring
+    e_op = e.matrix
+    h_op = np.diag(ring._h_diagonal)
     blocks = ring._degree_blocks
     steps = [(k, blocks[k - 2], blocks[k]) for k in range(2, len(blocks)) if len(blocks[k - 2]) and len(blocks[k])]
     if not steps:
@@ -338,33 +363,46 @@ _RESIDUAL_SAMPLES = 400
 _RESIDUAL_SEED = 0
 # Pairs bracketed per batched product in the residual sweep; bounds its scratch memory.
 _SWEEP_CHUNK = 32
-# Norm below which a bracket counts as zero.
-_ZERO_NORM = 1e-13
 
 
 def lie_closure(generators, tau: float | None = None) -> LieClosure:
     """Close a family of graded operators under the bracket, numerically.
 
-    Maintains per-degree orthonormal bases of flattened matrices; a bracket
-    joins the basis when its residual after projection exceeds tau (relative
-    to the bracket norm). The worklist brackets each element only against the
-    generators: the algebra generated by S is spanned by the right-normed
-    brackets [s1, [s2, ..., sk]] (de Graaf, *Lie Algebras: Theory and
-    Algorithms*, 2000, ch. 1), so a span that contains S and is closed under
-    ad(s) for every s in S is the whole algebra. Brackets are processed in
-    deterministic FIFO order, so the result is stable for a fixed input order.
-    Raises when the dimension exceeds ``_CLOSURE_CAP`` (runaway non-closure).
+    Works in support coordinates: an operator of degree shift d is the row of
+    its entries at ``ring._support[d]``, the flat indices (i, j) with
+    deg i = deg j + d and the only ones it can have nonzero (on K3, 44 of 576
+    for d = +-2 and 486 for d = 0). Per degree, the basis is an orthonormal
+    stack of such rows, and each accepted element is stored there only: a
+    popped element is scattered into a dense scratch matrix to form its
+    brackets, each bracket is gathered to its target degree's support, and
+    ``LieClosure.elements`` is built from the stacks at return.
+
+    The zero rule is scale-aware: a bracket counts as zero when
+    |[x, y]| <= tau |x| |y|, and the worklist's operands have unit norm, so
+    when its norm is at most tau (a generator is dropped only when it is 0).
+    A nonzero bracket joins the basis when its residual after projection,
+    relative to its norm, exceeds tau. The worklist brackets each element
+    only against the generators: the algebra generated by S is spanned by
+    the right-normed brackets [s1, [s2, ..., sk]] (de Graaf, *Lie Algebras:
+    Theory and Algorithms*, 2000, ch. 1), so a span that contains S and is
+    closed under ad(s) for every s in S is the whole algebra. Popped
+    generator p skips the generators j <= p: [g_p, g_j] is bitwise
+    -[g_j, g_p], formed and decided when g_j was popped, and [g_p, g_p] = 0.
+    Brackets are processed in deterministic FIFO order, so the result is
+    stable for a fixed input order. Raises when the dimension exceeds
+    ``_CLOSURE_CAP`` (runaway non-closure).
 
     The brackets of one popped element are screened together before the
-    one-at-a-time rank decision: per target degree, one product projects them
-    all against the basis as it stands, and a bracket is dropped when its norm
-    is below half the zero threshold or its projected residual is at most
-    tau/2. The basis only grows, so the residual the rank decision would
-    compute later, against a larger orthonormal basis, is never larger than
-    the screened one; the factor 2 absorbs the rounding of either
-    computation (about 1e-15 per unit vector, far below tau). Every dropped
-    bracket would therefore have been rejected, and the accepted basis is the
-    one the unscreened loop builds, bit for bit.
+    one-at-a-time rank decision: per target degree, one product projects
+    them all, once, against the basis as it stands, and a bracket is dropped
+    when its norm or its projected residual is at most tau/2. The basis only
+    grows, so the exact residual against the larger basis the rank decision
+    would later use is never larger than the screened one. Both computed
+    residuals, one pass here and two there, are within rounding of the exact
+    ones (about 1e-15 for unit vectors against a basis orthonormal to that
+    order), far below tau/2. Every dropped bracket would therefore have been
+    rejected, and the accepted basis is the one the unscreened loop builds,
+    bit for bit.
     """
     if not generators:
         raise DomainError("no generators")
@@ -372,94 +410,110 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
     if any(g.ring is not ring and g.ring != ring for g in generators):
         raise DomainError("generators act on different rings")
     tau = DEFAULT_TOL.lie if tau is None else tau
+    n = ring.dim
+    support = ring._support
     # the first counts[d] rows of stacks[d] are the degree-d orthonormal basis;
     # the buffer doubles when full
     stacks: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
-    elements: list[tuple[int, np.ndarray]] = []
+    order: list[tuple[int, int]] = []  # (degree, stack row) of each element, as accepted
 
-    def try_add(mat: np.ndarray, degree: int) -> bool:
-        norm = np.linalg.norm(mat)
-        if norm < _ZERO_NORM:
+    def dense(degree: int, row: np.ndarray) -> np.ndarray:
+        mat = np.zeros(n * n)
+        mat[support[degree]] = row
+        return mat.reshape(n, n)
+
+    def try_add(row: np.ndarray, degree: int, zero: float) -> bool:
+        norm = np.linalg.norm(row)
+        if norm <= zero:
             return False
-        v = mat.ravel() / norm
+        r = row / norm
         k = counts.get(degree, 0)
         if k:
             q = stacks[degree][:k]
-            r = v - q.T @ (q @ v)
+            r = r - q.T @ (q @ r)
             r -= q.T @ (q @ r)
-        else:
-            r = v.copy()
         rnorm = np.linalg.norm(r)
         if rnorm <= tau:
             return False
-        r /= rnorm
         if not k:
             stacks[degree] = np.empty((8, r.size))
         elif k == len(stacks[degree]):
             stacks[degree] = np.vstack([stacks[degree], np.empty_like(stacks[degree])])
-        stacks[degree][k] = r
+        stacks[degree][k] = r / rnorm
         counts[degree] = k + 1
-        elements.append((degree, r.reshape(ring.dim, ring.dim)))
-        if len(elements) > _CLOSURE_CAP:
+        order.append((degree, k))
+        if len(order) > _CLOSURE_CAP:
             raise NumericalError(f"closure dimension exceeded the cap {_CLOSURE_CAP}")
         return True
 
     def screen(rows: np.ndarray, degree: int) -> np.ndarray:
-        """Mask of the flattened brackets that try_add might accept."""
+        """Mask of the bracket rows that try_add might accept."""
         norms = np.linalg.norm(rows, axis=1)
-        keep = norms >= _ZERO_NORM / 2
+        keep = norms > tau / 2
         k = counts.get(degree, 0)
         if k and keep.any():
             q = stacks[degree][:k]
             v = rows[keep] / norms[keep, None]
-            r = v - (v @ q.T) @ q
-            r -= (r @ q.T) @ q
-            keep[keep] = np.linalg.norm(r, axis=1) > tau / 2
+            keep[keep] = np.linalg.norm(v - (v @ q.T) @ q, axis=1) > tau / 2
         return keep
 
     for g in generators:
-        try_add(np.asarray(g.matrix, dtype=float), g.degree)
-    gen_degrees = [d for d, _ in elements]
-    gen_mats = np.array([m for _, m in elements])
-    by_gen_degree = {
-        d: np.array([j for j, dj in enumerate(gen_degrees) if dj == d])
-        for d in sorted(set(gen_degrees))
-    }
+        if g.degree in support:
+            try_add(np.asarray(g.matrix, dtype=float).ravel()[support[g.degree]], g.degree, 0.0)
+    gen_count = len(order)
+    gen_mats = np.array([dense(d, stacks[d][k]) for d, k in order])
+    gen_degrees = np.array([d for d, _ in order], dtype=int)
+    by_gen_degree = {d: np.flatnonzero(gen_degrees == d) for d in sorted(set(gen_degrees.tolist()))}
     formed = tried = 0
-    queue = deque(range(len(elements)))
+    queue = deque(range(gen_count))
     while queue:
-        deg_x, x = elements[queue.popleft()]
-        brackets = x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]
-        flat = brackets.reshape(len(brackets), -1)
-        formed += len(brackets)
-        live = sorted(
-            int(j)
-            for d, idx in by_gen_degree.items()
-            for j in idx[screen(flat[idx], deg_x + d)]
-        )
+        p = queue.popleft()
+        deg_x, row = order[p]
+        x = dense(deg_x, stacks[deg_x][row])
+        first = p + 1 if p < gen_count else 0
+        gens = gen_mats[first:]
+        brackets = (x[None, :, :] @ gens - gens @ x[None, :, :]).reshape(len(gens), n * n)
+        formed += len(gens)
+        live = []
+        for d, idx in by_gen_degree.items():
+            target = deg_x + d
+            idx = idx[idx >= first]
+            if target not in support or not len(idx):
+                continue  # no generator left, or a shift with no entries, where every bracket is 0
+            rows = brackets[(idx - first)[:, None], support[target]]
+            keep = screen(rows, target)
+            live += [(j, target, r) for j, r in zip(idx[keep].tolist(), rows[keep])]
+        live.sort(key=lambda t: t[0])
         tried += len(live)
-        for j in live:
-            if try_add(brackets[j], deg_x + gen_degrees[j]):
-                queue.append(len(elements) - 1)
+        for _, target, r in live:
+            if try_add(r, target, tau):
+                queue.append(len(order) - 1)
+    elements = tuple(GradedOperator(ring, dense(d, stacks[d][k]), degree=d) for d, k in order)
     return LieClosure(
         ring=ring,
-        elements=tuple(GradedOperator(ring, m, degree=d) for d, m in elements),
-        dimension=len(elements),
+        elements=elements,
+        dimension=len(order),
         by_degree=dict(sorted(counts.items())),
-        residual=_residual_sweep(elements, {d: stacks[d][:k] for d, k in counts.items()}),
+        residual=_residual_sweep(
+            [(op.degree, op.matrix) for op in elements], {d: stacks[d][:k] for d, k in counts.items()}, support, tau
+        ),
         brackets_formed=formed,
         brackets_tried=tried,
-        brackets_accepted=len(elements) - len(gen_degrees),
+        brackets_accepted=len(order) - gen_count,
     )
 
 
-def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict[int, np.ndarray]) -> float:
+def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict, support: dict, tau: float) -> float:
     """Worst projected residual of the brackets of sampled element pairs.
 
     All pairs when there are at most ``_RESIDUAL_SAMPLES`` of them, otherwise
-    that many pairs drawn with ``_RESIDUAL_SEED``; ``blocks[d]`` holds the
-    orthonormal basis rows of degree d.
+    that many pairs drawn with ``_RESIDUAL_SEED``. Elements are dense unit-norm
+    matrices; ``blocks[d]`` holds the orthonormal basis rows of degree d on
+    the columns ``support[d]``. Pairs are taken one target degree d at a
+    time, ``_SWEEP_CHUNK`` per batched product, and their brackets gathered
+    to the columns ``support[d]``; a bracket of norm at most tau is zero, the
+    closure's rule.
     """
     count = len(elements)
     if count * (count - 1) // 2 <= _RESIDUAL_SAMPLES:
@@ -469,19 +523,20 @@ def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict[int, np
         first = rng.integers(0, count, _RESIDUAL_SAMPLES)
         second = rng.integers(0, count, _RESIDUAL_SAMPLES)
     degrees = np.array([d for d, _ in elements], dtype=int)
+    target = degrees[first] + degrees[second]
     worst = 0.0
-    for s in range(0, len(first), _SWEEP_CHUNK):
-        i, j = first[s : s + _SWEEP_CHUNK], second[s : s + _SWEEP_CHUNK]
-        x = np.array([elements[a][1] for a in i])
-        y = np.array([elements[b][1] for b in j])
-        flat = (x @ y - y @ x).reshape(len(i), -1)
-        norms = np.linalg.norm(flat, axis=1)
-        target = degrees[i] + degrees[j]
-        for d in set(target.tolist()):
-            sel = (target == d) & (norms >= _ZERO_NORM)
-            if not sel.any():
+    for d in sorted(set(target.tolist()) & set(support)):
+        pairs = np.flatnonzero(target == d)
+        for s in range(0, len(pairs), _SWEEP_CHUNK):
+            chunk = pairs[s : s + _SWEEP_CHUNK]
+            x = np.array([elements[a][1] for a in first[chunk]])
+            y = np.array([elements[b][1] for b in second[chunk]])
+            rows = (x @ y - y @ x).reshape(len(chunk), -1)[:, support[d]]
+            norms = np.linalg.norm(rows, axis=1)
+            live = norms > tau
+            if not live.any():
                 continue
-            v = flat[sel] / norms[sel, None]
+            v = rows[live] / norms[live, None]
             q = blocks.get(d)
             if q is not None:
                 v = v - (v @ q.T) @ q
@@ -545,8 +600,8 @@ def so5_closure(ring: CohomologyRing, plane: PositiveThreePlane, tau: float | No
     """Closure of the sl2 pairs over a q-orthonormal basis of a positive 3-plane."""
     gens = []
     for eta in plane.frame:
-        gens.append(lefschetz_e(ring, eta))
-        gens.append(lefschetz_f(ring, eta))
+        e = lefschetz_e(ring, eta)
+        gens += [e, _lefschetz_f(e)]
     return lie_closure(gens, tau=tau)
 
 

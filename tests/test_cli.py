@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hkgeom import cli
 from hkgeom.cli import LEAVES, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -88,6 +90,68 @@ def test_usage_error_exit_3(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert json.loads(out)["error"]["type"] == "usage"
+
+
+def _full_tree_parser():
+    """The CLI parser with every leaf built in full, as ``main`` once built it on each call."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--config", default=None, help="config JSON path")
+    for name in cli.TOL_NAMES:
+        common.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
+    parser = cli._Parser(prog="hkgeom", description=cli.__doc__)
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, ops in LEAVES.items():
+        sub = groups.add_parser(group).add_subparsers(dest="op", required=True)
+        for op, (handler, flags) in ops.items():
+            leaf = sub.add_parser(op, parents=[common])
+            for flag, options in flags:
+                leaf.add_argument(flag, **options)
+            leaf.set_defaults(handler=handler)
+    return parser
+
+
+HELP_ARGVS = (
+    [["--help"]]
+    + [[group, "--help"] for group in LEAVES]
+    + [[group, op, "-h"] for group, ops in LEAVES.items() for op in ops]
+)
+USAGE_ERRORS = [
+    [], ["-x"], ["bogus"], ["ll"], ["-", "llv"], ["-i", "x", "llv", "closure"], ["--", "llv", "closure"],
+    ["llv"], ["llv", "bogus"], ["llv", "clos"], ["llv", "--", "closure"], ["llv", "--x", "closure", "-i", "f"],
+    ["llv", "closure", "--bogus"], ["llv", "closure", "-i"], ["llv", "closure", "--", "x"],
+    ["llv", "closure", "--height", "3"], ["lattice", "signature", "--seed"], ["lattice", "signature", "--tol-lie", "abc"],
+    ["period", "sample", "--height", "x"], ["period", "sample", "--line", "3"], ["irrational", "test", "--tol", "1"],
+]
+PARSED = [
+    ["llv", "closure"], ["llv", "closure", "-i", "job.json", "--seed", "3", "--tol-lie", "1e-7"],
+    ["period", "sample", "--line", "--height", "5"], ["irrational", "test", "--tol-rel", "1e-5"],
+    ["cech", "solve", "--config", "c.json", "-i", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_reads_as_for_the_full_tree(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    lazy = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        _full_tree_parser().parse_args(argv)
+    assert lazy == capsys.readouterr().out
+    assert lazy.startswith("usage: hkgeom")
+
+
+def test_usage_errors_and_parses_read_as_for_the_full_tree(capsys):
+    for argv in USAGE_ERRORS:
+        assert main(argv) == 3
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        with pytest.raises(cli.UsageError) as err:
+            _full_tree_parser().parse_args(argv)
+        assert message == str(err.value), argv
+    for argv in PARSED:
+        assert vars(cli._build_parser(argv).parse_args(argv)) == vars(_full_tree_parser().parse_args(argv))
 
 
 def test_domain_error_exit_1(tmp_path, capsys):

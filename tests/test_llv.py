@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,41 +355,45 @@ def test_cup_vector_is_bilinear_expansion_of_cup_basis():
 # -- batched closure kernels against their one-at-a-time references -------------------
 
 
-def _unscreened_closure(generators, tau=1e-8):
-    """The worklist before screening: every bracket goes through the rank decision."""
-    blocks, stacks, elements = {}, {}, []
+def _worklist_closure(generators, columns, tau=1e-8):
+    """The worklist with neither screen nor pair skip: every bracket goes through the rank decision.
 
-    def try_add(mat, degree):
-        norm = np.linalg.norm(mat)
-        if norm < 1e-13:
+    An element of degree shift d is stored on the flat indices ``columns(d)``:
+    the ring's support gives the support-coordinate path, every index the
+    dense one. Returns the elements as (degree, dense matrix) pairs.
+    """
+    n = generators[0].ring.dim
+    stacks, elements = {}, []
+
+    def try_add(row, degree, zero):
+        norm = np.linalg.norm(row)
+        if norm <= zero:
             return False
-        v = mat.ravel() / norm
-        basis = blocks.setdefault(degree, [])
-        if basis:
-            q = stacks[degree]
-            r = v - q.T @ (q @ v)
-            r -= q.T @ (q @ r)
-        else:
-            r = v.copy()
+        r = row / norm
+        basis = stacks.get(degree)
+        if basis is not None:
+            r = r - basis.T @ (basis @ r)
+            r -= basis.T @ (basis @ r)
         rnorm = np.linalg.norm(r)
         if rnorm <= tau:
             return False
-        r /= rnorm
-        basis.append(r)
-        stacks[degree] = np.vstack(basis)
-        elements.append((degree, r.reshape(mat.shape)))
+        r = r / rnorm
+        stacks[degree] = r[None] if basis is None else np.vstack([basis, r])
+        mat = np.zeros(n * n)
+        mat[columns(degree)] = r
+        elements.append((degree, mat.reshape(n, n)))
         return True
 
     for g in generators:
-        try_add(np.asarray(g.matrix, dtype=float), g.degree)
+        try_add(np.asarray(g.matrix, dtype=float).ravel()[columns(g.degree)], g.degree, 0.0)
     gen_degrees = [d for d, _ in elements]
     gen_mats = np.array([m for _, m in elements])
     queue = list(range(len(elements)))
     while queue:
         deg_x, x = elements[queue.pop(0)]
-        brackets = x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]
+        brackets = (x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]).reshape(len(gen_mats), -1)
         for bracket, deg_g in zip(brackets, gen_degrees):
-            if try_add(bracket, deg_x + deg_g):
+            if try_add(bracket[columns(deg_x + deg_g)], deg_x + deg_g, tau):
                 queue.append(len(elements) - 1)
     return elements
 
@@ -407,7 +413,7 @@ def _per_pair_residual(elements, blocks):
         (di, x), (dj, y) = elements[i], elements[j]
         bracket = x @ y - y @ x
         norm = np.linalg.norm(bracket)
-        if norm < 1e-13:
+        if norm <= 1e-8:  # the closure's zero rule for unit-norm operands at tau = 1e-8
             continue
         v = bracket.ravel() / norm
         for u in blocks.get(di + dj, []):
@@ -431,8 +437,10 @@ def _generic_planes(count):
     return planes
 
 
-def _closure_cases(monkeypatch):
-    """(generators, closure) for the K3 full closure, the diagonal so5 and 5 generic so5."""
+@pytest.fixture(scope="module")
+def closure_cases():
+    """(generators, closure) for the K3 full closure, the diagonal so5, 5 generic so5,
+    a degree-0 generator and three sl2 pairs on SQUARE."""
     seen = []
     real = llv.lie_closure
 
@@ -440,27 +448,41 @@ def _closure_cases(monkeypatch):
         seen.append((generators, real(generators, tau=tau)))
         return seen[-1][1]
 
-    monkeypatch.setattr(llv, "lie_closure", capture)
-    llv.full_llv_closure(RING)
-    llv.so5_closure(RING, per.orient_three_plane(L, [E1F1, E2F2, E3F3]))
-    for plane in _generic_planes(5):
-        llv.so5_closure(RING, plane)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(llv, "lie_closure", capture)
+        llv.full_llv_closure(RING)
+        llv.so5_closure(RING, per.orient_three_plane(L, [E1F1, E2F2, E3F3]))
+        for plane in _generic_planes(5):
+            llv.so5_closure(RING, plane)
     # a degree-0 generator: one popped element yields new brackets in two degrees
     e1, f1 = llv.lefschetz_e(RING, E1F1), llv.lefschetz_f(RING, E1F1)
     f2 = llv.lefschetz_f(RING, E2F2).matrix
     mixed = llv.GradedOperator(RING, e1.matrix @ f2 - f2 @ e1.matrix, degree=0)
-    llv.lie_closure([mixed, e1, f1])
+    capture([mixed, e1, f1])
+    # an m = 2 ring, degrees 0..8
+    capture([op(SQUARE, eta) for eta in ([1, 1, 1, 1], [2, 1, -1, 3], [1, -2, 5, 1]) for op in (llv.lefschetz_e, llv.lefschetz_f)])
     return seen
 
 
-def test_screened_closure_is_bit_identical_to_unscreened(monkeypatch):
-    cases = _closure_cases(monkeypatch)
-    assert [c.dimension for _, c in cases] == [276] + [10] * 6 + [6]
-    for generators, closure in cases:
-        reference = _unscreened_closure(generators)
+def test_screened_closure_is_bit_identical_to_unscreened(closure_cases):
+    assert [c.dimension for _, c in closure_cases] == [276] + [10] * 6 + [6, 12]
+    for generators, closure in closure_cases:
+        support = closure.ring._support
+        reference = _worklist_closure(generators, lambda d: support.get(d, np.arange(0)))
         assert [op.degree for op in closure.elements] == [d for d, _ in reference]
         for op, (_, m) in zip(closure.elements, reference):
             assert op.matrix.tobytes() == m.tobytes()
+
+
+def test_support_coordinates_match_the_dense_path(closure_cases):
+    # only the summation order of norms and projections differs from the dense worklist
+    assert closure_cases[-1][1].by_degree == {-2: 4, 0: 4, 2: 4}
+    for generators, closure in closure_cases:
+        n = closure.ring.dim
+        dense = _worklist_closure(generators, lambda d: np.arange(n * n))
+        assert [op.degree for op in closure.elements] == [d for d, _ in dense]
+        for op, (_, m) in zip(closure.elements, dense):
+            assert np.abs(op.matrix - m).max() <= 1e-14
 
 
 def _commuting_but_one_pair(count, a, b):
@@ -477,8 +499,9 @@ def _commuting_but_one_pair(count, a, b):
     return elements, {0: np.eye(16)[[0, 5]]}
 
 
-def test_chunked_residual_sweep_matches_per_pair_loop(monkeypatch):
-    for _, closure in _closure_cases(monkeypatch):
+def test_chunked_residual_sweep_matches_per_pair_loop(closure_cases):
+    for _, closure in closure_cases:
+        support = closure.ring._support
         elements = [(op.degree, op.matrix) for op in closure.elements]
         blocks = {}
         for d, m in elements:
@@ -487,14 +510,15 @@ def test_chunked_residual_sweep_matches_per_pair_loop(monkeypatch):
         # without the last degree-0 row the residuals spread over [0, 1], so a
         # sweep that skips or misprojects pairs moves the maximum
         blocks[0] = blocks[0][:-1]
-        stacks = {d: np.array(rows) for d, rows in blocks.items()}
-        swept = llv._residual_sweep(elements, stacks)
+        rows = {d: np.array(b)[:, support[d]] for d, b in blocks.items()}
+        swept = llv._residual_sweep(elements, rows, support, 1e-8)
         assert abs(swept - _per_pair_residual(elements, blocks)) <= 1e-14
     # the worst bracket is the last pair swept, so a sweep that stops short of
     # its last chunk reads 0 instead of 1; 28 elements give all 378 pairs in
     # tril order, whose last pair is (27, 26)
+    whole = {0: np.arange(16)}
     elements, blocks = _commuting_but_one_pair(28, 27, 26)
-    assert llv._residual_sweep(elements, blocks) == pytest.approx(1.0, abs=1e-15)
+    assert llv._residual_sweep(elements, blocks, whole, 1e-8) == pytest.approx(1.0, abs=1e-15)
     assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
     # past 400 pairs the sweep samples: put the bracket on the last sampled
     # pair that no earlier sample repeats
@@ -508,16 +532,48 @@ def test_chunked_residual_sweep_matches_per_pair_loop(monkeypatch):
     else:
         raise AssertionError("no element count puts a fresh pair last")
     elements, blocks = _commuting_but_one_pair(count, int(first[-1]), int(second[-1]))
-    assert llv._residual_sweep(elements, blocks) == pytest.approx(1.0, abs=1e-15)
+    assert llv._residual_sweep(elements, blocks, whole, 1e-8) == pytest.approx(1.0, abs=1e-15)
     assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_full_closure_work_counters():
     closure = llv.full_llv_closure(RING)
-    # 41 of the 44 generators are independent; 276 pops against them
-    assert closure.brackets_formed == 276 * 41
+    # 41 of the 44 generators are independent; 276 pops against them, less the
+    # 41 * 42 / 2 = 861 pairs (g_p, g_j), j <= p, that a popped generator skips:
+    # [g_p, g_j] = -[g_j, g_p] was formed when g_j was popped, and [g_p, g_p] = 0
+    assert closure.brackets_formed == 276 * 41 - 861 == 10_455
     assert closure.brackets_tried == 238
     assert closure.brackets_accepted == 235 == closure.dimension - 41
+
+
+def test_full_closure_memory_peak():
+    # each element is stored once, as a support row, and the sweep brackets 32
+    # pairs at a time: the dense path with its element copies peaked at 4.2 MiB
+    llv.full_llv_closure(RING)  # one-time imports and the ring's cached index arrays stay outside the window
+    tracemalloc.start()
+    try:
+        llv.full_llv_closure(RING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * 2**20
+
+
+def test_bracket_noise_below_tau_opens_no_degree():
+    # [e_a, e_b] = 0; after e_a moves by 1e-12 on its own block the bracket is
+    # about 1e-12, zero at tau = 1e-8 relative to the unit-norm operands. An
+    # absolute 1e-13 cut accepted it and opened degrees +4 and -4.
+    deg = np.array(RING.degrees)
+    noise = np.where(deg[:, None] == deg[None, :] + 2, np.random.default_rng(0).standard_normal((24, 24)), 0.0)
+    e1 = llv.lefschetz_e(RING, E1F1)
+    e2 = llv.lefschetz_e(RING, E2F2)
+    e1_moved = llv.GradedOperator(RING, e1.matrix + 1e-12 * noise, degree=2)
+    bracket = e1_moved.matrix @ e2.matrix - e2.matrix @ e1_moved.matrix
+    assert 1e-12 < np.linalg.norm(bracket) < 1e-11
+    assert llv.lie_closure([e1_moved, e2]).by_degree == {2: 2}
+    closure = llv.lie_closure([e1_moved, llv.lefschetz_f(RING, E1F1), e2, llv.lefschetz_f(RING, E2F2)])
+    assert closure.by_degree == {-2: 2, 0: 2, 2: 2}
+    assert closure.residual < 1e-8
 
 
 def test_closure_cap_still_raises(monkeypatch):
@@ -797,3 +853,21 @@ def test_fujiki_batched_takes_exact_ints_past_int64():
     message = _fujiki_batched(broken, samples=200, seed=4)
     assert message == _fujiki_loop(broken, samples=200, seed=4)
     assert message.startswith("Fujiki relation violated")
+
+
+# -- the demo script -----------------------------------------------------------------------
+
+
+def test_llv_demo_prints_dimensions_and_work_counters(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "llv_demo.py"
+    spec = importlib.util.spec_from_file_location("llv_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main() == 0
+    out = capsys.readouterr().out
+    assert "3-plane closure : dim 10, by degree {-2: 3, 0: 4, 2: 3}" in out
+    # 10 pops against 6 generators, less the 6 * 7 / 2 skipped generator pairs
+    assert "brackets formed 39, screened into the rank test 4, accepted 4" in out
+    assert "Killing form    : signature (4, 6)" in out
+    assert "full closure    : dim 276, by degree {-2: 22, 0: 232, 2: 22}" in out
+    assert "brackets formed 10455, screened into the rank test 238, accepted 235" in out
