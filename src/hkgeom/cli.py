@@ -109,12 +109,11 @@ def _h_lattice_negative(payload, args, cfg):
 
     L = _payload_lattice(payload)
     coords = ser.decode_exact_vector(payload["coords"], "negativity tests")
-    verdict = lat.is_negative_form(L, coords)
-    p, m = lat.kernel_signature(L, coords)
+    value = lat.dual_value(L, coords)
     return {
-        "negative": verdict,
-        "dual_value": ser.encode_scalar(lat.dual_value(L, coords)),
-        "kernel_signature": [p, m],
+        "negative": value < 0,  # is_negative_form's criterion, on the value reported
+        "dual_value": ser.encode_scalar(value),
+        "kernel_signature": list(lat.kernel_signature(L, coords)),  # refuses the zero functional
     }, {}
 
 

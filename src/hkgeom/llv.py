@@ -79,41 +79,53 @@ class CohomologyRing:
         return tab
 
     def validate(self) -> None:
-        """Exhaustive exact checks: grading, graded commutativity,
-        associativity on all basis triples and Poincare nondegeneracy."""
-        n = self.dim
-        top = 4 * self.m
-        if any(self.integration[i] and self.degrees[i] != top for i in range(n)):
+        """Exact checks of the stored constants: grading, graded commutativity,
+        associativity (naming the least failing triple) and Poincare
+        nondegeneracy. Exhaustive, yet each visits only what can be nonzero:
+        stored pairs, their products with one basis element, and the pairing
+        one block H^k x H^(4m-k), k <= 2m, at a time (the others are their
+        transposes up to sign).
+        """
+        top, deg, w = 4 * self.m, self.degrees, self.integration
+        if any(w[i] and deg[i] != top for i in range(self.dim)):
             raise DomainError("integration supported off the top degree")
-        for (i, j), terms in self._table.items():
-            for k, c in terms.items():
-                if c and self.degrees[k] != self.degrees[i] + self.degrees[j]:
-                    raise DomainError("structure constants break the grading")
-        for i in range(n):
-            for j in range(n):
-                left = self.cup_basis(i, j)
-                right = self.cup_basis(j, i)
-                sign = (-1) ** (self.degrees[i] * self.degrees[j])
-                if left != [sign * x for x in right]:
-                    raise DomainError("graded commutativity fails")
-        for i in range(n):
-            for j in range(n):
-                ij = self.cup_basis(i, j)
-                for k in range(n):
-                    lhs = self.cup_vector(ij, self.basis_vector(k))
-                    rhs = self.cup_vector(self.basis_vector(i), self.cup_basis(j, k))
-                    if lhs != rhs:
-                        raise DomainError(f"associativity fails on ({i},{j},{k})")
-        pairing = [
-            [self.integrate(self.cup_basis(i, j)) for j in range(n)] for i in range(n)
-        ]
-        if ex.det(ex.frmat(pairing)) == 0:
-            raise DomainError("Poincare pairing is degenerate")
+        tab = {key: {k: c for k, c in terms.items() if c} for key, terms in self._table.items()}
+        if any(deg[k] != deg[i] + deg[j] for (i, j), terms in tab.items() for k in terms):
+            raise DomainError("structure constants break the grading")
+        for (i, j), terms in tab.items():
+            sign = (-1) ** (deg[i] * deg[j])
+            if tab.get((j, i), {}) != {k: sign * c for k, c in terms.items()}:
+                raise DomainError("graded commutativity fails")
+        rows: dict = {}  # rows[a][b] = e_a e_b
+        cols: dict = {}  # cols[b][a] = e_a e_b
+        for (i, j), terms in tab.items():
+            rows.setdefault(i, {})[j] = terms
+            cols.setdefault(j, {})[i] = terms
 
-    def basis_vector(self, i: int) -> list[int]:
-        v = [0] * self.dim
-        v[i] = 1
-        return v
+        def spread(x: dict, index: dict) -> dict:
+            """{a: sum_l x_l index[l][a]}, zero results dropped."""
+            out: dict = {}
+            for l, c in x.items():
+                for a, terms in index.get(l, {}).items():
+                    acc = out.setdefault(a, {})
+                    for r, v in terms.items():
+                        acc[r] = acc.get(r, 0) + c * v
+            return {a: nz for a, acc in out.items() if (nz := {r: v for r, v in acc.items() if v})}
+
+        # (e_i e_j) e_k and e_i (e_j e_k) both vanish unless (i, j) or (j, k) is stored
+        left = {(j, k): spread(jk, cols) for (j, k), jk in tab.items()}  # i -> e_i (e_j e_k)
+        bad = [(i, j, k) for (j, k), by_i in left.items() for i in by_i if (i, j) not in tab]
+        for (i, j), ij in tab.items():
+            lhs = spread(ij, rows)  # k -> (e_i e_j) e_k
+            rhs = {k: left[j, k][i] for k in rows.get(j, {}) if i in left[j, k]}
+            bad += [(i, j, k) for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)]
+        if bad:
+            raise DomainError("associativity fails on ({},{},{})".format(*min(bad)))
+        blocks = self._degree_blocks
+        for low, high in zip(blocks[: top // 2 + 1], blocks[::-1]):
+            pairing = [[sum(c * w[k] for k, c in tab.get((i, j), {}).items()) for j in high] for i in low]
+            if len(low) != len(high) or ex.det(pairing) == 0:
+                raise DomainError("Poincare pairing is degenerate")
 
     def cup_basis(self, i: int, j: int) -> list[int]:
         out = [0] * self.dim

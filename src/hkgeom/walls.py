@@ -1,16 +1,18 @@
 """Wall arrangements on the positive Grassmannian: enumeration and chamber tests.
 
-Walls are indivisible negative dual-lattice functionals. Enumeration of all
-walls of a given dual square near a positive plane runs over the
-positive-definite majorant form q_P(x) = q(x_P) - q(x_{P perp}) transported
-to the dual lattice; the search is a bounded lattice-point enumeration
-(Fincke-Pohst on an exactly checked integer LDL) with exact integer filters,
-so completeness is checkable against brute force.
+Walls are indivisible dual-lattice functionals with negative dual square.
+Enumeration of all walls of a given dual square near a positive plane runs
+over the positive-definite majorant form q_P(x) = q(x_P) - q(x_{P perp})
+transported to the dual lattice; the search is a bounded lattice-point
+enumeration (Fincke-Pohst on an exactly checked integer LDL) with exact
+integer filters. Its oracle, ``brute_force_walls``, applies the same filters
+to every point of a coordinate box.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from math import isqrt
@@ -21,7 +23,7 @@ import numpy as np
 from . import exactlin as ex
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError
-from .lattice import QuadLattice, WallForm, is_negative_form
+from .lattice import QuadLattice, WallForm
 from .period import PeriodPoint, PositiveThreePlane, gram_float, positive_cone_contains
 
 
@@ -37,19 +39,19 @@ class WallSet:
     walls: tuple[WallForm, ...]
 
     def __post_init__(self):
-        seen: list[list[int]] = []
+        seen: set[tuple[int, ...]] = set()  # one primitive vector per line, leading entry positive
         for w in self.walls:
             if w.lattice != self.lattice:
                 raise DomainError("wall belongs to a different lattice")
             if not w.indivisible:
                 raise DomainError(f"wall {w.coords} is divisible")
-            if not is_negative_form(self.lattice, list(w.coords)):
+            if not w.negative:
                 raise DomainError(f"wall {w.coords} is not negative")
-            prim = ex.primitive_vector(list(w.coords))
-            for p in seen:
-                if p == prim or p == [-x for x in prim]:
-                    raise DomainError("proportional walls in wall set")
-            seen.append(prim)
+            prim = ex.primitive_vector(w.coords)
+            line = tuple(prim) if next(x for x in prim if x) > 0 else tuple(-x for x in prim)
+            if line in seen:
+                raise DomainError("proportional walls in wall set")
+            seen.add(line)
 
     @classmethod
     def from_coords(cls, lattice: QuadLattice, coord_lists) -> "WallSet":
@@ -349,51 +351,40 @@ def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]
     return [WallForm.from_coords(L, list(c)) for c in sorted(found)]
 
 
-_BOX_SCAN_CACHE: dict = {}
-
-
-def _box_scan(L: QuadLattice, d: int, box: int) -> list[tuple[int, ...]]:
-    """All primitive canonical-sign box vectors with dual square d (cached).
-
-    Screened with vectorized integer arithmetic via the adjugate:
-    v adj(G) v == d det(G), exact in int64 for small boxes.
-    """
-    key = (L.gram, d, box)
-    if key in _BOX_SCAN_CACHE:
-        return _BOX_SCAN_CACHE[key]
-    n = L.rank
-    grid = np.stack(
-        np.meshgrid(*([np.arange(-box, box + 1, dtype=np.int64)] * n), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, n)
-    adj = np.array(L.adjugate, dtype=np.int64)
-    out = []
-    for start in range(0, grid.shape[0], 1 << 20):
-        chunk = grid[start : start + (1 << 20)]
-        qv_scaled = np.einsum("vi,ij,vj->v", chunk, adj, chunk)
-        mask = qv_scaled == d * L.det
-        mask &= np.gcd.reduce(np.abs(chunk), axis=1) == 1
-        for vec in chunk[mask]:
-            vec = [int(x) for x in vec]
-            lead = next(x for x in vec if x)
-            out.append(tuple(vec) if lead > 0 else tuple(-x for x in vec))
-    result = sorted(set(out))
-    _BOX_SCAN_CACHE[key] = result
-    return result
-
-
 def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[WallForm]:
-    """Oracle: box search over |coords| <= box with the same exact filters."""
+    """Oracle: the integer vectors with |coords| <= box that pass the exact filters.
+
+    Each box point is tested, with no ellipsoid, LDL or cache: majorant radius
+    (x M x) den <= num D for M = D (dual majorant), dual square x adj x ==
+    d det, gcd 1 and a positive leading coordinate. Each prefix p of the
+    first n - 4 coordinates meets one grid of the last 4 as a block, with
+    x M x = p M p + 2 p M t + t M t; blocks are int64 while ``_exact_dtype``
+    bounds every value below 2^62, and Python ints otherwise.
+    """
     radius = ex.fr(radius)
-    dual = majorant(L, span).dual_matrix()
-    # integer filter: with M = D * dual, v.dual.v <= radius iff v.M.v * den <= num * D
-    m, scale = ex.scale_matrix_to_integers(dual)
-    bound = radius.numerator * scale
-    found = []
-    for vec in _box_scan(L, d, box):
-        val = sum(vi * sum(a * b for a, b in zip(row, vec)) for vi, row in zip(vec, m) if vi)
-        if val * radius.denominator <= bound:
-            found.append(vec)
+    m, scale = ex.scale_matrix_to_integers(majorant(L, span).dual_matrix())
+    num, den = radius.numerator, radius.denominator
+    target = d * L.det
+    weight = max(den * sum(map(abs, itertools.chain(*m))), sum(map(abs, itertools.chain(*L.adjugate))))
+    dt = _exact_dtype(box, weight, max(num * scale, abs(target)))
+    n = L.rank
+    k = max(n - 4, 0)  # prefix length
+    forms = [np.array(f, dtype=dt) for f in (m, L.adjugate)]
+    grid = np.array(list(itertools.product(range(-box, box + 1), repeat=n - k)), dtype=dt)
+    grid_quads = [_quad(grid, f[k:, k:]) for f in forms]
+    grid_gcd = np.gcd.reduce(np.abs(grid), axis=1)
+    grid_lead = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)] > 0
+    found: list[tuple[int, ...]] = []
+    for prefix in itertools.product(range(-box, box + 1), repeat=k):
+        lead = next((x for x in prefix if x), 0)
+        if lead < 0:
+            continue  # the whole block fails the leading-coordinate filter
+        p = np.array(prefix, dtype=dt)
+        qm, qa = (p @ f[:k, :k] @ p + grid @ (2 * (p @ f[:k, k:])) + t for f, t in zip(forms, grid_quads))
+        keep = (qa == target) & (qm * den <= num * scale) & (np.gcd(grid_gcd, ex.content(prefix)) == 1)
+        if lead == 0:
+            keep &= grid_lead
+        found.extend(prefix + tuple(row) for row in grid[keep].tolist())
     return [WallForm.from_coords(L, list(c)) for c in sorted(found)]
 
 

@@ -168,8 +168,8 @@ def test_is_negative_form_examples():
 
 
 def test_negative_form_sweep_agrees_with_kernel_inertia():
-    # brute sweep of primitive U3 dual vectors; is_negative_form raises on
-    # any disagreement between the dual-value sign and the kernel inertia
+    # brute sweep of primitive U3 dual vectors: the dual-value sign that
+    # is_negative_form decides agrees with the kernel inertia (3, 2)
     import itertools
 
     seen = set()
@@ -183,8 +183,26 @@ def test_negative_form_sweep_agrees_with_kernel_inertia():
         seen.add(prim)
         verdict = lat.is_negative_form(U3, list(prim))
         assert verdict == (lat.dual_value(U3, list(prim)) < 0)
+        assert verdict == (lat.kernel_signature(U3, prim) == (3, 2))
         count += 1
     assert count > 1000
+
+
+def test_negative_form_agrees_with_kernel_inertia_on_k3_sample():
+    # seeded K3 dual vectors, some with denominators, every other one inside U3 (where
+    # both signs occur): negative iff ker delta has signature (3, 18)
+    rng = random.Random(17)
+    verdicts = set()
+    for trial in range(300):
+        den = rng.choice([1, 1, 2, 3, 6])
+        support = 6 if trial % 2 else 22
+        coords = [Fraction(rng.randint(-3, 3), den) if i < support else 0 for i in range(22)]
+        if not any(coords):
+            continue
+        verdict = lat.is_negative_form(K3, coords)
+        assert verdict == (lat.kernel_signature(K3, coords) == (3, 18))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_wall_form_indivisibility():

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import llv
 from hkgeom import period as per
@@ -701,6 +703,109 @@ def test_m2_test_rings_validate():
     for ring in (CP4, SQUARE):
         ring.validate()
     assert sorted(set(SQUARE.degrees)) == [0, 2, 4, 6, 8] and SQUARE.dim == 16
+
+
+def _validate_by_triples(ring):
+    """The exhaustive check: every pair for commutativity, every basis triple for
+    associativity, the whole pairing matrix at once."""
+    n = ring.dim
+    top = 4 * ring.m
+    if any(ring.integration[i] and ring.degrees[i] != top for i in range(n)):
+        raise DomainError("integration supported off the top degree")
+    for (i, j), terms in ring._table.items():
+        for k, c in terms.items():
+            if c and ring.degrees[k] != ring.degrees[i] + ring.degrees[j]:
+                raise DomainError("structure constants break the grading")
+    for i in range(n):
+        for j in range(n):
+            sign = (-1) ** (ring.degrees[i] * ring.degrees[j])
+            if ring.cup_basis(i, j) != [sign * x for x in ring.cup_basis(j, i)]:
+                raise DomainError("graded commutativity fails")
+    basis = [[int(a == b) for b in range(n)] for a in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ij = ring.cup_basis(i, j)
+            for k in range(n):
+                lhs = ring.cup_vector(ij, basis[k])
+                rhs = ring.cup_vector(basis[i], ring.cup_basis(j, k))
+                if lhs != rhs:
+                    raise DomainError(f"associativity fails on ({i},{j},{k})")
+    pairing = [[ring.integrate(ring.cup_basis(i, j)) for j in range(n)] for i in range(n)]
+    if ex.det(ex.frmat(pairing)) == 0:
+        raise DomainError("Poincare pairing is degenerate")
+
+
+def _verdict(check, ring):
+    try:
+        check(ring)
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+def _broken_rings():
+    """One ring per refusal, each valid but for one change."""
+    k3_point = RING.dim - 1
+    cp4_products = [(i, j, k, 2 if {i, j} == {1, 3} else c) for i, j, k, c in CP4.products]
+    surface = dataclasses.replace(  # an extra degree-4 class nothing pairs with
+        _surface_type_ring(lat.hyperbolic_plane()),
+        degrees=(0, 2, 2, 4, 4),
+        integration=(0, 0, 0, 1, 0),
+    )
+    return {
+        "off-top integral": dataclasses.replace(RING, integration=(1,) + RING.integration[1:]),
+        "grading": dataclasses.replace(RING, products=RING.products + ((1, 2, 1, 1),)),
+        "commutativity": dataclasses.replace(RING, products=RING.products + ((1, 2, k3_point, 1),)),
+        "associativity": dataclasses.replace(CP4, products=tuple(cp4_products)),  # h h^3 = 2 h^4, h^2 h^2 = h^4
+        "null pairing": dataclasses.replace(CP4, integration=(0,) * 5),
+        "unpaired class": surface,
+    }
+
+
+def _mutated_rings(count, seed):
+    """CP4 and SQUARE with one constant changed, dropped, or added in both orders."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = rng.choice([CP4, SQUARE])
+        products = list(base.products)
+        i, j, k, c = products.pop(rng.randrange(len(products)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            products.append((i, j, k, c + rng.choice([-1, 1, 2])))
+        elif kind == 1:
+            a, b = rng.randrange(base.dim), rng.randrange(base.dim)
+            targets = [t for t in range(base.dim) if base.degrees[t] == base.degrees[a] + base.degrees[b]]
+            if targets:
+                t = rng.choice(targets)
+                products += [(i, j, k, c), (a, b, t, 1)] + ([(b, a, t, 1)] if a != b else [])
+        yield dataclasses.replace(base, products=tuple(products))
+
+
+def test_validate_agrees_with_the_triple_loop():
+    for ring in (RING, CP4, SQUARE):
+        assert _verdict(llv.CohomologyRing.validate, ring) is None
+        assert _verdict(_validate_by_triples, ring) is None
+    for ring in _mutated_rings(120, seed=3):
+        assert _verdict(llv.CohomologyRing.validate, ring) == _verdict(_validate_by_triples, ring)
+    verdicts = {}
+    for name, ring in _broken_rings().items():
+        verdicts[name] = _verdict(llv.CohomologyRing.validate, ring)
+        assert verdicts[name] == _verdict(_validate_by_triples, ring), name
+    assert verdicts == {
+        "off-top integral": "integration supported off the top degree",
+        "grading": "structure constants break the grading",
+        "commutativity": "graded commutativity fails",
+        "associativity": "associativity fails on (1,1,2)",
+        "null pairing": "Poincare pairing is degenerate",
+        "unpaired class": "Poincare pairing is degenerate",
+    }
+
+
+def test_rank_200_surface_type_ring_validates():
+    # the ring of the rank-200 memory test: 202 basis elements, 603 constants
+    ring = _surface_type_ring(lat.direct_sum(*[lat.hyperbolic_plane()] * 100))
+    assert (ring.dim, len(ring.products)) == (202, 603)
+    ring.validate()
 
 
 @pytest.mark.parametrize("ring", [RING, CP4], ids=["k3", "cp4"])

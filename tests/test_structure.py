@@ -161,15 +161,37 @@ def test_no_module_imports_sympy():
         assert "sympy" not in _imports(path.stem), f"{path.name} imports sympy"
 
 
+def _function_names(module: str, function: str) -> set[str]:
+    """Every name and attribute the body of a top-level function reads."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_exact_closure_oracle_stays_independent_of_the_float_path():
     # the oracle may neither call the float closure nor touch numpy
-    tree = ast.parse((PACKAGE / "llv.py").read_text(encoding="utf-8"))
-    oracle = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "lie_closure_exact"
-    )
-    names = {n.id for n in ast.walk(oracle) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(oracle) if isinstance(n, ast.Attribute)}
-    assert not {"np", "numpy", "lie_closure"} & names
+    assert not {"np", "numpy", "lie_closure"} & _function_names("llv", "lie_closure_exact")
+
+
+def test_negativity_is_one_computation():
+    # the kernel inertia is a test-side equivalence, not a runtime cross-check
+    assert "kernel_signature" not in _function_names("lattice", "is_negative_form")
+
+
+def test_brute_force_wall_oracle_stays_independent_of_the_enumerator():
+    reached = _function_names("walls", "brute_force_walls")
+    assert not {"enumerate_walls_near", "_enumerate_ellipsoid_int", "_innermost_ranges", "_dyadic_ldl"} & reached
+
+
+def test_walls_module_holds_no_cache():
+    tree = ast.parse((PACKAGE / "walls.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+        )
+        assert not is_dict, f"walls.py line {node.lineno} binds a module-level dict"
 
 
 # Every parameter with a default, per function, across the package: trailing

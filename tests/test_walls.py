@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,7 @@ def test_k3_walls_at_radius_2_are_u3_walls_and_e8_roots():
     assert len(oracle) == 3 and len(roots) == 120
     assert len(walls) == 243
     assert [w.coords for w in walls] == sorted(expected)
+    assert len(wl.WallSet(lat.k3_lattice(), tuple(walls))) == 243
 
 
 def test_k3_wall_search_past_the_point_budget_fails_fast():
@@ -307,6 +310,27 @@ def test_wallset_validation():
         wl.WallSet.from_coords(U3, [[-1, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]])
 
 
+@pytest.mark.parametrize(
+    "second",
+    [[-1, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0], ["-1/2", "1/2", 0, 0, 0, 0], ["1/3", "-1/3", 0, 0, 0, 0]],
+    ids=["same", "sign-flipped", "half", "minus-third"],
+)
+def test_wallset_refuses_proportional_walls_apart_in_the_list(second):
+    ws = [[-1, 1, 0, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, 0, 0, 0, -1, 1], second]
+    with pytest.raises(DomainError, match="proportional"):
+        wl.WallSet.from_coords(U3, ws)
+    assert len(wl.WallSet.from_coords(U3, ws[:3])) == 3
+
+
+def test_wallset_refusal_messages():
+    with pytest.raises(DomainError, match="is divisible"):
+        wl.WallSet.from_coords(U3, [[-1, 1, 0, 0, 0, 0], [2, -2, 0, 0, 0, 0]])
+    with pytest.raises(DomainError, match="is not negative"):
+        wl.WallSet.from_coords(U3, [[0, 1, 0, 0, 0, 0]])  # isotropic
+    with pytest.raises(DomainError, match="different lattice"):
+        wl.WallSet(U3, (lat.WallForm.from_coords(U2M2, [-1, 1, 0, 0, 0]),))
+
+
 def _random_definite_form(rng, n):
     """Positive definite G^T G / den + I with Fraction entries (eigenvalues >= 1)."""
     g = rng.integers(-2, 3, size=(n, n))
@@ -412,3 +436,48 @@ def test_walls_filter_in_blocks_matches_oracle_beyond_one_block():
     walls = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 16)
     oracle = wl.brute_force_walls(U3, DIAG_SPAN_U3, -4, 16, box=5)
     assert [w.coords for w in walls] == [w.coords for w in oracle]
+
+
+def _walls_by_point(L, span, d, radius, box):
+    """Every box point, one at a time, on Python ints and Fractions."""
+    dual = wl.majorant(L, span).dual_matrix()
+    radius = Fraction(radius)
+    found = []
+    for v in itertools.product(range(-box, box + 1), repeat=L.rank):
+        if not any(v) or next(x for x in v if x) < 0 or math.gcd(*v) != 1:
+            continue
+        if lat.dual_value(L, v) == d and ex.dot(ex.frvec(v), ex.mat_vec(dual, ex.frvec(v))) <= radius:
+            found.append(v)
+    return found
+
+
+@pytest.mark.parametrize(
+    "L,span,d,radius,box",
+    [(U2M2, DIAG_SPAN_U2M2, -2, 4, 2), (U2M2, DIAG_SPAN_U2M2, -4, "17/3", 2), (U2M2, DIAG_SPAN_U2M2, -6, 9, 2), (U3, DIAG_SPAN_U3, -4, 8, 2)],
+    ids=["u2m2-r4", "u2m2-r17/3", "u2m2-d6", "u3-r8"],
+)
+def test_brute_force_walls_matches_point_by_point_scan(L, span, d, radius, box):
+    expected = _walls_by_point(L, span, d, radius, box)
+    assert expected
+    assert [w.coords for w in wl.brute_force_walls(L, span, d, radius, box)] == expected
+
+
+def test_brute_force_walls_exact_past_int64():
+    # adj = [[0, 2^62, 0], [2^62, 0, 0], [0, 0, -1]] and det = 2^62: for (1, 1, 0), v adj v = 2^63
+    # wraps to -2^63 = d det in int64, although its dual square is +2; the scan takes Python ints
+    L = lat.QuadLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -(2**62)]])
+    span = [[1, 1, 0]]
+    assert lat.dual_value(L, [1, 1, 0]) == 2
+    walls = wl.brute_force_walls(L, span, -2, 8, box=3)
+    assert [w.coords for w in walls] == _walls_by_point(L, span, -2, 8, 3) == [(1, -1, 0)]
+
+
+def test_wall_census_script_agrees_on_every_row(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "wall_census.py"
+    spec = importlib.util.spec_from_file_location("wall_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    assert census.main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 18
+    assert all(row.split()[-1] == "True" for row in rows)
