@@ -127,29 +127,6 @@ class CohomologyRing:
             if len(low) != len(high) or ex.det(pairing) == 0:
                 raise DomainError("Poincare pairing is degenerate")
 
-    def cup_basis(self, i: int, j: int) -> list[int]:
-        out = [0] * self.dim
-        for k, c in self._table.get((i, j), {}).items():
-            out[k] += c
-        return out
-
-    def cup_vector(self, x, y) -> list:
-        """Cup product of coefficient vectors, exact for int/Fraction input.
-
-        The cost is linear in the number of stored structure constants.
-        """
-        out = [0] * self.dim
-        for (i, j), terms in self._table.items():
-            xy = x[i] * y[j]
-            if not xy:
-                continue
-            for k, c in terms.items():
-                out[k] += xy * c
-        return out
-
-    def integrate(self, x) -> int | Fraction:
-        return sum(xi * w for xi, w in zip(x, self.integration))
-
     @cached_property
     def _lattice_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (a, k, j) and float values c of the constants e_idx e_j = c e_k, idx the a-th lattice class."""

@@ -13,7 +13,7 @@ Floating point with configurable tolerances; all randomness is seeded.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +43,39 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: no copy, so its memory layout (and every product of it) is kept."""
+    a.setflags(write=False)
+    return a
+
+
+def _norm(v: np.ndarray) -> np.float64:
+    """np.linalg.norm(v) of a float array, without its dispatch: the same sum in the same order.
+
+    ``ravel(order='K')`` is what norm does; a plain ``ravel()`` of a transposed
+    operand would visit the entries, and round the sum, in another order.
+    """
+    flat = v.ravel(order="K")
+    return np.sqrt(flat.dot(flat))
+
+
+# Thresholds that are not Tolerances fields; each is a fixed numerical guard.
+_ORIENT_DET_MIN = 1e-14  # below this the transport determinant's sign is rounding noise
+_LEAD_CUT = 1e-12  # coordinates this small are zero when picking the sign-fixing lead coordinate
+_UNIT_TOL = 1e-6  # how far q(u) may stray from 1 for conic_point's direction u
+_TRANSVERSE = 0.9  # |q-coordinate| of a frame vector along u above which it is too aligned to complete u
+_SAME_PLANE = 1e-9  # span residual under which two period planes are the same plane
+_UNION_RANK = 1e-8  # singular-value ratio under which the union of two planes has rank 3
+_LINK_MARGIN = 1e-3  # the 2-link route needs s_1 below 1 by this: its junction degenerates at s_1 = 1
+
+
+@lru_cache(maxsize=32)
+def _spectrum(L: QuadLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """eigh of the float gram and its positive and negative eigenvector blocks, once per lattice."""
+    evals, evecs = np.linalg.eigh(gram_float(L))
+    return tuple(_frozen(a) for a in (evals, evecs, evecs[:, evals > 0], evecs[:, evals < 0]))
+
+
 # -- reference plane and spin orientation ---------------------------------------
 
 
@@ -56,8 +89,7 @@ def reference_plane(L: QuadLattice) -> np.ndarray:
     """
     if L.signature[0] != 3:
         raise DomainError("reference plane needs a lattice of signature (3, n)")
-    g = gram_float(L)
-    evals, evecs = np.linalg.eigh(g)
+    evals, evecs, _, _ = _spectrum(L)
     order = np.argsort(-evals)[:3]
     rows = []
     for idx in order:
@@ -65,22 +97,27 @@ def reference_plane(L: QuadLattice) -> np.ndarray:
         if lam <= 0:
             raise DomainError("gram matrix does not have three positive eigenvalues")
         rows.append(evecs[:, idx] / np.sqrt(lam))
-    return _readonly(np.vstack(rows))
+    return _readonly(np.array(rows))
 
 
-def q_project_coords(L: QuadLattice, frame: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coordinates of the q-orthogonal projection of v onto a q-orthonormal frame."""
-    return frame @ gram_float(L) @ np.asarray(v, dtype=float)
+@lru_cache(maxsize=32)
+def _reference_image(L: QuadLattice) -> np.ndarray:
+    """reference_plane(L) @ gram_float(L), the left factor of every orientation transport."""
+    return _frozen(reference_plane(L) @ gram_float(L))
 
 
 def span_residual(L: QuadLattice, frame: np.ndarray, v) -> float:
     """Relative Euclidean residual of v against the q-span of the frame."""
+    return _span_residual(frame, frame @ gram_float(L), v)
+
+
+def _span_residual(frame: np.ndarray, frame_g: np.ndarray, v) -> float:
+    """span_residual given the frame's G-image ``frame @ gram``; the same bits."""
     v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
+    nv = _norm(v)
     if nv == 0:
         return 0.0
-    coords = q_project_coords(L, frame, v)
-    return float(np.linalg.norm(v - coords @ frame) / nv)
+    return float(_norm(v - (frame_g @ v) @ frame) / nv)
 
 
 def orientation_flag(L: QuadLattice, frame: np.ndarray) -> int:
@@ -90,10 +127,8 @@ def orientation_flag(L: QuadLattice, frame: np.ndarray) -> int:
     q-positive inside the negative definite complement of the reference plane),
     so the determinant is bounded away from zero and the sign is well defined.
     """
-    ref = reference_plane(L)
-    m = ref @ gram_float(L) @ frame.T
-    d = float(np.linalg.det(m))
-    if abs(d) < 1e-14:
+    d = float(np.linalg.det(_reference_image(L) @ frame.T))
+    if abs(d) < _ORIENT_DET_MIN:
         raise NumericalError("orientation transport determinant is numerically zero")
     return 1 if d > 0 else -1
 
@@ -114,12 +149,13 @@ def orthonormal_pair(L: QuadLattice, a, b, tol: Tolerances = DEFAULT_TOL) -> tup
     """q-Gram-Schmidt of (a, b); requires the span to be q-positive."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    qa = qform(L, a)
+    g = gram_float(L)
+    qa = float(a @ g @ a)
     if qa <= tol.pos * float(a @ a):
         raise DomainError("first vector is not q-positive")
     a1 = a / np.sqrt(qa)
-    b1 = b - bform(L, b, a1) * a1
-    qb = qform(L, b1)
+    b1 = b - float(b @ g @ a1) * a1
+    qb = float(b1 @ g @ b1)
     if qb <= tol.pos * float(b1 @ b1):
         raise DomainError("pair does not span a positive 2-plane")
     return a1, b1 / np.sqrt(qb)
@@ -135,22 +171,48 @@ class PeriodPoint:
     """Normalized representative of an h_q-positive isotropic line [a + i b].
 
     Invariants: q(a) = q(b) = 1, b(a, b) = 0, and the first coordinate of a
-    that is nonzero beyond working precision is positive.
+    that is nonzero beyond working precision is positive. The arrays are
+    read-only (a writable one is stored as a read-only copy), so the frame
+    and its G-image can be cached on the point.
     """
 
     lattice: QuadLattice
     re: np.ndarray
     im: np.ndarray
 
+    def __post_init__(self):
+        for name in ("re", "im"):
+            _hold_readonly(self, name)
+
     @property
     def sigma(self) -> np.ndarray:
         return self.re + 1j * self.im
 
     def plane_frame(self) -> np.ndarray:
-        return np.vstack([self.re, self.im])
+        """The 2 x rank frame (Re sigma, Im sigma), read-only."""
+        return self._frame
+
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        return _frozen(np.array([self.re, self.im]))
+
+    @cached_property
+    def _frame_g(self) -> np.ndarray:
+        return _frozen(self._frame @ gram_float(self.lattice))
+
+    @cached_property
+    def _frame_norm(self) -> np.float64:
+        return _norm(self._frame)
 
     def conjugate(self) -> "PeriodPoint":
-        return PeriodPoint(self.lattice, self.re, _readonly(-self.im))
+        return PeriodPoint(self.lattice, self.re, -self.im)
+
+
+def _hold_readonly(obj, name: str) -> None:
+    """Replace a writable array field of a frozen dataclass by a read-only copy."""
+    a = getattr(obj, name)
+    if not isinstance(a, np.ndarray) or a.flags.writeable:
+        object.__setattr__(obj, name, _readonly(a))
 
 
 def period_point(L: QuadLattice, re, im, tol: Tolerances = DEFAULT_TOL) -> PeriodPoint:
@@ -165,17 +227,19 @@ def period_point(L: QuadLattice, re, im, tol: Tolerances = DEFAULT_TOL) -> Perio
     b = np.asarray(im, dtype=float)
     if a.shape != (L.rank,) or b.shape != (L.rank,):
         raise DomainError("period vector has wrong length")
-    qa, qb, ab = qform(L, a), qform(L, b), bform(L, a, b)
+    g = gram_float(L)
+    ag = a @ g
+    qa, qb, ab = float(ag @ a), float(b @ g @ b), float(ag @ b)
     h = qa + qb
     if h <= 0:
         raise DomainError("h_q(sigma, sigma) must be positive")
     if abs(qa - qb) > tol.iso * h or abs(2 * ab) > tol.iso * h:
         raise DomainError("q(sigma, sigma) = 0 fails beyond the isotropy tolerance")
     a1, b1 = orthonormal_pair(L, a, b, tol)
-    lead = next((i for i in range(L.rank) if abs(a1[i]) > 1e-12), None)
+    lead = next((i for i in range(L.rank) if abs(a1[i]) > _LEAD_CUT), None)
     if lead is not None and a1[lead] < 0:
         a1, b1 = -a1, -b1
-    return PeriodPoint(L, _readonly(a1), _readonly(b1))
+    return PeriodPoint(L, _frozen(a1), _frozen(b1))
 
 
 def point_to_plane(z: PeriodPoint) -> OrientedTwoPlane:
@@ -199,10 +263,10 @@ def same_period_point(z1: PeriodPoint, z2: PeriodPoint) -> bool:
     """
     if z1.lattice != z2.lattice:
         return False
-    f1, f2 = z1.plane_frame(), z2.plane_frame()
-    m = f1 @ gram_float(z1.lattice) @ f2.T
-    res = np.linalg.norm(m.T @ f1 - f2)
-    return res < _POINT_TOL * max(np.linalg.norm(f1), np.linalg.norm(f2)) and np.linalg.det(m) > 0
+    f1, f2 = z1._frame, z2._frame
+    m = z1._frame_g @ f2.T
+    res = _norm(m.T @ f1 - f2)
+    return res < _POINT_TOL * max(z1._frame_norm, z2._frame_norm) and np.linalg.det(m) > 0
 
 
 # -- positive 3-planes -----------------------------------------------------------
@@ -214,12 +278,19 @@ class PositiveThreePlane:
 
     ``spin_positive`` records whether the frame orientation agrees with the
     orientation transported from the reference plane; it is always computed,
-    never stored arbitrarily.
+    never stored arbitrarily. The frame is read-only, as on PeriodPoint.
     """
 
     lattice: QuadLattice
     frame: np.ndarray  # 3 x rank, q-orthonormal rows
     spin_positive: bool
+
+    def __post_init__(self):
+        _hold_readonly(self, "frame")
+
+    @cached_property
+    def _frame_g(self) -> np.ndarray:
+        return _frozen(self.frame @ gram_float(self.lattice))
 
 
 def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -> PositiveThreePlane:
@@ -234,11 +305,11 @@ def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -
     g = gram_float(L)
     normalized = []
     for v in vs:
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv == 0:
             raise DomainError("zero vector in span")
         normalized.append(v / nv)
-    unit = np.vstack(normalized)
+    unit = np.array(normalized)
     gram3 = unit @ g @ unit.T
     mineig = float(np.linalg.eigvalsh(gram3)[0])
     if mineig <= tol.pos:
@@ -256,9 +327,8 @@ def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -
                 f"span is numerically degenerate (residual q-norm {qw:.3e})"
             )
         rows.append(w / np.sqrt(qw))
-    frame = np.vstack(rows)
-    flag = orientation_flag(L, frame)
-    return PositiveThreePlane(L, _readonly(frame), flag > 0)
+    frame = _frozen(np.array(rows))
+    return PositiveThreePlane(L, frame, orientation_flag(L, frame) > 0)
 
 
 def positive_cone_contains(z: PeriodPoint, c, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -270,7 +340,7 @@ def positive_cone_contains(z: PeriodPoint, c, tol: Tolerances = DEFAULT_TOL) -> 
     """
     L = z.lattice
     c = np.asarray(c, dtype=float)
-    nc = np.linalg.norm(c)
+    nc = _norm(c)
     if nc == 0:
         raise DomainError("zero vector")
     chat = c / nc
@@ -280,7 +350,7 @@ def positive_cone_contains(z: PeriodPoint, c, tol: Tolerances = DEFAULT_TOL) -> 
     if qc <= 0:
         return False
     c1 = c / np.sqrt(qc)
-    frame = np.vstack([z.re, z.im, c1])
+    frame = np.array([z.re, z.im, c1])
     return orientation_flag(L, frame) > 0
 
 
@@ -292,7 +362,7 @@ def twistor_plane(z: PeriodPoint, ell, tol: Tolerances = DEFAULT_TOL) -> Positiv
     """
     L = z.lattice
     ell = np.asarray(ell, dtype=float)
-    nl = np.linalg.norm(ell)
+    nl = _norm(ell)
     if nl == 0:
         raise DomainError("zero vector")
     lhat = ell / nl
@@ -306,8 +376,8 @@ def twistor_plane(z: PeriodPoint, ell, tol: Tolerances = DEFAULT_TOL) -> Positiv
 def conic_contains(P: PositiveThreePlane, z: PeriodPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the period plane of z lies inside P (both Re and Im sigma)."""
     return (
-        span_residual(P.lattice, P.frame, z.re) < tol.orth
-        and span_residual(P.lattice, P.frame, z.im) < tol.orth
+        _span_residual(P.frame, P._frame_g, z.re) < tol.orth
+        and _span_residual(P.frame, P._frame_g, z.im) < tol.orth
     )
 
 
@@ -320,7 +390,7 @@ def conic_point(
 
     Completes u to an oriented q-orthonormal frame (u, v, w) of P and returns
     [v + i w]. The completion picks the two frame vectors least aligned with
-    u (threshold 0.9) in index order and Gram-Schmidts them, then flips the
+    u (``_TRANSVERSE``) in index order and Gram-Schmidts them, then flips the
     last vector if needed to preserve the frame orientation of P. Any other
     completion differs by a rotation of (v, w) and gives the same line, so
     the point does not depend on the completion.
@@ -329,22 +399,22 @@ def conic_point(
     u = np.asarray(u, dtype=float)
     if u.shape != (L.rank,):
         raise DomainError(f"u must have length {L.rank}")
-    if abs(qform(L, u) - 1.0) > 1e-6:
+    if abs(qform(L, u) - 1) > _UNIT_TOL:
         raise DomainError("u must be a q-unit vector")
-    if span_residual(L, P.frame, u) > tol.orth:
+    if _span_residual(P.frame, P._frame_g, u) > tol.orth:
         raise DomainError("u does not lie in the 3-plane")
-    g = gram_float(L)
-    coords = P.frame @ g @ u
-    picked = [i for i in range(3) if abs(coords[i]) <= 0.9][:2]
+    coords = P._frame_g @ u
+    picked = [i for i in range(3) if abs(coords[i]) <= _TRANSVERSE][:2]
     if len(picked) < 2:
         raise NumericalError("frame completion failed to find two transverse vectors")
     j, k = picked
     v = P.frame[j] - coords[j] * u
     v = v / np.sqrt(qform(L, v))
-    w = P.frame[k] - (P.frame[k] @ g @ u) * u - (P.frame[k] @ g @ v) * v
+    kg = P.frame[k] @ gram_float(L)
+    w = P.frame[k] - (kg @ u) * u - (kg @ v) * v
     w = w / np.sqrt(qform(L, w))
     # orientation of (u, v, w) as a frame of P, relative to P's own frame
-    m = np.array([P.frame @ g @ x for x in (u, v, w)])
+    m = np.array([P._frame_g @ x for x in (u, v, w)])
     if float(np.linalg.det(m)) < 0:
         w = -w
     return period_point(L, v, w, tol)
@@ -380,10 +450,9 @@ def verify_chain(
     test on the raw frame), every entry/exit lies on its conic, consecutive
     links share their junction point, and the endpoints match.
     """
-    g = gram_float(source.lattice)
     prev = source
     for link in chain.links:
-        gram3 = link.plane.frame @ g @ link.plane.frame.T
+        gram3 = link.plane._frame_g @ link.plane.frame.T
         mineig = float(np.linalg.eigvalsh(gram3)[0])
         if mineig <= tol.pos:
             raise NumericalError(f"chain plane fails positivity ({mineig:.3e})")
@@ -409,8 +478,9 @@ def _complement(g: np.ndarray, rows: np.ndarray, drop=()) -> tuple[np.ndarray, n
     """
     _, _, vt = np.linalg.svd(rows @ g)
     basis = vt[len(rows):]
-    pairings = basis @ g @ np.reshape(drop, (-1, len(g))).T
-    evals, evecs = np.linalg.eigh(basis @ g @ basis.T - pairings @ pairings.T)
+    basis_g = basis @ g
+    pairings = basis_g @ np.reshape(drop, (-1, len(g))).T
+    evals, evecs = np.linalg.eigh(basis_g @ basis.T - pairings @ pairings.T)
     return basis, evals, evecs
 
 
@@ -443,7 +513,7 @@ def chain_connect(z: PeriodPoint, target: PeriodPoint, tol: Tolerances = DEFAULT
     - Same point: no link. Same plane, other orientation: one link on P + c,
       with c the top positive direction of P^perp.
     - P + Q a positive 3-space: one link on P + Q.
-    - Positive index 3 (s_1 < 1 - 1e-3): the positive x_1 in P^perp and
+    - Positive index 3 (s_1 < 1 - ``_LINK_MARGIN``): the positive x_1 in P^perp and
       y_1 = p_1 - s_1 q_1 in Q^perp give two links P -> R -> Q on P + x_1
       and Q + y_1, where R = (P + x_1) cap (Q + y_1) = span(p_1, q_1).
     - Otherwise (positive index 2, a degenerate union, or s_1 near 1) three
@@ -477,14 +547,14 @@ def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances) -> list[C
         return []
     L = z.lattice
     g = gram_float(L)
-    fa, fb = z.plane_frame(), target.plane_frame()
-    if span_residual(L, fa, fb[0]) < 1e-9 and span_residual(L, fa, fb[1]) < 1e-9:
+    fa, fb = z._frame, target._frame
+    if all(_span_residual(fa, z._frame_g, v) < _SAME_PLANE for v in fb):
         # same underlying plane, different orientation or rotation: one conic
         ell = _perp_positive_direction(g, fa)
         return [ChainLink(orient_three_plane(L, [z.re, z.im, ell], tol), z, target)]
-    union = np.vstack([fa, fb])
+    union = np.concatenate([fa, fb])
     svals = np.linalg.svd(union, compute_uv=False)
-    if svals[3] < 1e-8 * svals[0]:
+    if svals[3] < _UNION_RANK * svals[0]:
         # union spans a 3-space; positive union gives a single link
         try:
             plane = orient_three_plane(L, list(_span_basis(union, 3)), tol)
@@ -492,16 +562,16 @@ def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances) -> list[C
                 return [ChainLink(plane, z, target)]
         except DomainError:
             pass  # shared line but indefinite or degenerate union: the routes below
-    left, s, right = np.linalg.svd(fb @ g @ fa.T)
+    left, s, right = np.linalg.svd(target._frame_g @ fa.T)
     (p0, p1), (q0, q1) = right @ fa, left.T @ fb
     x0, x1, y1 = q0 - s[0] * p0, q1 - s[1] * p1, p1 - s[1] * q1
     # near s_1 = 1 the junction span(p1, q1) is nearly degenerate, so there
     # the 3-link route, which needs only s_1 > 0, takes over
-    if s[1] < 1 - 1e-3:
+    if s[1] < 1 - _LINK_MARGIN:
         planes = [orient_three_plane(L, [*fa, x1], tol), orient_three_plane(L, [*fb, y1], tol)]
         mid = _junction(planes, *orthonormal_pair(L, p1, x1, tol), tol)
         return [ChainLink(planes[0], z, mid), ChainLink(planes[1], mid, target)]
-    c = _perp_positive_direction(g, np.vstack([p0, q1]), drop=[x0, y1])
+    c = _perp_positive_direction(g, np.array([p0, q1]), drop=[x0, y1])
     planes = [orient_three_plane(L, vs, tol) for vs in ([*fa, c], [c, p0, q1], [*fb, c])]
     w1 = _junction(planes[:2], c, p0, tol)
     w2 = _junction(planes[1:], c, q1, tol)
@@ -536,10 +606,7 @@ def sample_period_point(L: QuadLattice, seed: int, tol: Tolerances = DEFAULT_TOL
     if L.signature[0] != 3:
         raise DomainError("sampling needs a lattice of signature (3, n)")
     rng = np.random.default_rng(seed)
-    g = gram_float(L)
-    evals, evecs = np.linalg.eigh(g)
-    pos = evecs[:, evals > 0]
-    neg = evecs[:, evals < 0]
+    _, _, pos, neg = _spectrum(L)
     a_pos = pos @ rng.standard_normal(pos.shape[1])
     b_pos = pos @ rng.standard_normal(pos.shape[1])
     a_neg = neg @ rng.standard_normal(neg.shape[1]) if neg.shape[1] else 0.0

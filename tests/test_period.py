@@ -1,5 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +518,136 @@ def test_sampled_line_feeds_twistor_plane():
     ell = per.sample_irrational_line(z, height=50, relation_tol=1e-9, seed=7)
     p = per.twistor_plane(z, ell)
     assert per.conic_contains(p, z)
+
+
+# -- cached derived arrays and read-only period objects --------------------------------
+
+
+def test_period_objects_hold_read_only_arrays():
+    z = per.sample_period_point(U3, 3)
+    plane = per.orient_three_plane(U3, [E1F1, E2F2, E3F3])
+    src = z.re + 0.0
+    built = per.PeriodPoint(U3, src, [float(x) for x in z.im])  # writable and list inputs
+    replaced = dataclasses.replace(plane, frame=plane.frame[[1, 0, 2]])  # a fancy-indexed copy
+    arrays = [z.re, z.im, z.plane_frame(), built.re, built.im, built.plane_frame(), plane.frame, replaced.frame]
+    arrays += [z.conjugate().im, per.point_to_plane(z).a]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # a writable input is stored as a copy, so writing to it later moves nothing
+    src[0] += 1.0
+    assert built.re[0] == z.re[0] and per.same_period_point(built, z)
+    # arrays that are already read-only are kept as they are
+    assert per.PeriodPoint(U3, z.re, z.im).re is z.re
+
+
+def test_norm_kernel_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((3, 22))
+    cases = [m[0], m, m.T, m[:, ::3], m.T[::2], 1e-160 * m, 1e150 * m.T, np.zeros(22), np.zeros((2, 5))]
+    for a in cases:
+        want = np.linalg.norm(a)
+        got = per._norm(a)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_spectrum_is_computed_once_per_lattice(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+    for cache in (per._spectrum, per.reference_plane, per._reference_image):
+        cache.cache_clear()
+    for seed in range(50):
+        per.sample_period_point(K3, seed)
+    per.reference_plane(K3)
+    assert calls == [(22, 22)]
+
+
+def _uncached_span_residual(L, frame, v):
+    """span_residual as the uncached expressions: the frame's G-image rebuilt on every call."""
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v)
+    if nv == 0:
+        return 0.0
+    return float(np.linalg.norm(v - (frame @ per.gram_float(L) @ v) @ frame) / nv)
+
+
+def _uncached_same_point(z1, z2):
+    f1, f2 = np.vstack([z1.re, z1.im]), np.vstack([z2.re, z2.im])
+    m = f1 @ per.gram_float(z1.lattice) @ f2.T
+    res = np.linalg.norm(m.T @ f1 - f2)
+    return bool(res < per._POINT_TOL * max(np.linalg.norm(f1), np.linalg.norm(f2)) and np.linalg.det(m) > 0)
+
+
+def _uncached_orientation_det(L, frame):
+    return float(np.linalg.det(per.reference_plane(L) @ per.gram_float(L) @ frame.T))
+
+
+def _uncached_verify(chain, source, target, tol):
+    """verify_chain's checks on the uncached expressions: the failure message, or None."""
+    g = per.gram_float(source.lattice)
+    prev = source
+    for link in chain.links:
+        mineig = float(np.linalg.eigvalsh(link.plane.frame @ g @ link.plane.frame.T)[0])
+        if mineig <= tol.pos:
+            return f"chain plane fails positivity ({mineig:.3e})"
+        for end, where in ((link.entry, "entry"), (link.exit, "exit")):
+            if not all(_uncached_span_residual(source.lattice, link.plane.frame, v) < tol.orth for v in (end.re, end.im)):
+                return f"chain {where} point is off its conic"
+        if not _uncached_same_point(prev, link.entry):
+            return "chain links do not share junction points"
+        prev = link.exit
+    return None if _uncached_same_point(prev, target) else "chain does not end at the target"
+
+
+def _verdict(chain, source, target, tol):
+    try:
+        per.verify_chain(chain, source, target, tol)
+    except NumericalError as err:
+        return str(err)
+    return None
+
+
+def test_cached_predicates_agree_with_the_uncached_expressions():
+    tight = DEFAULT_TOL.replace(orth=1e-15)  # fails some conic checks, so both verdicts occur
+    verdicts = set()
+    for lattice in (K3, U3):
+        for s in range(100):
+            z1, z2, z3 = (per.sample_period_point(lattice, 3 * s + i) for i in range(3))
+            chain = per.chain_connect(z1, z2)
+            for P in [link.plane for link in chain.links]:
+                d = _uncached_orientation_det(lattice, P.frame)
+                assert float(np.linalg.det(per._reference_image(lattice) @ P.frame.T)) == d
+                assert per.orientation_flag(lattice, P.frame) == (1 if d > 0 else -1)
+                assert (P._frame_g @ P.frame.T).tobytes() == (P.frame @ per.gram_float(lattice) @ P.frame.T).tobytes()
+                for z in (z1, z2, z3, chain.links[0].exit):
+                    for v in (z.re, z.im):
+                        want = _uncached_span_residual(lattice, P.frame, v)
+                        assert per._span_residual(P.frame, P._frame_g, v) == want
+                        assert per.span_residual(lattice, P.frame, v) == want
+                    for tol in (DEFAULT_TOL, CHAIN_TOL, tight):
+                        expected = all(_uncached_span_residual(lattice, P.frame, v) < tol.orth for v in (z.re, z.im))
+                        assert per.conic_contains(P, z, tol) == expected
+            for a, b in ((z1, z2), (z1, z1), (z2, z2.conjugate()), (chain.links[-1].exit, z2)):
+                assert per.same_period_point(a, b) == _uncached_same_point(a, b)
+            for target in (z2, z3):
+                for tol in (DEFAULT_TOL, CHAIN_TOL, tight):
+                    verdict = _verdict(chain, z1, target, tol)
+                    assert verdict == _uncached_verify(chain, z1, target, tol)
+                    verdicts.add(verdict)
+    assert None in verdicts and "chain does not end at the target" in verdicts
+    assert len(verdicts) >= 3
+
+
+def test_chain_demo_connects_every_pair(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "chain_demo.py"
+    spec = importlib.util.spec_from_file_location("chain_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", ["chain_demo.py", "--pairs", "12", "--seed", "5"])
+    assert demo.main() == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^pairs connected : 12$", out, re.M)
+    counts = {int(k): int(n) for k, n in re.findall(r"^(\d+) links\s*: (\d+)$", out, re.M)}
+    assert set(counts) <= {1, 2, 3} and sum(counts.values()) == 12

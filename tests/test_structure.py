@@ -194,6 +194,19 @@ def test_walls_module_holds_no_cache():
         assert not is_dict, f"walls.py line {node.lineno} binds a module-level dict"
 
 
+def test_period_thresholds_are_named():
+    # a float compared against in period.py is a named constant or a Tolerances field, never a literal
+    tree = ast.parse((PACKAGE / "period.py").read_text(encoding="utf-8"))
+    bare = [
+        f"line {node.lineno}: {ast.unparse(operand)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        if any(isinstance(c, ast.Constant) and isinstance(c.value, float) for c in ast.walk(operand))
+    ]
+    assert not bare, bare
+
+
 # Every parameter with a default, per function, across the package: trailing
 # defaulted positional parameters and keyword-only ones with defaults. A new
 # knob, or one a change forgot to retire, fails the test by name.
