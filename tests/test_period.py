@@ -529,8 +529,8 @@ def test_period_objects_hold_read_only_arrays():
     src = z.re + 0.0
     built = per.PeriodPoint(U3, src, [float(x) for x in z.im])  # writable and list inputs
     replaced = dataclasses.replace(plane, frame=plane.frame[[1, 0, 2]])  # a fancy-indexed copy
-    arrays = [z.re, z.im, z.plane_frame(), built.re, built.im, built.plane_frame(), plane.frame, replaced.frame]
-    arrays += [z.conjugate().im, per.point_to_plane(z).a]
+    arrays = [z.re, z.im, z.plane_frame(), built.re, built.im, built.plane_frame()]
+    arrays += [plane.frame, replaced.frame, z.conjugate().im, per.point_to_plane(z).a]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
@@ -573,6 +573,10 @@ def _uncached_span_residual(L, frame, v):
     return float(np.linalg.norm(v - (frame @ per.gram_float(L) @ v) @ frame) / nv)
 
 
+def _uncached_conic_contains(P, z, tol):
+    return all(_uncached_span_residual(P.lattice, P.frame, v) < tol.orth for v in (z.re, z.im))
+
+
 def _uncached_same_point(z1, z2):
     f1, f2 = np.vstack([z1.re, z1.im]), np.vstack([z2.re, z2.im])
     m = f1 @ per.gram_float(z1.lattice) @ f2.T
@@ -593,7 +597,7 @@ def _uncached_verify(chain, source, target, tol):
         if mineig <= tol.pos:
             return f"chain plane fails positivity ({mineig:.3e})"
         for end, where in ((link.entry, "entry"), (link.exit, "exit")):
-            if not all(_uncached_span_residual(source.lattice, link.plane.frame, v) < tol.orth for v in (end.re, end.im)):
+            if not _uncached_conic_contains(link.plane, end, tol):
                 return f"chain {where} point is off its conic"
         if not _uncached_same_point(prev, link.entry):
             return "chain links do not share junction points"
@@ -620,15 +624,15 @@ def test_cached_predicates_agree_with_the_uncached_expressions():
                 d = _uncached_orientation_det(lattice, P.frame)
                 assert float(np.linalg.det(per._reference_image(lattice) @ P.frame.T)) == d
                 assert per.orientation_flag(lattice, P.frame) == (1 if d > 0 else -1)
-                assert (P._frame_g @ P.frame.T).tobytes() == (P.frame @ per.gram_float(lattice) @ P.frame.T).tobytes()
+                gram3 = P.frame @ per.gram_float(lattice) @ P.frame.T
+                assert (P._frame_g @ P.frame.T).tobytes() == gram3.tobytes()
                 for z in (z1, z2, z3, chain.links[0].exit):
                     for v in (z.re, z.im):
                         want = _uncached_span_residual(lattice, P.frame, v)
                         assert per._span_residual(P.frame, P._frame_g, v) == want
                         assert per.span_residual(lattice, P.frame, v) == want
                     for tol in (DEFAULT_TOL, CHAIN_TOL, tight):
-                        expected = all(_uncached_span_residual(lattice, P.frame, v) < tol.orth for v in (z.re, z.im))
-                        assert per.conic_contains(P, z, tol) == expected
+                        assert per.conic_contains(P, z, tol) == _uncached_conic_contains(P, z, tol)
             for a, b in ((z1, z2), (z1, z1), (z2, z2.conjugate()), (chain.links[-1].exit, z2)):
                 assert per.same_period_point(a, b) == _uncached_same_point(a, b)
             for target in (z2, z3):
