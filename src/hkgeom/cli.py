@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> RunConfig:
+    """The leaf's settings: its config file (--config, else HKGEOM_CONFIG), then its flags.
+
+    A leaf without --config takes no setting, and reads neither.
+    """
+    if "config" not in args:
+        return RunConfig()
+    flags = vars(args)
     tol = DEFAULT_TOL
     seed = None
     path = args.config or os.environ.get(CONFIG_ENV)
@@ -55,11 +62,10 @@ def _load_config(args) -> RunConfig:
         tol = tol.replace(**{k: float(v) for k, v in overrides.items()})
         seed = data.get("seed", seed)
     for name in TOL_NAMES:
-        flag = getattr(args, f"tol_{name}")
-        if flag is not None:
-            tol = tol.replace(**{name: flag})
-    if args.seed is not None:
-        seed = args.seed
+        if flags.get(f"tol_{name}") is not None:
+            tol = tol.replace(**{name: flags[f"tol_{name}"]})
+    if flags.get("seed") is not None:
+        seed = flags["seed"]
     return RunConfig(tol=tol, seed=seed)
 
 
@@ -79,12 +85,6 @@ def _read_payload(args) -> dict:
 
 def _payload_lattice(payload) -> QuadLattice:
     return ser.decode_lattice(payload.get("lattice", payload))
-
-
-def _require_seed(cfg: RunConfig) -> int:
-    if cfg.seed is None:
-        raise DomainError("sampling commands require an explicit --seed")
-    return cfg.seed
 
 
 # -- handlers -------------------------------------------------------------------
@@ -170,7 +170,9 @@ def _h_period_sample(payload, args, cfg):
     from . import period as per
 
     L = _payload_lattice(payload)
-    seed = _require_seed(cfg)
+    if cfg.seed is None:
+        raise DomainError("sampling commands require an explicit --seed")
+    seed = cfg.seed
     z = per.sample_period_point(L, seed, cfg.tol)
     result = {"point": ser.encode_period_point(z)}
     if args.line:
@@ -288,7 +290,7 @@ def _h_walls_avoid(payload, args, cfg):
     span = ser.decode_lattice_rows(L, payload["span"], "span")
     plane = per.orient_three_plane(L, span, cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
-    report = wl.wall_avoidance(plane, walls, tau=cfg.tol.wall)
+    report = wl.wall_avoidance(plane, walls, cfg.tol)
     return {
         "avoided": report.avoided,
         "min_restriction_norm": report.min_restriction_norm
@@ -306,7 +308,7 @@ def _h_walls_chamber(payload, args, cfg):
     walls = ser.decode_wallset(L, payload["walls"])
     vec = ser.decode_lattice_vector(L, payload["vector"])
     contains = wl.kahler_chamber_contains(z, walls, vec, cfg.tol)
-    relevant = wl.relevant_walls(z, walls, tau=cfg.tol.wall)
+    relevant = wl.relevant_walls(z, walls, cfg.tol)
     return {
         "contains": contains,
         "relevant_walls": [ser.encode_wall(w) for w in relevant],
@@ -354,11 +356,11 @@ def _h_llv_closure(payload, args, cfg):
     if not isinstance(full, bool):
         raise DomainError(f"full must be true or false, got {full!r}")
     if full:
-        closure = llv.full_llv_closure(ring, tau=cfg.tol.lie)
+        closure = llv.full_llv_closure(ring, cfg.tol)
     else:
         span = ser.decode_lattice_rows(ring.lattice, payload["span"], "span")
         plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
-        closure = llv.so5_closure(ring, plane, tau=cfg.tol.lie)
+        closure = llv.so5_closure(ring, plane, cfg.tol)
     return {
         "dimension": closure.dimension,
         "by_degree": {str(d): n for d, n in closure.by_degree.items()},
@@ -393,7 +395,7 @@ def _h_llv_deligne(payload, args, cfg):
     ring = ser.decode_ring(payload["ring"])
     span = ser.decode_lattice_rows(ring.lattice, payload["span"], "span")
     plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
-    closure = llv.so5_closure(ring, plane, tau=cfg.tol.lie)
+    closure = llv.so5_closure(ring, plane, cfg.tol)
     z = ser.decode_period_point(ring.lattice, payload["point"], cfg.tol)
     x = llv.deligne_generator(closure, z)
     spec = llv.weight_spectrum(ring, x)
@@ -451,7 +453,16 @@ def _h_cech_cohomology(payload, args, cfg):
     return {"degree": degree, "factors": list(factors)}, {}
 
 
-# Relation searches read these two; every other leaf takes only the common flags.
+# The settings a leaf reads, as flags. A leaf whose handler reads cfg.tol takes
+# --config and every --tol-* flag; one that reads cfg.seed takes --seed and
+# --config; any other takes neither, and reads no config file.
+_SEED = ("--seed", {"type": int, "default": None})
+_CONFIG = ("--config", {"default": None, "help": "config JSON path"})
+_TOL = (
+    _CONFIG,
+    *((f"--tol-{name}", {"dest": f"tol_{name}", "type": float, "default": None}) for name in TOL_NAMES),
+)
+# Relation searches read these two.
 _SEARCH_FLAGS = (
     ("--height", {"type": int, "default": 100, "help": "height bound for relation searches"}),
     (
@@ -460,7 +471,7 @@ _SEARCH_FLAGS = (
     ),
 )
 
-# group -> op -> (handler, the leaf's own flags): the one table of the CLI.
+# group -> op -> (handler, the flags it takes besides -i): the one table of the CLI.
 LEAVES = {
     "lattice": {
         "signature": (_h_lattice_signature, ()),
@@ -469,34 +480,37 @@ LEAVES = {
         "spinor": (_h_lattice_spinor, ()),
     },
     "period": {
-        "validate": (_h_period_validate, ()),
-        "convert": (_h_period_convert, ()),
-        "cone": (_h_period_cone, ()),
-        "sample": (_h_period_sample, (("--line", {"action": "store_true"}), *_SEARCH_FLAGS)),
+        "validate": (_h_period_validate, _TOL),
+        "convert": (_h_period_convert, _TOL),
+        "cone": (_h_period_cone, _TOL),
+        "sample": (
+            _h_period_sample,
+            (_SEED, *_TOL, ("--line", {"action": "store_true"}), *_SEARCH_FLAGS),
+        ),
     },
     "twistor": {
-        "plane": (_h_twistor_plane, ()),
-        "point": (_h_twistor_point, ()),
-        "chain": (_h_twistor_chain, ()),
+        "plane": (_h_twistor_plane, _TOL),
+        "point": (_h_twistor_point, _TOL),
+        "chain": (_h_twistor_chain, _TOL),
     },
     "irrational": {
         "closure": (_h_irrational_closure, _SEARCH_FLAGS),
         "test": (_h_irrational_test, _SEARCH_FLAGS),
-        "picard": (_h_irrational_picard, _SEARCH_FLAGS),
+        "picard": (_h_irrational_picard, (*_TOL, *_SEARCH_FLAGS)),
     },
     "walls": {
         "enum": (_h_walls_enum, ()),
-        "avoid": (_h_walls_avoid, ()),
-        "chamber": (_h_walls_chamber, ()),
+        "avoid": (_h_walls_avoid, _TOL),
+        "chamber": (_h_walls_chamber, _TOL),
         "ueps": (_h_walls_ueps, ()),
     },
     "llv": {
         "e": (_h_llv_e, ()),
         "f": (_h_llv_f, ()),
-        "closure": (_h_llv_closure, ()),
-        "fujiki": (_h_llv_fujiki, ()),
-        "hodge": (_h_llv_hodge, ()),
-        "deligne": (_h_llv_deligne, ()),
+        "closure": (_h_llv_closure, _TOL),
+        "fujiki": (_h_llv_fujiki, (_SEED, _CONFIG)),
+        "hodge": (_h_llv_hodge, _TOL),
+        "deligne": (_h_llv_deligne, _TOL),
     },
     "cech": {
         "d": (_h_cech_d, ()),
@@ -527,12 +541,7 @@ def _build_parser(argv: list[str]) -> _Parser:
             leaf = sub.add_parser(op)
             if dispatched != [group, op]:
                 continue
-            # every leaf takes these: the input and the values a config file can also set
             leaf.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
-            leaf.add_argument("--seed", type=int, default=None)
-            leaf.add_argument("--config", default=None, help="config JSON path")
-            for name in TOL_NAMES:
-                leaf.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
             for flag, options in flags:
                 leaf.add_argument(flag, **options)
             leaf.set_defaults(handler=handler)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exactlin as ex
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, HardLefschetzError, NumericalError
 from .lattice import QuadLattice, k3_lattice
 from .period import (
@@ -289,7 +289,7 @@ def _lefschetz_f(e: GradedOperator) -> GradedOperator:
             r_mat = np.hstack([r_mat, np.zeros((len(lo), prim.shape[1]))])
         f_mat[lo[:, None], hi] = np.linalg.lstsq(b_mat.T, r_mat.T, rcond=None)[0].T
     residual = np.linalg.norm(e_op @ f_mat - f_mat @ e_op + h_op)
-    scale = max(np.linalg.norm(h_op), 1.0)
+    scale = max(np.linalg.norm(h_op), 1)
     if residual > _F_SOLVE_TOL * scale:
         raise HardLefschetzError(
             f"hard Lefschetz fails for this class (residual {residual:.3e})"
@@ -300,7 +300,7 @@ def _lefschetz_f(e: GradedOperator) -> GradedOperator:
 def _kernel(a: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning ker a, the rank taken at numpy's matrix_rank tolerance."""
     _, s, vt = np.linalg.svd(a)
-    rank = int((s > s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps).sum())
+    rank = int((s > s.max(initial=0) * max(a.shape) * np.finfo(float).eps).sum())
     return vt[rank:].T
 
 
@@ -354,7 +354,7 @@ _RESIDUAL_SEED = 0
 _SWEEP_CHUNK = 32
 
 
-def lie_closure(generators, tau: float | None = None) -> LieClosure:
+def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     """Close a family of graded operators under the bracket, numerically.
 
     Works in support coordinates: an operator of degree shift d is the row of
@@ -366,39 +366,42 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
     brackets, each bracket is gathered to its target degree's support, and
     ``LieClosure.elements`` is built from the stacks at return.
 
-    The zero rule is scale-aware: a bracket counts as zero when
-    |[x, y]| <= tau |x| |y|, and the worklist's operands have unit norm, so
-    when its norm is at most tau (a generator is dropped only when it is 0).
-    A nonzero bracket joins the basis when its residual after projection,
-    relative to its norm, exceeds tau. The worklist brackets each element
-    only against the generators: the algebra generated by S is spanned by
-    the right-normed brackets [s1, [s2, ..., sk]] (de Graaf, *Lie Algebras:
-    Theory and Algorithms*, 2000, ch. 1), so a span that contains S and is
-    closed under ad(s) for every s in S is the whole algebra. Popped
-    generator p skips the generators j <= p: [g_p, g_j] is bitwise
-    -[g_j, g_p], formed and decided when g_j was popped, and [g_p, g_p] = 0.
-    Brackets are processed in deterministic FIFO order, so the result is
-    stable for a fixed input order. Raises when the dimension exceeds
-    ``_CLOSURE_CAP`` (runaway non-closure).
+    One rule decides zero and rank together, at tau = ``tol.lie``: every
+    operand has unit norm (generators are normalized as they are taken in,
+    and a zero generator is dropped), and a bracket joins its degree's basis
+    when its residual after projection onto that basis exceeds tau. A
+    bracket is never divided by its own norm, so one that nearly cancels
+    stays at the size of its operands' noise.
+
+    The worklist brackets each element only against the generators: the
+    algebra generated by S is spanned by the right-normed brackets
+    [s1, [s2, ..., sk]] (de Graaf, *Lie Algebras: Theory and Algorithms*,
+    2000, ch. 1), so a span that contains S and is closed under ad(s) for
+    every s in S is the whole algebra. Popped generator p skips the
+    generators j <= p: [g_p, g_j] is bitwise -[g_j, g_p], formed and decided
+    when g_j was popped, and [g_p, g_p] = 0. Brackets are processed in
+    deterministic FIFO order, so the result is stable for a fixed input
+    order. Raises when the dimension exceeds ``_CLOSURE_CAP`` (runaway
+    non-closure).
 
     The brackets of one popped element are screened together before the
     one-at-a-time rank decision: per target degree, one product projects
     them all, once, against the basis as it stands, and a bracket is dropped
-    when its norm or its projected residual is at most tau/2. The basis only
-    grows, so the exact residual against the larger basis the rank decision
-    would later use is never larger than the screened one. Both computed
+    when its projected residual is at most tau/2. The basis only grows, so
+    the exact residual against the larger basis the rank decision would
+    later use is never larger than the screened one. Both computed
     residuals, one pass here and two there, are within rounding of the exact
-    ones (about 1e-15 for unit vectors against a basis orthonormal to that
-    order), far below tau/2. Every dropped bracket would therefore have been
-    rejected, and the accepted basis is the one the unscreened loop builds,
-    bit for bit.
+    ones (a bracket of unit-norm operands has norm at most 2, so about
+    1e-15 against a basis orthonormal to that order), far below tau/2.
+    Every dropped bracket would therefore have been rejected, and the
+    accepted basis is the one the unscreened loop builds, bit for bit.
     """
     if not generators:
         raise DomainError("no generators")
     ring = generators[0].ring
     if any(g.ring is not ring and g.ring != ring for g in generators):
         raise DomainError("generators act on different rings")
-    tau = DEFAULT_TOL.lie if tau is None else tau
+    tau = tol.lie
     n = ring.dim
     support = ring._support
     # the first counts[d] rows of stacks[d] are the degree-d orthonormal basis;
@@ -412,11 +415,7 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
         mat[support[degree]] = row
         return mat.reshape(n, n)
 
-    def try_add(row: np.ndarray, degree: int, zero: float) -> bool:
-        norm = np.linalg.norm(row)
-        if norm <= zero:
-            return False
-        r = row / norm
+    def try_add(r: np.ndarray, degree: int) -> bool:
         k = counts.get(degree, 0)
         if k:
             q = stacks[degree][:k]
@@ -438,18 +437,18 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
 
     def screen(rows: np.ndarray, degree: int) -> np.ndarray:
         """Mask of the bracket rows that try_add might accept."""
-        norms = np.linalg.norm(rows, axis=1)
-        keep = norms > tau / 2
         k = counts.get(degree, 0)
-        if k and keep.any():
+        if k:
             q = stacks[degree][:k]
-            v = rows[keep] / norms[keep, None]
-            keep[keep] = np.linalg.norm(v - (v @ q.T) @ q, axis=1) > tau / 2
-        return keep
+            rows = rows - (rows @ q.T) @ q
+        return np.linalg.norm(rows, axis=1) > tau / 2
 
     for g in generators:
         if g.degree in support:
-            try_add(np.asarray(g.matrix, dtype=float).ravel()[support[g.degree]], g.degree, 0.0)
+            row = np.asarray(g.matrix, dtype=float).ravel()[support[g.degree]]
+            norm = np.linalg.norm(row)
+            if norm:
+                try_add(row / norm, g.degree)
     gen_count = len(order)
     gen_mats = np.array([dense(d, stacks[d][k]) for d, k in order])
     gen_degrees = np.array([d for d, _ in order], dtype=int)
@@ -476,7 +475,7 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
         live.sort(key=lambda t: t[0])
         tried += len(live)
         for _, target, r in live:
-            if try_add(r, target, tau):
+            if try_add(r, target):
                 queue.append(len(order) - 1)
     elements = tuple(GradedOperator(ring, dense(d, stacks[d][k]), degree=d) for d, k in order)
     return LieClosure(
@@ -485,7 +484,7 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
         dimension=len(order),
         by_degree=dict(sorted(counts.items())),
         residual=_residual_sweep(
-            [(op.degree, op.matrix) for op in elements], {d: stacks[d][:k] for d, k in counts.items()}, support, tau
+            [(op.degree, op.matrix) for op in elements], {d: stacks[d][:k] for d, k in counts.items()}, support
         ),
         brackets_formed=formed,
         brackets_tried=tried,
@@ -493,16 +492,16 @@ def lie_closure(generators, tau: float | None = None) -> LieClosure:
     )
 
 
-def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict, support: dict, tau: float) -> float:
-    """Worst projected residual of the brackets of sampled element pairs.
+def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict, support: dict) -> float:
+    """Largest projected residual of the brackets of sampled element pairs.
 
     All pairs when there are at most ``_RESIDUAL_SAMPLES`` of them, otherwise
     that many pairs drawn with ``_RESIDUAL_SEED``. Elements are dense unit-norm
     matrices; ``blocks[d]`` holds the orthonormal basis rows of degree d on
     the columns ``support[d]``. Pairs are taken one target degree d at a
     time, ``_SWEEP_CHUNK`` per batched product, and their brackets gathered
-    to the columns ``support[d]``; a bracket of norm at most tau is zero, the
-    closure's rule.
+    to the columns ``support[d]``. As in the closure's rule, a bracket is
+    projected as it is, never divided by its own norm.
     """
     count = len(elements)
     if count * (count - 1) // 2 <= _RESIDUAL_SAMPLES:
@@ -520,12 +519,7 @@ def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict, suppor
             chunk = pairs[s : s + _SWEEP_CHUNK]
             x = np.array([elements[a][1] for a in first[chunk]])
             y = np.array([elements[b][1] for b in second[chunk]])
-            rows = (x @ y - y @ x).reshape(len(chunk), -1)[:, support[d]]
-            norms = np.linalg.norm(rows, axis=1)
-            live = norms > tau
-            if not live.any():
-                continue
-            v = rows[live] / norms[live, None]
+            v = (x @ y - y @ x).reshape(len(chunk), -1)[:, support[d]]
             q = blocks.get(d)
             if q is not None:
                 v = v - (v @ q.T) @ q
@@ -585,16 +579,16 @@ def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[lis
     return len(elements), by_degree
 
 
-def so5_closure(ring: CohomologyRing, plane: PositiveThreePlane, tau: float | None = None) -> LieClosure:
+def so5_closure(ring: CohomologyRing, plane: PositiveThreePlane, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     """Closure of the sl2 pairs over a q-orthonormal basis of a positive 3-plane."""
     gens = []
     for eta in plane.frame:
         e = lefschetz_e(ring, eta)
         gens += [e, _lefschetz_f(e)]
-    return lie_closure(gens, tau=tau)
+    return lie_closure(gens, tol)
 
 
-def full_llv_closure(ring: CohomologyRing, tau: float | None = None) -> LieClosure:
+def full_llv_closure(ring: CohomologyRing, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     """Closure of the Lefschetz pairs over the whole degree-2 basis.
 
     e_eta enters for every basis vector; f_eta needs q(eta) != 0 (hard
@@ -618,7 +612,7 @@ def full_llv_closure(ring: CohomologyRing, tau: float | None = None) -> LieClosu
             )
             eta[partner] += 1
         gens.append(lefschetz_f(ring, eta))
-    return lie_closure(gens, tau=tau)
+    return lie_closure(gens, tol)
 
 
 def _mixed_square_nonzero(L: QuadLattice, a: int, b: int) -> bool:
@@ -709,6 +703,7 @@ def fujiki_constant(ring: CohomologyRing, samples: int | None = None, seed: int 
 
 
 _WEIGHT_SOLVE_TOL = 1e-8  # weight-operator residual, relative to its right-hand side
+_THIRD_FRAME_MIN = 1e-6  # q-square a frame row keeps off the period plane to give the third frame vector
 
 
 def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
@@ -735,7 +730,7 @@ def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
     w = None
     for row in plane_vectors.frame:
         cand = row - (row @ g @ z.re) * z.re - (row @ g @ z.im) * z.im
-        if qform(L, cand) > 1e-6:
+        if qform(L, cand) > _THIRD_FRAME_MIN:
             w = cand / np.sqrt(qform(L, cand))
             break
     if w is None:
@@ -759,7 +754,7 @@ def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
     b_sys = np.concatenate(rhs)
     sol, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
     residual = float(np.linalg.norm(a_sys @ sol - b_sys))
-    if residual > _WEIGHT_SOLVE_TOL * max(1.0, float(np.linalg.norm(b_sys))):
+    if residual > _WEIGHT_SOLVE_TOL * max(1, float(np.linalg.norm(b_sys))):
         raise NumericalError(f"weight-operator solve inconsistent (residual {residual:.3e})")
     x_mat = sum(c * mat for c, mat in zip(sol, basis))
     return GradedOperator(ring, x_mat, degree=0)
@@ -812,6 +807,10 @@ class HodgeDecomposition:
         return 1, self.h11.shape[0], 1
 
 
+_HODGE_ORTH = 1e-8  # largest h_q pairing of an H^{1,1} basis row with sigma or its conjugate
+_INERTIA_CUT = 1e-9  # |eigenvalue| of the H^{1,1} hermitian form below which its sign is undecided
+
+
 def hodge_decompose(L: QuadLattice, z: PeriodPoint) -> HodgeDecomposition:
     """Split the complexified lattice by the period point, with certificates.
 
@@ -825,12 +824,12 @@ def hodge_decompose(L: QuadLattice, z: PeriodPoint) -> HodgeDecomposition:
     pairings = np.vstack([sbar @ g, sigma @ g])  # h(x, sigma) = x^T G conj(sigma)
     _, svals, vt = np.linalg.svd(pairings)
     h11 = np.conj(vt[2:])
-    if np.abs(h11 @ pairings.T).max(initial=0.0) > 1e-8:  # columns h(row, sigma), h(row, conj sigma)
+    if np.abs(h11 @ pairings.T).max(initial=0) > _HODGE_ORTH:  # columns h(row, sigma), h(row, conj sigma)
         raise NumericalError("H^{1,1} fails h_q-orthogonality")
     herm = h11 @ g @ np.conj(h11).T
     evals = np.linalg.eigvalsh((herm + np.conj(herm).T) / 2)
-    pos = int((evals > 1e-9).sum())
-    neg = int((evals < -1e-9).sum())
+    pos = int((evals > _INERTIA_CUT).sum())
+    neg = int((evals < -_INERTIA_CUT).sum())
     if pos + neg != len(evals):
         raise NumericalError("H^{1,1} inertia is numerically ambiguous")
     expected = (1, L.rank - 3)

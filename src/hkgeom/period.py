@@ -184,6 +184,10 @@ class PeriodPoint:
         for name in ("re", "im"):
             _hold_readonly(self, name)
 
+    def __reduce__(self):
+        # copies and unpickled points are rebuilt, so they hold read-only arrays and no cache
+        return PeriodPoint, (self.lattice, self.re, self.im)
+
     @property
     def sigma(self) -> np.ndarray:
         return self.re + 1j * self.im
@@ -287,6 +291,9 @@ class PositiveThreePlane:
 
     def __post_init__(self):
         _hold_readonly(self, "frame")
+
+    def __reduce__(self):
+        return PositiveThreePlane, (self.lattice, self.frame, self.spin_positive)
 
     @cached_property
     def _frame_g(self) -> np.ndarray:

@@ -399,10 +399,9 @@ class AvoidanceReport:
 
 
 def wall_avoidance(
-    P: PositiveThreePlane, walls: WallSet, tau: float | None = None
+    P: PositiveThreePlane, walls: WallSet, tol: Tolerances = DEFAULT_TOL
 ) -> AvoidanceReport:
-    """True iff every wall restricts to P with norm above tau; reports the nearest."""
-    tau = DEFAULT_TOL.wall if tau is None else tau
+    """True iff every wall restricts to P with norm above tol.wall; reports the nearest."""
     if not walls.walls:
         return AvoidanceReport(True, None, float("inf"))
     best = None
@@ -414,17 +413,16 @@ def wall_avoidance(
         if norm < best_norm:
             best_norm = norm
             best = w
-    return AvoidanceReport(best_norm > tau, best, best_norm)
+    return AvoidanceReport(best_norm > tol.wall, best, best_norm)
 
 
-def relevant_walls(z: PeriodPoint, walls: WallSet, tau: float | None = None) -> list[WallForm]:
-    """Walls vanishing on the period plane of z: those that can cut its cone."""
-    tau = DEFAULT_TOL.wall if tau is None else tau
+def relevant_walls(z: PeriodPoint, walls: WallSet, tol: Tolerances = DEFAULT_TOL) -> list[WallForm]:
+    """Walls vanishing on the period plane of z (restriction norm below tol.wall): those that can cut its cone."""
     out = []
     for w in walls.walls:
         coords = np.array([float(c) for c in w.coords])
         restriction = z.plane_frame() @ coords
-        if float(np.linalg.norm(restriction)) < tau:
+        if float(np.linalg.norm(restriction)) < tol.wall:
             out.append(w)
     return out
 
@@ -443,7 +441,7 @@ def kahler_chamber_contains(
         return False
     karr = np.asarray(kappa, dtype=float)
     knorm = float(np.linalg.norm(karr))
-    for w in relevant_walls(z, walls, tol.wall):
+    for w in relevant_walls(z, walls, tol):
         coords = np.array([float(c) for c in w.coords])
         if float(coords @ karr) <= tol.wall * knorm:
             return False

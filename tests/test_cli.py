@@ -96,10 +96,6 @@ def _full_tree_parser():
     """The CLI parser with every leaf built in full, as ``main`` once built it on each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-i", "--input", default="-", help="JSON input path or - for stdin")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None, help="config JSON path")
-    for name in cli.TOL_NAMES:
-        common.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
     parser = cli._Parser(prog="hkgeom", description=cli.__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
     for group, ops in LEAVES.items():
@@ -121,13 +117,15 @@ USAGE_ERRORS = [
     [], ["-x"], ["bogus"], ["ll"], ["-", "llv"], ["-i", "x", "llv", "closure"], ["--", "llv", "closure"],
     ["llv"], ["llv", "bogus"], ["llv", "clos"], ["llv", "--", "closure"], ["llv", "--x", "closure", "-i", "f"],
     ["llv", "closure", "--bogus"], ["llv", "closure", "-i"], ["llv", "closure", "--", "x"],
-    ["llv", "closure", "--height", "3"], ["lattice", "signature", "--seed"], ["lattice", "signature", "--tol-lie", "abc"],
-    ["period", "sample", "--height", "x"], ["period", "sample", "--line", "3"], ["irrational", "test", "--tol", "1"],
+    ["llv", "closure", "--height", "3"], ["period", "sample", "--seed"], ["period", "validate", "--tol-lie", "abc"],
+    ["period", "sample", "--height", "x"], ["period", "sample", "--line", "3"], ["irrational", "picard", "--tol", "1"],
+    ["lattice", "signature", "--seed", "3"], ["cech", "solve", "--tol-iso", "1e-3"], ["walls", "enum", "--config", "c.json"],
+    ["llv", "e", "--tol-lie", "1e-7"], ["llv", "fujiki", "--tol-lie", "1e-7"], ["llv", "closure", "--seed", "3"],
 ]
 PARSED = [
-    ["llv", "closure"], ["llv", "closure", "-i", "job.json", "--seed", "3", "--tol-lie", "1e-7"],
+    ["llv", "closure"], ["period", "sample", "-i", "job.json", "--seed", "3", "--tol-lie", "1e-7"],
     ["period", "sample", "--line", "--height", "5"], ["irrational", "test", "--tol-rel", "1e-5"],
-    ["cech", "solve", "--config", "c.json", "-i", "-"],
+    ["llv", "fujiki", "--config", "c.json", "-i", "-"],
 ]
 
 
@@ -237,18 +235,28 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
 def test_malformed_config_is_domain_error(config, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(config))
-    code, out = run_cli(
-        ["lattice", "signature", "-i", "u3_lattice.json", "--config", str(cfgfile)], capsys
-    )
+    code, out = run_cli(["period", "validate", "-i", "cone_job_u3.json", "--config", str(cfgfile)], capsys)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "domain"
 
 
+def test_leaf_without_settings_reads_no_config(tmp_path, capsys, monkeypatch):
+    # HKGEOM_CONFIG reaches only the leaves that take --config
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text("{")
+    monkeypatch.setenv("HKGEOM_CONFIG", str(cfgfile))
+    code, out = run_cli(["lattice", "signature", "-i", "u3_lattice.json"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == [3, 3]
+    code, out = run_cli(["period", "validate", "-i", "cone_job_u3.json"], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "domain" and error["message"].startswith("cannot read config")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_non_positive_or_non_finite_tolerance_rejected(value, capsys):
-    code, out = run_cli(
-        ["lattice", "signature", "-i", "u3_lattice.json", f"--tol-iso={value}"], capsys
-    )
+    code, out = run_cli(["period", "validate", "-i", "cone_job_u3.json", f"--tol-iso={value}"], capsys)
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "domain"
@@ -372,7 +380,7 @@ def test_unreadable_input_is_domain_error(files, config, tmp_path, capsys):
     # a file that cannot be read or parsed is refused where it is read
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = ["lattice", "signature", "-i", str(tmp_path / "job.json")]
+    argv = ["period", "validate", "-i", str(tmp_path / "job.json")]
     code = main(argv + ["--config", str(tmp_path / "cfg.json")] if config else argv)
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 1 and error["type"] == "domain"
@@ -412,16 +420,25 @@ def test_irrational_picard_negative_height_exit_1(tmp_path):
         (["walls", "enum", "--square", "-4"], WALLS_JOB),
         (["walls", "ueps", "--eps", "0"], UEPS_JOB),
         (["lattice", "signature", "--height", "5", "--tol-relation", "3"], {"lattice": "U3"}),
+        (["lattice", "signature", "--seed", "3"], {"lattice": "U3"}),
+        (["cech", "solve", "--tol-iso", "1e-3"], json.loads((FIXTURES / "cech_solve_octahedron.json").read_text())),
+        (["walls", "enum", "--config", "c.json"], WALLS_JOB),
+        (["llv", "e", "--tol-lie", "1e-7"], {"ring": "k3", "eta": [1, 1] + [0] * 20}),
     ],
     ids=[
         "walls-enum-square-flag",
         "walls-enum-square-flag-beside-payload",
         "walls-ueps-eps-flag",
         "lattice-signature-search-flags",
+        "lattice-signature-seed",
+        "cech-solve-tolerance",
+        "walls-enum-config",
+        "llv-e-tolerance",
     ],
 )
 def test_data_flag_is_usage_error_exit_3(argv, payload, tmp_path):
-    # data values travel in the payload; search flags exist only where a search reads them
+    # data values travel in the payload; search flags, tolerances, the seed and
+    # the config file exist only where a handler reads them
     code, out = _run_fresh(argv, payload, tmp_path)
     assert code == 3
     assert out["error"]["type"] == "usage"

@@ -12,6 +12,7 @@ from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import llv
 from hkgeom import period as per
+from hkgeom.config import DEFAULT_TOL
 from hkgeom.errors import DomainError, HardLefschetzError, NumericalError
 
 RING = llv.k3_ring()
@@ -389,16 +390,13 @@ def _worklist_closure(generators, columns, tau=1e-8):
 
     An element of degree shift d is stored on the flat indices ``columns(d)``:
     the ring's support gives the support-coordinate path, every index the
-    dense one. Returns the elements as (degree, dense matrix) pairs.
+    dense one. Generators are normalized as they are taken in; a bracket is
+    projected as it is. Returns the elements as (degree, dense matrix) pairs.
     """
     n = generators[0].ring.dim
     stacks, elements = {}, []
 
-    def try_add(row, degree, zero):
-        norm = np.linalg.norm(row)
-        if norm <= zero:
-            return False
-        r = row / norm
+    def try_add(r, degree):
         basis = stacks.get(degree)
         if basis is not None:
             r = r - basis.T @ (basis @ r)
@@ -414,7 +412,9 @@ def _worklist_closure(generators, columns, tau=1e-8):
         return True
 
     for g in generators:
-        try_add(np.asarray(g.matrix, dtype=float).ravel()[columns(g.degree)], g.degree, 0.0)
+        row = np.asarray(g.matrix, dtype=float).ravel()[columns(g.degree)]
+        if np.linalg.norm(row):
+            try_add(row / np.linalg.norm(row), g.degree)
     gen_degrees = [d for d, _ in elements]
     gen_mats = np.array([m for _, m in elements])
     queue = list(range(len(elements)))
@@ -422,13 +422,13 @@ def _worklist_closure(generators, columns, tau=1e-8):
         deg_x, x = elements[queue.pop(0)]
         brackets = (x[None, :, :] @ gen_mats - gen_mats @ x[None, :, :]).reshape(len(gen_mats), -1)
         for bracket, deg_g in zip(brackets, gen_degrees):
-            if try_add(bracket[columns(deg_x + deg_g)], deg_x + deg_g, tau):
+            if try_add(bracket[columns(deg_x + deg_g)], deg_x + deg_g):
                 queue.append(len(elements) - 1)
     return elements
 
 
 def _per_pair_residual(elements, blocks):
-    """The residual sweep as a loop over pairs and basis rows."""
+    """The residual sweep as a loop over pairs and basis rows; brackets are projected as they are."""
     count = len(elements)
     if count * (count - 1) // 2 <= llv._RESIDUAL_SAMPLES:
         pairs = [(i, j) for i in range(count) for j in range(i)]
@@ -440,11 +440,7 @@ def _per_pair_residual(elements, blocks):
     worst = 0.0
     for i, j in pairs:
         (di, x), (dj, y) = elements[i], elements[j]
-        bracket = x @ y - y @ x
-        norm = np.linalg.norm(bracket)
-        if norm <= 1e-8:  # the closure's zero rule for unit-norm operands at tau = 1e-8
-            continue
-        v = bracket.ravel() / norm
+        v = (x @ y - y @ x).ravel()
         for u in blocks.get(di + dj, []):
             v -= (u @ v) * u
         worst = max(worst, float(np.linalg.norm(v)))
@@ -473,8 +469,8 @@ def closure_cases():
     seen = []
     real = llv.lie_closure
 
-    def capture(generators, tau=None):
-        seen.append((generators, real(generators, tau=tau)))
+    def capture(generators, tol=DEFAULT_TOL):
+        seen.append((generators, real(generators, tol)))
         return seen[-1][1]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -519,13 +515,13 @@ def _commuting_but_one_pair(count, a, b):
 
     The others are diagonal on the first two coordinates; x_a = E_23 and
     x_b = E_32 bracket to E_22 - E_33, at residual 1 against the basis
-    {E_00, E_11}.
+    {E_00, E_11, E_22}.
     """
     rng = np.random.default_rng(2)
     elements = [(0, np.diag([*rng.standard_normal(2), 0.0, 0.0])) for _ in range(count)]
     elements[a] = (0, np.eye(4)[:, [2]] @ np.eye(4)[[3]])
     elements[b] = (0, elements[a][1].T.copy())
-    return elements, {0: np.eye(16)[[0, 5]]}
+    return elements, {0: np.eye(16)[[0, 5, 10]]}
 
 
 def test_chunked_residual_sweep_matches_per_pair_loop(closure_cases):
@@ -536,18 +532,18 @@ def test_chunked_residual_sweep_matches_per_pair_loop(closure_cases):
         for d, m in elements:
             blocks.setdefault(d, []).append(m.ravel())
         assert abs(closure.residual - _per_pair_residual(elements, blocks)) <= 1e-14
-        # without the last degree-0 row the residuals spread over [0, 1], so a
+        # without the last degree-0 row the residuals spread over [0, 2], so a
         # sweep that skips or misprojects pairs moves the maximum
         blocks[0] = blocks[0][:-1]
         rows = {d: np.array(b)[:, support[d]] for d, b in blocks.items()}
-        swept = llv._residual_sweep(elements, rows, support, 1e-8)
+        swept = llv._residual_sweep(elements, rows, support)
         assert abs(swept - _per_pair_residual(elements, blocks)) <= 1e-14
     # the worst bracket is the last pair swept, so a sweep that stops short of
     # its last chunk reads 0 instead of 1; 28 elements give all 378 pairs in
     # tril order, whose last pair is (27, 26)
     whole = {0: np.arange(16)}
     elements, blocks = _commuting_but_one_pair(28, 27, 26)
-    assert llv._residual_sweep(elements, blocks, whole, 1e-8) == pytest.approx(1.0, abs=1e-15)
+    assert llv._residual_sweep(elements, blocks, whole) == pytest.approx(1.0, abs=1e-15)
     assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
     # past 400 pairs the sweep samples: put the bracket on the last sampled
     # pair that no earlier sample repeats
@@ -561,7 +557,7 @@ def test_chunked_residual_sweep_matches_per_pair_loop(closure_cases):
     else:
         raise AssertionError("no element count puts a fresh pair last")
     elements, blocks = _commuting_but_one_pair(count, int(first[-1]), int(second[-1]))
-    assert llv._residual_sweep(elements, blocks, whole, 1e-8) == pytest.approx(1.0, abs=1e-15)
+    assert llv._residual_sweep(elements, blocks, whole) == pytest.approx(1.0, abs=1e-15)
     assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -602,6 +598,21 @@ def test_bracket_noise_below_tau_opens_no_degree():
     assert llv.lie_closure([e1_moved, e2]).by_degree == {2: 2}
     closure = llv.lie_closure([e1_moved, llv.lefschetz_f(RING, E1F1), e2, llv.lefschetz_f(RING, E2F2)])
     assert closure.by_degree == {-2: 2, 0: 2, 2: 2}
+    assert closure.residual < 1e-8
+
+
+def test_nearly_cancelling_bracket_is_not_amplified(closure_cases):
+    # with the first full-closure generator moved by 1e-12 on its own block,
+    # some brackets cancel to about 1e-12; divided by their own norm they
+    # read as new directions, and the closure ran to 576
+    generators = list(closure_cases[0][0])
+    e0 = generators[0]
+    deg = np.array(RING.degrees)
+    noise = np.where(deg[:, None] == deg[None, :] + 2, np.random.default_rng(0).standard_normal((24, 24)), 0.0)
+    generators[0] = llv.GradedOperator(RING, e0.matrix + 1e-12 * noise, degree=e0.degree)
+    closure = llv.lie_closure(generators)
+    assert closure.dimension == 276
+    assert closure.by_degree == {-2: 22, 0: 232, 2: 22}
     assert closure.residual < 1e-8
 
 

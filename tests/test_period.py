@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import importlib.util
 import math
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -539,6 +541,23 @@ def test_period_objects_hold_read_only_arrays():
     assert built.re[0] == z.re[0] and per.same_period_point(built, z)
     # arrays that are already read-only are kept as they are
     assert per.PeriodPoint(U3, z.re, z.im).re is z.re
+
+
+def test_copied_and_unpickled_period_objects_are_rebuilt():
+    z = per.sample_period_point(K3, 3)
+    plane = per.orient_three_plane(U3, [E1F1, E2F2, E3F3])
+    assert per.same_period_point(z, z) and plane._frame_g.shape == (3, 6)  # fills every cache
+    assert {"_frame", "_frame_g", "_frame_norm"} <= set(vars(z)) and "_frame_g" in vars(plane)
+    for copy_of in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        w, p = copy_of(z), copy_of(plane)
+        assert not {"_frame", "_frame_g", "_frame_norm"} & set(vars(w)) and "_frame_g" not in vars(p)
+        for arr in (w.re, w.im, p.frame):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 1.0
+        assert w.lattice == z.lattice and per.same_period_point(w, z)
+        assert w.re.tobytes() == z.re.tobytes() and w.im.tobytes() == z.im.tobytes()
+        assert p.lattice == plane.lattice and p.frame.tobytes() == plane.frame.tobytes()
+        assert p.spin_positive == plane.spin_positive
 
 
 def test_norm_kernel_matches_numpy_bit_for_bit():

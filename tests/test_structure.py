@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import hkgeom
+from hkgeom import cli
+from hkgeom.config import TOL_NAMES
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "hkgeom"
@@ -194,17 +197,49 @@ def test_walls_module_holds_no_cache():
         assert not is_dict, f"walls.py line {node.lineno} binds a module-level dict"
 
 
-def test_period_thresholds_are_named():
-    # a float compared against in period.py is a named constant or a Tolerances field, never a literal
-    tree = ast.parse((PACKAGE / "period.py").read_text(encoding="utf-8"))
+def test_float_thresholds_are_named():
+    # a float compared against in src/hkgeom is a named constant or a Tolerances field, never a literal
     bare = [
-        f"line {node.lineno}: {ast.unparse(operand)}"
-        for node in ast.walk(tree)
+        f"{path.name} line {node.lineno}: {ast.unparse(operand)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Compare)
         for operand in (node.left, *node.comparators)
         if any(isinstance(c, ast.Constant) and isinstance(c.value, float) for c in ast.walk(operand))
     ]
     assert not bare, bare
+
+
+def _cfg_reads(handler: str) -> set[str]:
+    """The settings a CLI handler reads: the attributes of its ``cfg`` argument."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == handler)
+    reads = [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "cfg"]
+    uses = [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "cfg"]
+    assert len(uses) == len(reads), handler  # cfg is never handed on, so the walk sees every read
+    return {n.attr for n in reads}
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def test_each_leaf_takes_exactly_the_settings_its_handler_reads():
+    tolerances = {f"--tol-{name}" for name in TOL_NAMES}
+    total = 0
+    for group, ops in cli.LEAVES.items():
+        for op, (handler, _) in ops.items():
+            leaf = _subparser(_subparser(cli._build_parser([group, op]), group), op)
+            flags = [a.option_strings[-1] for a in leaf._actions if not isinstance(a, argparse._HelpAction)]
+            total += len(flags)
+            reads = _cfg_reads(handler.__name__)
+            assert reads <= {"tol", "seed"}, (group, op)
+            assert "--input" in flags
+            assert set(flags) & tolerances == (tolerances if "tol" in reads else set()), (group, op)
+            assert ("--seed" in flags) == ("seed" in reads), (group, op)
+            assert ("--config" in flags) == bool(reads), (group, op)
+    assert total == 118
 
 
 # Every parameter with a default, per function, across the package: trailing
@@ -219,9 +254,9 @@ DEFAULTED = {
     "irrational.picard_trivial": ["height", "tol"],
     "lattice.reflection_vectors": ["order"],
     "lattice.spinor_norm_sign": ["order"],
-    "llv.lie_closure": ["tau"],
-    "llv.so5_closure": ["tau"],
-    "llv.full_llv_closure": ["tau"],
+    "llv.lie_closure": ["tol"],
+    "llv.so5_closure": ["tol"],
+    "llv.full_llv_closure": ["tol"],
     "llv.fujiki_constant": ["samples", "seed"],
     "period.orthonormal_pair": ["tol"],
     "period.oriented_two_plane": ["tol"],
@@ -238,8 +273,8 @@ DEFAULTED = {
     "period.chain_connect": ["tol"],
     "period.sample_period_point": ["tol"],
     "period.sample_irrational_line": ["height", "relation_tol", "seed", "tol"],
-    "walls.wall_avoidance": ["tau"],
-    "walls.relevant_walls": ["tau"],
+    "walls.wall_avoidance": ["tol"],
+    "walls.relevant_walls": ["tol"],
     "walls.kahler_chamber_contains": ["tol"],
 }
 

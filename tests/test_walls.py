@@ -12,6 +12,7 @@ from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import period as per
 from hkgeom import walls as wl
+from hkgeom.config import Tolerances
 from hkgeom.errors import DomainError
 
 U3 = lat.standard_lattice("U3")
@@ -231,12 +232,12 @@ def test_wall_avoidance_open_condition():
     walls = wl.WallSet.from_coords(U3, [[-1, 1, 1, 0, 0, 0]])
     base = [E1F1, E2F2, E3F3]
     p0 = per.orient_three_plane(U3, base)
-    r0 = wl.wall_avoidance(p0, walls, tau=1e-8)
+    r0 = wl.wall_avoidance(p0, walls, Tolerances(wall=1e-8))
     assert r0.avoided
     for _ in range(20):
         pert = [v + 1e-4 * rng.standard_normal(6) for v in base]
         p = per.orient_three_plane(U3, pert)
-        assert wl.wall_avoidance(p, walls, tau=1e-8).avoided
+        assert wl.wall_avoidance(p, walls, Tolerances(wall=1e-8)).avoided
 
 
 def test_relevant_walls_examples():
