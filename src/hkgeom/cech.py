@@ -9,6 +9,7 @@ oracle backing the solver.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 from operator import mul
 
 from . import exactlin as ex
@@ -96,6 +97,32 @@ class Nerve:
                 face = s[:i] + s[i + 1 :]
                 mat[r][index[face]] = (-1) ** i
         return mat
+
+    def coboundary_smith_form(self, d: int) -> tuple:
+        """Smith form U A V = S of A = ``coboundary_matrix(d)``: (diagonal of S, U, V, V^-1), as tuples.
+
+        V and V^-1 are n x n for the n d-simplices, also when A has no rows.
+        The form does not depend on the coefficients, so it is computed on
+        first use for each degree and kept with the nerve; cohomology and
+        coboundary solving share it across calls and cyclic factors.
+        """
+        forms = self._smith_forms
+        if d not in forms:
+            a = self.coboundary_matrix(d)
+            n = len(self.simplices_of_dim(d))
+            if a:
+                s, u, v = ex.smith_normal_form(a)
+                vinv = ex.unimodular_inverse(v)
+            else:
+                s, u = [], []
+                v = vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+            diagonal = tuple(s[i][i] for i in range(min(len(a), n)))
+            forms[d] = (diagonal, *(tuple(map(tuple, m)) for m in (u, v, vinv)))
+        return forms[d]
+
+    @cached_property
+    def _smith_forms(self) -> dict[int, tuple]:
+        return {}
 
 
 def octahedron_nerve() -> Nerve:
@@ -248,31 +275,23 @@ def is_cocycle(c: Cochain) -> bool:
     return all(v == z for v in _coboundary_values(c).values())
 
 
-def _solve_mod(d_mat: list[list[int]], rhs: list[int], k: int) -> list[int] | None:
-    """One solution of d_mat x = rhs (mod k), or None."""
-    rows = len(d_mat)
-    cols = len(d_mat[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    s, u, v = ex.smith_normal_form(d_mat)
-    b = [sum(u[i][j] * rhs[j] for j in range(rows)) % k for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        si = s[i][i] if i < cols else 0
-        bi = b[i]
+def _solve_mod(smith: tuple, rhs: list[int], k: int) -> list[int] | None:
+    """One solution of A x = rhs (mod k) for the Smith form (diagonal, U, V, V^-1) of A, or None."""
+    diagonal, u, v, _ = smith
+    y = [0] * len(v)
+    for i, row in enumerate(u):
+        si = diagonal[i] if i < len(diagonal) else 0
+        bi = sum(map(mul, row, rhs)) % k
         if si == 0:
-            if bi % k:
+            if bi:
                 return None
             continue
         g = ex.gcd(si, k)
         if bi % g:
             return None
         kk = k // g
-        yi = (bi // g) * pow(si // g, -1, kk) % kk if kk > 1 else 0
-        if i < cols:
-            y[i] = yi
-    x = [sum(v[i][j] * y[j] for j in range(cols)) % k for i in range(cols)]
-    return x
+        y[i] = (bi // g) * pow(si // g, -1, kk) % kk if kk > 1 else 0
+    return [sum(map(mul, row, y)) % k for row in v]
 
 
 def _k_coords(vinv: list[list[int]], scales: list[int], c: list[int]) -> list[int]:
@@ -290,15 +309,15 @@ def _cohomology_data(nerve: Nerve, k: int, degree: int):
     """H^degree(nerve; Z/k) presentation: (V^-1, scales, U_R, factors).
 
     The columns of K = V diag(scales) generate the mod-k cocycle lattice
-    X = {x : A x = 0 mod k} inside Z^n, for the SNF U A V = S and
-    scales_i = k / gcd(s_i, k). V is unimodular, so K-coordinates
-    K^-1 c = diag(1/scales) V^-1 c need only the integer inverse V^-1 and one
-    exact division per entry (``_k_coords``); no rational arithmetic enters.
+    X = {x : A x = 0 mod k} inside Z^n, for the SNF U A V = S (the nerve's
+    ``coboundary_smith_form``, shared by every k) and scales_i = k / gcd(s_i,
+    k). V is unimodular, so K-coordinates K^-1 c = diag(1/scales) V^-1 c need
+    only the integer inverse V^-1 and one exact division per entry
+    (``_k_coords``); no rational arithmetic enters.
     R expresses im(B) + k Z^n in K-coordinates; the invariant factors of
     Z^n / R Z give the group, with coordinates read off through the SNF row
     transform U_R of R.
     """
-    a_mat = nerve.coboundary_matrix(degree)
     n = len(nerve.simplices_of_dim(degree))
     if degree > 0:
         b_mat = nerve.coboundary_matrix(degree - 1)
@@ -307,13 +326,9 @@ def _cohomology_data(nerve: Nerve, k: int, degree: int):
         b_mat, prev = [[0] * 0 for _ in range(n)], 0
     if n == 0:
         return None  # no simplices in this degree: trivial group
-    # missing rows of the SNF mean free directions (s_i = 0, scale k)
-    if len(a_mat) == 0:
-        vinv, scales = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
-    else:
-        s, _, v = ex.smith_normal_form(a_mat)
-        vinv = ex.unimodular_inverse(v)
-        scales = [k // ex.gcd(s[i][i] if i < min(len(s), n) else 0, k) for i in range(n)]
+    diagonal, _, _, vinv = nerve.coboundary_smith_form(degree)
+    # past the diagonal s_i = 0: free directions, scale k / gcd(0, k) = 1
+    scales = [k // ex.gcd(diagonal[i] if i < len(diagonal) else 0, k) for i in range(n)]
     # relations: columns of B and k*I, in K-coordinates
     rel_cols = [[b_mat[i][j] for i in range(n)] for j in range(prev)]
     rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
@@ -374,7 +389,7 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
     nerve, group = c.nerve, c.group
     edges = nerve.simplices_of_dim(1)
     faces = nerve.simplices_of_dim(2)
-    d_mat = nerve.coboundary_matrix(1)
+    smith = nerve.coboundary_smith_form(1)
     data = c.as_dict()
     sol_per_factor: list[list[int]] = []
     obstruction: list[int] = []
@@ -385,7 +400,7 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
         if k == 1:
             sol_per_factor.append([0] * len(edges))
             continue
-        x = _solve_mod(d_mat, rhs, k)
+        x = _solve_mod(smith, rhs, k)
         if x is not None:
             sol_per_factor.append(x)
             continue

@@ -126,20 +126,27 @@ class QuadLattice:
 
 @dataclasses.dataclass(frozen=True)
 class WallForm:
-    """Dual-lattice functional delta(v) = coords . v with rational coords."""
+    """Dual-lattice functional delta(v) = coords . v with rational coords.
+
+    Coordinates are ints, 'p/q' strings or Fractions; each is stored as an
+    int when integral and as a Fraction otherwise, so equal forms compare,
+    hash and encode alike however they were given.
+    """
 
     lattice: QuadLattice
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
+        if type(self.coords) is not tuple or {*map(type, self.coords)} - {int}:
+            object.__setattr__(self, "coords", tuple(map(_exact_coord, self.coords)))
         if len(self.coords) != self.lattice.rank:
             raise DomainError("wall form has wrong length")
-        if all(c == 0 for c in self.coords):
+        if not any(self.coords):
             raise DomainError("wall form must be nonzero")
 
     @classmethod
     def from_coords(cls, lattice: QuadLattice, coords) -> "WallForm":
-        return cls(lattice, tuple(ex.fr(c) for c in coords))
+        return cls(lattice, coords)
 
     def __call__(self, v) -> Fraction:
         return ex.dot(list(self.coords), ex.frvec(v))
@@ -157,6 +164,11 @@ class WallForm:
     @cached_property
     def negative(self) -> bool:
         return is_negative_form(self.lattice, self.coords)
+
+
+def _exact_coord(c) -> int | Fraction:
+    f = ex.fr(c)
+    return f.numerator if f.denominator == 1 else f
 
 
 # -- standard lattices ---------------------------------------------------------

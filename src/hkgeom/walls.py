@@ -4,9 +4,11 @@ Walls are indivisible dual-lattice functionals with negative dual square.
 Enumeration of all walls of a given dual square near a positive plane runs
 over the positive-definite majorant form q_P(x) = q(x_P) - q(x_{P perp})
 transported to the dual lattice; the search is a bounded lattice-point
-enumeration (Fincke-Pohst on an exactly checked integer LDL) with exact
-integer filters. Its oracle, ``brute_force_walls``, applies the same filters
-to every point of a coordinate box.
+enumeration (Fincke-Pohst on an exactly checked integer LDL) over one half
+of the ellipsoid, one vector of each +- pair, with exact integer filters.
+Walls keep the int coordinates the search found. Its oracle,
+``brute_force_walls``, applies the same filters to every point of a
+coordinate box.
 """
 
 from __future__ import annotations
@@ -208,14 +210,17 @@ def _dyadic_ldl(a: list[list[Fraction]], m: list[list[int]], scale: int):
 
 
 def _innermost_ranges(hd, hl, shift: int, num: int, den: int):
-    """Integer Fincke-Pohst over B(x) <= num/den: yields (lo, hi, (x_1, ..., x_{n-1}), reach).
+    """Integer Fincke-Pohst over B(x) <= num/den, one half: yields (lo, hi, (x_1, ..., x_{n-1}), reach).
 
-    Every integer x with B(x) <= num/den appears exactly once, as x_0 in
-    [lo, hi] under its prefix; ``reach`` bounds every |x_i| yielded so far.
-    Coordinates are fixed from x_{n-1} down. At level i, with c the integer
-    offset of the fixed x_j (j > i), the budget rem left by them admits
-    exactly the x_i with (2^F x_i + c)^2 <= rem / (den hd_i): an integer
-    square root gives the interval, and no rounding enters.
+    The origin and every integer x with B(x) <= num/den whose last nonzero
+    coordinate is positive appear exactly once, as x_0 in [lo, hi] under its
+    prefix; ``reach`` bounds every |x_i| yielded so far. x -> -x preserves B,
+    so each +- pair meets this half exactly once. Coordinates are fixed from
+    x_{n-1} down; while every higher coordinate is 0, a level clamps lo to 0.
+    At level i, with c the integer offset of the fixed x_j (j > i), the budget
+    rem left by them admits exactly the x_i with (2^F x_i + c)^2 <= rem /
+    (den hd_i): an integer square root gives the interval, and no rounding
+    enters.
     """
     n = len(hd)
     one = 1 << shift
@@ -224,11 +229,11 @@ def _innermost_ranges(hd, hl, shift: int, num: int, den: int):
     x = [0] * n
     reach = 0
 
-    def level(i: int, rem: int):
+    def level(i: int, rem: int, signed: bool):
         nonlocal reach
         c = sum(map(mul, below[i], x[i + 1 :]))
         h = isqrt(rem // weights[i])
-        lo, hi = -((c + h) // one), (h - c) // one
+        lo, hi = -((c + h) // one) if signed else 0, (h - c) // one
         reach = max(reach, -lo, hi)
         if i == 0:
             if lo <= hi:
@@ -237,16 +242,18 @@ def _innermost_ranges(hd, hl, shift: int, num: int, den: int):
         for xi in range(lo, hi + 1):
             x[i] = xi
             t = one * xi + c
-            yield from level(i - 1, rem - weights[i] * t * t)
+            yield from level(i - 1, rem - weights[i] * t * t, signed or xi != 0)
 
-    return level(n - 1, num << (3 * shift))
+    return level(n - 1, num << (3 * shift), False)
 
 
 def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
-    """All integer points x with x^T A x <= radius, A positive definite, exact.
+    """One of each +- pair of integer points x with x^T A x <= radius, A positive definite, exact.
 
-    Yields them in blocks (numpy arrays of rows, int64 or Python ints), so
-    memory stays bounded by the block size and not by the point count.
+    Yields the origin and every such x whose last nonzero coordinate is
+    positive (their negatives are the rest of the ellipsoid), in blocks
+    (numpy arrays of rows, int64 or Python ints), so memory stays bounded by
+    the block size and not by the point count.
 
     Fincke-Pohst (Math. Comp. 44, 1985) on a dyadic integer LDL: a float
     Cholesky of A is rounded to an integer LDL of a form B with pivots shrunk
@@ -260,8 +267,10 @@ def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
     exact test (x M x) den <= num D with M = D A integral, radius = num/den.
 
     Fails fast with a domain error when the volume estimate
-    V_n r^(n/2) / sqrt(det A) exceeds ``_MAX_POINTS``, and when more than
-    ``_MAX_POINTS`` candidates are emitted (so no input escapes the estimate).
+    V_n r^(n/2) / sqrt(det A) exceeds ``_MAX_POINTS``, and when the whole
+    ellipsoid holds more than ``_MAX_POINTS`` candidates (so no input escapes
+    the estimate): the count takes each nonzero candidate twice, for itself
+    and its negative, and the origin once.
     """
     n = len(a_rows)
     a = [[ex.fr(x) for x in row] for row in a_rows]
@@ -283,7 +292,7 @@ def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
     num, den = r.numerator, r.denominator
     weight = den * sum(abs(v) for row in m for v in row)
     rhs = num * scale
-    emitted = 0
+    emitted = -1  # the origin, the first candidate, has no negative to count
     buf: list[tuple[int, int, tuple]] = []
     pending = 0
 
@@ -301,7 +310,7 @@ def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
         return block[keep]
 
     for lo, top, prefix, reach in _innermost_ranges(hd, hl, shift, num, den):
-        emitted += top - lo + 1
+        emitted += 2 * (top - lo + 1)
         if emitted > _MAX_POINTS:
             raise DomainError(
                 "ellipsoid enumeration exceeded the point budget; reduce the radius"
@@ -323,11 +332,12 @@ def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]
 
     The majorant of the positive span is transported to the dual lattice by
     inversion; integer dual vectors inside the ellipsoid are enumerated
-    completely, then filtered block by block with exact integer tests: dual
-    square (v adj v == d det) and indivisibility (gcd of the coordinates 1).
-    One representative per antipodal pair is returned (leading coordinate
-    positive), sorted lexicographically. Any rank is accepted: the point
-    budget of the ellipsoid search refuses a radius too large to finish.
+    one vector of each antipodal pair at a time, then filtered block by block
+    with exact integer tests: dual square (v adj v == d det) and
+    indivisibility (gcd of the coordinates 1). Each kept vector is turned to
+    its representative with the leading coordinate positive; the walls come
+    sorted lexicographically, with int coordinates. Any rank is accepted: the
+    point budget of the ellipsoid search refuses a radius too large to finish.
     """
     if d >= 0:
         raise DomainError("wall square d must be negative")
@@ -343,12 +353,12 @@ def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]
         xmax = int(np.abs(block).max(initial=0))
         dt = _exact_dtype(xmax, weight, target)
         vecs = block.astype(dt)
-        lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
         keep = _quad(vecs, np.array(L.adjugate, dtype=dt)) == target
-        keep &= np.gcd.reduce(np.abs(vecs), axis=1) == 1
-        keep &= lead > 0  # one of each antipodal pair; the zero vector has gcd 0
-        found.extend(map(tuple, vecs[keep].tolist()))
-    return [WallForm.from_coords(L, list(c)) for c in sorted(found)]
+        keep &= np.gcd.reduce(np.abs(vecs), axis=1) == 1  # the zero vector has gcd 0
+        kept = vecs[keep]
+        lead = kept[np.arange(len(kept)), (kept != 0).argmax(axis=1)]
+        found.extend(map(tuple, np.where((lead > 0)[:, None], kept, -kept).tolist()))
+    return [WallForm(L, c) for c in sorted(found)]
 
 
 def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[WallForm]:

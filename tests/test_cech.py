@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -128,10 +129,11 @@ def test_solve_full_triangle_all_cocycles():
 
 
 def test_solve_zero_cocycle_gives_zero():
-    n = cech.octahedron_nerve()
-    res = cech.solve_coboundary(Cochain.zero(n, Z2, 2))
-    assert res.solved
-    assert res.solution.is_zero()
+    # the second nerve has edges and no faces: the solution is the zero 1-cochain
+    for n in (cech.octahedron_nerve(), Nerve.from_simplices([(0, 1), (1, 2)])):
+        res = cech.solve_coboundary(Cochain.zero(n, Z2, 2))
+        assert res.solved
+        assert res.solution.is_zero()
 
 
 def test_octahedron_fundamental_cocycle_obstructed():
@@ -335,3 +337,53 @@ def test_obstruction_coordinates_match_rational_formula(name):
             rhs = [c.as_dict()[s][0] for s in faces]
             assert (res.presentation, res.obstruction) == _rational_obstruction(nerve, k, rhs)
     assert obstructed >= 6
+
+
+def _fresh(nerve):
+    return Nerve(nerve.vertices, nerve.simplices)
+
+
+def _cech_results(nerve, group, cochains):
+    """Cohomology in degrees 0..2 and the solutions of the cochains, moved to ``nerve``."""
+    solved = [cech.solve_coboundary(Cochain(nerve, group, 2, c.values)) for c in cochains]
+    return [cech.cohomology(nerve, group, d) for d in (0, 1, 2)], solved
+
+
+@pytest.mark.parametrize("factors", [(2,), (4,), (2, 3, 4)])
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_smith_forms_kept_by_a_nerve_change_no_result(name, factors, monkeypatch):
+    group = FiniteAbelianGroup(factors)
+    nerve = _fresh(SURFACES[name])
+    faces, edges = nerve.simplices_of_dim(2), nerve.simplices_of_dim(1)
+    rng = random.Random(7)
+    x0 = Cochain.from_dict(nerve, group, 1, {e: tuple(rng.randrange(k) for k in factors) for e in edges})
+    bumped = dict(cech.coboundary(x0).as_dict())
+    bumped[faces[0]] = group.add(bumped[faces[0]], (1,) * len(factors))
+    cochains = [cech.coboundary(x0), Cochain.from_dict(nerve, group, 2, bumped)]
+    snf_calls = []
+    snf = ex.smith_normal_form
+    monkeypatch.setattr(ex, "smith_normal_form", lambda a: snf_calls.append(a) or snf(a))
+    first = [cech.cohomology(nerve, group, d) for d in (0, 1, 2)], [cech.solve_coboundary(c) for c in cochains]
+    assert [c.solved for c in first[1]] == [True, False]
+    assert _cech_results(nerve, group, cochains) == first
+    assert _cech_results(_fresh(nerve), group, cochains) == first
+    # each nerve reduces its coboundary matrices of degree 0 and 1 once (degree 2 has no rows)
+    coboundaries = [nerve.coboundary_matrix(d) for d in (0, 1)]
+    assert [sum(a == c for a in snf_calls) for c in coboundaries] == [2, 2]
+
+
+def test_cohomology_data_hands_out_no_shared_mutable_state():
+    nerve = _fresh(SURFACES["torus"])
+    for degree in (0, 1, 2):
+        first = cech._cohomology_data(nerve, 4, degree)
+        expected = copy.deepcopy(first)
+        vinv, scales, u_r, factors = first
+        with pytest.raises(TypeError):
+            vinv[0][0] += 1
+        with pytest.raises(TypeError):
+            vinv[0] = vinv[1]
+        for row in (scales, factors, *u_r):
+            row[:] = [x + 1 for x in row]
+        assert cech._cohomology_data(nerve, 4, degree) == expected
+        assert nerve.coboundary_smith_form(degree) == _fresh(nerve).coboundary_smith_form(degree)
+    assert [cech.cohomology(nerve, FiniteAbelianGroup((4,)), d) for d in (0, 1, 2)] == [(4,), (4, 4), (4,)]

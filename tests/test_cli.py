@@ -121,11 +121,13 @@ USAGE_ERRORS = [
     ["period", "sample", "--height", "x"], ["period", "sample", "--line", "3"], ["irrational", "picard", "--tol", "1"],
     ["lattice", "signature", "--seed", "3"], ["cech", "solve", "--tol-iso", "1e-3"], ["walls", "enum", "--config", "c.json"],
     ["llv", "e", "--tol-lie", "1e-7"], ["llv", "fujiki", "--tol-lie", "1e-7"], ["llv", "closure", "--seed", "3"],
+    ["irrational", "test", "--tol-rel", "1e-5"], ["irrational", "test", "--tol", "1"],
+    ["period", "sample", "--tol-rel", "1e-5"], ["period", "sample", "--inp", "job.json"],
 ]
 PARSED = [
     ["llv", "closure"], ["period", "sample", "-i", "job.json", "--seed", "3", "--tol-lie", "1e-7"],
-    ["period", "sample", "--line", "--height", "5"], ["irrational", "test", "--tol-rel", "1e-5"],
-    ["llv", "fujiki", "--config", "c.json", "-i", "-"],
+    ["period", "sample", "--line", "--height", "5"], ["irrational", "test", "--tol-relation", "1e-5"],
+    ["llv", "fujiki", "--config", "c.json", "-i", "-"], ["period", "sample", "--input", "job.json"],
 ]
 
 

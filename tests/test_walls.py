@@ -11,6 +11,7 @@ import pytest
 from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import period as per
+from hkgeom import serialize as ser
 from hkgeom import walls as wl
 from hkgeom.config import Tolerances
 from hkgeom.errors import DomainError
@@ -155,6 +156,22 @@ def test_enumeration_sign_symmetric_representatives():
     for c in coords:
         assert tuple(-x for x in c) not in coords
         assert next(x for x in c if x) > 0
+
+
+def test_enumerated_walls_keep_int_coordinates_and_match_rational_input():
+    walls = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -2, 8)
+    assert walls and all(type(c) is int for w in walls for c in w.coords)
+    for w in walls:
+        for given in ([Fraction(c) for c in w.coords], [f"{2 * c}/2" for c in w.coords]):
+            same = lat.WallForm.from_coords(U3, given)
+            assert same == w and hash(same) == hash(w) and same.coords == w.coords
+            assert all(type(c) is int for c in same.coords)
+            assert ser.encode_wall(same) == ser.encode_wall(w)
+    half = lat.WallForm.from_coords(U3, [Fraction(1, 2), "-2/4", 3, 0, 0, 0])
+    assert half.coords == (Fraction(1, 2), Fraction(-1, 2), 3, 0, 0, 0)
+    assert [type(c) for c in half.coords[:3]] == [Fraction, Fraction, int]
+    with pytest.raises(DomainError, match="proportional"):
+        wl.WallSet(U3, (walls[0], lat.WallForm.from_coords(U3, [-Fraction(c) for c in walls[0].coords])))
 
 
 K3_DIAG_SPAN = [[int(j in (2 * i, 2 * i + 1)) for j in range(22)] for i in range(3)]
@@ -354,9 +371,19 @@ def _box_scan_ellipsoid(a, radius):
     return sorted(map(tuple, grid[inside].tolist()))
 
 
+def _negated(p):
+    return tuple(-x for x in p)
+
+
 def _enumerated(a, radius):
+    """The yielded points plus their negatives, once the yield is checked to be one of each +- pair."""
     blocks = wl._enumerate_ellipsoid_int(a, radius)
-    return sorted(tuple(x) for block in blocks for x in block.tolist())
+    half = [tuple(x) for block in blocks for x in block.tolist()]
+    nonzero = [p for p in half if any(p)]
+    assert len(set(half)) == len(half)
+    assert not set(map(_negated, nonzero)) & set(half)
+    assert all(next(x for x in reversed(p) if x) > 0 for p in nonzero)
+    return sorted(set(half) | set(map(_negated, half)))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -426,10 +453,15 @@ def test_ellipsoid_volume_estimate_fails_fast():
 def test_ellipsoid_candidate_budget_catches_thin_ellipsoids(monkeypatch):
     # volume pi / sqrt(det) = pi, but x_0 alone runs over 2001 values
     thin = [[Fraction(1, 10**6), 0], [0, 10**6]]
-    assert len(_enumerated(thin, 1)) == 2001
+    assert len(_enumerated(thin, 1)) == 2001  # the search yields 1001, the budget counts 2001
     monkeypatch.setattr(wl, "_MAX_POINTS", 1000)
     with pytest.raises(DomainError, match="budget"):
         _enumerated(thin, 1)
+    monkeypatch.setattr(wl, "_MAX_POINTS", 2000)
+    with pytest.raises(DomainError, match="budget"):
+        _enumerated(thin, 1)
+    monkeypatch.setattr(wl, "_MAX_POINTS", 2001)
+    assert len(_enumerated(thin, 1)) == 2001
 
 
 def test_walls_filter_in_blocks_matches_oracle_beyond_one_block():
@@ -437,6 +469,13 @@ def test_walls_filter_in_blocks_matches_oracle_beyond_one_block():
     walls = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 16)
     oracle = wl.brute_force_walls(U3, DIAG_SPAN_U3, -4, 16, box=5)
     assert [w.coords for w in walls] == [w.coords for w in oracle]
+
+
+def test_walls_filter_on_python_ints_matches_the_int64_path(monkeypatch):
+    # the sign flip to the leading-positive representative runs on object arrays too
+    expected = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 8)
+    monkeypatch.setattr(wl, "_exact_dtype", lambda *_: object)
+    assert wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 8) == expected
 
 
 def _walls_by_point(L, span, d, radius, box):
