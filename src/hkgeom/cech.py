@@ -81,7 +81,8 @@ class Nerve:
         return cls(vertices=verts, simplices=frozenset(closed))
 
     def simplices_of_dim(self, d: int) -> list[tuple]:
-        return sorted(s for s in self.simplices if len(s) == d + 1)
+        """The d-simplices in sorted order, as a fresh list."""
+        return list(self._sorted_simplices[d]) if 0 <= d <= MAX_DIM else []
 
     def dimension(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
@@ -120,8 +121,55 @@ class Nerve:
             forms[d] = (diagonal, *(tuple(map(tuple, m)) for m in (u, v, vinv)))
         return forms[d]
 
+    def cohomology_presentation(self, degree: int, k: int) -> tuple | None:
+        """H^degree(nerve; Z/k) presentation (V^-1, scales, U_R, factors), as tuples.
+
+        None when the nerve has no degree-simplices (the trivial group).
+        The columns of K = V diag(scales) generate the mod-k cocycle lattice
+        X = {x : A x = 0 mod k} inside Z^n, for the SNF U A V = S of
+        A = ``coboundary_matrix(degree)`` (``coboundary_smith_form``, shared by
+        every k) and scales_i = k / gcd(s_i, k). V is unimodular, so
+        K-coordinates K^-1 c = diag(1/scales) V^-1 c need only the integer
+        inverse V^-1 and one exact division per entry (``_k_coords``); no
+        rational arithmetic enters.
+        R expresses im(B) + k Z^n in K-coordinates, for B =
+        ``coboundary_matrix(degree - 1)``; the invariant factors of Z^n / R Z
+        give the group, with coordinates read off through the SNF row
+        transform U_R of R. R depends only on (degree, k), so the presentation
+        is computed on first use for each pair and kept with the nerve.
+        """
+        presentations = self._presentations
+        if (degree, k) not in presentations:
+            n = len(self.simplices_of_dim(degree))
+            presentation = None
+            if n:
+                diagonal, _, _, vinv = self.coboundary_smith_form(degree)
+                # past the diagonal s_i = 0: free directions, scale k / gcd(0, k) = 1
+                scales = [k // ex.gcd(diagonal[i] if i < len(diagonal) else 0, k) for i in range(n)]
+                # relations: columns of B (none in degree 0) and k*I, in K-coordinates
+                rel_cols = [list(col) for col in zip(*self.coboundary_matrix(degree - 1))] if degree else []
+                rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
+                r_mat = ex.transpose([_k_coords(vinv, scales, col) for col in rel_cols])
+                s_r, u_r, _ = ex.smith_normal_form(r_mat)
+                factors = tuple(s_r[i][i] for i in range(n))
+                presentation = (vinv, tuple(scales), tuple(map(tuple, u_r)), factors)
+            presentations[degree, k] = presentation
+        return presentations[degree, k]
+
+    @cached_property
+    def _sorted_simplices(self) -> tuple[tuple[tuple, ...], ...]:
+        """The simplices of each dimension 0..MAX_DIM, sorted once."""
+        by_dim = [[] for _ in range(MAX_DIM + 1)]
+        for s in self.simplices:
+            by_dim[len(s) - 1].append(s)
+        return tuple(tuple(sorted(b)) for b in by_dim)
+
     @cached_property
     def _smith_forms(self) -> dict[int, tuple]:
+        return {}
+
+    @cached_property
+    def _presentations(self) -> dict[tuple[int, int], tuple | None]:
         return {}
 
 
@@ -306,37 +354,12 @@ def _k_coords(vinv: list[list[int]], scales: list[int], c: list[int]) -> list[in
 
 
 def _cohomology_data(nerve: Nerve, k: int, degree: int):
-    """H^degree(nerve; Z/k) presentation: (V^-1, scales, U_R, factors).
-
-    The columns of K = V diag(scales) generate the mod-k cocycle lattice
-    X = {x : A x = 0 mod k} inside Z^n, for the SNF U A V = S (the nerve's
-    ``coboundary_smith_form``, shared by every k) and scales_i = k / gcd(s_i,
-    k). V is unimodular, so K-coordinates K^-1 c = diag(1/scales) V^-1 c need
-    only the integer inverse V^-1 and one exact division per entry
-    (``_k_coords``); no rational arithmetic enters.
-    R expresses im(B) + k Z^n in K-coordinates; the invariant factors of
-    Z^n / R Z give the group, with coordinates read off through the SNF row
-    transform U_R of R.
-    """
-    n = len(nerve.simplices_of_dim(degree))
-    if degree > 0:
-        b_mat = nerve.coboundary_matrix(degree - 1)
-        prev = len(nerve.simplices_of_dim(degree - 1))
-    else:
-        b_mat, prev = [[0] * 0 for _ in range(n)], 0
-    if n == 0:
-        return None  # no simplices in this degree: trivial group
-    diagonal, _, _, vinv = nerve.coboundary_smith_form(degree)
-    # past the diagonal s_i = 0: free directions, scale k / gcd(0, k) = 1
-    scales = [k // ex.gcd(diagonal[i] if i < len(diagonal) else 0, k) for i in range(n)]
-    # relations: columns of B and k*I, in K-coordinates
-    rel_cols = [[b_mat[i][j] for i in range(n)] for j in range(prev)]
-    rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
-    r_mat = ex.transpose([_k_coords(vinv, scales, col) for col in rel_cols])
-    s_r, u_r, _ = ex.smith_normal_form(r_mat)
-    factors = [s_r[i][i] for i in range(min(n, len(rel_cols)))]
-    factors += [0] * (n - len(factors))
-    return vinv, scales, u_r, factors
+    """``nerve.cohomology_presentation(degree, k)`` with fresh lists for scales, the rows of U_R and factors."""
+    data = nerve.cohomology_presentation(degree, k)
+    if data is None:
+        return None
+    vinv, scales, u_r, factors = data
+    return vinv, list(scales), [list(row) for row in u_r], list(factors)
 
 
 def cohomology(nerve: Nerve, group: FiniteAbelianGroup, degree: int) -> tuple[int, ...]:

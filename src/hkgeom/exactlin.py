@@ -111,23 +111,41 @@ def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     entry is a minor of [a | I], Sylvester's identity). At the end the left
     half is d I with d = +-det a, the sign from the row swaps, and the right
     half is d a^-1 = +-adj a.
+    A step with f = 0 only scales the row by p / p_prev, and such scalings
+    telescope: a row kept as of pivot ``at[r]`` holds row * prev / at[r] now.
+    The row is brought up to date, by that exact division, only when it is
+    the pivot, when its f is nonzero, or at the end; sparse matrices skip
+    most row updates.
     """
     n = len(a)
     m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    at = [1] * n
     prev, sign = 1, 1
+
+    def bring_up_to_date(r):
+        if at[r] != prev:
+            m[r] = [x * prev // at[r] for x in m[r]]
+            at[r] = prev
+
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
             return 0, None
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
+            at[c], at[piv] = at[piv], at[c]
             sign = -sign
+        bring_up_to_date(c)
         pivot_row, p = m[c], m[c][c]
         for r in range(n):
-            if r != c:
+            if r != c and m[r][c]:
+                bring_up_to_date(r)
                 f = m[r][c]
                 m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
-        prev = p
+                at[r] = p
+        at[c] = prev = p
+    for r in range(n):
+        bring_up_to_date(r)
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
@@ -407,15 +425,16 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
 def invariant_factors(values: list[int]) -> list[int]:
     """Canonical invariant-factor chain of a product of cyclic groups.
 
-    Input: cyclic orders (>= 1). Output: nontrivial factors d1 | d2 | ...
-    computed via the SNF of the diagonal matrix.
+    Input: cyclic orders (>= 1). Output: nontrivial factors d1 | d2 | ...,
+    the Smith form of the diagonal matrix. Z/a x Z/b = Z/gcd x Z/lcm, so
+    replacing each pair (v_i, v_j), i < j, by (gcd, lcm) leaves v_i dividing
+    every later entry.
     """
     vals = [v for v in values if v != 1]
-    if not vals:
-        return []
-    n = len(vals)
-    s, _, _ = smith_normal_form([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    return [s[i][i] for i in range(n) if s[i][i] != 1]
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            vals[i], vals[j] = gcd(vals[i], vals[j]), lcm(vals[i], vals[j])
+    return [v for v in vals if v != 1]
 
 
 # -- LLL ----------------------------------------------------------------------

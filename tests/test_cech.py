@@ -387,3 +387,54 @@ def test_cohomology_data_hands_out_no_shared_mutable_state():
         assert cech._cohomology_data(nerve, 4, degree) == expected
         assert nerve.coboundary_smith_form(degree) == _fresh(nerve).coboundary_smith_form(degree)
     assert [cech.cohomology(nerve, FiniteAbelianGroup((4,)), d) for d in (0, 1, 2)] == [(4,), (4, 4), (4,)]
+
+
+def _bumped_cocycles(nerve, ks, seed):
+    """Per k: d(x0) for a random 1-cochain x0 with one face moved by 1 (obstructed iff H^2 sees the face)."""
+    faces, edges = nerve.simplices_of_dim(2), nerve.simplices_of_dim(1)
+    rng = random.Random(seed)
+    out = []
+    for k in ks:
+        group = FiniteAbelianGroup((k,))
+        x0 = Cochain.from_dict(nerve, group, 1, {e: (rng.randrange(k),) for e in edges})
+        data = dict(cech.coboundary(x0).as_dict())
+        data[faces[0]] = ((data[faces[0]][0] + 1) % k,)
+        out.append(Cochain.from_dict(nerve, group, 2, data))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_second_round_over_a_nerve_makes_no_smith_form(name, monkeypatch):
+    ks = (2, 3, 4, 6)
+    nerve = _fresh(SURFACES[name])
+    cochains = _bumped_cocycles(nerve, ks, 5)
+
+    def one_round():
+        groups = [FiniteAbelianGroup((k,)) for k in ks]
+        return [cech.cohomology(nerve, g, d) for g in groups for d in (0, 1, 2)], [
+            cech.solve_coboundary(c) for c in cochains
+        ]
+
+    first = one_round()
+    assert not all(res.solved for res in first[1])
+    snf_calls = []
+    snf = ex.smith_normal_form
+    monkeypatch.setattr(ex, "smith_normal_form", lambda a: snf_calls.append(a) or snf(a))
+    assert one_round() == first
+    assert snf_calls == []
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_presentations_interleaved_over_k_and_degree_match_fresh_nerves(name):
+    # a key that dropped k or degree would hand one pair's presentation to another
+    ks = (2, 3, 4, 6)
+    nerve = _fresh(SURFACES[name])
+    pairs = [(k, d) for k in ks for d in (0, 1, 2)]
+    random.Random(len(name)).shuffle(pairs)
+    cochains = dict(zip(ks, _bumped_cocycles(nerve, ks, 11)))
+    for k, degree in pairs + pairs[::-1]:
+        assert cech._cohomology_data(nerve, k, degree) == cech._cohomology_data(_fresh(nerve), k, degree)
+        group = FiniteAbelianGroup((k,))
+        assert cech.cohomology(nerve, group, degree) == cech.cohomology(_fresh(nerve), group, degree)
+        c = cochains[k]
+        assert cech.solve_coboundary(c) == cech.solve_coboundary(Cochain(_fresh(nerve), group, 2, c.values))

@@ -3,12 +3,14 @@
 Each of the 28 leaves starts from a payload that exits 0. Hypothesis then
 replaces one top-level field by arbitrary JSON (NaN and Infinity literals,
 1e400 and 400-digit integers included) or deletes it, and runs ``main`` in
-process on the result.
+process on the result. A second test replaces one nested entry instead: a
+gram entry, a cochain value or a simplex vertex.
 """
 
 import ast
 import builtins
 import contextlib
+import copy
 import io
 import json
 import math
@@ -167,6 +169,44 @@ def test_mutated_payload_keeps_the_contract(leaf, data):
     payload = {k: v for k, v in base.items() if k != key}
     if value is not DELETE:
         payload[key] = value
+    _check_contract(*_run([*leaf, *flags], _text(payload)))
+
+
+# one nested entry per case: (leaf, path into its base payload); an int step is taken modulo the length
+INDEX = st.integers(0, 99)
+SIMPLEX_VERTEX = st.tuples(st.just("nerve"), st.just("simplices"), INDEX, INDEX)
+NESTED = {
+    "gram entry": (("lattice", "signature"), st.tuples(st.just("gram"), INDEX, INDEX)),
+    "cochain value": (("cech", "solve"), st.just(("cochain", "values", "0,1,2", 0))),
+    "solve simplex vertex": (("cech", "solve"), SIMPLEX_VERTEX),
+    "cohomology simplex vertex": (("cech", "cohomology"), SIMPLEX_VERTEX),
+}
+
+
+def _replace_nested(payload, path, value):
+    """A deep copy of payload with the entry at path replaced by value."""
+    node = out = copy.deepcopy(payload)
+    for step in path:
+        parent, key = node, step % len(node) if isinstance(step, int) else step
+        node = parent[key]
+    parent[key] = value
+    return out
+
+
+@pytest.mark.parametrize("case", list(NESTED))
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=5000,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_nested_mutation_keeps_the_contract(case, data):
+    leaf, paths = NESTED[case]
+    flags, base = BASES[leaf]
+    path = data.draw(paths, label="path")
+    payload = _replace_nested(base, path, data.draw(SCALARS | JSON, label="value"))
     _check_contract(*_run([*leaf, *flags], _text(payload)))
 
 

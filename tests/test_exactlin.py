@@ -78,6 +78,28 @@ def test_det_adjugate_matches_inverse_times_det():
     assert ex.det([["1/2", 0], [0, "2/3"]]) == Fraction(1, 3)
 
 
+def test_det_adjugate_multiplies_back_to_det_on_sparse_and_dense_matrices():
+    # sparse rows leave many elimination multipliers 0, whose row updates are deferred
+    rng = random.Random(34)
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        density = (0.15, 0.4, 1.0)[trial % 3]
+        a = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        if trial % 10 == 2 and n > 1:
+            a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
+        d, adj = ex.det_adjugate(a)
+        assert type(d) is int and d == ex.det(a)
+        if d == 0:
+            assert adj is None
+            singular += 1
+            continue
+        identity = [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert ex.mat_mul(a, adj) == ex.mat_mul(adj, a) == identity
+        assert all(type(x) is int for row in adj for x in row)
+    assert singular > 30
+
+
 def test_nullspace_and_solve():
     a = [[1, 2, 3], [2, 4, 6]]
     ker = ex.nullspace(a)

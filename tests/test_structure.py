@@ -187,14 +187,19 @@ def test_brute_force_wall_oracle_stays_independent_of_the_enumerator():
     assert not {"enumerate_walls_near", "_enumerate_ellipsoid_int", "_innermost_ranges", "_dyadic_ldl"} & reached
 
 
-def test_walls_module_holds_no_cache():
-    tree = ast.parse((PACKAGE / "walls.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", ["walls", "cech", "exactlin"])
+def test_exact_module_holds_no_cache(module):
+    # caches live on the objects they derive from (a nerve, a lattice), never in a module-level dict
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for node in tree.body:
         value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
         is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
             isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
         )
-        assert not is_dict, f"walls.py line {node.lineno} binds a module-level dict"
+        assert not is_dict, f"{module}.py line {node.lineno} binds a module-level dict"
+        if isinstance(node, ast.FunctionDef):
+            wrappers = {ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] for d in node.decorator_list}
+            assert not wrappers & {"cache", "lru_cache"}, f"{module}.py caches {node.name} for the process"
 
 
 def test_float_thresholds_are_named():
