@@ -84,22 +84,39 @@ def det(a: Mat) -> Fraction:
     Fraction-free (Bareiss) elimination below the pivots of the integer
     matrix D a: after step c each remaining entry is a (c+1)-minor, so the
     division by the previous pivot is exact and the last pivot is +-det.
+    Rows whose multiplier is 0 are deferred as in ``det_adjugate``: a row
+    kept as of pivot ``at[r]`` is brought up to date only when it becomes the
+    pivot, when its multiplier is nonzero, or as the last pivot.
     """
     m, scale = scale_matrix_to_integers(a)
     n = len(m)
+    at = [1] * n
     prev, sign = 1, 1
+
+    def bring_up_to_date(r):
+        if at[r] != prev:
+            m[r] = [x * prev // at[r] for x in m[r]]
+            at[r] = prev
+
     for c in range(n - 1):
         piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
+            at[c], at[piv] = at[piv], at[c]
             sign = -sign
+        bring_up_to_date(c)
         pivot_row, p = m[c], m[c][c]
         for r in range(c + 1, n):
-            f = m[r][c]
-            m[r] = [0] * (c + 1) + [(p * x - f * y) // prev for x, y in zip(m[r][c + 1 :], pivot_row[c + 1 :])]
+            if m[r][c]:
+                bring_up_to_date(r)
+                f = m[r][c]
+                m[r] = [0] * (c + 1) + [(p * x - f * y) // prev for x, y in zip(m[r][c + 1 :], pivot_row[c + 1 :])]
+                at[r] = p
         prev = p
+    if n:
+        bring_up_to_date(n - 1)
     return Fraction(sign * m[-1][-1] if n else 1, scale**n)
 
 

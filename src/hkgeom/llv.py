@@ -165,6 +165,11 @@ class CohomologyRing:
         shift = (deg[:, None] - deg[None, :]).ravel()
         return {d: np.flatnonzero(shift == d) for d in sorted({a - b for a in levels for b in levels})}
 
+    @cached_property
+    def _llv_algebras(self) -> dict[Tolerances, LieClosure]:
+        """The full LLV closure per tolerances, filled by ``full_llv_closure``."""
+        return {}
+
     def embed_lattice_vector(self, eta) -> np.ndarray:
         """Lift a lattice vector to ring coordinates on the degree-2 block."""
         out = np.zeros(self.dim)
@@ -595,24 +600,34 @@ def full_llv_closure(ring: CohomologyRing, tol: Tolerances = DEFAULT_TOL) -> Lie
     Lefschetz), so isotropic basis vectors are patched by the first partner
     that makes the square nonzero. The patched classes still span, which is
     what generation needs.
+
+    The algebra is an invariant of the ring, so each ring keeps it per
+    ``tol``: the first call computes it and sets every element matrix
+    read-only, and each call gets its own copy of ``by_degree``.
     """
-    L = ring.lattice
-    n = L.rank
-    gens = []
-    for a in range(n):
-        eta = [0] * n
-        eta[a] = 1
-        gens.append(lefschetz_e(ring, eta))
-    for a in range(n):
-        eta = [0] * n
-        eta[a] = 1
-        if L.q(eta) == 0:
-            partner = next(
-                b for b in range(n) if _mixed_square_nonzero(L, a, b)
-            )
-            eta[partner] += 1
-        gens.append(lefschetz_f(ring, eta))
-    return lie_closure(gens, tol)
+    kept = ring._llv_algebras.get(tol)
+    if kept is None:
+        L = ring.lattice
+        n = L.rank
+        gens = []
+        for a in range(n):
+            eta = [0] * n
+            eta[a] = 1
+            gens.append(lefschetz_e(ring, eta))
+        for a in range(n):
+            eta = [0] * n
+            eta[a] = 1
+            if L.q(eta) == 0:
+                partner = next(
+                    b for b in range(n) if _mixed_square_nonzero(L, a, b)
+                )
+                eta[partner] += 1
+            gens.append(lefschetz_f(ring, eta))
+        kept = lie_closure(gens, tol)
+        for op in kept.elements:
+            op.matrix.flags.writeable = False
+        ring._llv_algebras[tol] = kept
+    return dataclasses.replace(kept, by_degree=dict(kept.by_degree))
 
 
 def _mixed_square_nonzero(L: QuadLattice, a: int, b: int) -> bool:

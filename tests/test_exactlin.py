@@ -38,6 +38,34 @@ def test_det_matches_det_adjugate_on_random_matrices():
     assert singular > 10
 
 
+def _laplace_det(a):
+    """Cofactor expansion along the first row, in Python ints."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * _laplace_det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x
+    )
+
+
+def test_det_with_deferred_rows_matches_laplace_and_adjugate():
+    # sparse rows leave many multipliers 0, whose row updates det defers; a
+    # multiplier read before its row is brought up to date gives a wrong det
+    rng = random.Random(23)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        density = (0.15, 0.4, 1.0)[trial % 3]
+        a = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        if trial % 8 == 5 and n > 2:
+            a[rng.randrange(2, n)] = [3 * x - y for x, y in zip(a[0], a[1])]
+        d = ex.det(a)
+        assert d == ex.det_adjugate(a)[0]
+        if n <= 7:
+            assert d == _laplace_det(a)
+        singular += d == 0
+    assert singular > 40
+
+
 def test_det_and_inverse():
     a = [[2, 1], [1, 1]]
     assert ex.det(ex.frmat(a)) == 1

@@ -475,7 +475,7 @@ def closure_cases():
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(llv, "lie_closure", capture)
-        llv.full_llv_closure(RING)
+        llv.full_llv_closure(llv.k3_ring())  # a fresh ring: RING may already keep its algebra
         llv.so5_closure(RING, per.orient_three_plane(L, [E1F1, E2F2, E3F3]))
         for plane in _generic_planes(5):
             llv.so5_closure(RING, plane)
@@ -574,10 +574,16 @@ def test_full_closure_work_counters():
 def test_full_closure_memory_peak():
     # each element is stored once, as a support row, and the sweep brackets 32
     # pairs at a time: the dense path with its element copies peaked at 4.2 MiB
-    llv.full_llv_closure(RING)  # one-time imports and the ring's cached index arrays stay outside the window
+    # one-time costs stay outside the window: a first closure over another fresh
+    # ring, and this ring's cached index arrays; this ring keeps no algebra yet,
+    # so the call inside the window closes it instead of reading it
+    llv.full_llv_closure(llv.k3_ring())
+    ring = llv.k3_ring()
+    for name in ("_support", "_lattice_terms", "_degree_blocks", "_h_diagonal"):
+        getattr(ring, name)
     tracemalloc.start()
     try:
-        llv.full_llv_closure(RING)
+        llv.full_llv_closure(ring)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -619,7 +625,60 @@ def test_nearly_cancelling_bracket_is_not_amplified(closure_cases):
 def test_closure_cap_still_raises(monkeypatch):
     monkeypatch.setattr(llv, "_CLOSURE_CAP", 100)
     with pytest.raises(NumericalError):
-        llv.full_llv_closure(RING)
+        llv.full_llv_closure(llv.k3_ring())  # RING may keep an algebra closed under the real cap
+
+
+def _closure_fields(closure):
+    return (
+        closure.dimension,
+        closure.by_degree,
+        closure.residual,
+        (closure.brackets_formed, closure.brackets_tried, closure.brackets_accepted),
+        [(op.degree, op.matrix.tobytes()) for op in closure.elements],
+    )
+
+
+def test_ring_keeps_its_full_algebra_per_tolerances(monkeypatch):
+    calls = []
+    real = llv.lie_closure
+
+    def counted(generators, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return real(generators, tol)
+
+    monkeypatch.setattr(llv, "lie_closure", counted)
+    ring = llv.k3_ring()
+    first = llv.full_llv_closure(ring)
+    second = llv.full_llv_closure(ring)
+    assert calls == [DEFAULT_TOL]
+    assert _closure_fields(second) == _closure_fields(first)
+    assert first.by_degree == {-2: 22, 0: 232, 2: 22}
+    # another tau is another closure; the default entry stays as it was
+    loose = DEFAULT_TOL.replace(lie=1e-7)
+    llv.full_llv_closure(ring, loose)
+    assert calls == [DEFAULT_TOL, loose]
+    assert _closure_fields(llv.full_llv_closure(ring)) == _closure_fields(first)
+    assert len(calls) == 2
+    # a new ring with equal data starts empty and closes anew, to the same algebra
+    fresh = llv.k3_ring()
+    assert fresh == ring
+    assert _closure_fields(llv.full_llv_closure(fresh)) == _closure_fields(first)
+    assert calls == [DEFAULT_TOL, loose, DEFAULT_TOL]
+
+
+def test_kept_algebra_hands_out_no_shared_mutable_state():
+    ring = llv.k3_ring()
+    first = llv.full_llv_closure(ring)
+    for op in (first.elements[0], first.elements[-1]):
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        first.degree_zero_basis()[0] *= 2
+    first.by_degree[0] = 0
+    first.by_degree[4] = 1
+    second = llv.full_llv_closure(ring)
+    assert second.by_degree == {-2: 22, 0: 232, 2: 22}
+    assert second.dimension == 276
 
 
 def _e_by_loop(ring, eta):

@@ -187,9 +187,9 @@ def test_brute_force_wall_oracle_stays_independent_of_the_enumerator():
     assert not {"enumerate_walls_near", "_enumerate_ellipsoid_int", "_innermost_ranges", "_dyadic_ldl"} & reached
 
 
-@pytest.mark.parametrize("module", ["walls", "cech", "exactlin"])
+@pytest.mark.parametrize("module", ["walls", "cech", "exactlin", "llv"])
 def test_exact_module_holds_no_cache(module):
-    # caches live on the objects they derive from (a nerve, a lattice), never in a module-level dict
+    # caches live on the objects they derive from (a nerve, a lattice, a ring), never in a module-level dict
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for node in tree.body:
         value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
