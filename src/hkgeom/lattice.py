@@ -339,7 +339,12 @@ def is_isometry_matrix(L: QuadLattice, g) -> bool:
     return ex.mat_mul(ex.mat_mul(ex.transpose(h), L.gram), h) == [[d * d * x for x in r] for r in L.gram]
 
 
-def _candidate_vectors(basis: list[ex.Vec], order: list[int] | None) -> list[ex.Vec]:
+def _candidate_vectors(basis: list[list[int]], order: list[int] | None):
+    """Basis vectors (permuted by ``order``), then sums and differences of pairs, lazily.
+
+    Each candidate comes with the index of a basis vector on which it has a
+    nonzero coefficient.
+    """
     idx = list(range(len(basis)))
     if order:
         perm = [order[i % len(order)] % len(basis) for i in range(len(basis))]
@@ -349,16 +354,16 @@ def _candidate_vectors(basis: list[ex.Vec], order: list[int] | None) -> list[ex.
                 seen.add(p)
                 idx.append(p)
         idx += [i for i in range(len(basis)) if i not in seen]
-    cands = [basis[i] for i in idx]
+    for i in idx:
+        yield basis[i], i
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             u, w = basis[idx[a]], basis[idx[b]]
-            cands.append([x + y for x, y in zip(u, w)])
-            cands.append([x - y for x, y in zip(u, w)])
-    return cands
+            yield [x + y for x, y in zip(u, w)], idx[a]
+            yield [x - y for x, y in zip(u, w)], idx[a]
 
 
-def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None) -> list[ex.Vec]:
+def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None) -> list[list[int]]:
     """Cartan-Dieudonne decomposition: vectors w_i with g = r_{w_1} ... r_{w_k}.
 
     Recursive: find an anisotropic v in the current invariant subspace and
@@ -367,6 +372,11 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
     Terminates in at most 2 * rank reflections. The ``order`` argument only
     permutes the candidate search and must not change the resulting spinor
     sign; tests rely on that.
+
+    The arithmetic is in integers: a reflection and a span do not change
+    when a vector is scaled, so every basis vector and mirror is kept
+    primitive, and the running g as an integer matrix h over one positive
+    denominator d. The returned mirrors are primitive integer vectors.
     """
     gram = [list(r) for r in L.gram]
     if not is_isometry_matrix(L, g):
@@ -375,41 +385,50 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
     def qq(v):
         return ex.dot(v, ex.mat_vec(gram, v))
 
-    def apply(mat, v):
-        return ex.mat_vec(mat, v)
+    def reflect(w: list[int], h: list[list[int]], d: int) -> tuple[list[list[int]], int]:
+        """r_w (h / d) = (q(w) h - 2 w (w^T gram h)) / (q(w) d), reduced to lowest terms."""
+        qw = qq(w)
+        u = ex.mat_vec(ex.transpose(h), ex.mat_vec(gram, w))  # w^T gram h
+        h2 = [[qw * x - 2 * wi * y for x, y in zip(row, u)] for row, wi in zip(h, w)]
+        d2 = qw * d
+        c = ex.content([d2] + [x for row in h2 for x in row])
+        if d2 < 0:
+            c = -c
+        return [[x // c for x in row] for row in h2], d2 // c
 
-    def recurse(gmat: ex.Mat, basis: list[ex.Vec]) -> list[ex.Vec]:
+    def recurse(h: list[list[int]], d: int, basis: list[list[int]]) -> list[list[int]]:
         if not basis:
             return []
-        if all(apply(gmat, b) == b for b in basis):
+        if all(ex.mat_vec(h, b) == [d * x for x in b] for b in basis):
             return []
-        v = next((c for c in _candidate_vectors(basis, order) if qq(c) != 0), None)
+        v, i = next(((c, i) for c, i in _candidate_vectors(basis, order) if qq(c) != 0), (None, None))
         if v is None:
             raise InternalInconsistencyError("no anisotropic vector in a nondegenerate subspace")
-        gv = apply(gmat, v)
+        v = ex.primitive_vector(v)
+        hv = ex.mat_vec(h, v)  # d g v
+        dv = [d * x for x in v]
         qv = qq(v)
-
-        def orth_basis():
-            gram_v = ex.mat_vec(gram, v)  # b(b, v) = b . (gram v), gram v once per step
-            projected = [[x - (ex.dot(b, gram_v) / qv) * y for x, y in zip(b, v)] for b in basis]
-            red, pivots = ex.rref(projected)
-            return [red[i] for i in range(len(pivots))]
-
-        if gv == v:
-            return recurse(gmat, orth_basis())
-        w = [x - y for x, y in zip(v, gv)]
+        gram_v = ex.mat_vec(gram, v)  # b(b, v) = b . (gram v), gram v once per step
+        # q(v) b - b(b, v) v spans the projection of b onto v-perp; v involves basis[i],
+        # so dropping it leaves a basis of the projected span
+        orth = [
+            ex.primitive_vector([qv * x - ex.dot(b, gram_v) * y for x, y in zip(b, v)])
+            for k, b in enumerate(basis)
+            if k != i
+        ]
+        if hv == dv:
+            return recurse(h, d, orth)
+        w = ex.primitive_vector([x - y for x, y in zip(dv, hv)])
         if qq(w) != 0:
-            g2 = ex.mat_mul(reflection_matrix(L, w), gmat)
-            return [w] + recurse(g2, orth_basis())
-        w1 = [x + y for x, y in zip(v, gv)]
+            h2, d2 = reflect(w, h, d)
+            return [w] + recurse(h2, d2, orth)
+        w1 = ex.primitive_vector([x + y for x, y in zip(dv, hv)])
         # q(v - gv) = 0 and q(v) != 0 force q(v + gv) = 4 q(v) != 0
-        g2 = ex.mat_mul(
-            reflection_matrix(L, v), ex.mat_mul(reflection_matrix(L, w1), gmat)
-        )
-        return [w1, v] + recurse(g2, orth_basis())
+        h2, d2 = reflect(v, *reflect(w1, h, d))
+        return [w1, v] + recurse(h2, d2, orth)
 
-    basis0 = [[Fraction(int(i == j)) for j in range(L.rank)] for i in range(L.rank)]
-    vectors = recurse([list(map(ex.fr, row)) for row in g], basis0)
+    h0, d0 = ex.scale_matrix_to_integers(g)
+    vectors = recurse(h0, d0, [[int(i == j) for j in range(L.rank)] for i in range(L.rank)])
     if len(vectors) > 2 * L.rank:
         raise InternalInconsistencyError("reflection decomposition exceeded 2 * rank")
     return vectors

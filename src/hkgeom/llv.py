@@ -812,9 +812,15 @@ def weight_spectrum(ring: CohomologyRing, x: GradedOperator) -> dict[int, list[c
 
 @dataclasses.dataclass(frozen=True)
 class HodgeDecomposition:
+    """The Hodge splitting of H^2(X, C) at a period point, built over R.
+
+    With P the positive plane span(Re sigma, Im sigma), H^{1,1} = P^perp (x) C,
+    so a real basis of P^perp spans it.
+    """
+
     h20: np.ndarray  # complex line of sigma
     h02: np.ndarray  # conjugate line
-    h11: np.ndarray  # basis rows of the h_q-orthogonal complement
+    h11: np.ndarray  # real orthonormal basis of P^perp, spanning H^{1,1} over C
     inertia_h11: tuple[int, int]
 
     @property
@@ -822,27 +828,29 @@ class HodgeDecomposition:
         return 1, self.h11.shape[0], 1
 
 
-_HODGE_ORTH = 1e-8  # largest h_q pairing of an H^{1,1} basis row with sigma or its conjugate
+_HODGE_ORTH = 1e-8  # largest modulus |h_q(x, sigma)| = |h_q(x, conj sigma)| of an H^{1,1} basis row x
 _INERTIA_CUT = 1e-9  # |eigenvalue| of the H^{1,1} hermitian form below which its sign is undecided
 
 
 def hodge_decompose(L: QuadLattice, z: PeriodPoint) -> HodgeDecomposition:
     """Split the complexified lattice by the period point, with certificates.
 
-    H^{2,0} = C sigma, H^{0,2} = C conj(sigma), H^{1,1} their h_q-orthogonal
-    complement; verifies h_q-orthogonality and that the hermitian form has
-    inertia (1, n) on H^{1,1} (numerical eigenvalue count).
+    H^{2,0} = C sigma, H^{0,2} = C conj(sigma), and H^{1,1} their
+    h_q-orthogonal complement. The split is built over R: H^{1,1} is spanned
+    by the real q-complement of the plane (Re sigma, Im sigma), and on real
+    vectors the hermitian form h_q is q. Verifies h_q-orthogonality, that
+    the form has inertia (1, n - 3) on H^{1,1} (numerical eigenvalue count)
+    and that h_q(sigma, sigma) > 0.
     """
+    if z.lattice != L:
+        raise DomainError("period point lives on another lattice")
     g = gram_float(L)
-    sigma = z.sigma
-    sbar = np.conj(sigma)
-    pairings = np.vstack([sbar @ g, sigma @ g])  # h(x, sigma) = x^T G conj(sigma)
-    _, svals, vt = np.linalg.svd(pairings)
-    h11 = np.conj(vt[2:])
-    if np.abs(h11 @ pairings.T).max(initial=0) > _HODGE_ORTH:  # columns h(row, sigma), h(row, conj sigma)
+    frame_g = z._frame_g  # rows (Re sigma) G and (Im sigma) G, cached on the point
+    h11 = np.linalg.svd(frame_g)[2][2:]
+    # for real x, |h(x, sigma)| = |h(x, conj sigma)| = hypot(x G Re sigma, x G Im sigma)
+    if np.hypot(*(frame_g @ h11.T)).max(initial=0) > _HODGE_ORTH:
         raise NumericalError("H^{1,1} fails h_q-orthogonality")
-    herm = h11 @ g @ np.conj(h11).T
-    evals = np.linalg.eigvalsh((herm + np.conj(herm).T) / 2)
+    evals = np.linalg.eigvalsh(h11 @ g @ h11.T)
     pos = int((evals > _INERTIA_CUT).sum())
     neg = int((evals < -_INERTIA_CUT).sum())
     if pos + neg != len(evals):
@@ -852,9 +860,9 @@ def hodge_decompose(L: QuadLattice, z: PeriodPoint) -> HodgeDecomposition:
         raise NumericalError(
             f"H^(1,1) inertia {(pos, neg)} differs from {expected}; invalid input"
         )
-    h_sigma = float(np.real(sigma @ g @ np.conj(sigma)))
-    if h_sigma <= 0:
+    if float(np.vdot(frame_g, z.plane_frame())) <= 0:  # h_q(sigma, sigma) = q(Re sigma) + q(Im sigma)
         raise NumericalError("h_q is not positive on the sigma line")
+    sigma = z.sigma
     return HodgeDecomposition(
-        h20=sigma, h02=sbar, h11=h11, inertia_h11=(pos, neg)
+        h20=sigma, h02=np.conj(sigma), h11=h11, inertia_h11=(pos, neg)
     )

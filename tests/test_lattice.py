@@ -313,6 +313,38 @@ def test_reflection_decomposition_reconstructs():
         assert len(ws) <= 12
 
 
+def _k3_vector(coords):
+    v = [0] * 22
+    for i, x in coords.items():
+        v[i] = x
+    return v
+
+
+@pytest.mark.parametrize(
+    "L, vectors",
+    [
+        (K3, [_k3_vector({0: 1, 1: 1}), _k3_vector({6: 1}), _k3_vector({0: 1, 1: -1, 7: 1}),
+              _k3_vector({2: 1, 3: 2, 14: 1})]),
+        (U3, [[1, 1, 1, 1, 0, 0], [1, 2, 0, 0, 1, -1]]),  # q = 4 and 2: g has denominator 2
+        (U3, [[1, 2, 0, 0, 0, 0], [0, 0, 1, -2, 1, 1], [2, 1, 0, 1, 0, 0]]),
+        (lat.QuadLattice.from_rows([[1, 0, 0, 0], [0, -3, 0, 0], [0, 0, 5, 0], [0, 0, 0, -7]]),
+         [[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]]),
+    ],
+    ids=["k3", "u3-rational-4", "u3-rational-mixed", "diag-1-3-5-7"],
+)
+def test_reflection_decomposition_is_integral_and_reconstructs(L, vectors):
+    g = _product_of_reflections(L, vectors)
+    for order in (None, list(range(L.rank))[::-1]):
+        ws = lat.reflection_vectors(L, g, order=order)
+        assert all(type(x) is int for w in ws for x in w)
+        assert all(ex.content(w) == 1 for w in ws)
+        recon = ex.identity(L.rank)
+        for w in ws:
+            recon = ex.mat_mul(recon, lat.reflection_matrix(L, w))
+        assert recon == g
+        assert len(ws) <= 2 * L.rank
+
+
 def test_spinor_norm_rejects_non_isometry():
     bad = ex.frmat([[1, 1], [0, 1]])
     with pytest.raises(DomainError):

@@ -334,6 +334,87 @@ def test_hodge_decompose_random_points():
         assert dec.inertia_h11 == (1, 19)
 
 
+def _complex_h11(lat_, z):
+    """H^{1,1} built in complex arithmetic, as the oracle: the conjugated null rows of the pairings."""
+    g = per.gram_float(lat_)
+    sigma = z.re + 1j * z.im
+    pairings = np.vstack([np.conj(sigma) @ g, sigma @ g])  # h(x, sigma) = x^T G conj(sigma)
+    return np.conj(np.linalg.svd(pairings)[2][2:])
+
+
+def _boosted(z, lam):
+    """z moved by the isometry diag(lam, 1/lam) on the first U summand (e0, e1)."""
+    scale = np.ones(z.lattice.rank)
+    scale[:2] = lam, 1 / lam
+    return per.period_point(z.lattice, scale * z.re, scale * z.im)
+
+
+def _hodge_points():
+    u3 = lat.standard_lattice("U3")
+    points = [per.sample_period_point(L, s) for s in range(30)]
+    points += [per.sample_period_point(u3, s) for s in range(10)]
+    for lam in (10, 100, 1000):
+        for s in range(5):
+            try:
+                points.append(_boosted(per.sample_period_point(L, s), lam))
+            except DomainError:
+                pass
+    return points
+
+
+def test_hodge_h11_is_the_real_complement_of_the_period_plane():
+    points = _hodge_points()
+    assert max(float(np.linalg.norm(z.plane_frame())) for z in points) > 500  # the boosts took
+    for z in points:
+        lattice_ = z.lattice
+        n = lattice_.rank
+        g = per.gram_float(lattice_)
+        dec = llv.hodge_decompose(lattice_, z)
+        h11 = dec.h11
+        assert h11.dtype == np.float64 and h11.shape == (n - 2, n)
+        assert np.allclose(h11 @ h11.T, np.eye(n - 2), rtol=0, atol=1e-12)
+        sigma = z.re + 1j * z.im
+        assert np.abs(h11 @ g @ np.vstack([sigma, np.conj(sigma)]).T).max() <= 1e-12
+        ref = _complex_h11(lattice_, z)
+        # the stacked bases have singular values sqrt(2) on the shared span; the
+        # two float constructions differ by about 1e-13 at frame norm 900
+        assert np.linalg.matrix_rank(np.vstack([h11, ref]), tol=1e-10) == n - 2
+        herm = ref @ g @ np.conj(ref).T
+        ref_evals = np.sort(np.linalg.eigvalsh((herm + np.conj(herm).T) / 2))
+        assert np.allclose(np.sort(np.linalg.eigvalsh(h11 @ g @ h11.T)), ref_evals, rtol=0, atol=1e-12)
+        assert dec.inertia_h11 == (1, n - 3)
+        assert dec.h20.tobytes() == sigma.tobytes()
+        assert dec.h02.tobytes() == np.conj(sigma).tobytes()
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [
+        ({0: 1, 1: 1}, {0: 1, 1: -1}),  # q = 2 and -2
+        ({0: 2, 1: 2}, {0: 1, 1: -1}),  # q = 8 and -2, so h_q(sigma, sigma) > 0
+        ({2: 1, 3: 1}, {6: 1}),  # U + E8(-1)
+        ({6: 1}, {8: 1}),  # negative definite
+    ],
+    ids=["split", "split-h-positive", "u-e8", "negative"],
+)
+def test_hodge_decompose_refuses_a_point_on_a_non_positive_plane(re, im):
+    def vec(coords):
+        v = np.zeros(L.rank)
+        for i, x in coords.items():
+            v[i] = x
+        return v
+
+    with pytest.raises(NumericalError):
+        llv.hodge_decompose(L, per.PeriodPoint(L, vec(re), vec(im)))
+
+
+def test_hodge_decompose_refuses_a_point_of_another_lattice():
+    u3 = lat.standard_lattice("U3")
+    with pytest.raises(DomainError):
+        llv.hodge_decompose(lat.direct_sum(*[lat.rank_one(1)] * 3, *[lat.rank_one(-1)] * 3),
+                            per.sample_period_point(u3, 0))
+
+
 def test_full_llv_closure_dimension():
     closure = llv.full_llv_closure(RING)
     assert closure.dimension == 276  # dim so(24) = 24 * 23 / 2
