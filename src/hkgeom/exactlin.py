@@ -4,7 +4,8 @@ Everything here is pure Python on ``fractions.Fraction`` and ``int``; no
 floating point enters. This module backs the discrete invariants of the
 toolkit: signatures of integral quadratic forms, kernels of rational
 functionals, Smith normal forms for cochain solving, and the integral LLL
-behind the integer-relation detectors.
+behind the integer-relation detectors. One fraction-free integer
+elimination, ``_bareiss``, gives determinants, adjugates, ranks and kernels.
 """
 
 from __future__ import annotations
@@ -78,135 +79,99 @@ def is_symmetric(a) -> bool:
     )
 
 
-def det(a: Mat) -> Fraction:
-    """Exact determinant of a rational matrix: det(D a) / D^n for D the lcm of its denominators.
+def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix in place: (pivot columns, row-swap sign).
 
-    Fraction-free (Bareiss) elimination below the pivots of the integer
-    matrix D a: after step c each remaining entry is a (c+1)-minor, so the
-    division by the previous pivot is exact and the last pivot is +-det.
-    Rows whose multiplier is 0 are deferred as in ``det_adjugate``: a row
-    kept as of pivot ``at[r]`` is brought up to date only when it becomes the
-    pivot, when its multiplier is nonzero, or as the last pivot.
+    Columns with no pivot are skipped. A step with pivot p replaces each row
+    it clears by (p * row - f * pivot_row) / p_prev, an exact division since
+    every entry is a minor of the input (Bareiss, Math. Comp. 22, 1968). It
+    clears the rows below the pivot, and with ``jordan`` those above too,
+    which leaves every pivot equal to the last one. A row with f = 0 is only
+    scaled by p / p_prev, and such scalings telescope: a row kept as of pivot
+    ``at[r]`` stands for row * prev / at[r]. It is brought up to date only
+    as the pivot, when its f is nonzero, or at the end.
     """
-    m, scale = scale_matrix_to_integers(a)
-    n = len(m)
-    at = [1] * n
+    rows = len(m)
+    at = [1] * rows
     prev, sign = 1, 1
+    pivots: list[int] = []
 
     def bring_up_to_date(r):
         if at[r] != prev:
             m[r] = [x * prev // at[r] for x in m[r]]
             at[r] = prev
 
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
+    for c in range(len(m[0]) if rows else 0):
+        k = len(pivots)
+        piv = next((r for r in range(k, rows) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            at[c], at[piv] = at[piv], at[c]
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            at[k], at[piv] = at[piv], at[k]
             sign = -sign
-        bring_up_to_date(c)
-        pivot_row, p = m[c], m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
+        bring_up_to_date(k)
+        pivot_row, p = m[k], m[k][c]
+        for r in range(0 if jordan else k + 1, rows):
+            if r != k and m[r][c]:
                 bring_up_to_date(r)
                 f = m[r][c]
-                m[r] = [0] * (c + 1) + [(p * x - f * y) // prev for x, y in zip(m[r][c + 1 :], pivot_row[c + 1 :])]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
                 at[r] = p
-        prev = p
-    if n:
-        bring_up_to_date(n - 1)
-    return Fraction(sign * m[-1][-1] if n else 1, scale**n)
+        at[k] = prev = p
+        pivots.append(c)
+    if jordan:  # rows below the last pivot are zero; those above may be pending
+        for r in range(len(pivots)):
+            bring_up_to_date(r)
+    return pivots, sign
+
+
+def det(a: Mat) -> Fraction:
+    """Exact determinant of a rational matrix: +-(last of n pivots of D a) / D^n, D the lcm of its denominators."""
+    m, scale = scale_matrix_to_integers(a)
+    pivots, sign = _bareiss(m, jordan=False)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * m[-1][-1] if m else 1, scale ** len(m))
 
 
 def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     """(det a, adj a) of a square integer matrix, all in integers; adj is None when det is 0.
 
-    Fraction-free (Bareiss) Gauss-Jordan on [a | I]: each step replaces every
-    other row by (p * row - f * pivot_row) / p_prev, an exact division (every
-    entry is a minor of [a | I], Sylvester's identity). At the end the left
-    half is d I with d = +-det a, the sign from the row swaps, and the right
-    half is d a^-1 = +-adj a.
-    A step with f = 0 only scales the row by p / p_prev, and such scalings
-    telescope: a row kept as of pivot ``at[r]`` holds row * prev / at[r] now.
-    The row is brought up to date, by that exact division, only when it is
-    the pivot, when its f is nonzero, or at the end; sparse matrices skip
-    most row updates.
+    Gauss-Jordan on [a | I]: a is nonsingular iff the pivot columns are 0..n-1;
+    then the left half is d I with d = +-det a and the right half d a^-1 = +-adj a.
     """
     n = len(a)
     m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    at = [1] * n
-    prev, sign = 1, 1
-
-    def bring_up_to_date(r):
-        if at[r] != prev:
-            m[r] = [x * prev // at[r] for x in m[r]]
-            at[r] = prev
-
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return 0, None
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            at[c], at[piv] = at[piv], at[c]
-            sign = -sign
-        bring_up_to_date(c)
-        pivot_row, p = m[c], m[c][c]
-        for r in range(n):
-            if r != c and m[r][c]:
-                bring_up_to_date(r)
-                f = m[r][c]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
-                at[r] = p
-        at[c] = prev = p
-    for r in range(n):
-        bring_up_to_date(r)
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+    pivots, sign = _bareiss(m, jordan=True)
+    if pivots != list(range(n)):
+        return 0, None
+    return sign * m[-1][n - 1] if n else 1, [[sign * x for x in row[n:]] for row in m]
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[fr(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
-        m[r] = [x / d for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+def pivot_columns(a: Mat) -> list[int]:
+    """Pivot columns of a rational matrix: the columns outside the span of those before them."""
+    return _bareiss(scale_matrix_to_integers(a)[0], jordan=False)[0]
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(pivot_columns(a))
 
 
 def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel {x : a x = 0}, exact over Q."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the right kernel {x : a x = 0}, exact over Q: e_f minus rref column f, per non-pivot f.
+
+    The rref entry of row r is m[r][f] / m[r][pivot r] in the integer Jordan form m.
+    """
+    cols = len(a[0]) if a else 0
+    m, _ = scale_matrix_to_integers(a)
+    pivots, _ = _bareiss(m, jordan=True)
     basis = []
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+            v[p] = Fraction(-m[r][f], m[r][p])
         basis.append(v)
     return basis
 

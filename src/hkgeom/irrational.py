@@ -82,13 +82,11 @@ def _lll_relations(vectors: list[np.ndarray], height: int, tol: float) -> list[t
 
 
 def _independent(relations: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The greedy independent subset, in order (repeats and negatives drop out)."""
-    independent: list[tuple] = []
-    for delta in relations:
-        trial = independent + [delta]
-        if ex.rank(ex.frmat([list(t) for t in trial])) == len(trial):
-            independent.append(delta)
-    return independent
+    """The greedy independent subset, in order: the pivot columns of the matrix with the relations as columns.
+
+    Repeats, negatives and zero forms are never pivots, so they drop out.
+    """
+    return [relations[c] for c in ex.pivot_columns(ex.transpose(relations))]
 
 
 def _float_rows(vectors) -> list[np.ndarray]:

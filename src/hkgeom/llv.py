@@ -228,8 +228,24 @@ class GradedOperator:
             raise DomainError("matrix entries off the degree-shift blocks")
 
 
+# Bytes of dense operators a ring may need: a closure holds up to _CLOSURE_CAP
+# dim x dim float matrices, 8 dim^2 bytes each. 2^30 admits dim <= 472, so
+# K3^[2] (324) and OG6 (210) pass and a larger ring is refused before it allocates.
+_DENSE_BYTES_BUDGET = 1 << 30
+
+
+def _check_dense_budget(ring: CohomologyRing) -> None:
+    need = 8 * ring.dim**2 * _CLOSURE_CAP
+    if need > _DENSE_BYTES_BUDGET:
+        raise DomainError(
+            f"ring of dim {ring.dim} needs up to {need} bytes of dense operators"
+            f" ({_CLOSURE_CAP} of {ring.dim}^2 floats), above the budget of {_DENSE_BYTES_BUDGET} bytes"
+        )
+
+
 def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
+    _check_dense_budget(ring)
     if len(eta) != ring.lattice.rank:
         raise DomainError("eta must be a degree-2 class in lattice coordinates")
     coeffs = np.array([float(x) for x in eta])
@@ -243,6 +259,7 @@ def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
 
 def grading_h(ring: CohomologyRing) -> GradedOperator:
     """Diagonal operator with eigenvalue 2m - k on the degree-k block."""
+    _check_dense_budget(ring)
     return GradedOperator(ring, np.diag(ring._h_diagonal), degree=0)
 
 

@@ -582,6 +582,42 @@ def test_walls_enum_oversized_radius_fails_fast(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _wide_ring(dim):
+    """A ring payload of the given dim: a U lattice block, unit products and one cup product."""
+    units = [[0, i, i, 1] for i in range(dim)] + [[i, 0, i, 1] for i in range(1, dim)]
+    return {
+        "m": 1,
+        "degrees": [0] + [2] * (dim - 2) + [4],
+        "structure_constants": units + [[1, 2, dim - 1, 1], [2, 1, dim - 1, 1]],
+        "integration": [0] * (dim - 1) + [1],
+        "lattice_block": {"indices": [1, 2], "gram": [[0, 1], [1, 0]]},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,dim,fields",
+    [
+        (["llv", "closure"], 15_000, {"full": True}),
+        (["llv", "closure"], 3_000, {"full": True}),
+        (["llv", "e"], 3_000, {"eta": [1, 0]}),
+        (["llv", "f"], 3_000, {"eta": [1, 1]}),
+    ],
+    ids=["closure-15000", "closure-3000", "e-3000", "f-3000"],
+)
+def test_ring_past_the_dense_budget_is_refused_fast(argv, dim, fields, tmp_path, capsys):
+    # the payload decodes, and the leaf refuses it before allocating a dim x dim operator
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"ring": _wide_ring(dim), **fields}))
+    start = time.perf_counter()
+    code = main([*argv, "-i", str(path)])
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "domain"
+    assert f"ring of dim {dim} needs up to {8 * dim**2 * 600} bytes" in out["error"]["message"]
+    assert "above the budget of 1073741824 bytes" in out["error"]["message"]
+
+
 def test_walls_ueps_subcommand(tmp_path, capsys):
     job = {
         "lattice": json.loads((FIXTURES / "u3_lattice.json").read_text()),

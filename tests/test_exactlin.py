@@ -33,18 +33,28 @@ def test_det_matches_det_adjugate_on_random_matrices():
             a = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in a]
         scale = math.lcm(1, *(Fraction(x).denominator for row in a for x in row))
         expected = Fraction(ex.det_adjugate([[int(scale * x) for x in row] for row in a])[0], scale**n)
-        assert ex.det(a) == expected
+        d = ex.det(a)
+        assert type(d) is Fraction and d == expected == _laplace_det(a)
         singular += expected == 0
     assert singular > 10
 
 
 def _laplace_det(a):
-    """Cofactor expansion along the first row, in Python ints."""
+    """Cofactor expansion along the first row, in Python ints (or Fractions)."""
     if not a:
         return 1
     return sum(
         (-1) ** j * x * _laplace_det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x
     )
+
+
+def _oracle_det(a):
+    """Laplace up to 7 x 7, sympy's Berkowitz determinant above: neither eliminates."""
+    if len(a) <= 7:
+        return _laplace_det(a)
+    import sympy
+
+    return int(sympy.Matrix(a).det(method="berkowitz"))
 
 
 def test_det_with_deferred_rows_matches_laplace_and_adjugate():
@@ -59,9 +69,7 @@ def test_det_with_deferred_rows_matches_laplace_and_adjugate():
         if trial % 8 == 5 and n > 2:
             a[rng.randrange(2, n)] = [3 * x - y for x, y in zip(a[0], a[1])]
         d = ex.det(a)
-        assert d == ex.det_adjugate(a)[0]
-        if n <= 7:
-            assert d == _laplace_det(a)
+        assert d == ex.det_adjugate(a)[0] == _oracle_det(a)
         singular += d == 0
     assert singular > 40
 
@@ -102,6 +110,7 @@ def test_det_adjugate_matches_inverse_times_det():
             singular += 1
             continue
         assert adj == [[d * x for x in row] for row in ex.inverse(sym)]
+        assert ex.mat_mul(sym, adj) == [[d * int(i == j) for j in range(n)] for i in range(n)]
     assert singular > 0
     assert ex.det([["1/2", 0], [0, "2/3"]]) == Fraction(1, 3)
 
@@ -117,7 +126,7 @@ def test_det_adjugate_multiplies_back_to_det_on_sparse_and_dense_matrices():
         if trial % 10 == 2 and n > 1:
             a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
         d, adj = ex.det_adjugate(a)
-        assert type(d) is int and d == ex.det(a)
+        assert type(d) is int and d == ex.det(a) == _oracle_det(a)
         if d == 0:
             assert adj is None
             singular += 1
@@ -134,6 +143,110 @@ def test_nullspace_and_solve():
     assert len(ker) == 2
     for v in ker:
         assert ex.mat_vec(ex.frmat(a), v) == [0, 0]
+
+
+def _rref(a):
+    """Reduced row echelon form over Fractions, by plain Gauss-Jordan: (matrix, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _rref_nullspace(a):
+    """One kernel vector per non-pivot column f: 1 at f, minus the rref column f at the pivots."""
+    red, pivots = _rref(a)
+    cols = len(a[0]) if a else 0
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def _same(x, y):
+    """Equal in value and in type, all the way down."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(_same(u, v) for u, v in zip(x, y))
+    return x == y
+
+
+def _seeded_matrices(seed, count):
+    """Sparse, dense and full matrices, square and rectangular, some with a dependent row, half rational."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        if trial % 3 == 0:
+            cols = rows
+        density = (0.15, 0.4, 1.0)[trial % 3]
+        a = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        if trial % 7 == 0 and rows > 2:
+            a[rng.randrange(2, rows)] = [3 * x - y for x, y in zip(a[0], a[1])]
+        if trial % 2:
+            a = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in a]
+        yield a
+
+
+def test_rank_pivots_and_nullspace_match_the_fraction_rref():
+    # the integer Jordan form gives the rref's pivots and its normalized kernel basis, in Fractions
+    deficient = 0
+    edge = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]], [[0, 2, 4], [0, 1, 2]], [["1/2", 1], [1, 2]]]
+    for a in [*edge, *_seeded_matrices(29, 600)]:
+        _, pivots = _rref(a)
+        assert _same(ex.pivot_columns(a), pivots), a
+        assert _same(ex.rank(a), len(pivots)), a
+        kernel = ex.nullspace(a)
+        assert _same(kernel, _rref_nullspace(a)), a
+        assert all(ex.mat_vec(ex.frmat(a), v) == [0] * len(a) for v in kernel)
+        deficient += len(pivots) < min(len(a), len(a[0]) if a else 0)
+    assert deficient > 100
+
+
+def test_independent_relations_are_the_greedy_subset():
+    # the pivot columns of the relations taken as columns are the forms a greedy rank test keeps, in order
+    rng = random.Random(37)
+    dropped = 0
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        base = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        relations = []
+        for _ in range(rng.randint(0, 9)):
+            kind = rng.random()
+            if kind < 0.25:  # a repeat
+                delta = rng.choice(base)
+            elif kind < 0.4:  # a negative
+                delta = tuple(-x for x in rng.choice(base))
+            elif kind < 0.45:
+                delta = (0,) * n
+            elif kind < 0.6:  # a combination of two
+                u, w = rng.choice(base), rng.choice(base)
+                delta = tuple(2 * x - y for x, y in zip(u, w))
+            else:
+                delta = tuple(rng.randint(-3, 3) for _ in range(n))
+            relations.append(delta)
+        greedy = []
+        for delta in relations:
+            if len(_rref([*greedy, delta])[1]) > len(greedy):
+                greedy.append(delta)
+        assert _same(irr._independent(relations), greedy), relations
+        dropped += len(relations) - len(greedy)
+    assert dropped > 500
 
 
 @settings(max_examples=60)

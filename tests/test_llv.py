@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
@@ -707,6 +709,41 @@ def test_closure_cap_still_raises(monkeypatch):
     monkeypatch.setattr(llv, "_CLOSURE_CAP", 100)
     with pytest.raises(NumericalError):
         llv.full_llv_closure(llv.k3_ring())  # RING may keep an algebra closed under the real cap
+
+
+def _u_block_ring(dim):
+    """A ring of any dim >= 4: unit, dim - 2 degree-2 classes with a U block first, point class."""
+    products = [(0, i, i, 1) for i in range(dim)] + [(i, 0, i, 1) for i in range(1, dim)]
+    return llv.CohomologyRing(
+        m=1,
+        degrees=(0,) + (2,) * (dim - 2) + (4,),
+        products=tuple(products) + ((1, 2, dim - 1, 1), (2, 1, dim - 1, 1)),
+        integration=(0,) * (dim - 1) + (1,),
+        lattice_indices=(1, 2),
+        lattice=lat.hyperbolic_plane(),
+    )
+
+
+# 8 * 472^2 * 600 bytes is within the 2^30 budget, 8 * 473^2 * 600 is past it
+LARGEST_ADMITTED_DIM = 472
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 20_000))
+@example(210)
+@example(324)
+@example(LARGEST_ADMITTED_DIM)
+@example(LARGEST_ADMITTED_DIM + 1)
+def test_dense_budget_refuses_exactly_the_rings_past_it(dim):
+    # OG6 (210) and K3^[2] (324) are admitted; a larger ring is refused before any dim x dim array exists
+    ring = _u_block_ring(dim)
+    builders = (llv.grading_h, lambda r: llv.lefschetz_e(r, [1, 0]), lambda r: llv.lefschetz_f(r, [1, 1]))
+    for build in builders:
+        if dim <= LARGEST_ADMITTED_DIM:
+            assert build(ring).matrix.shape == (dim, dim)
+        else:
+            with pytest.raises(DomainError, match=f"dim {dim} .* above the budget of {2**30} bytes"):
+                build(ring)
 
 
 def _closure_fields(closure):
