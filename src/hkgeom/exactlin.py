@@ -89,16 +89,18 @@ def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
     which leaves every pivot equal to the last one. A row with f = 0 is only
     scaled by p / p_prev, and such scalings telescope: a row kept as of pivot
     ``at[r]`` stands for row * prev / at[r]. It is brought up to date only
-    as the pivot, when its f is nonzero, or at the end.
+    as the pivot, when its f is nonzero, or at the end. Without ``jordan``
+    a row at or below the pivot is zero left of the pivot column c, so it
+    is updated and brought up to date from column c on only.
     """
     rows = len(m)
     at = [1] * rows
     prev, sign = 1, 1
     pivots: list[int] = []
 
-    def bring_up_to_date(r):
+    def bring_up_to_date(r, lo):
         if at[r] != prev:
-            m[r] = [x * prev // at[r] for x in m[r]]
+            m[r][lo:] = [x * prev // at[r] for x in m[r][lo:]]
             at[r] = prev
 
     for c in range(len(m[0]) if rows else 0):
@@ -110,19 +112,20 @@ def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
             m[k], m[piv] = m[piv], m[k]
             at[k], at[piv] = at[piv], at[k]
             sign = -sign
-        bring_up_to_date(k)
-        pivot_row, p = m[k], m[k][c]
+        lo = 0 if jordan else c
+        bring_up_to_date(k, lo)
+        pivot_tail, p = m[k][lo:], m[k][c]
         for r in range(0 if jordan else k + 1, rows):
             if r != k and m[r][c]:
-                bring_up_to_date(r)
+                bring_up_to_date(r, lo)
                 f = m[r][c]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], pivot_row)]
+                m[r][lo:] = [(p * x - f * y) // prev for x, y in zip(m[r][lo:], pivot_tail)]
                 at[r] = p
         at[k] = prev = p
         pivots.append(c)
     if jordan:  # rows below the last pivot are zero; those above may be pending
         for r in range(len(pivots)):
-            bring_up_to_date(r)
+            bring_up_to_date(r, 0)
     return pivots, sign
 
 

@@ -26,6 +26,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, HardLefschetzError, NumericalError
 from .lattice import QuadLattice, k3_lattice
 from .period import (
+    _norm,
     PeriodPoint,
     conic_contains,
     gram_float,
@@ -166,8 +167,14 @@ class CohomologyRing:
         return {d: np.flatnonzero(shift == d) for d in sorted({a - b for a in levels for b in levels})}
 
     @cached_property
-    def _llv_algebras(self) -> dict[Tolerances, LieClosure]:
-        """The full LLV closure per tolerances, filled by ``full_llv_closure``."""
+    def _off_support(self) -> dict[int, np.ndarray]:
+        """Per degree shift d in ``_support``, the flat indices outside ``_support[d]``."""
+        full = np.arange(self.dim**2)
+        return {d: np.setdiff1d(full, cols, assume_unique=True) for d, cols in self._support.items()}
+
+    @cached_property
+    def _llv_algebras(self) -> dict[Tolerances, tuple]:
+        """Per tolerances, the full LLV closure without its ring, filled by ``full_llv_closure``."""
         return {}
 
     def embed_lattice_vector(self, eta) -> np.ndarray:
@@ -222,10 +229,16 @@ class GradedOperator:
         n = self.ring.dim
         if m.shape != (n, n):
             raise DomainError(f"operator matrix must be {n}x{n}")
-        rows, cols = m.nonzero()
-        deg = self.ring._degree_array
-        if (deg[rows] != deg[cols] + self.degree).any():
+        off = self.ring._off_support.get(self.degree)
+        if np.count_nonzero(m if off is None else m.ravel()[off]):
             raise DomainError("matrix entries off the degree-shift blocks")
+
+
+def _assembled(ring: CohomologyRing, matrix: np.ndarray, degree: int) -> GradedOperator:
+    """A GradedOperator of a matrix scattered onto ``ring._support[degree]``, homogeneous by construction: unchecked."""
+    op = object.__new__(GradedOperator)
+    op.__dict__.update(ring=ring, matrix=matrix, degree=degree)
+    return op
 
 
 # Bytes of dense operators a ring may need: a closure holds up to _CLOSURE_CAP
@@ -271,12 +284,14 @@ def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
 
     Built one degree at a time from the Lefschetz decomposition, going up in
     degree k. For k <= 2m, H^k = e(H^{k-2}) + P^k, where the primitive part
-    P^k is the kernel of e^{2m-k+1} on H^k and f vanishes on it; above the
-    middle degree e(H^{k-2}) is all of H^k. On the image of e, [e, f] = -h
-    applied to u in H^{k-2} reads f(e u) = e f(u) + h u, and f(u) lies in
-    degree k - 4, already solved. So f on H^k is one least-squares solve
-    f_k B = R with B = [e_{k-2} | basis of P^k] and R = [e f_{k-2} + h | 0]
-    on H^{k-2}; each row of f_k has dim H^k unknowns.
+    P^k is the kernel of e^{2m-k+1}: H^k -> H^{4m-k+2} and f vanishes on it;
+    above the middle degree e(H^{k-2}) is all of H^k. On the image of e,
+    [e, f] = -h applied to u in H^{k-2} reads f(e u) = e f(u) + h u, and
+    f(u) lies in degree k - 4, already solved. So the block f_k: H^k ->
+    H^{k-2} solves f_k e_{k-2} = R with R = e f_{k-2} + h on H^{k-2}, and
+    f_k P^k = 0. By dimension count P^k is spanned by the last
+    |H^k| - |H^{k-2}| right singular vectors of e^{2m-k+1}; with V the
+    others, f_k = X V and X (V e_{k-2}) = R.
 
     Under hard Lefschetz the solution is unique: End(H) is an sl2-module
     under ad, the degree -2 operators have ad_h-weight +2 (so [h, f] = 2f
@@ -286,44 +301,45 @@ def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
     ``_F_SOLVE_TOL`` relative to |h| is exactly the failure of hard
     Lefschetz for eta and raises HardLefschetzError.
     """
-    return _lefschetz_f(lefschetz_e(ring, eta))
+    return GradedOperator(ring, _lefschetz_f(ring, lefschetz_e(ring, eta).matrix[None])[0], degree=-2)
 
 
-def _lefschetz_f(e: GradedOperator) -> GradedOperator:
-    """``lefschetz_f`` from e_eta itself, for callers that already hold it."""
-    ring = e.ring
-    e_op = e.matrix
-    h_op = np.diag(ring._h_diagonal)
+def _lefschetz_f(ring: CohomologyRing, e_ops: np.ndarray) -> np.ndarray:
+    """``lefschetz_f`` for a stack of e operators at once, (count, dim, dim) in and out,
+    on the degree blocks e_k = e[H^{k+2}, H^k] (1 x 22 on K3) and f_k = f[H^{k-2}, H^k]."""
     blocks = ring._degree_blocks
-    steps = [(k, blocks[k - 2], blocks[k]) for k in range(2, len(blocks)) if len(blocks[k - 2]) and len(blocks[k])]
+    top = 4 * ring.m
+    sizes = [len(b) for b in blocks]
+    if sizes != sizes[::-1] or any(sizes[k] < sizes[k - 2] for k in range(2, 2 * ring.m + 1)):
+        raise HardLefschetzError(f"degree blocks of sizes {sizes} admit no sl2 triple")
+    steps = [k for k in range(2, top + 1) if sizes[k - 2] and sizes[k]]
     if not steps:
         raise HardLefschetzError("ring has no degree -2 block")
-    f_mat = np.zeros_like(e_op)
-    for k, lo, hi in steps:
-        b_mat = e_op[hi[:, None], lo]
-        r_mat = e_op[lo] @ f_mat[:, lo] + h_op[lo[:, None], lo]
+
+    def e_block(k: int) -> np.ndarray:
+        return e_ops[:, blocks[k + 2][:, None], blocks[k]]
+
+    h = ring._h_diagonal
+    f_ops = np.zeros_like(e_ops)
+    f_blocks: dict[int, np.ndarray] = {}
+    for k in steps:
+        lo, hi = blocks[k - 2], blocks[k]
+        r = np.diag(h[lo]) + (e_block(k - 4) @ f_blocks[k - 2] if k - 2 in f_blocks else 0)
+        lhs = e_block(k - 2)
         if k <= 2 * ring.m:
-            power = e_op[:, hi]
-            for _ in range(2 * ring.m - k):
-                power = e_op @ power
-            prim = _kernel(power)
-            b_mat = np.hstack([b_mat, prim])
-            r_mat = np.hstack([r_mat, np.zeros((len(lo), prim.shape[1]))])
-        f_mat[lo[:, None], hi] = np.linalg.lstsq(b_mat.T, r_mat.T, rcond=None)[0].T
-    residual = np.linalg.norm(e_op @ f_mat - f_mat @ e_op + h_op)
-    scale = max(np.linalg.norm(h_op), 1)
-    if residual > _F_SOLVE_TOL * scale:
-        raise HardLefschetzError(
-            f"hard Lefschetz fails for this class (residual {residual:.3e})"
-        )
-    return GradedOperator(ring, f_mat, degree=-2)
-
-
-def _kernel(a: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning ker a, the rank taken at numpy's matrix_rank tolerance."""
-    _, s, vt = np.linalg.svd(a)
-    rank = int((s > s.max(initial=0) * max(a.shape) * np.finfo(float).eps).sum())
-    return vt[rank:].T
+            power = e_block(k)
+            for j in range(k + 2, top - k + 2, 2):
+                power = e_block(j) @ power
+            v = np.linalg.svd(power, full_matrices=False)[2]
+            f_blocks[k] = r @ np.linalg.pinv(v @ lhs) @ v
+        else:
+            f_blocks[k] = r @ np.linalg.pinv(lhs)
+        f_ops[:, lo[:, None], hi] = f_blocks[k]
+    h_op = np.diag(h)
+    residual = np.linalg.norm(e_ops @ f_ops - f_ops @ e_ops + h_op, axis=(1, 2)).max()  # worst member
+    if not residual <= _F_SOLVE_TOL * max(np.linalg.norm(h_op), 1):
+        raise HardLefschetzError(f"hard Lefschetz fails for this class (residual {residual:.3e})")
+    return f_ops
 
 
 def sl2_residuals(ring: CohomologyRing, eta) -> dict[str, float]:
@@ -383,10 +399,10 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     its entries at ``ring._support[d]``, the flat indices (i, j) with
     deg i = deg j + d and the only ones it can have nonzero (on K3, 44 of 576
     for d = +-2 and 486 for d = 0). Per degree, the basis is an orthonormal
-    stack of such rows, and each accepted element is stored there only: a
-    popped element is scattered into a dense scratch matrix to form its
-    brackets, each bracket is gathered to its target degree's support, and
-    ``LieClosure.elements`` is built from the stacks at return.
+    stack of such rows. Each accepted element is scattered to a dense matrix
+    once, as it is accepted, and that matrix serves its pops, the generator
+    stack, ``LieClosure.elements`` and the residual sweep; each bracket is
+    gathered to its target degree's support.
 
     One rule decides zero and rank together, at tau = ``tol.lie``: every
     operand has unit norm (generators are normalized as they are taken in,
@@ -430,12 +446,8 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     # the buffer doubles when full
     stacks: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
-    order: list[tuple[int, int]] = []  # (degree, stack row) of each element, as accepted
-
-    def dense(degree: int, row: np.ndarray) -> np.ndarray:
-        mat = np.zeros(n * n)
-        mat[support[degree]] = row
-        return mat.reshape(n, n)
+    order: list[int] = []  # the degree of each element, as accepted
+    mats: list[np.ndarray] = []  # the dense matrix of each element, scattered once as it is accepted
 
     def try_add(r: np.ndarray, degree: int) -> bool:
         k = counts.get(degree, 0)
@@ -443,7 +455,7 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
             q = stacks[degree][:k]
             r = r - q.T @ (q @ r)
             r -= q.T @ (q @ r)
-        rnorm = np.linalg.norm(r)
+        rnorm = _norm(r)
         if rnorm <= tau:
             return False
         if not k:
@@ -452,7 +464,10 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
             stacks[degree] = np.vstack([stacks[degree], np.empty_like(stacks[degree])])
         stacks[degree][k] = r / rnorm
         counts[degree] = k + 1
-        order.append((degree, k))
+        order.append(degree)
+        mat = np.zeros(n * n)
+        mat[support[degree]] = stacks[degree][k]
+        mats.append(mat.reshape(n, n))
         if len(order) > _CLOSURE_CAP:
             raise NumericalError(f"closure dimension exceeded the cap {_CLOSURE_CAP}")
         return True
@@ -468,19 +483,18 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     for g in generators:
         if g.degree in support:
             row = np.asarray(g.matrix, dtype=float).ravel()[support[g.degree]]
-            norm = np.linalg.norm(row)
+            norm = _norm(row)
             if norm:
                 try_add(row / norm, g.degree)
     gen_count = len(order)
-    gen_mats = np.array([dense(d, stacks[d][k]) for d, k in order])
-    gen_degrees = np.array([d for d, _ in order], dtype=int)
+    gen_mats = np.array(mats)
+    gen_degrees = np.array(order, dtype=int)
     by_gen_degree = {d: np.flatnonzero(gen_degrees == d) for d in sorted(set(gen_degrees.tolist()))}
     formed = tried = 0
     queue = deque(range(gen_count))
     while queue:
         p = queue.popleft()
-        deg_x, row = order[p]
-        x = dense(deg_x, stacks[deg_x][row])
+        deg_x, x = order[p], mats[p]
         first = p + 1 if p < gen_count else 0
         gens = gen_mats[first:]
         brackets = (x[None, :, :] @ gens - gens @ x[None, :, :]).reshape(len(gens), n * n)
@@ -499,15 +513,12 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
         for _, target, r in live:
             if try_add(r, target):
                 queue.append(len(order) - 1)
-    elements = tuple(GradedOperator(ring, dense(d, stacks[d][k]), degree=d) for d, k in order)
     return LieClosure(
         ring=ring,
-        elements=elements,
+        elements=tuple(_assembled(ring, m, d) for d, m in zip(order, mats)),
         dimension=len(order),
         by_degree=dict(sorted(counts.items())),
-        residual=_residual_sweep(
-            [(op.degree, op.matrix) for op in elements], {d: stacks[d][:k] for d, k in counts.items()}, support
-        ),
+        residual=_residual_sweep(list(zip(order, mats)), {d: stacks[d][:k] for d, k in counts.items()}, support),
         brackets_formed=formed,
         brackets_tried=tried,
         brackets_accepted=len(order) - gen_count,
@@ -603,11 +614,9 @@ def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[lis
 
 def so5_closure(ring: CohomologyRing, plane: PositiveThreePlane, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     """Closure of the sl2 pairs over a q-orthonormal basis of a positive 3-plane."""
-    gens = []
-    for eta in plane.frame:
-        e = lefschetz_e(ring, eta)
-        gens += [e, _lefschetz_f(e)]
-    return lie_closure(gens, tol)
+    es = [lefschetz_e(ring, eta) for eta in plane.frame]
+    fs = _lefschetz_f(ring, np.array([e.matrix for e in es]))
+    return lie_closure([op for e, f in zip(es, fs) for op in (e, GradedOperator(ring, f, degree=-2))], tol)
 
 
 def full_llv_closure(ring: CohomologyRing, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
@@ -619,41 +628,34 @@ def full_llv_closure(ring: CohomologyRing, tol: Tolerances = DEFAULT_TOL) -> Lie
     what generation needs.
 
     The algebra is an invariant of the ring, so each ring keeps it per
-    ``tol``: the first call computes it and sets every element matrix
-    read-only, and each call gets its own copy of ``by_degree``.
+    ``tol``, without the ring: the first call computes it and sets every
+    element matrix read-only; each call wraps it in operators of the
+    calling ring, with its own copy of ``by_degree``.
     """
     kept = ring._llv_algebras.get(tol)
     if kept is None:
         L = ring.lattice
         n = L.rank
-        gens = []
+        gens, f_classes = [], []
         for a in range(n):
             eta = [0] * n
             eta[a] = 1
             gens.append(lefschetz_e(ring, eta))
-        for a in range(n):
-            eta = [0] * n
-            eta[a] = 1
             if L.q(eta) == 0:
-                partner = next(
-                    b for b in range(n) if _mixed_square_nonzero(L, a, b)
-                )
+                partner = next(b for b in range(n) if b != a and L.q([int(i in (a, b)) for i in range(n)]))
                 eta[partner] += 1
-            gens.append(lefschetz_f(ring, eta))
-        kept = lie_closure(gens, tol)
-        for op in kept.elements:
+            f_classes.append(lefschetz_e(ring, eta).matrix)
+        gens += [GradedOperator(ring, f, degree=-2) for f in _lefschetz_f(ring, np.array(f_classes))]
+        closure = lie_closure(gens, tol)
+        for op in closure.elements:
             op.matrix.flags.writeable = False
-        ring._llv_algebras[tol] = kept
-    return dataclasses.replace(kept, by_degree=dict(kept.by_degree))
-
-
-def _mixed_square_nonzero(L: QuadLattice, a: int, b: int) -> bool:
-    if a == b:
-        return False
-    eta = [0] * L.rank
-    eta[a] = 1
-    eta[b] = 1
-    return L.q(eta) != 0
+        kept = ring._llv_algebras[tol] = (
+            tuple((op.degree, op.matrix) for op in closure.elements),
+            dataclasses.replace(closure, ring=None, elements=()),
+        )
+    operators, fields = kept
+    elements = tuple(_assembled(ring, m, d) for d, m in operators)
+    return dataclasses.replace(fields, ring=ring, elements=elements, by_degree=dict(fields.by_degree))
 
 
 # -- Fujiki constant ----------------------------------------------------------------

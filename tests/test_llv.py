@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import importlib.util
 import random
+import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -799,6 +802,19 @@ def test_kept_algebra_hands_out_no_shared_mutable_state():
     assert second.dimension == 276
 
 
+def test_kept_algebra_does_not_pin_its_ring():
+    # the memo holds no reference back to its ring, so no cycle keeps a closed ring alive
+    ring = llv.k3_ring()
+    assert llv.full_llv_closure(ring).dimension == 276
+    alive = weakref.ref(ring)
+    gc.disable()
+    try:
+        del ring
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def _e_by_loop(ring, eta):
     """Cup product with eta from the structure constants, one term at a time in lattice-class order."""
     expected = np.zeros((ring.dim, ring.dim))
@@ -1042,6 +1058,33 @@ def test_graded_operator_refuses_wrong_shape_and_off_block_entries(ring, shift):
             llv.GradedOperator(ring, bad, degree=shift)
 
 
+PLANTED_VALUES = [1.0, -2.5, -1e-300, np.inf, np.nan, 0.0, -0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["k3", "cp4", "square"]),
+    st.integers(-9, 9),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(PLANTED_VALUES)), max_size=4),
+)
+def test_graded_operator_off_support_check_is_the_nonzero_rule(name, shift, seed, planted):
+    # the rule written out: some nonzero entry (i, j), NaN included, has deg i != deg j + shift
+    ring = {"k3": RING, "cp4": CP4, "square": SQUARE}[name]
+    n = ring.dim
+    deg = np.array(ring.degrees)
+    on_block = deg[:, None] == deg[None, :] + shift
+    mat = np.where(on_block, np.random.default_rng(seed).standard_normal((n, n)), 0.0) if seed else np.zeros((n, n))
+    for position, value in planted:
+        mat.flat[position % (n * n)] = value
+    rows, cols = mat.nonzero()
+    if (deg[rows] != deg[cols] + shift).any():
+        with pytest.raises(DomainError, match="matrix entries off the degree-shift blocks"):
+            llv.GradedOperator(ring, mat, degree=shift)
+    else:
+        assert llv.GradedOperator(ring, mat, degree=shift).degree == shift
+
+
 def test_lefschetz_e_float_classes_match_loop_on_all_rings():
     # the scatter adds each entry's terms in lattice-class order, as the loop does, so float classes agree exactly
     rng = np.random.default_rng(19)
@@ -1092,6 +1135,135 @@ def test_lefschetz_f_memory_stays_per_degree_at_rank_200():
     # closed form, as on the K3 ring: f(eta) = 2 unit, f(pt) = (2 / q(eta)) eta
     assert np.allclose(f @ ring.embed_lattice_vector(eta), 2.0 * np.eye(n)[0])
     assert np.allclose(f @ np.eye(n)[n - 1], ring.embed_lattice_vector(eta))
+
+
+# -- stacked sl2 completion ---------------------------------------------------------------
+
+
+def _surface_f(ring, eta):
+    """Closed form of f on a surface-type ring: f(x) = (2 q(eta, x) / q(eta)) unit on H^2, f(pt) = (2 / q(eta)) eta."""
+    g = np.array(ring.lattice.gram, dtype=float)
+    eta = np.array(eta, dtype=float)
+    q = eta @ g @ eta
+    f = np.zeros((ring.dim, ring.dim))
+    f[0, 1:-1] = 2 * (g @ eta) / q
+    f[1:-1, -1] = 2 * eta / q
+    return f
+
+
+def _stack_f(ring, classes):
+    return llv._lefschetz_f(ring, np.array([llv.lefschetz_e(ring, eta).matrix for eta in classes]))
+
+
+def test_stacked_lefschetz_f_matches_the_dense_oracle():
+    rng = np.random.default_rng(23)
+    k3_classes = [E1F1] + [random_positive_class(rng, L) for _ in range(21)]
+    cases = [(RING, k3_classes[:1]), (RING, k3_classes[:3]), (RING, k3_classes)]
+    cases += [(CP4, [[1]]), (CP4, [[1], [-3], [2]])]
+    cases += [(SQUARE, [[2, 1, -1, 3]]), (SQUARE, [[1, 1, 1, 1], [2, 1, -1, 3], [1, -2, 5, 1]])]
+    assert [len(c) for _, c in cases[:3]] == [1, 3, 22]
+    for ring, classes in cases:
+        stacked = _stack_f(ring, classes)
+        assert stacked.shape == (len(classes), ring.dim, ring.dim)
+        for eta, f in zip(classes, stacked):
+            expected, residual = _dense_lefschetz_f(ring, eta)
+            assert residual < 1e-9
+            assert np.abs(f - expected).max() <= 1e-12
+            assert np.array_equal(llv.lefschetz_f(ring, eta).matrix, _stack_f(ring, [eta])[0])
+    # the closed form the dense oracle agrees with on K3 stands in for it at rank 200,
+    # where its 40,804 x 400 system would take 130 MB
+    for eta in k3_classes[:3]:
+        assert np.abs(_surface_f(RING, eta) - _dense_lefschetz_f(RING, eta)[0]).max() <= 1e-12
+    big = _surface_type_ring(lat.direct_sum(*[lat.hyperbolic_plane()] * 100))
+    classes = [[1, 1] + [0] * 198, [3, 1] + [0] * 196 + [1, -1], list(rng.integers(1, 4, size=200))]
+    for eta, f in zip(classes, _stack_f(big, classes)):
+        assert np.abs(f - _surface_f(big, eta)).max() <= 1e-12
+
+
+def test_stacked_lefschetz_f_raises_on_one_degenerate_member():
+    # [1, 1, 0, 0] lives on the first factor only, so e^4 kills H^0 (see above)
+    good = [[1, 1, 1, 1], [2, 1, -1, 3]]
+    _stack_f(SQUARE, good)
+    for at in range(3):
+        classes = good[:at] + [[1, 1, 0, 0]] + good[at:]
+        with pytest.raises(HardLefschetzError, match="hard Lefschetz fails"):
+            _stack_f(SQUARE, classes)
+
+
+def _unbalanced_ring(m, degrees):
+    """An unvalidated ring on U, the lattice at the first two degree-2 indices: only the unit and U's cup product."""
+    n = len(degrees)
+    a = degrees.index(2)
+    products = [(0, i, i, 1) for i in range(n)] + [(i, 0, i, 1) for i in range(1, n)]
+    products += [(a, a + 1, degrees.index(4), 1), (a + 1, a, degrees.index(4), 1)]
+    return llv.CohomologyRing(
+        m=m,
+        degrees=degrees,
+        products=tuple(products),
+        integration=tuple(int(d == 4 * m) for d in degrees),
+        lattice_indices=(a, a + 1),
+        lattice=lat.hyperbolic_plane(),
+    )
+
+
+@pytest.mark.parametrize(
+    "m,degrees",
+    [(1, (0, 2, 2, 4, 4)), (1, (0, 0, 2, 2, 4)), (2, (0, 2, 2, 4, 6, 6, 8))],
+    ids=["H4-larger-than-H0", "H0-larger-than-H4", "H4-smaller-than-H2"],
+)
+def test_block_sizes_without_an_sl2_raise_hard_lefschetz(m, degrees):
+    # |H^{4m-k+2}| != |H^{k-2}|, or H^k smaller than H^{k-2} below the middle: no f exists
+    ring = _unbalanced_ring(m, degrees)
+    sizes = [len(b) for b in ring._degree_blocks]
+    with pytest.raises(HardLefschetzError, match=re.escape(f"sizes {sizes} admit no sl2")):
+        llv.lefschetz_f(ring, [1, 1])
+
+
+# -- so(5) closures on the stacked f against the per-class f ----------------------------
+
+
+def _per_class_f(ring, eta):
+    """f_eta one class at a time, as the unstacked completion built it: per degree one
+    least-squares solve against [e | ker e^(2m-k+1)], the kernel rank at matrix_rank's tolerance."""
+    e_op = llv.lefschetz_e(ring, eta).matrix
+    h_op = llv.grading_h(ring).matrix
+    blocks = ring._degree_blocks
+    f = np.zeros_like(e_op)
+    for k in range(2, len(blocks)):
+        lo, hi = blocks[k - 2], blocks[k]
+        if not (len(lo) and len(hi)):
+            continue
+        b = e_op[hi[:, None], lo]
+        r = e_op[lo] @ f[:, lo] + h_op[lo[:, None], lo]
+        if k <= 2 * ring.m:
+            power = e_op[:, hi]
+            for _ in range(2 * ring.m - k):
+                power = e_op @ power
+            _, s, vt = np.linalg.svd(power)
+            rank = int((s > s.max(initial=0) * max(power.shape) * np.finfo(float).eps).sum())
+            b = np.hstack([b, vt[rank:].T])
+            r = np.hstack([r, np.zeros((len(lo), len(hi) - rank))])
+        f[lo[:, None], hi] = np.linalg.lstsq(b.T, r.T, rcond=None)[0].T
+    return f
+
+
+def test_so5_closures_on_the_stacked_f_match_the_per_class_f():
+    diagonal = per.orient_three_plane(L, [E1F1, E2F2, E3F3])
+    for plane in [diagonal] + _generic_planes(20):
+        gens = []
+        for eta in plane.frame:
+            gens += [llv.lefschetz_e(RING, eta), llv.GradedOperator(RING, _per_class_f(RING, eta), degree=-2)]
+        reference = llv.lie_closure(gens)
+        closure = llv.so5_closure(RING, plane)
+        assert closure.dimension == 10
+        assert closure.by_degree == {-2: 3, 0: 4, 2: 3}
+        counters = (closure.brackets_formed, closure.brackets_tried, closure.brackets_accepted)
+        assert counters == (reference.brackets_formed, reference.brackets_tried, reference.brackets_accepted)
+        if plane is diagonal:
+            assert counters == (39, 4, 4)
+        assert [op.degree for op in closure.elements] == [op.degree for op in reference.elements]
+        for op, ref in zip(closure.elements, reference.elements):
+            assert np.abs(op.matrix - ref.matrix).max() <= 1e-14
 
 
 # -- batched Fujiki fit against the per-sample loop ----------------------------------------

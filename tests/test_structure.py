@@ -83,6 +83,7 @@ COLD_LEAVES = [
     (["cech", "cohomology"], "cech_cohomology_job.json", ("numpy",)),
     (["period", "cone"], "cone_job_u3.json", FLOAT_ONLY),
     (["twistor", "chain"], "chain_job_u3.json", FLOAT_ONLY),
+    (["llv", "closure"], "llv_closure_job.json", ("hkgeom.walls", "hkgeom.cech", "hkgeom.irrational", "scipy")),
 ]
 
 
@@ -156,6 +157,14 @@ def test_public_namespace_resolves_lazily():
     assert proc.stdout.split() == ["['hkgeom']", "22", "False"], proc.stderr
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         hkgeom.not_a_name
+
+
+def test_modules_import_only_numpy_and_the_standard_library():
+    # every other package, scipy included when it is installed, is outside the runtime dependencies
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _imports(path.stem):
+            allowed = name.startswith(".") or name == "numpy" or name in sys.stdlib_module_names
+            assert allowed, f"{path.name} imports {name}"
 
 
 def test_no_module_imports_sympy():
