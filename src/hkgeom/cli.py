@@ -343,10 +343,10 @@ def _h_llv_f(payload, args, cfg):
 
     ring = ser.decode_ring(payload["ring"])
     eta = ser.decode_float_vector(payload["eta"])
-    op = llv.lefschetz_f(ring, eta)
-    res = llv.sl2_residuals(ring, eta)
+    e, h, f = llv.sl2_triple(ring, eta)
+    res = llv.bracket_residuals(e, h, f)
     return {
-        "matrix": [ser.encode_float_vector(r) for r in op.matrix],
+        "matrix": [ser.encode_float_vector(r) for r in f.matrix],
         "degree": -2,
         "bracket_residual": max(res.values()),
     }, {}

@@ -301,7 +301,13 @@ def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
     ``_F_SOLVE_TOL`` relative to |h| is exactly the failure of hard
     Lefschetz for eta and raises HardLefschetzError.
     """
-    return GradedOperator(ring, _lefschetz_f(ring, lefschetz_e(ring, eta).matrix[None])[0], degree=-2)
+    return sl2_triple(ring, eta)[2]
+
+
+def sl2_triple(ring: CohomologyRing, eta) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
+    """(e_eta, h, f_eta), each built once; f_eta is lefschetz_f's completion of this e."""
+    e = lefschetz_e(ring, eta)
+    return e, grading_h(ring), GradedOperator(ring, _lefschetz_f(ring, e.matrix[None])[0], degree=-2)
 
 
 def _lefschetz_f(ring: CohomologyRing, e_ops: np.ndarray) -> np.ndarray:
@@ -344,9 +350,12 @@ def _lefschetz_f(ring: CohomologyRing, e_ops: np.ndarray) -> np.ndarray:
 
 def sl2_residuals(ring: CohomologyRing, eta) -> dict[str, float]:
     """Operator-norm residuals of the three bracket relations for eta."""
-    e_op = lefschetz_e(ring, eta).matrix
-    h_op = grading_h(ring).matrix
-    f_op = lefschetz_f(ring, eta).matrix
+    return bracket_residuals(*sl2_triple(ring, eta))
+
+
+def bracket_residuals(e: GradedOperator, h: GradedOperator, f: GradedOperator) -> dict[str, float]:
+    """Operator-norm residuals of [h, e] = -2e, [h, f] = 2f and [e, f] = -h for a built triple."""
+    e_op, h_op, f_op = e.matrix, h.matrix, f.matrix
 
     def br(x, y):
         return x @ y - y @ x

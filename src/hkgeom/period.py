@@ -13,6 +13,7 @@ Floating point with configurable tolerances; all randomness is seeded.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -67,6 +68,8 @@ _TRANSVERSE = 0.9  # |q-coordinate| of a frame vector along u above which it is 
 _SAME_PLANE = 1e-9  # span residual under which two period planes are the same plane
 _UNION_RANK = 1e-8  # singular-value ratio under which the union of two planes has rank 3
 _LINK_MARGIN = 1e-3  # the 2-link route needs s_1 below 1 by this: its junction degenerates at s_1 = 1
+_REFINE_CANCEL = 1e-2  # least pivot x |frame|^2 below which a 3-plane frame's substitution cancelled: a second pass
+_SCREEN_MARGIN = 1e-6  # relative margin past which sample_period_point's screen is sure orthonormal_pair rejects
 
 
 @lru_cache(maxsize=32)
@@ -127,10 +130,16 @@ def orientation_flag(L: QuadLattice, frame: np.ndarray) -> int:
     q-positive inside the negative definite complement of the reference plane),
     so the determinant is bounded away from zero and the sign is well defined.
     """
-    d = float(np.linalg.det(_reference_image(L) @ frame.T))
+    d = _det3((_reference_image(L) @ frame.T).tolist())
     if abs(d) < _ORIENT_DET_MIN:
         raise NumericalError("orientation transport determinant is numerically zero")
     return 1 if d > 0 else -1
+
+
+def _det3(m) -> float:
+    """Determinant of a 3 x 3 matrix given as nested lists of floats, by cofactors of the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # -- oriented planes and period points ------------------------------------------
@@ -270,7 +279,10 @@ def same_period_point(z1: PeriodPoint, z2: PeriodPoint) -> bool:
     f1, f2 = z1._frame, z2._frame
     m = z1._frame_g @ f2.T
     res = _norm(m.T @ f1 - f2)
-    return res < _POINT_TOL * max(z1._frame_norm, z2._frame_norm) and np.linalg.det(m) > 0
+    if not res < _POINT_TOL * max(z1._frame_norm, z2._frame_norm):
+        return False
+    (a, b), (c, d) = m.tolist()
+    return a * d - b * c > 0
 
 
 # -- positive 3-planes -----------------------------------------------------------
@@ -303,8 +315,23 @@ class PositiveThreePlane:
 def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -> PositiveThreePlane:
     """Orthonormalize a 3-vector span and compute its spin orientation flag.
 
-    Errors on degenerate or non-positive spans, reporting the minimum
-    eigenvalue of the Gram matrix of the Euclidean-normalized input.
+    The frame is the q-Gram-Schmidt frame of the Euclidean-normalized rows
+    u, read off one closed-form Cholesky factorization G = C C^T of their
+    3 x 3 q-gram: the frame rows are C^{-1} u by forward substitution,
+    r_k = (u_k - sum_{j<k} C_kj r_j) / C_kk. Since C_kj = b(r_j, u_k) and
+    C_kk^2 is the q-norm of u_k less its projection onto r_0 .. r_{k-1},
+    this is Gram-Schmidt in exact arithmetic, with the same degeneracy test
+    on the pivots C_kk^2. In floats the frame is q-orthonormal to about
+    3 eps / (least pivot C_kk^2). Times |frame|^2 that pivot bounds from
+    below the squared length left of u_k after projection, so when the
+    product is under ``_REFINE_CANCEL`` the substitution cancelled and the
+    frame is factored and solved once more on its own q-gram, which brings
+    it to rounding; otherwise the frame is as accurate as Gram-Schmidt's.
+    The span is
+    positive iff G - tol.pos I has positive pivots (all leading minors
+    positive: minimum eigenvalue above tol.pos). Errors on degenerate or
+    non-positive spans, reporting the minimum eigenvalue of the Gram matrix
+    of the Euclidean-normalized input.
     """
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if len(vs) != 3:
@@ -318,24 +345,53 @@ def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -
         normalized.append(v / nv)
     unit = np.array(normalized)
     gram3 = unit @ g @ unit.T
-    mineig = float(np.linalg.eigvalsh(gram3)[0])
-    if mineig <= tol.pos:
+    m = gram3.tolist()
+    shifted, _ = _cholesky3(m, tol.pos, 0.0)
+    if shifted is None:
+        mineig = float(np.linalg.eigvalsh(gram3)[0])
         raise DomainError(
             f"span is not a positive 3-plane (min Gram eigenvalue {mineig:.3e})"
         )
-    rows = []
-    for v in normalized:
-        w = v.copy()
-        for u in rows:
-            w = w - (u @ g @ w) * u
-        qw = float(w @ g @ w)
-        if qw <= tol.pos:
+    frame = unit
+    for _ in range(2):
+        c, pivot = _cholesky3(m, 0.0, tol.pos)
+        if c is None:
             raise DomainError(
-                f"span is numerically degenerate (residual q-norm {qw:.3e})"
+                f"span is numerically degenerate (residual q-norm {pivot:.3e})"
             )
-        rows.append(w / np.sqrt(qw))
-    frame = _frozen(np.array(rows))
+        u0, u1, u2 = frame
+        r0 = u0 / c[0][0]
+        r1 = (u1 - c[1][0] * r0) / c[1][1]
+        r2 = (u2 - c[2][0] * r0 - c[2][1] * r1) / c[2][2]
+        frame = np.array([r0, r1, r2])
+        if pivot * _norm(frame) ** 2 >= _REFINE_CANCEL:
+            break
+        m = (frame @ g @ frame.T).tolist()
+    frame = _frozen(frame)
     return PositiveThreePlane(L, frame, orientation_flag(L, frame) > 0)
+
+
+def _cholesky3(m: list, shift: float, floor: float) -> tuple[list[list[float]] | None, float]:
+    """Closed-form Cholesky C C^T = m - shift I of a symmetric 3 x 3 ``m`` (nested lists).
+
+    Returns the rows of the lower factor C, or None at the first pivot
+    C_kk^2 not above ``floor`` (NaN included), and the least pivot computed.
+    """
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    p0 = m00 - shift
+    if not p0 > floor:
+        return None, p0
+    c00 = math.sqrt(p0)
+    c10, c20 = m01 / c00, m02 / c00
+    p1 = m11 - shift - c10 * c10
+    if not p1 > floor:
+        return None, p1
+    c11 = math.sqrt(p1)
+    c21 = (m12 - c20 * c10) / c11
+    p2 = m22 - shift - c20 * c20 - c21 * c21
+    if not p2 > floor:
+        return None, p2
+    return [[c00], [c10, c11], [c20, c21, math.sqrt(p2)]], min(p0, p1, p2)
 
 
 def positive_cone_contains(z: PeriodPoint, c, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -421,8 +477,7 @@ def conic_point(
     w = P.frame[k] - (kg @ u) * u - (kg @ v) * v
     w = w / np.sqrt(qform(L, w))
     # orientation of (u, v, w) as a frame of P, relative to P's own frame
-    m = np.array([P._frame_g @ x for x in (u, v, w)])
-    if float(np.linalg.det(m)) < 0:
+    if _det3([(P._frame_g @ x).tolist() for x in (u, v, w)]) < 0:
         w = -w
     return period_point(L, v, w, tol)
 
@@ -609,17 +664,29 @@ def _span_basis(rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 def sample_period_point(L: QuadLattice, seed: int, tol: Tolerances = DEFAULT_TOL) -> PeriodPoint:
-    """Deterministic random period point; byte-identical for a fixed seed."""
+    """Deterministic random period point; byte-identical for a fixed seed.
+
+    The first pair (a_+ + eps a_-, b_+ + eps b_-), eps = 0.6 halved on each
+    rejection, that spans a positive 2-plane, with a_+, b_+ drawn in the
+    positive and a_-, b_- in the negative eigenspace of the gram. Candidates
+    that ``_surely_rejected`` rules out skip orthonormal_pair.
+    """
     if L.signature[0] != 3:
         raise DomainError("sampling needs a lattice of signature (3, n)")
     rng = np.random.default_rng(seed)
-    _, _, pos, neg = _spectrum(L)
+    evals, _, pos, neg = _spectrum(L)
     a_pos = pos @ rng.standard_normal(pos.shape[1])
     b_pos = pos @ rng.standard_normal(pos.shape[1])
-    a_neg = neg @ rng.standard_normal(neg.shape[1]) if neg.shape[1] else 0.0
-    b_neg = neg @ rng.standard_normal(neg.shape[1]) if neg.shape[1] else 0.0
+    a_neg = neg @ rng.standard_normal(neg.shape[1])
+    b_neg = neg @ rng.standard_normal(neg.shape[1])
+    vs = np.array([a_pos, b_pos, a_neg, b_neg])
+    q, d = (vs @ gram_float(L) @ vs.T).tolist(), (vs @ vs.T).tolist()
+    scale = _SCREEN_MARGIN * (float(max(evals[-1], -evals[0])) + tol.pos)
     eps = 0.6
     for _ in range(40):
+        if _surely_rejected(q, d, eps, scale, tol.pos):
+            eps *= 0.5
+            continue
         a = a_pos + eps * a_neg
         b = b_pos + eps * b_neg
         try:
@@ -628,6 +695,33 @@ def sample_period_point(L: QuadLattice, seed: int, tol: Tolerances = DEFAULT_TOL
         except DomainError:
             eps *= 0.5
     raise NumericalError("failed to sample a positive 2-plane")
+
+
+def _surely_rejected(q: list, d: list, eps: float, scale: float, pos: float) -> bool:
+    """True when orthonormal_pair is sure to reject (a_+ + eps a_-, b_+ + eps b_-).
+
+    ``q`` and ``d`` are the q-gram and the dot gram of (a_+, b_+, a_-, b_-).
+    orthonormal_pair's two tests, q(a) > pos |a|^2 and, for b_1 = b - c a
+    with c = b(a, b) / q(a), q(b_1) = q(b) - c b(a, b) > pos |b_1|^2, are
+    evaluated in closed form. A test counts as failed only when it misses by
+    more than ``scale`` = ``_SCREEN_MARGIN`` (|g| + pos) times the squared
+    length of the vectors it combines, far past the rounding of either
+    evaluation.
+    """
+
+    def pair(m, i, j):  # m-pairing of x_i + eps x_{i+2} and x_j + eps x_{j+2}
+        return m[i][j] + eps * (m[i][j + 2] + m[i + 2][j]) + eps * eps * m[i + 2][j + 2]
+
+    qa, aa = pair(q, 0, 0), pair(d, 0, 0)
+    if qa - pos * aa < -scale * aa:
+        return True
+    if not qa > 0:
+        return False
+    qab = pair(q, 0, 1)
+    c = qab / qa
+    bb = pair(d, 1, 1)
+    b1b1 = bb - 2 * c * pair(d, 0, 1) + c * c * aa
+    return pair(q, 1, 1) - c * qab - pos * b1b1 < -scale * (bb + c * c * aa)
 
 
 _LINE_TRIES = 64  # candidate lines drawn by sample_irrational_line before it gives up

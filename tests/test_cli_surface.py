@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hkgeom import llv
 from hkgeom.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -134,6 +135,22 @@ def test_llv_e_and_f(invoke):
     data = invoke(["llv", "f"], {"ring": "k3", "eta": eta})
     assert data["result"]["degree"] == -2
     assert data["result"]["bracket_residual"] < 1e-9
+
+
+def test_llv_f_builds_f_once_and_keeps_its_output(invoke, monkeypatch):
+    ring = llv.k3_ring()
+    eta = [2, 1, 0, 3] + [0] * 16 + [1, -1]
+    # the leaf's output as two separate calls would give it, one f each: lefschetz_f, then sl2_residuals
+    want = {
+        "matrix": [[float(x) for x in row] for row in llv.lefschetz_f(ring, eta).matrix],
+        "degree": -2,
+        "bracket_residual": max(llv.sl2_residuals(ring, eta).values()),
+    }
+    solve, calls = llv._lefschetz_f, []
+    monkeypatch.setattr(llv, "_lefschetz_f", lambda *args: calls.append(1) or solve(*args))
+    data = invoke(["llv", "f"], {"ring": "k3", "eta": eta})
+    assert len(calls) == 1
+    assert json.dumps(data["result"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_llv_closure_full(invoke):

@@ -674,3 +674,204 @@ def test_chain_demo_connects_every_pair(capsys, monkeypatch):
     assert re.search(r"^pairs connected : 12$", out, re.M)
     counts = {int(k): int(n) for k, n in re.findall(r"^(\d+) links\s*: (\d+)$", out, re.M)}
     assert set(counts) <= {1, 2, 3} and sum(counts.values()) == 12
+
+
+# -- closed-form small algebra --------------------------------------------------
+# References for the closed forms, as plain loops: q-Gram-Schmidt with an
+# eigenvalue positivity test for orient_three_plane, and the sampling loop
+# that sends every candidate to orthonormal_pair.
+
+# the minimal signature (3, 0): no negative part to mix in
+L30 = lat.QuadLattice.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 2]])
+
+
+def _gram_schmidt_three_plane(L, vectors, tol=DEFAULT_TOL):
+    """orient_three_plane as q-Gram-Schmidt with an eigenvalue positivity test."""
+    g = per.gram_float(L)
+    normalized = []
+    for v in (np.asarray(v, dtype=float) for v in vectors):
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            raise DomainError("zero vector in span")
+        normalized.append(v / nv)
+    unit = np.array(normalized)
+    mineig = float(np.linalg.eigvalsh(unit @ g @ unit.T)[0])
+    if mineig <= tol.pos:
+        raise DomainError(f"span is not a positive 3-plane (min Gram eigenvalue {mineig:.3e})")
+    rows = []
+    for v in normalized:
+        w = v.copy()
+        for u in rows:
+            w = w - (u @ g @ w) * u
+        qw = float(w @ g @ w)
+        if qw <= tol.pos:
+            raise DomainError(f"span is numerically degenerate (residual q-norm {qw:.3e})")
+        rows.append(w / np.sqrt(qw))
+    frame = np.array(rows)
+    d = float(np.linalg.det(per.reference_plane(L) @ g @ frame.T))
+    return frame, d > 0
+
+
+def _outcome(build, L, vectors, tol):
+    """(frame, spin flag) of a successful build, or the error type and message head."""
+    try:
+        out = build(L, vectors, tol)
+    except DomainError as err:
+        return type(err), str(err).split(" (")[0]
+    return (out.frame, out.spin_positive) if isinstance(out, per.PositiveThreePlane) else out
+
+
+def _positive_span(L, rng, mix):
+    """Three seeded vectors of the positive eigenspace, each with a negative part of size ``mix``."""
+    _, _, pos, neg = per._spectrum(L)
+    return [pos @ rng.standard_normal(3) + mix * (neg @ rng.standard_normal(neg.shape[1])) for _ in range(3)]
+
+
+def _matches_gram_schmidt(L, vectors, tol=DEFAULT_TOL):
+    """orient_three_plane against the reference: the same error type and message head, or
+    the same spin flag and a frame within 8 eps / lambda relative, for lambda the least
+    eigenvalue of the unit rows' q-gram (below 1e-13 once lambda > 0.02), and q-orthonormal
+    to 1e-12 per unit of |frame|^2 however small lambda is. Returns which of the two it was."""
+    want = _outcome(_gram_schmidt_three_plane, L, vectors, tol)
+    got = _outcome(per.orient_three_plane, L, vectors, tol)
+    if isinstance(want[0], type):
+        assert got == want
+        return "error"
+    unit = np.array([v / np.linalg.norm(v) for v in vectors])
+    lam = np.linalg.eigvalsh(unit @ per.gram_float(L) @ unit.T)[0]
+    assert np.abs(got[0] - want[0]).max() <= 8 * np.finfo(float).eps / lam * np.abs(want[0]).max()
+    assert got[1] == want[1]
+    assert np.abs(got[0] @ per.gram_float(L) @ got[0].T - np.eye(3)).max() <= 1e-12 * np.sum(got[0] ** 2)
+    return "frame"
+
+
+def test_orient_three_plane_matches_gram_schmidt(monkeypatch):
+    rng = np.random.default_rng(28)
+    outcomes = []
+    for L in (K3, U3, L31, L30):
+        for mix in (0.0, 0.05, 0.2):
+            for _ in range(60):
+                outcomes.append(_matches_gram_schmidt(L, _positive_span(L, rng, mix) * rng.uniform(0.01, 100, (3, 1))))
+    assert outcomes.count("frame") > 500 and "error" in outcomes
+    # the spans chain_connect hands orient_three_plane on seeded pairs: within 1e-13
+    orient, built = per.orient_three_plane, []
+    monkeypatch.setattr(per, "orient_three_plane", lambda L, vs, tol: built.append((L, vs, orient(L, vs, tol))) or built[-1][2])
+    for L in (K3, U3):
+        for s in range(100):
+            per.chain_connect(per.sample_period_point(L, 2 * s), per.sample_period_point(L, 2 * s + 1))
+    assert len(built) > 400
+    for L, vectors, got in built:
+        want = _gram_schmidt_three_plane(L, vectors)
+        assert np.abs(got.frame - want[0]).max() <= 1e-13 * np.abs(want[0]).max()
+        assert got.spin_positive == want[1]
+
+
+def test_orient_three_plane_fails_like_gram_schmidt():
+    ref = per.reference_plane(U3)
+    neg = np.array([1, -1, 0, 0, 0, 0], dtype=float)
+    cases = [
+        [E1F1, np.zeros(6), E3F3],  # zero vector
+        [E1F1, E2F2, E1F1 + E2F2],  # degenerate
+        [E1F1, 2 * E1F1, E3F3],  # a repeated line
+        [E1F1, E2F2, neg],  # indefinite
+        [neg, -neg, 3 * neg],  # negative
+        [ref[0], ref[1], ref[0] + 1e-12 * ref[2]],  # positive only below tol.pos
+    ]
+    for vectors in cases:
+        assert _matches_gram_schmidt(U3, vectors) == "error"
+
+
+def test_orient_three_plane_on_near_degenerate_spans():
+    # the third vector delta off span(first two), under tol.pos from the
+    # default down to below the spans' least eigenvalue ~ delta^2: the
+    # substitution cancels, so frames take the second pass
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for L in (K3, U3):
+        g = per.gram_float(L)
+        for delta in np.logspace(-7, -3, 41):
+            a, b, c = _positive_span(L, rng, 0.1)
+            c = c - (c @ g @ a) / (a @ g @ a) * a
+            w = rng.uniform(-1, 1) * a + rng.uniform(-1, 1) * b
+            vectors = [a, b, w / np.linalg.norm(w) + delta * c / np.linalg.norm(c)]
+            for pos in (1e-6, 1e-12, 1e-16):
+                outcomes.add(_matches_gram_schmidt(L, vectors, DEFAULT_TOL.replace(pos=pos)))
+    assert outcomes == {"error", "frame"}
+
+
+def test_closed_form_determinant_signs_match_lapack():
+    rng = np.random.default_rng(5)
+    mats = []
+    for L in (K3, U3, L31):
+        for s in range(40):
+            try:
+                frame = per.orient_three_plane(L, _positive_span(L, rng, 0.05)).frame
+            except DomainError:
+                continue
+            turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]  # a rotation or a reflection
+            for f in (frame, frame[[1, 0, 2]], turn @ frame):
+                mats.append(per._reference_image(L) @ f.T)
+                mats.append(frame @ per.gram_float(L) @ f.T)  # conic_point's transition matrix
+    mats += [rng.standard_normal((3, 3)) for _ in range(200)]
+    for m in mats:
+        assert (per._det3(m.tolist()) > 0) == (np.linalg.det(m) > 0)
+    # the 2 x 2 sign in same_period_point: conjugates have det -1, rotations det +1
+    for L in (K3, U3, L31):
+        for s in range(100):
+            z = per.sample_period_point(L, s)
+            t = rng.uniform(0, 2 * math.pi)
+            turned = per.PeriodPoint(L, math.cos(t) * z.re + math.sin(t) * z.im, math.cos(t) * z.im - math.sin(t) * z.re)
+            for w, same in ((z, True), (turned, True), (z.conjugate(), False), (turned.conjugate(), False)):
+                assert per.same_period_point(z, w) == same == _uncached_same_point(z, w)
+
+
+def _unscreened_sample(L, seed, tol=DEFAULT_TOL):
+    """sample_period_point's loop with every candidate sent to orthonormal_pair."""
+    rng = np.random.default_rng(seed)
+    _, _, pos, neg = per._spectrum(L)
+    a_pos = pos @ rng.standard_normal(pos.shape[1])
+    b_pos = pos @ rng.standard_normal(pos.shape[1])
+    a_neg = neg @ rng.standard_normal(neg.shape[1]) if neg.shape[1] else 0.0
+    b_neg = neg @ rng.standard_normal(neg.shape[1]) if neg.shape[1] else 0.0
+    eps = 0.6
+    for _ in range(40):
+        try:
+            a1, b1 = per.orthonormal_pair(L, a_pos + eps * a_neg, b_pos + eps * b_neg, tol)
+            return per.period_point(L, a1, b1, tol)
+        except DomainError:
+            eps *= 0.5
+    raise NumericalError("failed to sample a positive 2-plane")
+
+
+def test_screened_sampling_is_bit_identical_to_the_unscreened_loop():
+    for L in (K3, U3, L31, L30):
+        for seed in range(2000):
+            want, got = _unscreened_sample(L, seed), per.sample_period_point(L, seed)
+            assert got.re.tobytes() == want.re.tobytes() and got.im.tobytes() == want.im.tobytes()
+
+
+def test_sampling_calls_orthonormal_pair_only_for_the_accepted_candidate(monkeypatch):
+    pair, calls = per.orthonormal_pair, []
+    monkeypatch.setattr(per, "orthonormal_pair", lambda *args: calls.append(1) or pair(*args))
+    for L in (K3, U3):
+        for seed in range(1000):
+            calls.clear()
+            per.sample_period_point(L, seed)
+            assert len(calls) == 2  # the accepted pair, and period_point's own
+
+
+@pytest.mark.parametrize("seeds, links, most", [((0, 1), 2, 4), ((8, 9), 3, 7)])
+def test_chain_job_makes_few_lapack_calls(monkeypatch, seeds, links, most):
+    # a job as the period-chains workload runs it; LAPACK is left to the
+    # union and correlation SVDs, the complement's svd and eigh, and
+    # verify_chain's independent eigvalsh per link
+    z1, z2 = (per.sample_period_point(K3, s) for s in seeds)  # fills the per-lattice caches
+    calls = []
+    for name in ("svd", "eigvalsh", "eigh", "det"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    z1, z2 = (per.sample_period_point(K3, s) for s in seeds)
+    chain = per.chain_connect(z1, z2)
+    per.verify_chain(chain, z1, z2, tol=CHAIN_TOL)
+    assert len(chain) == links
+    assert len(calls) <= most, calls
