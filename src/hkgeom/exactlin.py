@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -198,94 +198,132 @@ def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
     return [[d * x for x in row] for row in adj]
 
 
-def _inertia_int(s: list[list[int]]) -> tuple[int, int, int]:
-    """Inertia of an integer symmetric matrix by fraction-free elimination.
+def _symmetric_pivot(m: list[list[int]], active: list[int]) -> tuple[int, int] | None:
+    """The first unit pivot, else the first nonzero diagonal, else the first hyperbolic pair; None on a zero block.
 
-    Diagonal pivots contribute their sign; when the active diagonal vanishes,
-    a nonzero off-diagonal entry gives a hyperbolic 2x2 block contributing
-    (1, 1). Instead of dividing by the pivot d, the remaining block is
-    replaced by d * S - (outer product), which scales the restricted form by
-    d; a sign flag tracks whether the block's form is currently negated. A
-    positive gcd is divided out after every step to control entry growth
-    (scaling a symmetric form by a positive integer preserves inertia).
+    (i, i) is a diagonal pivot; (i, j) an entry joining two zero diagonals.
+    A unit pivot is a +-1 diagonal or a +-1 such entry.
     """
-    n = len(s)
-    m = [row[:] for row in s]
+    first, free = None, []
+    for i in active:
+        x = m[i][i]
+        if x == 1 or x == -1:
+            return i, i
+        if not x:
+            free.append(i)
+        elif first is None:
+            first = i, i
+    for n, i in enumerate(free):
+        row_i = m[i]
+        for j in free[n + 1 :]:
+            x = row_i[j]
+            if x == 1 or x == -1:
+                return i, j
+            if x and first is None:
+                first = i, j
+    return first
+
+
+def _inertia_det_int(s: list[list[int]]) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, det) of an integer symmetric matrix, from one symmetric elimination.
+
+    Each step splits a pivot P off the active r x r block M: a nonzero
+    diagonal d, or a hyperbolic block [[0, a], [a, 0]] of inertia (1, 1)
+    (1 x 1 and 2 x 2 pivots, as in Bunch and Kaufman, Math. Comp. 31, 1977).
+    The rest of M is replaced by B = t S, S its Schur complement
+    M_rest - c c^T / d or M_rest - (c_i c_j^T + c_j c_i^T) / a, and a flag
+    tracks whether the block's form is negated. det is kept exactly as
+    num / den, with det M = det P det B / t^(size of B). For most pivots
+    t = d or -a^2, which makes B integral: det M = det B / d^(r-2) or
+    det B / (-a^2)^(r-3). A unit pivot (d or a = +-1) divides exactly, so
+    t = 1 and only the rows and columns whose multiplier is nonzero change:
+    the symmetric counterpart of ``_bareiss``'s zero-multiplier deferral
+    (Bareiss, Math. Comp. 22, 1968). ``_symmetric_pivot`` takes unit pivots
+    first. After each step the r' x r' block is divided by the positive gcd
+    g of its entries, which keeps the inertia and multiplies det by g^r'. A
+    block with no nonzero entry is the radical, and det is 0. The final
+    division num / den must be exact.
+    """
+    m = [list(row) for row in s]
     pos = neg = zero = 0
     negated = False
-    active = list(range(n))
+    num = den = 1
+    active = list(range(len(m)))
     while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
-        if piv is not None:
-            d = m[piv][piv]
+        r = len(active)
+        pivot = _symmetric_pivot(m, active)
+        if pivot is None:
+            zero += r
+            num = 0
+            break
+        i, j = pivot
+        active = [k for k in active if k != i and k != j]
+        if i == j:
+            d = m[i][i]
             if (d > 0) != negated:
                 pos += 1
             else:
                 neg += 1
-            rest = [j for j in active if j != piv]
-            col = {j: m[j][piv] for j in rest}
-            for j in rest:
-                row_j, row_p, cj = m[j], m[piv], col[j]
-                for k in rest:
-                    row_j[k] = d * row_j[k] - cj * row_p[k]
-            if d < 0:
-                negated = not negated
-            active = rest
+            t = 1 if d == 1 or d == -1 else d
+            num, den = num * d, den * t ** (r - 1)
+            col = [(k, m[i][k]) for k in active]  # the pivot row, read once
+            if t == 1:
+                hit = [(k, x) for k, x in col if x]
+                for k, x in hit:
+                    row_k, f = m[k], d * x
+                    for l, y in hit:
+                        row_k[l] -= f * y
+            else:
+                for k, x in col:
+                    row_k = m[k]
+                    for l, y in col:
+                        row_k[l] = d * row_k[l] - x * y
         else:
-            pair = None
-            for ii, i in enumerate(active):
-                for j in active[ii + 1 :]:
-                    if m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                zero += len(active)
-                break
-            i, j = pair
             a = m[i][j]
             pos += 1
             neg += 1
-            rest = [k for k in active if k not in (i, j)]
-            coli = {k: m[k][i] for k in rest}
-            colj = {k: m[k][j] for k in rest}
-            a2 = a * a
-            for k in rest:
-                row_k, ski, skj = m[k], coli[k], colj[k]
-                for l in rest:
-                    row_k[l] = -a2 * row_k[l] + a * (ski * colj[l] + skj * coli[l])
-            negated = not negated  # block form scaled by det = -a^2 < 0
-            active = rest
-        if active:
-            g = 0
-            for j in active:
-                for k in active:
-                    g = gcd(g, abs(m[j][k]))
-                    if g == 1:
-                        break
-                if g == 1:
-                    break
-            if g > 1:
-                for j in active:
-                    row_j = m[j]
-                    for k in active:
-                        row_j[k] //= g
-    return pos, neg, zero
+            t = 1 if a == 1 or a == -1 else -a * a
+            num, den = -num * a * a, den * t ** (r - 2)
+            cols = [(k, m[i][k], m[j][k]) for k in active]  # both pivot rows, read once
+            if t == 1:
+                hit = [c for c in cols if c[1] or c[2]]
+                for k, xk, yk in hit:
+                    row_k = m[k]
+                    for l, xl, yl in hit:
+                        row_k[l] -= a * (xk * yl + yk * xl)
+            else:
+                for k, xk, yk in cols:
+                    row_k = m[k]
+                    for l, xl, yl in cols:
+                        row_k[l] = t * row_k[l] + a * (xk * yl + yk * xl)
+        if t < 0:
+            negated = not negated
+        g = 0
+        for k in active:
+            g = gcd(g, *[m[k][l] for l in active])
+            if g == 1:
+                break
+        if g > 1:
+            num *= g ** len(active)
+            for k in active:
+                row_k = m[k]
+                for l in active:
+                    row_k[l] //= g
+    det, rem = divmod(num, den)
+    if rem:
+        raise InternalInconsistencyError("symmetric elimination: det is not an exact quotient")
+    return pos, neg, zero, det
 
 
 def inertia(s) -> tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) of a symmetric matrix over Q.
 
     Scales the matrix by the positive lcm of its denominators, which leaves
-    the inertia unchanged, and runs the integer elimination on the result;
-    an all-int matrix goes to the elimination as it is.
+    the inertia unchanged, and runs the integer elimination on the result.
     """
     if not is_symmetric(s):
         raise DomainError("inertia requires a symmetric matrix")
-    if all(type(x) is int for row in s for x in row):
-        return _inertia_int(s)
-    return _inertia_int(scale_matrix_to_integers(s)[0])
+    return _inertia_det_int(scale_matrix_to_integers(s)[0])[:3]
 
 
 def content(v: list[int]) -> int:
@@ -303,7 +341,9 @@ def scale_to_integers(v) -> tuple[list[int], int]:
 
 
 def scale_matrix_to_integers(a) -> tuple[list[list[int]], int]:
-    """(D a, D) for D the positive lcm of the denominators of a rational matrix."""
+    """(D a, D) for D the positive lcm of the denominators of a rational matrix; D = 1 copies an int matrix."""
+    if all(type(x) is int for row in a for x in row):
+        return [list(row) for row in a], 1
     cols = len(a[0]) if a else 0
     flat, scale = scale_to_integers([x for row in a for x in row])
     return [flat[i : i + cols] for i in range(0, len(flat), cols or 1)], scale

@@ -2,11 +2,12 @@
 
 All arithmetic in this module is exact (ints and Fractions). Floating point
 is deliberately absent: signatures and spinor signs are discrete invariants
-and must not depend on rounding. Per-lattice data (det and adjugate, the
-signature, an integer positive p-plane) is computed once and cached. The
-spinor sign is the orientation character of positive p-planes; the
-Cartan-Dieudonne decomposition ``reflection_vectors`` is kept as its
-independent oracle.
+and must not depend on rounding. Per-lattice data is computed once: det and
+signature come from one symmetric elimination at construction, which also
+refuses a degenerate form; the adjugate, an integer positive p-plane and its
+product with the gram are cached on first use. The spinor sign is the
+orientation character of positive p-planes; the Cartan-Dieudonne
+decomposition ``reflection_vectors`` is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ class QuadLattice:
     """
 
     gram: tuple[tuple[int, ...], ...]
+    det: int = dataclasses.field(init=False, repr=False, compare=False)
+    # exact inertia (p, m) of the gram matrix, p + m = rank
+    signature: tuple[int, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -42,34 +46,27 @@ class QuadLattice:
             raise DomainError("gram entries must be integers")
         if not ex.is_symmetric(g):
             raise DomainError("gram matrix must be symmetric")
-        if self.det == 0:
+        pos, neg, _zero, det = ex._inertia_det_int(g)
+        if det == 0:
             raise DomainError("degenerate form")
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "signature", (pos, neg))
 
     @classmethod
     def from_rows(cls, rows) -> "QuadLattice":
         """Decode entries exactly (ints or 'p/q'); non-integral entries are rejected."""
         if not all(isinstance(row, (list, tuple)) for row in rows):
             raise DomainError("gram must be a list of rows of integers")
+        if all(type(x) is int for row in rows for x in row):
+            return cls(tuple(map(tuple, rows)))
         entries = [ex.frvec(row) for row in rows]
         if any(x.denominator != 1 for row in entries for x in row):
             raise DomainError("gram entries must be integers")
-        return cls(tuple(tuple(x.numerator for x in row) for row in entries))
+        return cls(tuple(tuple(int(x.numerator) for x in row) for row in entries))  # int() for numpy ints
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def det(self) -> int:
-        return int(ex.det(self.gram))
-
-    @cached_property
-    def signature(self) -> tuple[int, int]:
-        """Exact inertia (p, m) of the gram matrix, p + m = rank."""
-        pos, neg, zero = ex.inertia([list(row) for row in self.gram])
-        if zero:
-            raise DomainError("degenerate form")
-        return pos, neg
 
     @cached_property
     def adjugate(self) -> list[list[int]]:
@@ -102,6 +99,11 @@ class QuadLattice:
                 plane.append(v)
             rows = [ex.primitive_vector([qv * x - b(r, v) * y for x, y in zip(r, v)]) for r in rows]
         return plane
+
+    @cached_property
+    def _plane_gram(self) -> list[list[int]]:
+        """W gram for W the positive plane: the left factor of every spinor sign's b(W, g W)."""
+        return ex.mat_mul(self.positive_plane, self.gram)
 
     def __hash__(self) -> int:
         """Hash of the gram, computed once; lattices key the per-lattice float caches."""
@@ -273,7 +275,7 @@ def kernel_signature(L: QuadLattice, coords) -> tuple[int, int]:
         raise DomainError("zero functional")
     bordered = [list(row) + [x] for row, x in zip(L.gram, c)] + [c + [0]]
     # integral and symmetric by construction, so inertia's two scans are skipped
-    pos, neg, _zero = ex._inertia_int(bordered)
+    pos, neg, _zero, _det = ex._inertia_det_int(bordered)
     return pos - 1, neg - 1
 
 
@@ -333,10 +335,17 @@ def reflection(L: QuadLattice, v) -> Reflection:
 
 def is_isometry_matrix(L: QuadLattice, g) -> bool:
     """g is rank x rank and g^T gram g == gram, checked in integers as (Dg)^T gram (Dg) == D^2 gram."""
+    return _scaled_isometry(L, g) is not None
+
+
+def _scaled_isometry(L: QuadLattice, g) -> tuple[list[list[int]], int] | None:
+    """(D g, D) for D the positive lcm of g's denominators when g is an isometry of L, else None."""
     if len(g) != L.rank or any(len(row) != L.rank for row in g):
-        return False
+        return None
     h, d = ex.scale_matrix_to_integers(g)
-    return ex.mat_mul(ex.mat_mul(ex.transpose(h), L.gram), h) == [[d * d * x for x in r] for r in L.gram]
+    if ex.mat_mul(ex.mat_mul(ex.transpose(h), L.gram), h) != [[d * d * x for x in r] for r in L.gram]:
+        return None
+    return h, d
 
 
 def _candidate_vectors(basis: list[list[int]], order: list[int] | None):
@@ -379,7 +388,8 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
     denominator d. The returned mirrors are primitive integer vectors.
     """
     gram = [list(r) for r in L.gram]
-    if not is_isometry_matrix(L, g):
+    scaled = _scaled_isometry(L, g)
+    if scaled is None:
         raise DomainError("matrix does not preserve the form")
 
     def qq(v):
@@ -427,8 +437,7 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
         h2, d2 = reflect(v, *reflect(w1, h, d))
         return [w1, v] + recurse(h2, d2, orth)
 
-    h0, d0 = ex.scale_matrix_to_integers(g)
-    vectors = recurse(h0, d0, [[int(i == j) for j in range(L.rank)] for i in range(L.rank)])
+    vectors = recurse(*scaled, [[int(i == j) for j in range(L.rank)] for i in range(L.rank)])
     if len(vectors) > 2 * L.rank:
         raise InternalInconsistencyError("reflection decomposition exceeded 2 * rank")
     return vectors
@@ -452,11 +461,11 @@ def spinor_norm_sign(L: QuadLattice, g, order: list[int] | None = None) -> int:
         for w in reflection_vectors(L, g, order=order):
             sign *= 1 if L.q(w) < 0 else -1
         return sign
-    if not is_isometry_matrix(L, g):
+    scaled = _scaled_isometry(L, g)
+    if scaled is None:
         raise DomainError("matrix does not preserve the form")
-    h, _ = ex.scale_matrix_to_integers(g)  # D g, D > 0, leaves the sign unchanged
-    w = L.positive_plane
-    m = ex.mat_mul(ex.mat_mul(w, L.gram), ex.mat_mul(h, ex.transpose(w)))
+    h, _ = scaled  # D g, D > 0, leaves the sign unchanged
+    m = ex.mat_mul(L._plane_gram, ex.mat_mul(h, ex.transpose(L.positive_plane)))
     return 1 if ex.det(m) > 0 else -1
 
 

@@ -281,6 +281,155 @@ def test_inertia_hyperbolic_and_degenerate():
             ex.inertia(bad)
 
 
+def _reference_inertia(s):
+    """Inertia by the scaled symmetric elimination with 1 x 1 and 2 x 2 pivots, kept apart from exactlin.
+
+    Every Schur complement is scaled by its pivot (d S - c c^T, or
+    -a^2 S + a (c_i c_j^T + c_j c_i^T) for a hyperbolic pair), a flag tracks
+    whether the block's form is negated, and the positive gcd is divided out
+    after each step. No unit-pivot shortcut and no determinant.
+    """
+    m = [list(row) for row in s]
+    pos = neg = zero = 0
+    negated = False
+    active = list(range(len(m)))
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is not None:
+            d = m[piv][piv]
+            if (d > 0) != negated:
+                pos += 1
+            else:
+                neg += 1
+            rest = [j for j in active if j != piv]
+            col = {j: m[j][piv] for j in rest}
+            for j in rest:
+                for k in rest:
+                    m[j][k] = d * m[j][k] - col[j] * m[piv][k]
+            if d < 0:
+                negated = not negated
+            active = rest
+        else:
+            pair = next(((i, j) for n, i in enumerate(active) for j in active[n + 1 :] if m[i][j]), None)
+            if pair is None:
+                zero += len(active)
+                break
+            i, j = pair
+            a = m[i][j]
+            pos += 1
+            neg += 1
+            rest = [k for k in active if k not in (i, j)]
+            coli = {k: m[k][i] for k in rest}
+            colj = {k: m[k][j] for k in rest}
+            for k in rest:
+                for l in rest:
+                    m[k][l] = -a * a * m[k][l] + a * (coli[k] * colj[l] + colj[k] * coli[l])
+            negated = not negated
+            active = rest
+        g = math.gcd(*[m[j][k] for j in active for k in active]) if active else 0
+        if g > 1:
+            for j in active:
+                for k in active:
+                    m[j][k] //= g
+    return pos, neg, zero
+
+
+def _symmetric_from_upper(n, upper, zero_diagonal=False):
+    it = iter(upper)
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = 0 if zero_diagonal and i == j else next(it)
+    return s
+
+
+_HUGE = 2**140  # the size of the gap matrices that walls._dyadic_ldl hands to inertia
+_ENTRIES = {
+    "small": st.integers(-9, 9),
+    "zero-diagonal": st.integers(-4, 4),
+    "units": st.sampled_from([-1, 0, 0, 1]),
+    "huge": st.integers(-2 * _HUGE, 2 * _HUGE),
+}
+
+
+@st.composite
+def _symmetric_int_matrices(draw):
+    """Symmetric int matrices of size 0..9: small, zero-diagonal, +-1-heavy, huge or singular."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from([*_ENTRIES, "singular"]))
+    if kind == "singular":  # B^T D B with B of k < n rows has rank at most k
+        k = draw(st.integers(0, max(n - 1, 0)))
+        b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k))
+        d = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k, max_size=k))
+        return [[sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    upper = draw(st.lists(_ENTRIES[kind], min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    return _symmetric_from_upper(n, upper, zero_diagonal=kind == "zero-diagonal")
+
+
+def _check_inertia_det(s):
+    pos, neg, zero, d = ex._inertia_det_int(s)  # an inexact final division would raise here
+    assert type(d) is int
+    assert (pos, neg, zero) == _reference_inertia(s)
+    assert d == ex.det(s)
+    if len(s) <= 7:
+        assert d == _laplace_det(s)
+    assert (d == 0) == (zero > 0)
+    return pos, neg, zero, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_int_matrices())
+def test_inertia_det_matches_reference_elimination_bareiss_and_laplace(s):
+    _check_inertia_det(s)
+
+
+def test_inertia_det_on_seeded_families():
+    rng = random.Random(29)
+    families = {
+        "small": lambda: rng.randint(-9, 9),
+        "zero-diagonal": lambda: rng.randint(-4, 4),
+        "units": lambda: rng.choice([-1, 0, 0, 1]),
+        "huge": lambda: rng.randint(-2 * _HUGE, 2 * _HUGE),
+    }
+    seen = {"singular": 0, "hyperbolic": 0}
+    for trial in range(600):
+        name = list(families)[trial % 4]
+        n = rng.randint(0, 9)
+        s = _symmetric_from_upper(n, [families[name]() for _ in range(n * (n + 1) // 2)], name == "zero-diagonal")
+        if trial % 3 == 0 and n > 1:  # a repeated row and column make it singular
+            i, j = rng.sample(range(n), 2)
+            s[j] = s[i][:]
+            for row in s:
+                row[j] = row[i]
+        pos, neg, zero, _d = _check_inertia_det(s)
+        seen["singular"] += zero > 0
+        seen["hyperbolic"] += name == "zero-diagonal" and zero == 0 and n > 0
+    assert seen["singular"] > 150 and seen["hyperbolic"] > 50
+    # bordered matrices of the negative-form sweep take only unit pivots
+    u3 = [[int(i ^ 1 == j) for j in range(6)] for i in range(6)]
+    for c in itertools.product(range(-1, 2), repeat=6):
+        if any(c):
+            bordered = [row + [x] for row, x in zip(u3, c)] + [list(c) + [0]]
+            _check_inertia_det(bordered)
+
+
+def test_inertia_det_on_direct_sums_and_fractions():
+    u = [[0, 1], [1, 0]]
+    u100 = [[int(i ^ 1 == j) for j in range(200)] for i in range(200)]
+    assert ex._inertia_det_int(u100) == (100, 100, 0, 1)
+    assert ex._inertia_det_int([[3 * x for x in row] for row in u100]) == (100, 100, 0, 9**100)
+    assert ex._inertia_det_int([]) == (0, 0, 0, 1)
+    assert ex._inertia_det_int(u) == (1, 1, 0, -1)
+    assert ex._inertia_det_int([[0, 2], [2, 0]]) == (1, 1, 0, -4)
+    assert ex._inertia_det_int([[-5]]) == (0, 1, 0, -5)
+    # inertia on rational input scales it to integers first, as before
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        s = _symmetric_from_upper(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n * (n + 1) // 2)])
+        assert ex.inertia(s) == _reference_inertia(ex.scale_matrix_to_integers(s)[0])
+
+
 def test_primitive_vector():
     assert ex.primitive_vector([Fraction(1, 2), Fraction(3, 2)]) == [1, 3]
     assert ex.primitive_vector([4, -6]) == [2, -3]

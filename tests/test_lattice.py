@@ -110,6 +110,95 @@ def test_det_signature_and_spinor_sign_never_build_the_adjugate(monkeypatch):
     assert lat.dual_value(small, [0, -1, 1, 0, 0, 0, 0]) == Fraction(-2, 3)
 
 
+def test_one_elimination_per_lattice_and_no_fractions_for_int_rows(monkeypatch):
+    calls = {"kernel": 0, "fr": 0}
+    kernel, fr = ex._inertia_det_int, ex.fr
+
+    def counted_kernel(s):
+        calls["kernel"] += 1
+        return kernel(s)
+
+    def counted_fr(x):
+        calls["fr"] += 1
+        return fr(x)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_bareiss called")
+
+    monkeypatch.setattr(ex, "_inertia_det_int", counted_kernel)
+    monkeypatch.setattr(ex, "fr", counted_fr)
+    monkeypatch.setattr(ex, "_bareiss", forbidden)
+    forms = [[list(row) for row in L.gram] for L in (K3, U3, lat.e8_lattice())]
+    forms += [[[3, 1, -2], [1, -5, 4], [-2, 4, 7]], [[0, 2, 1], [2, 0, 0], [1, 0, -3]]]
+    for f in forms:
+        calls["kernel"] = 0
+        L = lat.QuadLattice.from_rows(f)
+        assert L.det != 0 and sum(L.signature) == L.rank
+        assert calls == {"kernel": 1, "fr": 0}
+    with pytest.raises(DomainError, match="degenerate form"):
+        lat.QuadLattice.from_rows([[1, 1], [1, 1]])
+    assert calls["fr"] == 0
+
+
+def test_spinor_sign_scales_g_once(monkeypatch):
+    scale = ex.scale_matrix_to_integers
+    seen = []
+
+    def counted(a):
+        seen.append(a)
+        return scale(a)
+
+    monkeypatch.setattr(ex, "scale_matrix_to_integers", counted)
+    r_pos = lat.reflection_matrix(U3, [1, 1, 0, 0, 0, 0])  # Fraction entries
+    for g in (r_pos, [[int(x) for x in row] for row in r_pos]):
+        seen.clear()
+        assert lat.spinor_norm_sign(U3, g) == -1
+        assert sum(a is g for a in seen) == 1
+
+
+def test_from_rows_decodes_every_exact_spelling_to_one_int_lattice():
+    base = lat.QuadLattice.from_rows([[2, 1, 0], [1, -2, 1], [0, 1, 4]])
+    spellings = [
+        [[2, 1, 0], [1, -2, 1], [0, 1, 4]],
+        ((Fraction(4, 2), 1, 0), (1, -2, 1), (0, 1, 4)),
+        [["4/2", "1", 0], [1, "-2", 1], [0, 1, "8/2"]],
+        [[2, True, False], [True, -2, True], [False, True, 4]],
+        [[np.int64(2), np.int64(1), 0], [1, np.int64(-2), 1], [0, 1, np.int64(4)]],
+    ]
+    for rows in spellings:
+        L = lat.QuadLattice.from_rows(rows)
+        assert L == base and hash(L) == hash(base)
+        assert all(type(x) is int for row in L.gram for x in row)
+        assert (L.det, L.signature) == (base.det, base.signature) == (-22, (2, 1))
+    refused = {
+        "gram entries must be integers": [[1, "1/2"], ["1/2", 1]],
+        "exact arithmetic rejects floats": [[1.5, 0], [0, 1]],
+        "gram matrix must be square": [[1, 0], [0]],
+        "gram must be a list of rows of integers": [1],
+    }
+    for message, rows in refused.items():
+        with pytest.raises(DomainError, match=message):
+            lat.QuadLattice.from_rows(rows)
+    with pytest.raises(DomainError, match="gram must be a list of rows of integers"):
+        lat.QuadLattice.from_rows([[1, 2], 3])
+
+
+def test_det_and_signature_of_standard_and_twisted_lattices():
+    twisted = lat.direct_sum(lat.rank_one(-6), lat.rescale(U3, 3))
+    expected = {
+        "K3": (K3, -1, (3, 19)),
+        "U3": (U3, -1, (3, 3)),
+        "E8": (lat.e8_lattice(), 1, (8, 0)),
+        "U+<-2>": (lat.direct_sum(U, lat.rank_one(-2)), 2, (1, 2)),
+        "U^100": (lat.direct_sum(*[U] * 100), 1, (100, 100)),
+        "twisted": (twisted, -6 * (-9) ** 3, (3, 4)),
+    }
+    for name, (L, det, sig) in expected.items():
+        assert (L.det, L.signature) == (det, sig), name
+        assert type(L.det) is int and L.det == ex.det(L.gram), name
+        assert "det" not in repr(L) and "signature" not in repr(L)
+
+
 def test_bform_rejects_wrong_length():
     with pytest.raises(DomainError):
         K3.q([1, 1])
