@@ -5,7 +5,9 @@ floating point enters. This module backs the discrete invariants of the
 toolkit: signatures of integral quadratic forms, kernels of rational
 functionals, Smith normal forms for cochain solving, and the integral LLL
 behind the integer-relation detectors. One fraction-free integer
-elimination, ``_bareiss``, gives determinants, adjugates, ranks and kernels.
+elimination, ``_bareiss``, gives determinants, adjugates, ranks and kernels;
+one symmetric elimination, ``_inertia_det_int``, gives inertia and det at once,
+dividing exactly by one Sylvester scale per step.
 """
 
 from __future__ import annotations
@@ -198,16 +200,16 @@ def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
     return [[d * x for x in row] for row in adj]
 
 
-def _symmetric_pivot(m: list[list[int]], active: list[int]) -> tuple[int, int] | None:
-    """The first unit pivot, else the first nonzero diagonal, else the first hyperbolic pair; None on a zero block.
+def _symmetric_pivot(m: list[list[int]], active: list[int], scale: int) -> tuple[int, int] | None:
+    """The first sparse pivot, else the first nonzero diagonal, else the first hyperbolic pair; None on a zero block.
 
     (i, i) is a diagonal pivot; (i, j) an entry joining two zero diagonals.
-    A unit pivot is a +-1 diagonal or a +-1 such entry.
+    A sparse pivot is a +-scale diagonal or a +-scale such entry.
     """
     first, free = None, []
     for i in active:
         x = m[i][i]
-        if x == 1 or x == -1:
+        if x == scale or x == -scale:
             return i, i
         if not x:
             free.append(i)
@@ -217,7 +219,7 @@ def _symmetric_pivot(m: list[list[int]], active: list[int]) -> tuple[int, int] |
         row_i = m[i]
         for j in free[n + 1 :]:
             x = row_i[j]
-            if x == 1 or x == -1:
+            if x == scale or x == -scale:
                 return i, j
             if x and first is None:
                 first = i, j
@@ -227,92 +229,77 @@ def _symmetric_pivot(m: list[list[int]], active: list[int]) -> tuple[int, int] |
 def _inertia_det_int(s: list[list[int]]) -> tuple[int, int, int, int]:
     """(positive, negative, zero, det) of an integer symmetric matrix, from one symmetric elimination.
 
-    Each step splits a pivot P off the active r x r block M: a nonzero
-    diagonal d, or a hyperbolic block [[0, a], [a, 0]] of inertia (1, 1)
-    (1 x 1 and 2 x 2 pivots, as in Bunch and Kaufman, Math. Comp. 31, 1977).
-    The rest of M is replaced by B = t S, S its Schur complement
-    M_rest - c c^T / d or M_rest - (c_i c_j^T + c_j c_i^T) / a, and a flag
-    tracks whether the block's form is negated. det is kept exactly as
-    num / den, with det M = det P det B / t^(size of B). For most pivots
-    t = d or -a^2, which makes B integral: det M = det B / d^(r-2) or
-    det B / (-a^2)^(r-3). A unit pivot (d or a = +-1) divides exactly, so
-    t = 1 and only the rows and columns whose multiplier is nonzero change:
-    the symmetric counterpart of ``_bareiss``'s zero-multiplier deferral
-    (Bareiss, Math. Comp. 22, 1968). ``_symmetric_pivot`` takes unit pivots
-    first. After each step the r' x r' block is divided by the positive gcd
-    g of its entries, which keeps the inertia and multiplies det by g^r'. A
-    block with no nonzero entry is the radical, and det is 0. The final
-    division num / den must be exact.
+    Each step splits a pivot off the active block: a nonzero diagonal p, or
+    an entry a joining two zero diagonals, a hyperbolic block of inertia
+    (1, 1) (1 x 1 and 2 x 2 pivots, as in Bunch and Kaufman, Math. Comp. 31,
+    1977). With S the indices eliminated so far, the state is a scale
+    mu > 0 and a sign with det s[S, S] = sign * mu, and each active entry
+    (k, l) holds sign * det s[S + k, S + l]. The Schur complement is then
+    the active block over mu, so p / mu and a / mu are the true pivots.
+    Sylvester's identity makes every update of the block F an exact
+    division, as in Bareiss's one-step method (Bareiss, Math. Comp. 22,
+    1968). With x and y the pivot rows,
+    F <- (|p| F - sgn(p) x x^T) / mu, mu <- |p| and sign <- sgn(p) sign, or
+    F <- (a^2 F - a (x y^T + y x^T)) / mu^2, mu <- a^2 / mu and
+    sign <- -sign; a^2 / mu is the one quotient checked. A pivot p or a of
+    size mu leaves mu as it is, and the update reduces to F -= x x^T / p or
+    F -= (x y^T + y x^T) / a on the rows and columns whose multiplier is
+    nonzero, so ``_symmetric_pivot`` takes those pivots first. det is
+    sign * mu at the end, or 0 at a block with no nonzero entry, the radical.
     """
     m = [list(row) for row in s]
-    pos = neg = zero = 0
-    negated = False
-    num = den = 1
+    pos = neg = 0
+    mu = sign = 1
     active = list(range(len(m)))
     while active:
-        r = len(active)
-        pivot = _symmetric_pivot(m, active)
+        pivot = _symmetric_pivot(m, active, mu)
         if pivot is None:
-            zero += r
-            num = 0
-            break
+            return pos, neg, len(active), 0
         i, j = pivot
         active = [k for k in active if k != i and k != j]
         if i == j:
-            d = m[i][i]
-            if (d > 0) != negated:
+            p = m[i][i]
+            if p > 0:
                 pos += 1
             else:
                 neg += 1
-            t = 1 if d == 1 or d == -1 else d
-            num, den = num * d, den * t ** (r - 1)
+                sign = -sign
             col = [(k, m[i][k]) for k in active]  # the pivot row, read once
-            if t == 1:
+            if p == mu or p == -mu:
                 hit = [(k, x) for k, x in col if x]
                 for k, x in hit:
-                    row_k, f = m[k], d * x
+                    row_k = m[k]
                     for l, y in hit:
-                        row_k[l] -= f * y
+                        row_k[l] -= x * y // p
             else:
+                div = mu if p > 0 else -mu  # (|p| F - sgn(p) x x^T) / mu, with the sign moved to the divisor
                 for k, x in col:
                     row_k = m[k]
                     for l, y in col:
-                        row_k[l] = d * row_k[l] - x * y
+                        row_k[l] = (p * row_k[l] - x * y) // div
+                mu = abs(p)
         else:
             a = m[i][j]
             pos += 1
             neg += 1
-            t = 1 if a == 1 or a == -1 else -a * a
-            num, den = -num * a * a, den * t ** (r - 2)
+            sign = -sign
             cols = [(k, m[i][k], m[j][k]) for k in active]  # both pivot rows, read once
-            if t == 1:
+            if a == mu or a == -mu:
                 hit = [c for c in cols if c[1] or c[2]]
                 for k, xk, yk in hit:
                     row_k = m[k]
                     for l, xl, yl in hit:
-                        row_k[l] -= a * (xk * yl + yk * xl)
+                        row_k[l] -= (xk * yl + yk * xl) // a
             else:
+                a2, mu2 = a * a, mu * mu
                 for k, xk, yk in cols:
                     row_k = m[k]
                     for l, xl, yl in cols:
-                        row_k[l] = t * row_k[l] + a * (xk * yl + yk * xl)
-        if t < 0:
-            negated = not negated
-        g = 0
-        for k in active:
-            g = gcd(g, *[m[k][l] for l in active])
-            if g == 1:
-                break
-        if g > 1:
-            num *= g ** len(active)
-            for k in active:
-                row_k = m[k]
-                for l in active:
-                    row_k[l] //= g
-    det, rem = divmod(num, den)
-    if rem:
-        raise InternalInconsistencyError("symmetric elimination: det is not an exact quotient")
-    return pos, neg, zero, det
+                        row_k[l] = (a2 * row_k[l] - a * (xk * yl + yk * xl)) // mu2
+                mu, rem = divmod(a2, mu)
+                if rem:
+                    raise InternalInconsistencyError("symmetric elimination: the scale is not an exact quotient")
+    return pos, neg, 0, sign * mu
 
 
 def inertia(s) -> tuple[int, int, int]:

@@ -91,38 +91,46 @@ class MajorantForm:
         return float(arr @ np.array(self.matrix, dtype=float) @ arr)
 
     def dual_matrix(self):
-        """Inverse matrix: the majorant transported to the dual lattice."""
-        return ex.inverse([list(r) for r in self.matrix])
+        """The majorant transported to the dual lattice: G^-1 M G^-1 = adj M adj / det^2, G the gram."""
+        L = self.lattice
+        m, scale = ex.scale_matrix_to_integers(self.matrix)
+        num = ex.mat_mul(ex.mat_mul(L.adjugate, m), L.adjugate)
+        den = scale * L.det * L.det
+        return [[Fraction(x, den) for x in row] for row in num]
 
 
 def majorant(L: QuadLattice, span) -> MajorantForm:
     """Majorant form of a maximal positive subspace given by rational spanning vectors.
 
-    Positive definiteness is verified exactly; a span with a float entry is
-    a domain error.
+    With B the span rows scaled to integers (as columns), C = B^T G B and
+    c = det C, the matrix is (2 (G B) adj C (G B)^T - c G) / c. That C is
+    positive definite on p rows, p the positive index, is checked exactly;
+    q is then negative definite on P-perp (Sylvester's law of inertia), so
+    the majorant is positive definite. A span with a float entry, or with
+    rows not of the lattice's rank, is a domain error.
     """
     rows = [list(v) for v in span]
     if not all(isinstance(x, (int, Fraction, str)) for row in rows for x in row):
         raise DomainError("the majorant needs a rational spanning basis")
+    if any(len(row) != L.rank for row in rows):
+        raise DomainError(f"span rows must have {L.rank} coordinates, the lattice rank")
     p, _m = L.signature
     if len(rows) != p:
         raise DomainError(
             f"majorant needs a maximal positive subspace ({p} spanning vectors)"
         )
-    b = ex.transpose(ex.frmat(rows))
-    g = ex.frmat([list(r) for r in L.gram])
-    gb = ex.mat_mul(g, b)
-    core = ex.mat_mul(ex.transpose(b), gb)
-    pos, neg, zero = ex.inertia(core)
-    if (pos, neg, zero) != (p, 0, 0):
+    b, _ = ex.scale_matrix_to_integers(rows)
+    gb = ex.mat_mul(L.gram, ex.transpose(b))  # n x p, rows of G B
+    core = ex.mat_mul(b, gb)
+    if ex.inertia(core) != (p, 0, 0):
         raise DomainError("span is not positive definite")
-    core_inv = ex.inverse(core)
-    proj = ex.mat_mul(ex.mat_mul(gb, core_inv), ex.transpose(gb))
-    mat = [[2 * proj[i][j] - g[i][j] for j in range(L.rank)] for i in range(L.rank)]
-    pos, neg, zero = ex.inertia(mat)
-    if (pos, neg, zero) != (L.rank, 0, 0):
-        raise DomainError("majorant is not positive definite; span not maximal positive")
-    return MajorantForm(L, tuple(tuple(r) for r in mat))
+    c, adj = ex.det_adjugate(core)
+    left = ex.mat_mul(gb, adj)
+    mat = tuple(
+        tuple(Fraction(2 * sum(map(mul, x, y)) - c * g, c) for y, g in zip(gb, grow))
+        for x, grow in zip(left, L.gram)
+    )
+    return MajorantForm(L, mat)
 
 
 def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:

@@ -336,6 +336,8 @@ UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 
         (["walls", "avoid"], {"lattice": "U3", "span": WALLS_JOB["span"], "walls": {}}),
         (["cech", "cohomology"], {**COHOMOLOGY_JOB, "nerve": {"simplices": [[0, "a"]]}}),
         (["twistor", "plane"], {"lattice": "U3", "point": CONE_JOB["point"], "line": [0, 0, 0, 1, 1]}),
+        (["walls", "enum"], {**WALLS_JOB, "span": [row + [1] for row in WALLS_JOB["span"]]}),
+        (["walls", "enum"], {**WALLS_JOB, "span": [row[:5] for row in WALLS_JOB["span"]]}),
     ],
     ids=[
         "walls-enum-scalar-span",
@@ -360,6 +362,8 @@ UEPS_JOB = {"lattice": "U3", "span": WALLS_JOB["span"], "vector": [1, -1, 0, 0, 
         "walls-avoid-walls-object",
         "cech-cohomology-mixed-vertex-labels",
         "twistor-plane-short-line",
+        "walls-enum-7-coordinate-span",
+        "walls-enum-5-coordinate-span",
     ],
 )
 def test_wrong_payload_shape_exit_1(argv, payload, tmp_path):

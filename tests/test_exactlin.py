@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hkgeom import exactlin as ex
 from hkgeom import irrational as irr
+from hkgeom import lattice as lat
 from hkgeom.errors import DomainError
 
 
@@ -367,7 +368,7 @@ def _symmetric_int_matrices(draw):
 
 
 def _check_inertia_det(s):
-    pos, neg, zero, d = ex._inertia_det_int(s)  # an inexact final division would raise here
+    pos, neg, zero, d = ex._inertia_det_int(s)  # an inexact scale quotient of a 2 x 2 step would raise here
     assert type(d) is int
     assert (pos, neg, zero) == _reference_inertia(s)
     assert d == ex.det(s)
@@ -428,6 +429,49 @@ def test_inertia_det_on_direct_sums_and_fractions():
         n = rng.randint(1, 6)
         s = _symmetric_from_upper(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n * (n + 1) // 2)])
         assert ex.inertia(s) == _reference_inertia(ex.scale_matrix_to_integers(s)[0])
+
+
+def _block_sum(*blocks):
+    n = sum(map(len, blocks))
+    s, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            s[at + i][at : at + len(b)] = row
+        at += len(b)
+    return s
+
+
+def test_inertia_det_on_scaled_direct_sums():
+    # a scaled pivot multiplies the other blocks, so later pivots equal the scale: the sparse steps with scale > 1
+    rng = random.Random(34)
+    u = [[0, 1], [1, 0]]
+    e8 = [list(row) for row in lat.e8_lattice().gram]
+
+    def scaled(k, b):
+        return [[k * x for x in row] for row in b]
+
+    cases = [_block_sum([[2]], scaled(2, u), scaled(2, u))]
+    for _ in range(30):
+        d = rng.choice([-1, 1]) * rng.randint(2, 7)
+        cases.append(_block_sum([[d]], scaled(d, u), scaled(rng.choice([-1, 1]), e8)))
+        cases.append(_block_sum([[d]], *[u] * rng.randint(1, 3)))
+        cases.append(_block_sum(*[[[rng.choice([-1, 1]) * rng.randint(1, 6)]] for _ in range(rng.randint(1, 8))]))
+        # <d> glued to a bordered U3 by e_0 -> e_0 + sum v_k e_k: the Schur complement of d is the bordered form
+        c = [rng.randint(-1, 1) for _ in range(6)] + [1]
+        t = [[int(i ^ 1 == j) if max(i, j) < 6 else c[min(i, j)] for j in range(7)] for i in range(7)]
+        t[6][6] = 0
+        v = [rng.choice([-2, -1, 1, 2]) for _ in range(7)]
+        cases.append([[d] + [d * x for x in v]] + [[d * x] + [y + d * x * z for y, z in zip(row, v)] for x, row in zip(v, t)])
+    cases += [_block_sum(*[scaled(3, u)] * k) for k in range(1, 6)]
+    for s in cases + [_block_sum(s, u) for s in cases[:20]]:
+        perm = list(range(len(s)))
+        rng.shuffle(perm)
+        for t in (s, [[s[i][j] for j in perm] for i in perm]):
+            _check_inertia_det(t)
+    # one dense form past the seeded sizes: entries up to 200 at rank 40
+    n = 40
+    dense = _symmetric_from_upper(n, [rng.randint(-200, 200) for _ in range(n * (n + 1) // 2)])
+    _check_inertia_det(dense)
 
 
 def test_primitive_vector():

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +66,38 @@ def test_majorant_rejects_non_maximal_span():
         wl.majorant(U3, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
     with pytest.raises(DomainError):
         wl.majorant(U3, [[1, -1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
+
+
+def test_majorant_refuses_span_rows_of_the_wrong_length():
+    # a row of 5 or 7 coordinates on U3 is refused before any product, naming the rank
+    for span in ([row + [1] for row in DIAG_SPAN_U3], [row[:5] for row in DIAG_SPAN_U3]):
+        for call in (lambda: wl.majorant(U3, span), lambda: wl.enumerate_walls_near(U3, span, -2, 4)):
+            with pytest.raises(DomainError, match="span rows must have 6 coordinates"):
+                call()
+
+
+def _seeded_nondegenerate_lattices(rng, count):
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        sym = [[a[i][j] + a[j][i] if i != j else rng.choice((0, a[i][i])) for j in range(n)] for i in range(n)]
+        if ex.det(sym):
+            found.append(lat.QuadLattice.from_rows(sym))
+    return found
+
+
+def test_dual_majorant_is_the_inverse_of_the_majorant():
+    # adj M adj / det^2 against the Gauss-Jordan inverse of M, on every positive plane
+    lattices = [U3, U2M2, lat.standard_lattice("K3")] + _seeded_nondegenerate_lattices(random.Random(34), 80)
+    assert any(L.signature[0] == 0 for L in lattices) and any(L.signature[1] == 0 for L in lattices)
+    for L in lattices:
+        mj = wl.majorant(L, L.positive_plane)
+        assert all(isinstance(x, Fraction) for row in mj.matrix for x in row)
+        assert mj.dual_matrix() == ex.inverse([list(row) for row in mj.matrix])
+        assert ex.inertia(mj.matrix) == (L.rank, 0, 0)
+    thirds = [[Fraction(x, 3) for x in row] for row in DIAG_SPAN_U3]
+    assert wl.majorant(U3, thirds) == wl.majorant(U3, DIAG_SPAN_U3)
 
 
 def test_in_u_eps_examples():
