@@ -2,18 +2,19 @@
 
 Supports degrees 0..2 (with degree-3 coboundary values used internally for
 the cocycle test), coboundaries, cocycle checks, coboundary solving by Smith
-normal form over the integers per invariant factor, and the cohomology
-oracle backing the solver.
+normal form over the integers per invariant factor, and cohomology by the
+universal coefficient theorem.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
+from numbers import Integral
 from operator import mul
 
 from . import exactlin as ex
-from .errors import DomainError, InternalInconsistencyError
+from .errors import DomainError
 
 MAX_DIM = 3  # simplices of up to 4 vertices: enough for degree-2 cocycle checks
 
@@ -29,6 +30,13 @@ def _perm_sign(seq) -> int:
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
+
+
+def _integer(x, what: str) -> int:
+    """x as an int: numpy integer scalars are converted, bool and non-integers refused."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,9 +108,9 @@ class Nerve:
         return mat
 
     def coboundary_smith_form(self, d: int) -> tuple:
-        """Smith form U A V = S of A = ``coboundary_matrix(d)``: (diagonal of S, U, V, V^-1), as tuples.
+        """Smith form U A V = S of A = ``coboundary_matrix(d)``: (diagonal of S, U, V), as tuples.
 
-        V and V^-1 are n x n for the n d-simplices, also when A has no rows.
+        V is n x n for the n d-simplices, also when A has no rows.
         The form does not depend on the coefficients, so it is computed on
         first use for each degree and kept with the nerve; cohomology and
         coboundary solving share it across calls and cyclic factors.
@@ -113,48 +121,12 @@ class Nerve:
             n = len(self.simplices_of_dim(d))
             if a:
                 s, u, v = ex.smith_normal_form(a)
-                vinv = ex.unimodular_inverse(v)
             else:
                 s, u = [], []
-                v = vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+                v = [[int(i == j) for j in range(n)] for i in range(n)]
             diagonal = tuple(s[i][i] for i in range(min(len(a), n)))
-            forms[d] = (diagonal, *(tuple(map(tuple, m)) for m in (u, v, vinv)))
+            forms[d] = (diagonal, *(tuple(map(tuple, m)) for m in (u, v)))
         return forms[d]
-
-    def cohomology_presentation(self, degree: int, k: int) -> tuple | None:
-        """H^degree(nerve; Z/k) presentation (V^-1, scales, U_R, factors), as tuples.
-
-        None when the nerve has no degree-simplices (the trivial group).
-        The columns of K = V diag(scales) generate the mod-k cocycle lattice
-        X = {x : A x = 0 mod k} inside Z^n, for the SNF U A V = S of
-        A = ``coboundary_matrix(degree)`` (``coboundary_smith_form``, shared by
-        every k) and scales_i = k / gcd(s_i, k). V is unimodular, so
-        K-coordinates K^-1 c = diag(1/scales) V^-1 c need only the integer
-        inverse V^-1 and one exact division per entry (``_k_coords``); no
-        rational arithmetic enters.
-        R expresses im(B) + k Z^n in K-coordinates, for B =
-        ``coboundary_matrix(degree - 1)``; the invariant factors of Z^n / R Z
-        give the group, with coordinates read off through the SNF row
-        transform U_R of R. R depends only on (degree, k), so the presentation
-        is computed on first use for each pair and kept with the nerve.
-        """
-        presentations = self._presentations
-        if (degree, k) not in presentations:
-            n = len(self.simplices_of_dim(degree))
-            presentation = None
-            if n:
-                diagonal, _, _, vinv = self.coboundary_smith_form(degree)
-                # past the diagonal s_i = 0: free directions, scale k / gcd(0, k) = 1
-                scales = [k // ex.gcd(diagonal[i] if i < len(diagonal) else 0, k) for i in range(n)]
-                # relations: columns of B (none in degree 0) and k*I, in K-coordinates
-                rel_cols = [list(col) for col in zip(*self.coboundary_matrix(degree - 1))] if degree else []
-                rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
-                r_mat = ex.transpose([_k_coords(vinv, scales, col) for col in rel_cols])
-                s_r, u_r, _ = ex.smith_normal_form(r_mat)
-                factors = tuple(s_r[i][i] for i in range(n))
-                presentation = (vinv, tuple(scales), tuple(map(tuple, u_r)), factors)
-            presentations[degree, k] = presentation
-        return presentations[degree, k]
 
     @cached_property
     def _sorted_simplices(self) -> tuple[tuple[tuple, ...], ...]:
@@ -166,10 +138,6 @@ class Nerve:
 
     @cached_property
     def _smith_forms(self) -> dict[int, tuple]:
-        return {}
-
-    @cached_property
-    def _presentations(self) -> dict[tuple[int, int], tuple | None]:
         return {}
 
 
@@ -196,8 +164,10 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        if any(k < 1 for k in self.factors):
+        factors = tuple(_integer(k, "a cyclic factor") for k in self.factors)
+        if any(k < 1 for k in factors):
             raise DomainError("cyclic factors must be >= 1")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def rank(self) -> int:
@@ -216,7 +186,7 @@ class FiniteAbelianGroup:
     def reduce(self, element) -> tuple[int, ...]:
         if len(element) != self.rank:
             raise DomainError("element has wrong number of coordinates")
-        return tuple(int(x) % k for x, k in zip(element, self.factors))
+        return tuple(_integer(x, "an element entry") % k for x, k in zip(element, self.factors))
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % k for x, y, k in zip(a, b, self.factors))
@@ -324,8 +294,8 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def _solve_mod(smith: tuple, rhs: list[int], k: int) -> list[int] | None:
-    """One solution of A x = rhs (mod k) for the Smith form (diagonal, U, V, V^-1) of A, or None."""
-    diagonal, u, v, _ = smith
+    """One solution of A x = rhs (mod k) for the Smith form (diagonal, U, V) of A, or None."""
+    diagonal, u, v = smith
     y = [0] * len(v)
     for i, row in enumerate(u):
         si = diagonal[i] if i < len(diagonal) else 0
@@ -342,52 +312,36 @@ def _solve_mod(smith: tuple, rhs: list[int], k: int) -> list[int] | None:
     return [sum(map(mul, row, y)) % k for row in v]
 
 
-def _k_coords(vinv: list[list[int]], scales: list[int], c: list[int]) -> list[int]:
-    """K^-1 c for K = V diag(scales): diag(1/scales) V^-1 c, divided exactly."""
-    out = []
-    for row, scale in zip(vinv, scales):
-        q, r = divmod(sum(map(mul, row, c)), scale)
-        if r:
-            raise InternalInconsistencyError("vector is not in the mod-k cocycle lattice")
-        out.append(q)
-    return out
-
-
-def _cohomology_data(nerve: Nerve, k: int, degree: int):
-    """``nerve.cohomology_presentation(degree, k)`` with fresh lists for scales, the rows of U_R and factors."""
-    data = nerve.cohomology_presentation(degree, k)
-    if data is None:
-        return None
-    vinv, scales, u_r, factors = data
-    return vinv, list(scales), [list(row) for row in u_r], list(factors)
-
-
 def cohomology(nerve: Nerve, group: FiniteAbelianGroup, degree: int) -> tuple[int, ...]:
     """Invariant factors of H^degree(nerve; group), canonicalized.
 
+    By the universal coefficient theorem (Hatcher, Algebraic Topology, 2002,
+    Thm 3A.3), with a_i and b_j the nonzero Smith diagonals of the
+    coboundaries into and out of C^degree (``coboundary_smith_form``) and n
+    the number of degree-simplices,
+    H^degree(Z/k) = (Z/k)^(n - #a - #b) + sum_i Z/gcd(a_i, k) + sum_j Z/gcd(b_j, k).
     The coefficient group splits as a product of cyclic groups and cohomology
-    distributes over the product; the combined cyclic orders are recombined
-    into an invariant-factor chain.
+    distributes over the product; the cyclic orders of every factor are
+    recombined into an invariant-factor chain.
     """
     if degree not in (0, 1, 2):
         raise DomainError("degree must be 0, 1 or 2")
+    n = len(nerve.simplices_of_dim(degree))
+    degrees = (degree - 1, degree) if degree else (0,)
+    torsion = [s for d in degrees for s in nerve.coboundary_smith_form(d)[0] if s]
     orders: list[int] = []
     for k in group.factors:
-        if k == 1:
-            continue
-        data = _cohomology_data(nerve, k, degree)
-        if data is None:
-            continue
-        _, _, _, factors = data
-        orders.extend(f for f in factors if f != 1)
-    if any(f == 0 for f in orders):
-        raise DomainError("cohomology of a finite group must be finite")
+        orders += [k] * (n - len(torsion)) + [ex.gcd(s, k) for s in torsion]
     return tuple(ex.invariant_factors(orders))
 
 
 @dataclasses.dataclass(frozen=True)
 class CoboundaryResult:
-    """Outcome of solve_coboundary: a solution or an obstruction class."""
+    """Outcome of solve_coboundary: a solution or an obstruction class.
+
+    The obstruction is the class of the cocycle in coker(d^1 (x) Z/k), per
+    cyclic factor Z/k; on a nerve without 3-simplices that cokernel is H^2.
+    """
 
     solution: Cochain | None
     obstruction: tuple[int, ...] | None
@@ -402,8 +356,9 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
     """Solve d(x) = c for a degree-2 cocycle c, per invariant factor.
 
     Success returns x with d(x) = c exactly. Failure returns the class of c
-    in H^2 as residue coordinates in the per-factor presentation reported in
-    ``presentation``.
+    in coker(d^1 (x) Z/k) = sum_i Z/gcd(s_i, k) for each cyclic factor Z/k, as
+    the coordinates (U c)_i mod gcd(s_i, k) from the Smith form U d^1 V = S
+    (s_i = 0 past the rank), with the nontrivial orders in ``presentation``.
     """
     if c.degree != 2:
         raise DomainError("solve_coboundary expects a degree-2 cochain")
@@ -413,6 +368,7 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
     edges = nerve.simplices_of_dim(1)
     faces = nerve.simplices_of_dim(2)
     smith = nerve.coboundary_smith_form(1)
+    diagonal, u, _ = smith
     data = c.as_dict()
     sol_per_factor: list[list[int]] = []
     obstruction: list[int] = []
@@ -420,22 +376,16 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
     solvable = True
     for idx, k in enumerate(group.factors):
         rhs = [data[s][idx] for s in faces]
-        if k == 1:
-            sol_per_factor.append([0] * len(edges))
-            continue
         x = _solve_mod(smith, rhs, k)
         if x is not None:
             sol_per_factor.append(x)
             continue
         solvable = False
-        sol_per_factor.append([0] * len(edges))
-        vinv, scales, u_r, factors = _cohomology_data(nerve, k, 2)
-        y = _k_coords(vinv, scales, rhs)
-        coords = [sum(u_r[i][j] * y[j] for j in range(len(y))) for i in range(len(y))]
-        for f, co in zip(factors, coords):
-            if f != 1:
-                presentation.append(f)
-                obstruction.append(co % f if f else co)
+        for i, row in enumerate(u):
+            g = ex.gcd(diagonal[i] if i < len(diagonal) else 0, k)
+            if g != 1:
+                presentation.append(g)
+                obstruction.append(sum(map(mul, row, rhs)) % g)
     if solvable:
         xs = {
             e: group.reduce(tuple(sol[i] for sol in sol_per_factor))

@@ -190,16 +190,6 @@ def inverse(a: Mat) -> Mat:
     return [[Fraction(scale * x, d) for x in row] for row in adj]
 
 
-def unimodular_inverse(a: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix of determinant +-1: det * adj, in ints."""
-    d, adj = det_adjugate(a)
-    if not d:
-        raise DomainError("matrix is singular")
-    if abs(d) != 1:
-        raise DomainError("matrix is not unimodular")
-    return [[d * x for x in row] for row in adj]
-
-
 def _symmetric_pivot(m: list[list[int]], active: list[int], scale: int) -> tuple[int, int] | None:
     """The first sparse pivot, else the first nonzero diagonal, else the first hyperbolic pair; None on a zero block.
 

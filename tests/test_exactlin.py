@@ -601,34 +601,6 @@ def test_lll_leaves_reduced_bases_unchanged():
         assert ex.lll_reduce(rows) == rows == _sympy_lll(rows)
 
 
-def _random_unimodular(rng, n):
-    a = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(4 * n):
-        i, j = rng.sample(range(n), 2)
-        f = rng.randint(-3, 3)
-        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-        if rng.random() < 0.3:
-            a[j] = [-x for x in a[j]]
-    return a
-
-
-def test_unimodular_inverse_is_integral_two_sided_inverse():
-    rng = random.Random(17)
-    for n in range(2, 9):
-        for _ in range(10):
-            a = _random_unimodular(rng, n)
-            inv = ex.unimodular_inverse(a)
-            eye = [[int(i == j) for j in range(n)] for i in range(n)]
-            assert ex.mat_mul(a, inv) == eye
-            assert ex.mat_mul(inv, a) == eye
-            assert all(type(x) is int for row in inv for x in row)
-    assert ex.unimodular_inverse([[-1]]) == [[-1]]
-    with pytest.raises(DomainError):
-        ex.unimodular_inverse([[2, 0], [0, 1]])  # det 2
-    with pytest.raises(DomainError):
-        ex.unimodular_inverse([[1, 2], [2, 4]])  # singular
-
-
 def test_mat_mul_matches_dense_products_and_keeps_ints():
     rng = np.random.default_rng(4)
     for _ in range(20):
