@@ -82,7 +82,7 @@ def is_symmetric(a) -> bool:
 
 
 def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination of an integer matrix in place: (pivot columns, row-swap sign).
+    """Fraction-free (Bareiss) elimination of an integer matrix in place: (pivot columns, row exchanges).
 
     Columns with no pivot are skipped. A step with pivot p replaces each row
     it clears by (p * row - f * pivot_row) / p_prev, an exact division since
@@ -97,7 +97,7 @@ def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
     """
     rows = len(m)
     at = [1] * rows
-    prev, sign = 1, 1
+    prev, swaps = 1, 0
     pivots: list[int] = []
 
     def bring_up_to_date(r, lo):
@@ -113,7 +113,7 @@ def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             at[k], at[piv] = at[piv], at[k]
-            sign = -sign
+            swaps += 1
         lo = 0 if jordan else c
         bring_up_to_date(k, lo)
         pivot_tail, p = m[k][lo:], m[k][c]
@@ -128,16 +128,16 @@ def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
     if jordan:  # rows below the last pivot are zero; those above may be pending
         for r in range(len(pivots)):
             bring_up_to_date(r, 0)
-    return pivots, sign
+    return pivots, swaps
 
 
 def det(a: Mat) -> Fraction:
     """Exact determinant of a rational matrix: +-(last of n pivots of D a) / D^n, D the lcm of its denominators."""
     m, scale = scale_matrix_to_integers(a)
-    pivots, sign = _bareiss(m, jordan=False)
+    pivots, swaps = _bareiss(m, jordan=False)
     if len(pivots) < len(m):
         return Fraction(0)
-    return Fraction(sign * m[-1][-1] if m else 1, scale ** len(m))
+    return Fraction((-1) ** swaps * m[-1][-1] if m else 1, scale ** len(m))
 
 
 def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
@@ -148,9 +148,10 @@ def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     """
     n = len(a)
     m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    pivots, sign = _bareiss(m, jordan=True)
+    pivots, swaps = _bareiss(m, jordan=True)
     if pivots != list(range(n)):
         return 0, None
+    sign = (-1) ** swaps
     return sign * m[-1][n - 1] if n else 1, [[sign * x for x in row[n:]] for row in m]
 
 

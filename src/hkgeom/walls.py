@@ -4,9 +4,14 @@ Walls are indivisible dual-lattice functionals with negative dual square.
 Enumeration of all walls of a given dual square near a positive plane runs
 over the positive-definite majorant form q_P(x) = q(x_P) - q(x_{P perp})
 transported to the dual lattice; the search is a bounded lattice-point
-enumeration (Fincke-Pohst on an exactly checked integer LDL) over one half
-of the ellipsoid, one vector of each +- pair, with exact integer filters.
-Walls keep the int coordinates the search found. Its oracle,
+enumeration over one half of the ellipsoid, one vector of each +- pair:
+Fincke-Pohst on the exact LDL that Bareiss elimination gives the integer
+majorant, whose intervals come from integer square roots and are tight. It
+expands one level at a time over numpy arrays of nodes, in chunks of
+``_BLOCK``, on int64 while a bound fixed before the search keeps every
+value below 2^62 and on Python ints otherwise; no float decides a point.
+Exact integer filters then keep the walls, with the int coordinates the
+search found. Its oracle,
 ``brute_force_walls``, applies the same filters to every point of a
 coordinate box.
 """
@@ -155,15 +160,17 @@ def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:
 
 # -- enumeration ------------------------------------------------------------------
 
-_BLOCK = 1 << 13  # candidates per vectorized exact test; bounds the memory of a search
+_BLOCK = 1 << 11  # nodes per expansion and rows per yielded block; bounds the memory of a search
 _MAX_POINTS = 2_000_000  # points an ellipsoid search may hold or emit; bounds its time
 
 
 def _exact_dtype(xmax: int, weight: int, rhs) -> type:
-    """int64 when |x M x| <= xmax^2 * weight and |rhs| stay below 2^62, else Python ints.
+    """int64 when xmax^2 * weight and |rhs| stay below 2^62, else Python ints.
 
-    ``weight`` bounds sum_ij |M_ij| (times any factor the test multiplies by),
-    so the int64 path cannot overflow; the object path is exact for any size.
+    The caller's bounds cover every value it computes: for the test x M x,
+    ``xmax`` bounds |x_i| and ``weight`` sum_ij |M_ij| (times any factor the
+    test multiplies by). So the int64 path cannot overflow; the object path
+    is exact for any size.
     """
     reach = max(xmax, 1)  # the test multiplies by weight's factors even when every x is 0
     return np.int64 if max(reach * reach * weight, abs(rhs)) < 1 << 62 else object
@@ -174,123 +181,73 @@ def _quad(block: np.ndarray, m: np.ndarray) -> np.ndarray:
     return ((block @ m) * block).sum(axis=1)
 
 
-def _dyadic_ldl(a: list[list[Fraction]], m: list[list[int]], scale: int):
-    """Integer LDL of a form B <= A: (hd, hl, F, log det A).
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of each entry of a non-negative int64 or object array, exact.
 
-    B(x) = sum_k hd_k t_k^2 / 2^(3F) with t_k = 2^F x_k + sum_{j>k} hl[j][k] x_j.
-    The factors are a float Cholesky of A rounded to multiples of 2^-F, with
-    the pivots shrunk by a factor (1 - tau). B <= A is then checked exactly,
-    as the inertia of the integer matrix 2^(3F) (D A - D B) = 2^(3F) M -
-    D (hl diag(hd) hl^T) with M = D A; the shrink is widened once if
-    rounding beat it. log det A comes from the float pivots (an estimate).
+    On int64 (v < 2^62 here) the float square root is a seed within 2^-20 of
+    sqrt(v), so its floor is off by at most one: one exact integer step down
+    and one up correct it.
     """
-    n = len(a)
-    try:
-        chol = np.linalg.cholesky(np.array([[float(x) for x in row] for row in a]))
-    except OverflowError:
-        raise DomainError("form entries are out of floating range") from None
-    except np.linalg.LinAlgError:
-        raise DomainError("form is not positive definite") from None
-    diag = [float(chol[k, k]) ** 2 for k in range(n)]
-    if not min(diag) > 0:
-        raise DomainError("form is not positive definite")
-    shift = max(40, 53 - math.frexp(min(diag))[1])  # 2^F min(d) >= 2^52
-    one = 1 << shift
-    hl = [[0] * n for _ in range(n)]
-    for k in range(n):
-        hl[k][k] = one
-        for j in range(k + 1, n):
-            hl[j][k] = round(Fraction(float(chol[j, k] / chol[k, k])) * one)
-    big = 1 << (3 * shift)
-    for tau in (Fraction(1, 1 << 20), Fraction(1, 16)):
-        hd = [math.floor(Fraction(dk) * (1 - tau) * one) for dk in diag]
-        gap = [
-            [
-                big * m[i][j]
-                - scale * sum(hd[k] * hl[i][k] * hl[j][k] for k in range(min(i, j) + 1))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if ex.inertia(gap)[1] == 0:
-            return hd, hl, shift, sum(math.log(dk) for dk in diag)
-    raise DomainError("form is not positive definite or too ill-conditioned to enumerate")
-
-
-def _innermost_ranges(hd, hl, shift: int, num: int, den: int):
-    """Integer Fincke-Pohst over B(x) <= num/den, one half: yields (lo, hi, (x_1, ..., x_{n-1}), reach).
-
-    The origin and every integer x with B(x) <= num/den whose last nonzero
-    coordinate is positive appear exactly once, as x_0 in [lo, hi] under its
-    prefix; ``reach`` bounds every |x_i| yielded so far. x -> -x preserves B,
-    so each +- pair meets this half exactly once. Coordinates are fixed from
-    x_{n-1} down; while every higher coordinate is 0, a level clamps lo to 0.
-    At level i, with c the integer offset of the fixed x_j (j > i), the budget
-    rem left by them admits exactly the x_i with (2^F x_i + c)^2 <= rem /
-    (den hd_i): an integer square root gives the interval, and no rounding
-    enters.
-    """
-    n = len(hd)
-    one = 1 << shift
-    weights = [den * h for h in hd]
-    below = [[hl[j][i] for j in range(i + 1, n)] for i in range(n)]
-    x = [0] * n
-    reach = 0
-
-    def level(i: int, rem: int, signed: bool):
-        nonlocal reach
-        c = sum(map(mul, below[i], x[i + 1 :]))
-        h = isqrt(rem // weights[i])
-        lo, hi = -((c + h) // one) if signed else 0, (h - c) // one
-        reach = max(reach, -lo, hi)
-        if i == 0:
-            if lo <= hi:
-                yield lo, hi, tuple(x[1:]), reach
-            return
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            t = one * xi + c
-            yield from level(i - 1, rem - weights[i] * t * t, signed or xi != 0)
-
-    return level(n - 1, num << (3 * shift), False)
+    if v.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(v)
+    h = np.sqrt(v.astype(float)).astype(np.int64)
+    h -= h * h > v
+    h += (h + 1) * (h + 1) <= v
+    return h
 
 
 def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
     """One of each +- pair of integer points x with x^T A x <= radius, A positive definite, exact.
 
     Yields the origin and every such x whose last nonzero coordinate is
-    positive (their negatives are the rest of the ellipsoid), in blocks
-    (numpy arrays of rows, int64 or Python ints), so memory stays bounded by
-    the block size and not by the point count.
+    positive (their negatives are the rest of the ellipsoid), in blocks of at
+    most ``_BLOCK`` rows (numpy arrays, int64 or Python ints).
 
-    Fincke-Pohst (Math. Comp. 44, 1985) on a dyadic integer LDL: a float
-    Cholesky of A is rounded to an integer LDL of a form B with pivots shrunk
-    by (1 - tau), and B <= A is checked exactly (``_dyadic_ldl``). This is
-    the padding argument: B(x) <= A(x) for every x, so the B-ellipsoid
-    contains the A-ellipsoid and every B-interval contains the exact
-    A-interval of the same node; the B-intervals themselves come from integer
-    square roots, so no rounding enters after the check (which also proves A
-    positive definite, as B is). The innermost coordinate's interval is
-    emitted whole, and each block of candidates is kept by one vectorized
-    exact test (x M x) den <= num D with M = D A integral, radius = num/den.
+    Fincke-Pohst (Math. Comp. 44, 1985) on the exact LDL of M = D A, D the
+    lcm of A's denominators, read off the fraction-free elimination of M
+    (Bareiss, Math. Comp. 22, 1968): with no row exchange, pivot row k holds
+    the leading minor Delta_{k+1} and integers u_kj (j > k), and
+    x M x = sum_k t_k^2 / (Delta_k Delta_{k+1}), t_k = Delta_{k+1} x_k + c_k,
+    c_k = sum_{j>k} u_kj x_j. A row exchange or a pivot <= 0 means A is not
+    positive definite, and is refused. Coordinates are fixed from x_{n-1}
+    down. A node at level k carries the integer budget S_k (Delta_{k+1} den
+    times the part of the radius its fixed coordinates leave, radius =
+    num/den), and admits exactly the x_k with den t_k^2 <= Delta_k S_k: one
+    integer square root gives the interval, which is tight, so every leaf is
+    a point of the ellipsoid. The child's budget is (Delta_k S_k - den t_k^2)
+    / Delta_{k+1}, an exact division. While every higher coordinate is 0 a
+    level takes x_k >= 0, which keeps one vector of each +- pair.
+
+    The search runs level by level on numpy arrays of nodes: one
+    ``np.repeat`` builds up to ``_BLOCK`` children of the deepest pending
+    nodes, so at most one array of at most ``_BLOCK`` nodes waits per level
+    and memory stays bounded by rank * ``_BLOCK`` nodes, not by the point
+    count. The innermost level's children are the blocks yielded. The
+    arithmetic is int64 when ``_exact_dtype`` bounds every intermediate
+    below 2^62, with the exact bounding box |x_j| <= sqrt(radius (A^-1)_jj)
+    from M's adjugate, and Python ints otherwise; no float decides a point.
 
     Fails fast with a domain error when the volume estimate
     V_n r^(n/2) / sqrt(det A) exceeds ``_MAX_POINTS``, and when the whole
-    ellipsoid holds more than ``_MAX_POINTS`` candidates (so no input escapes
-    the estimate): the count takes each nonzero candidate twice, for itself
-    and its negative, and the origin once.
+    ellipsoid holds more than ``_MAX_POINTS`` points (so no input escapes
+    the estimate): the count takes each nonzero point twice, for itself and
+    its negative, and the origin once.
     """
     n = len(a_rows)
-    a = [[ex.fr(x) for x in row] for row in a_rows]
     r = ex.fr(radius)
     if r < 0:
         return
-    m, scale = ex.scale_matrix_to_integers(a)
-    hd, hl, shift, logdet = _dyadic_ldl(a, m, scale)
+    m, scale = ex.scale_matrix_to_integers(a_rows)
+    u = [row[:] for row in m]
+    pivots, swaps = ex._bareiss(u, jordan=False)
+    if swaps or pivots != list(range(n)) or min(u[k][k] for k in range(n)) <= 0:
+        raise DomainError("form is not positive definite")
+    delta = [1] + [u[k][k] for k in range(n)]  # the leading minors of M
     if r > 0:
         log_points = (
             n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1)
-            + n / 2 * (math.log(r.numerator) - math.log(r.denominator)) - logdet / 2
+            + n / 2 * (math.log(r.numerator) - math.log(r.denominator))
+            - (math.log(delta[n]) - n * math.log(scale)) / 2
         )
         if log_points > math.log(_MAX_POINTS):
             raise DomainError(
@@ -298,41 +255,54 @@ def _enumerate_ellipsoid_int(a_rows: list[list[Fraction]], radius: Fraction):
                 f" above the budget of {_MAX_POINTS}; reduce the radius"
             )
     num, den = r.numerator, r.denominator
-    weight = den * sum(abs(v) for row in m for v in row)
-    rhs = num * scale
-    emitted = -1  # the origin, the first candidate, has no negative to count
-    buf: list[tuple[int, int, tuple]] = []
-    pending = 0
+    rhs = num * scale  # x A x <= radius  iff  (x M x) den <= rhs
+    adj = ex.det_adjugate(m)[1]
+    box = max(isqrt(rhs * adj[j][j] // (den * delta[n])) for j in range(n))
+    weight = max(sum(map(abs, row)) for row in u)  # |t_k|, |c_k| <= box * weight
+    dt = _exact_dtype(box, weight, max(rhs * max(map(mul, delta, delta[1:])), den))
+    upper = np.array(u, dtype=dt)  # the eliminated M is upper triangular
 
-    def flush(reach: int) -> np.ndarray:
-        dt = _exact_dtype(reach, weight, rhs)
-        counts = np.array([k for _, k, _ in buf])
-        rows = np.repeat(np.arange(len(buf)), counts)
-        offsets = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        block = np.empty((len(rows), n), dtype=dt)
-        block[:, 0] = np.array([lo for lo, _, _ in buf], dtype=dt)[rows] + offsets.astype(dt)
-        if n > 1:
-            block[:, 1:] = np.array([p for _, _, p in buf], dtype=dt)[rows]
-        buf.clear()
-        keep = _quad(block, np.array(m, dtype=dt)) * den <= rhs
-        return block[keep]
+    def level(k: int, x: np.ndarray, s: np.ndarray, signed: np.ndarray) -> list:
+        """The nodes x at level k with their budgets and exact x_k intervals [lo, hi]; empty ones dropped."""
+        c = x @ upper[k]  # x_j = 0 for j <= k
+        h = _isqrt(delta[k] * s // den)
+        lo = np.where(signed, -((h + c) // delta[k + 1]), 0)
+        hi = (h - c) // delta[k + 1]
+        live = lo <= hi
+        return [k, x[live], s[live], c[live], lo[live], hi[live], signed[live]]
 
-    for lo, top, prefix, reach in _innermost_ranges(hd, hl, shift, num, den):
-        emitted += 2 * (top - lo + 1)
-        if emitted > _MAX_POINTS:
-            raise DomainError(
-                "ellipsoid enumeration exceeded the point budget; reduce the radius"
-            )
-        while lo <= top:
-            take = min(top - lo + 1, _BLOCK - pending)
-            buf.append((lo, take, prefix))
-            pending += take
-            lo += take
-            if pending == _BLOCK:
-                yield flush(reach)
-                pending = 0
-    if buf:
-        yield flush(reach)
+    stack = [level(n - 1, np.zeros((1, n), dtype=dt), np.array([delta[n] * rhs], dtype=dt), np.zeros(1, dtype=bool))]
+    emitted = -1  # the origin, the first point, has no negative to count
+    while stack:
+        top = stack[-1]
+        k, x, s, c, lo, hi, signed = top
+        counts = np.minimum(hi - lo + 1, _BLOCK + 1).astype(np.int64)  # a longer interval is split anyway
+        j = int(np.searchsorted(np.cumsum(counts), _BLOCK, side="right"))
+        split = j == 0  # the first interval alone exceeds a block: take its first _BLOCK values
+        if split:
+            j, counts = 1, np.array([_BLOCK])
+        else:
+            counts = counts[:j]
+        rep = np.repeat(np.arange(j), counts)
+        xk = lo[rep] + (np.arange(len(rep)) - (np.cumsum(counts) - counts)[rep]).astype(dt)
+        if split:
+            lo[0] += _BLOCK
+        elif j == len(lo):
+            stack.pop()
+        else:
+            stack[-1] = [k] + [v[j:] for v in top[1:]]
+        children = x[rep]
+        children[:, k] = xk
+        if k == 0:
+            emitted += 2 * len(children)
+            if emitted > _MAX_POINTS:
+                raise DomainError("ellipsoid enumeration exceeded the point budget; reduce the radius")
+            yield children
+            continue
+        t = delta[k + 1] * xk + c[rep]
+        nodes = level(k - 1, children, (delta[k] * s[rep] - den * t * t) // delta[k + 1], signed[rep] | (xk != 0))
+        if len(nodes[1]):
+            stack.append(nodes)
 
 
 def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]:

@@ -344,7 +344,7 @@ def _symmetric_from_upper(n, upper, zero_diagonal=False):
     return s
 
 
-_HUGE = 2**140  # the size of the gap matrices that walls._dyadic_ldl hands to inertia
+_HUGE = 2**140  # entries far past int64 and exact float range, where only Python ints stay exact
 _ENTRIES = {
     "small": st.integers(-9, 9),
     "zero-diagonal": st.integers(-4, 4),

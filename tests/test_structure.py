@@ -193,7 +193,7 @@ def test_negativity_is_one_computation():
 
 def test_brute_force_wall_oracle_stays_independent_of_the_enumerator():
     reached = _function_names("walls", "brute_force_walls")
-    assert not {"enumerate_walls_near", "_enumerate_ellipsoid_int", "_innermost_ranges", "_dyadic_ldl"} & reached
+    assert not {"enumerate_walls_near", "_enumerate_ellipsoid_int", "_isqrt", "_bareiss", "_BLOCK"} & reached
 
 
 @pytest.mark.parametrize("module", ["walls", "cech", "exactlin", "llv"])

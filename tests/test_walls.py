@@ -3,11 +3,14 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
@@ -251,6 +254,18 @@ def test_k3_walls_at_radius_2_are_u3_walls_and_e8_roots():
     assert len(wl.WallSet(lat.k3_lattice(), tuple(walls))) == 243
 
 
+def test_k3_wall_search_memory_stays_bounded_by_the_block():
+    # about 97,000 ellipsoid points at radius 4; the search holds at most rank * _BLOCK nodes at a time
+    tracemalloc.start()
+    try:
+        walls = wl.enumerate_walls_near(lat.k3_lattice(), K3_DIAG_SPAN, -2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(walls) == 14_715
+    assert peak < 11 * 10**6
+
+
 def test_k3_wall_search_past_the_point_budget_fails_fast():
     start = time.perf_counter()
     with pytest.raises(DomainError, match="budget"):
@@ -447,17 +462,60 @@ def test_ellipsoid_enumeration_python_int_fallback():
     assert _enumerated(big, radius * 10**18) == _enumerated(a, radius) == expected
 
 
-@pytest.mark.parametrize("k", [10, 13])
+@pytest.mark.parametrize("k", [10, 13, 30])
 def test_ellipsoid_enumeration_on_ill_conditioned_form(k):
-    # [[1, 1 - e], [1 - e, 1]] with e = 10^-k has condition ~2 / e; at k = 13 the
-    # rounded float factors miss the first shrink and the exact check widens it.
-    # x A x = (x0 + x1)^2 - 2 e x0 x1, so below radius 1/10^10 only x = (t, -t)
-    # with 2 e t^2 <= radius remain.
+    # [[1, 1 - e], [1 - e, 1]] with e = 10^-k has condition ~2 / e, past any
+    # float factorization at k = 30. x A x = (x0 + x1)^2 - 2 e x0 x1 >= (x0 + x1)^2 (1 - e / 2),
+    # so below radius 1 only x = (t, -t) with 2 e t^2 <= radius remain: at most 45 points.
     e = Fraction(1, 10**k)
-    radius = Fraction(1, 10**10)
+    radius = min(Fraction(1, 10**10), 1000 * e)
     got = _enumerated([[1, 1 - e], [1 - e, 1]], radius)
     t_max = math.isqrt(math.floor(radius / (2 * e)))
     assert got == sorted((t, -t) for t in range(-t_max, t_max + 1))
+
+
+@st.composite
+def _definite_forms(draw):
+    """G^T G / den + I for a random integer G of rank 1-5: positive definite, eigenvalues >= 1."""
+    n = draw(st.integers(1, 5))
+    g = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    den = draw(st.integers(1, 6))
+    return [
+        [Fraction(sum(g[k * n + i] * g[k * n + j] for k in range(n)), den) + int(i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_definite_forms(), st.fractions(0, 10, max_denominator=12))
+def test_ellipsoid_enumeration_matches_box_scan_on_random_forms(a, radius):
+    expected = _box_scan_ellipsoid(a, radius)
+    assert _enumerated(a, radius) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wl, "_exact_dtype", lambda *_: object)
+        assert all(block.dtype == object for block in wl._enumerate_ellipsoid_int(a, radius))
+        assert _enumerated(a, radius) == expected
+
+
+def test_enumeration_in_blocks_of_seven_matches_the_default(monkeypatch):
+    # blocks of 7 split single intervals (the thin form's 1001 values of x_0) and chunk every level
+    forms = [([[Fraction(1, 10**6), 0], [0, 10**6]], 1), (_random_definite_form(np.random.default_rng(3), 5), Fraction(33, 2))]
+    expected = [_enumerated(a, radius) for a, radius in forms]
+    walls = wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 8)
+    monkeypatch.setattr(wl, "_BLOCK", 7)
+    assert all(len(block) <= 7 for a, radius in forms for block in wl._enumerate_ellipsoid_int(a, radius))
+    assert [_enumerated(a, radius) for a, radius in forms] == expected
+    assert wl.enumerate_walls_near(U3, DIAG_SPAN_U3, -4, 8) == walls
+
+
+def test_isqrt_is_exact_where_the_float_seed_is_not():
+    # the float square root of (2^31 - 1)^2 - 1 rounds up to 2^31 - 1, and 2^62 - 1 converts to the
+    # float 2^62: both seeds' floors are one too large
+    near = [(2**31 - 1) ** 2 - 1, (2**31 - 1) ** 2, 2**62 - 1, 10**18 - 1, 10**18]
+    values = near + list(range(200))
+    expected = [math.isqrt(v) for v in values]
+    assert wl._isqrt(np.array(values, dtype=np.int64)).tolist() == expected
+    assert wl._isqrt(np.array(values + [10**40], dtype=object)).tolist() == expected + [10**20]
 
 
 def test_exact_dtype_guard():
@@ -471,8 +529,12 @@ def test_ellipsoid_rejects_indefinite_or_unrepresentable_form():
         list(wl._enumerate_ellipsoid_int([[1, 0], [0, -1]], 4))
     with pytest.raises(DomainError):
         list(wl._enumerate_ellipsoid_int([[1, 2], [2, 1]], 4))
-    with pytest.raises(DomainError, match="floating range"):
-        list(wl._enumerate_ellipsoid_int([[10**400]], 1))
+    # positive pivots after a row exchange: x = (-6, 1) has x A x = -7
+    with pytest.raises(DomainError, match="not positive definite"):
+        list(wl._enumerate_ellipsoid_int([[0, 1], [1, 5]], 4))
+    # far past float range, and exact: no float enters the search
+    for radius, half in ((1, [[0]]), (10**400, [[0], [1]])):
+        assert [p for block in wl._enumerate_ellipsoid_int([[10**400]], radius) for p in block.tolist()] == half
 
 
 def test_ellipsoid_volume_estimate_fails_fast():
@@ -495,6 +557,9 @@ def test_ellipsoid_candidate_budget_catches_thin_ellipsoids(monkeypatch):
         _enumerated(thin, 1)
     monkeypatch.setattr(wl, "_MAX_POINTS", 2001)
     assert len(_enumerated(thin, 1)) == 2001
+    # x_0 alone runs over 2 * 10^20 + 1 values, past int64: the budget refuses it
+    with pytest.raises(DomainError, match="budget"):
+        _enumerated([[Fraction(1, 10**40), 0], [0, 10**40]], 1)
 
 
 def test_walls_filter_in_blocks_matches_oracle_beyond_one_block():
@@ -552,5 +617,5 @@ def test_wall_census_script_agrees_on_every_row(capsys):
     spec.loader.exec_module(census)
     assert census.main() == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert len(rows) == 18
+    assert len(rows) == 20
     assert all(row.split()[-1] == "True" for row in rows)
