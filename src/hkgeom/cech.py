@@ -293,13 +293,12 @@ def is_cocycle(c: Cochain) -> bool:
     return all(v == z for v in _coboundary_values(c).values())
 
 
-def _solve_mod(smith: tuple, rhs: list[int], k: int) -> list[int] | None:
-    """One solution of A x = rhs (mod k) for the Smith form (diagonal, U, V) of A, or None."""
-    diagonal, u, v = smith
+def _solve_mod(smith: tuple, b: list[int], k: int) -> list[int] | None:
+    """One solution of A x = rhs (mod k) for the Smith form (diagonal, U, V) of A and b = U rhs mod k, or None."""
+    diagonal, _, v = smith
     y = [0] * len(v)
-    for i, row in enumerate(u):
+    for i, bi in enumerate(b):
         si = diagonal[i] if i < len(diagonal) else 0
-        bi = sum(map(mul, row, rhs)) % k
         if si == 0:
             if bi:
                 return None
@@ -376,16 +375,17 @@ def solve_coboundary(c: Cochain) -> CoboundaryResult:
     solvable = True
     for idx, k in enumerate(group.factors):
         rhs = [data[s][idx] for s in faces]
-        x = _solve_mod(smith, rhs, k)
+        b = [sum(map(mul, row, rhs)) % k for row in u]  # U c mod k: the solve's and the obstruction's
+        x = _solve_mod(smith, b, k)
         if x is not None:
             sol_per_factor.append(x)
             continue
         solvable = False
-        for i, row in enumerate(u):
+        for i, bi in enumerate(b):
             g = ex.gcd(diagonal[i] if i < len(diagonal) else 0, k)
             if g != 1:
                 presentation.append(g)
-                obstruction.append(sum(map(mul, row, rhs)) % g)
+                obstruction.append(bi % g)
     if solvable:
         xs = {
             e: group.reduce(tuple(sol[i] for sol in sol_per_factor))

@@ -343,86 +343,60 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
     """Smith normal form with transforms: returns (s, u, v) with u a v = s.
 
     u and v are unimodular; s is diagonal with s[i][i] | s[i+1][i+1] >= 0.
-    Standard pivot-and-reduce algorithm; fine for the cochain-sized matrices
-    this package needs.
+    One loop: move a least nonzero |entry| p of the trailing block (the scan
+    stops at the row of the first +-1) to (t, t), make it positive, clear
+    column t by row operations and row t by column operations, one pass
+    each, and pick again while a remainder (< p) is left or a trailing row
+    is not divisible by p (it is added to row t, whose next clearing leaves
+    a remainder); otherwise t advances. A step that does not advance lowers
+    the least |entry| of the trailing block, so the loop ends. v is kept as
+    the rows of v^T, where column operations are row operations; on s they
+    touch rows t on only, as the rows above are zero past their pivots.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     s = [[int(x) for x in row] for row in a]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, f):  # row_i -= f * row_j  (in s and u)
-        s[i] = [x - f * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, f):  # col_i -= f * col_j  (in s and v)
-        for r in range(rows):
-            s[r][i] -= f * s[r][j]
-        for r in range(cols):
-            v[r][i] -= f * v[r][j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     while t < min(rows, cols):
-        # locate a pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
+        p, pi, pj = 0, t, t
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(s[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    piv = (i, j)
-        if piv is None:
+            for j, x in enumerate(s[i][t:], t):
+                if x and (not p or abs(x) < p):
+                    p, pi, pj = abs(x), i, j
+            if p == 1:
+                break
+        if not p:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # clear row and column t by euclidean reduction
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t]:
-                        swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                    dirty = True
-            if not dirty:
-                break
-        # divisibility: fold any non-divisible trailing entry into row t
-        fixed = True
-        d = s[t][t]
+        s[t], s[pi], u[t], u[pi] = s[pi], s[t], u[pi], u[t]
+        if s[t][pj] < 0:
+            s[t], u[t] = [-x for x in s[t]], [-x for x in u[t]]
+        for row in s[t:]:
+            row[t], row[pj] = row[pj], row[t]
+        vt[t], vt[pj] = vt[pj], vt[t]
+        pivot_row, tail = s[t], s[t][t:]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % d:
-                    row_op(t, i, -1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
-            t += 1
-    return s, u, v
+            q = s[i][t] // p
+            if q:
+                s[i][t:] = [x - q * y for x, y in zip(s[i][t:], tail)]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, cols):
+            q = pivot_row[j] // p
+            if q:
+                for row in s[t:]:
+                    row[j] -= q * row[t]
+                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+        if any(row[t] for row in s[t + 1 :]) or any(pivot_row[t + 1 :]):
+            continue
+        if p > 1:  # a unit pivot divides every entry
+            bad = next((i for i in range(t + 1, rows) if any(x % p for x in s[i][t + 1 :])), None)
+            if bad is not None:
+                s[t] = [x + y for x, y in zip(pivot_row, s[bad])]
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+                continue
+        t += 1
+    return s, u, transpose(vt)
 
 
 def invariant_factors(values: list[int]) -> list[int]:

@@ -443,7 +443,7 @@ def reflection_vectors(L: QuadLattice, g: ex.Mat, order: list[int] | None = None
     return vectors
 
 
-def spinor_norm_sign(L: QuadLattice, g, order: list[int] | None = None) -> int:
+def spinor_norm_sign(L: QuadLattice, g) -> int:
     """Real spinor norm of g for the form -q, as a sign in {+1, -1}.
 
     This is the orientation character of positive p-planes: with W the
@@ -451,16 +451,7 @@ def spinor_norm_sign(L: QuadLattice, g, order: list[int] | None = None) -> int:
     reverses that orientation exactly when q(v) > 0, i.e. its sign is the
     sign of -q(v), and b(W, g W) is never singular (g W meets W^perp in 0).
     Its kernel is the index-2 subgroup O+ of O(q).
-
-    A non-None ``order`` computes the sign through the independent oracle
-    instead: the Cartan-Dieudonne decomposition ``reflection_vectors`` with
-    that candidate order, and the product of the signs of -q(v_i).
     """
-    if order is not None:
-        sign = 1
-        for w in reflection_vectors(L, g, order=order):
-            sign *= 1 if L.q(w) < 0 else -1
-        return sign
     scaled = _scaled_isometry(L, g)
     if scaled is None:
         raise DomainError("matrix does not preserve the form")

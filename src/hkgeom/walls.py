@@ -95,13 +95,15 @@ class MajorantForm:
         arr = np.asarray(v, dtype=float)
         return float(arr @ np.array(self.matrix, dtype=float) @ arr)
 
-    def dual_matrix(self):
-        """The majorant transported to the dual lattice: G^-1 M G^-1 = adj M adj / det^2, G the gram."""
+    def dual_matrix(self) -> tuple[list[list[int]], int]:
+        """The majorant transported to the dual lattice, G^-1 M G^-1 = adj (D M) adj / (D det^2), G the gram.
+
+        Returned as the integer matrix adj (D M) adj and its positive
+        denominator D det^2, with D the lcm of M's denominators.
+        """
         L = self.lattice
         m, scale = ex.scale_matrix_to_integers(self.matrix)
-        num = ex.mat_mul(ex.mat_mul(L.adjugate, m), L.adjugate)
-        den = scale * L.det * L.det
-        return [[Fraction(x, den) for x in row] for row in num]
+        return ex.mat_mul(ex.mat_mul(L.adjugate, m), L.adjugate), scale * L.det * L.det
 
 
 def majorant(L: QuadLattice, span) -> MajorantForm:
@@ -322,12 +324,12 @@ def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]
     radius = ex.fr(radius)
     if radius <= 0:
         raise DomainError("radius must be positive")
-    dual = majorant(L, span).dual_matrix()
+    dual, dual_den = majorant(L, span).dual_matrix()
     # dual_value(v) == d  iff  v adj v == d det, with the cached integer adjugate
     target = d * L.det
     weight = sum(abs(x) for row in L.adjugate for x in row)
     found: list[tuple[int, ...]] = []
-    for block in _enumerate_ellipsoid_int(dual, radius):
+    for block in _enumerate_ellipsoid_int(dual, radius * dual_den):
         xmax = int(np.abs(block).max(initial=0))
         dt = _exact_dtype(xmax, weight, target)
         vecs = block.astype(dt)
@@ -350,7 +352,7 @@ def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[Wa
     bounds every value below 2^62, and Python ints otherwise.
     """
     radius = ex.fr(radius)
-    m, scale = ex.scale_matrix_to_integers(majorant(L, span).dual_matrix())
+    m, scale = majorant(L, span).dual_matrix()
     num, den = radius.numerator, radius.denominator
     target = d * L.det
     weight = max(den * sum(map(abs, itertools.chain(*m))), sum(map(abs, itertools.chain(*L.adjugate))))

@@ -485,27 +485,71 @@ def _random_int_matrix(rng, rows, cols, bound=5):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def _sympy_smith_diagonal(a):
+    """The Smith diagonal by sympy's own elimination, the independent oracle."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    s = smith_normal_form(Matrix(a), domain=ZZ)
+    return [int(s[i, i]) for i in range(min(s.shape))]
+
+
 def test_smith_normal_form_properties():
+    # tall, wide and rank-deficient matrices up to 7 x 7, entries up to +-30
     rng = random.Random(7)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        a = _random_int_matrix(rng, rows, cols)
+    kinds = set()
+    for trial in range(200):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        a = _random_int_matrix(rng, rows, cols, rng.choice((1, 5, 30)))
+        if trial % 3 == 0 and rows > 2:
+            a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
+        kinds |= {("tall", rows > cols), ("wide", rows < cols), ("deficient", ex.rank(a) < min(rows, cols))}
         s, u, v = ex.smith_normal_form(a)
-        ua = ex.mat_mul(ex.frmat(u), ex.frmat(a))
-        uav = ex.mat_mul(ua, ex.frmat(v))
-        assert uav == ex.frmat(s)
-        assert abs(ex.det(ex.frmat(u))) == 1
-        assert abs(ex.det(ex.frmat(v))) == 1
-        diag = [s[i][i] for i in range(min(rows, cols))]
+        assert ex.mat_mul(ex.mat_mul(u, a), v) == s
+        assert abs(ex.det(u)) == 1
+        assert abs(ex.det(v)) == 1
         for i in range(rows):
             for j in range(cols):
                 if i != j:
                     assert s[i][j] == 0
+        diag = [s[i][i] for i in range(min(rows, cols))]
         nz = [d for d in diag if d]
         assert all(d > 0 for d in nz)
         for x, y in zip(nz, nz[1:]):
             assert y % x == 0
+        assert diag == _sympy_smith_diagonal(a)
+    assert {("tall", True), ("wide", True), ("deficient", True)} <= kinds
+
+
+def _lattice_search_forms(seed, count):
+    """The random forms of the lattice-search benchmark: symmetric, rank 3-10, entries in [-9, 9]."""
+    gen = np.random.default_rng(seed)
+    forms = []
+    while len(forms) < count:
+        n = int(gen.integers(3, 11))
+        raw = gen.integers(-9, 10, size=(n, n))
+        sym = np.triu(raw) + np.triu(raw, 1).T
+        if np.min(np.abs(np.linalg.eigvalsh(sym.astype(float)))) >= 1e-3:
+            forms.append(sym.tolist())
+    return forms
+
+
+def test_smith_normal_form_transforms_stay_small_on_dense_matrices():
+    # A Euclid-and-swap loop that swaps inside its clearing passes grows the
+    # transforms to hundreds or thousands of bits on these inputs, and runs
+    # for seconds on the forms of rank 7-10; the pivot loop stays within 15
+    # bits per row here. The 5 x 5 ones come first, then the forms by rank,
+    # so such a loop fails on entry size before it meets the slow forms.
+    rng = random.Random(5)
+    dense = [_random_int_matrix(rng, 5, 5, 30) for _ in range(12)]
+    forms = sorted(_lattice_search_forms(1, 12), key=len)
+    assert max(map(len, forms)) == 10
+    for a in dense + forms:
+        s, u, v = ex.smith_normal_form(a)
+        assert ex.mat_mul(ex.mat_mul(u, a), v) == s
+        bits = max(abs(x).bit_length() for m in (u, v) for row in m for x in row)
+        assert bits <= 24 * len(a), (len(a), bits)
 
 
 def test_invariant_factors():

@@ -267,7 +267,6 @@ DEFAULTED = {
     "irrational.is_fully_irrational": ["height", "tol"],
     "irrational.picard_trivial": ["height", "tol"],
     "lattice.reflection_vectors": ["order"],
-    "lattice.spinor_norm_sign": ["order"],
     "llv.lie_closure": ["tol"],
     "llv.so5_closure": ["tol"],
     "llv.full_llv_closure": ["tol"],
@@ -306,4 +305,4 @@ def test_defaulted_parameters_are_the_listed_ones():
             if names:
                 found[f"{path.stem}.{node.name}"] = names
     assert found == DEFAULTED
-    assert sum(map(len, found.values())) == 39
+    assert sum(map(len, found.values())) == 38

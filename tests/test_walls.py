@@ -97,7 +97,9 @@ def test_dual_majorant_is_the_inverse_of_the_majorant():
     for L in lattices:
         mj = wl.majorant(L, L.positive_plane)
         assert all(isinstance(x, Fraction) for row in mj.matrix for x in row)
-        assert mj.dual_matrix() == ex.inverse([list(row) for row in mj.matrix])
+        num, den = mj.dual_matrix()
+        assert den > 0 and all(type(x) is int for row in num for x in row)
+        assert [[Fraction(x, den) for x in row] for row in num] == ex.inverse([list(row) for row in mj.matrix])
         assert ex.inertia(mj.matrix) == (L.rank, 0, 0)
     thirds = [[Fraction(x, 3) for x in row] for row in DIAG_SPAN_U3]
     assert wl.majorant(U3, thirds) == wl.majorant(U3, DIAG_SPAN_U3)
@@ -578,7 +580,8 @@ def test_walls_filter_on_python_ints_matches_the_int64_path(monkeypatch):
 
 def _walls_by_point(L, span, d, radius, box):
     """Every box point, one at a time, on Python ints and Fractions."""
-    dual = wl.majorant(L, span).dual_matrix()
+    num, den = wl.majorant(L, span).dual_matrix()
+    dual = [[Fraction(x, den) for x in row] for row in num]
     radius = Fraction(radius)
     found = []
     for v in itertools.product(range(-box, box + 1), repeat=L.rank):
