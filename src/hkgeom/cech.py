@@ -3,7 +3,9 @@
 Supports degrees 0..2 (with degree-3 coboundary values used internally for
 the cocycle test), coboundaries, cocycle checks, coboundary solving by Smith
 normal form over the integers per invariant factor, and cohomology by the
-universal coefficient theorem.
+universal coefficient theorem. The coboundary has one implementation: the
+nerve's face table, kept per degree, which d, the cocycle test and
+``coboundary_matrix`` read; the Smith forms are kept per degree beside it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from numbers import Integral
 from operator import mul
 
 from . import exactlin as ex
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 
 MAX_DIM = 3  # simplices of up to 4 vertices: enough for degree-2 cocycle checks
 
@@ -96,15 +98,11 @@ class Nerve:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
     def coboundary_matrix(self, d: int) -> list[list[int]]:
-        """Integer matrix of the coboundary C^d -> C^{d+1} in sorted bases."""
-        lower = self.simplices_of_dim(d)
-        upper = self.simplices_of_dim(d + 1)
-        index = {s: i for i, s in enumerate(lower)}
-        mat = [[0] * len(lower) for _ in upper]
-        for r, s in enumerate(upper):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                mat[r][index[face]] = (-1) ** i
+        """Integer matrix of the coboundary C^d -> C^{d+1} in sorted bases, written from the face table."""
+        mat = [[0] * len(self.simplices_of_dim(d)) for _ in self.simplices_of_dim(d + 1)]
+        for row, faces in zip(mat, self._face_table(d)):
+            for j, sign in faces:
+                row[j] = sign
         return mat
 
     def coboundary_smith_form(self, d: int) -> tuple:
@@ -135,6 +133,22 @@ class Nerve:
         for s in self.simplices:
             by_dim[len(s) - 1].append(s)
         return tuple(tuple(sorted(b)) for b in by_dim)
+
+    def _face_table(self, d: int) -> tuple:
+        """The coboundary C^d -> C^{d+1}, kept on first use: for each sorted (d+1)-simplex s, the
+        pairs (index of s minus its vertex i among the sorted d-simplices, (-1)^i)."""
+        tables = self._face_tables
+        if d not in tables:
+            index = {s: j for j, s in enumerate(self.simplices_of_dim(d))}
+            tables[d] = tuple(
+                tuple((index[s[:i] + s[i + 1 :]], (-1) ** i) for i in range(len(s)))
+                for s in self.simplices_of_dim(d + 1)
+            )
+        return tables[d]
+
+    @cached_property
+    def _face_tables(self) -> dict[int, tuple]:
+        return {}
 
     @cached_property
     def _smith_forms(self) -> dict[int, tuple]:
@@ -199,6 +213,7 @@ class FiniteAbelianGroup:
 class Cochain:
     """Degree-d cochain: values on the sorted d-simplices of a nerve.
 
+    Elements are validated and reduced into the group on construction.
     Values on arbitrarily ordered simplices follow the alternation rule:
     c(permuted simplex) = sign(permutation) * c(sorted simplex).
     """
@@ -213,17 +228,17 @@ class Cochain:
         got = [s for s, _ in self.values]
         if got != expected:
             raise DomainError("cochain must be defined on exactly the d-simplices")
+        object.__setattr__(self, "values", tuple((s, self.group.reduce(v)) for s, v in self.values))
 
     @classmethod
     def from_dict(cls, nerve: Nerve, group: FiniteAbelianGroup, degree: int, data) -> "Cochain":
-        values = []
-        for s in nerve.simplices_of_dim(degree):
-            raw = data.get(s, group.zero())
-            values.append((s, group.reduce(raw)))
-        extra = set(data) - set(nerve.simplices_of_dim(degree))
+        simplices = nerve.simplices_of_dim(degree)
+        # built first, so that a bad element is reported before values on unknown simplices
+        c = cls(nerve, group, degree, tuple((s, data.get(s, group.zero())) for s in simplices))
+        extra = set(data) - set(simplices)
         if extra:
             raise DomainError(f"values on unknown simplices: {sorted(extra)}")
-        return cls(nerve, group, degree, tuple(values))
+        return c
 
     @classmethod
     def zero(cls, nerve: Nerve, group: FiniteAbelianGroup, degree: int) -> "Cochain":
@@ -247,68 +262,36 @@ class Cochain:
     def add(self, other: "Cochain") -> "Cochain":
         if (self.nerve, self.group, self.degree) != (other.nerve, other.group, other.degree):
             raise DomainError("cochain mismatch")
-        a, b = self.as_dict(), other.as_dict()
-        return Cochain.from_dict(
-            self.nerve, self.group, self.degree,
-            {s: self.group.add(a[s], b[s]) for s in a},
-        )
+        values = tuple((s, tuple(map(sum, zip(a, b)))) for (s, a), (_, b) in zip(self.values, other.values))
+        return Cochain(self.nerve, self.group, self.degree, values)
 
     def sub(self, other: "Cochain") -> "Cochain":
-        if (self.nerve, self.group, self.degree) != (other.nerve, other.group, other.degree):
-            raise DomainError("cochain mismatch")
-        a, b = self.as_dict(), other.as_dict()
-        return Cochain.from_dict(
-            self.nerve, self.group, self.degree,
-            {s: self.group.add(a[s], self.group.neg(b[s])) for s in a},
-        )
+        negated = tuple((s, tuple(-x for x in v)) for s, v in other.values)
+        return self.add(Cochain(other.nerve, other.group, other.degree, negated))
 
 
-def _coboundary_values(c: Cochain) -> dict:
-    data = c.as_dict()
-    out = {}
-    for s in c.nerve.simplices_of_dim(c.degree + 1):
-        acc = c.group.zero()
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            term = data[face]
-            if i % 2:
-                term = c.group.neg(term)
-            acc = c.group.add(acc, term)
-        out[s] = acc
-    return out
+def _coboundary_values(c: Cochain) -> list[tuple[int, ...]]:
+    """dc on the sorted (degree + 1)-simplices, read off the face table, not yet reduced."""
+    elements = [v for _, v in c.values]
+    return [
+        tuple(sum(sign * elements[j][f] for j, sign in faces) for f in range(c.group.rank))
+        for faces in c.nerve._face_table(c.degree)
+    ]
 
 
 def coboundary(c: Cochain) -> Cochain:
     """(dc)(s) = sum_i (-1)^i c(s with vertex i dropped)."""
     if c.degree + 1 > MAX_DIM - 1:
         raise DomainError("degree overflow")
-    return Cochain.from_dict(c.nerve, c.group, c.degree + 1, _coboundary_values(c))
+    upper = c.nerve.simplices_of_dim(c.degree + 1)
+    return Cochain(c.nerve, c.group, c.degree + 1, tuple(zip(upper, _coboundary_values(c))))
 
 
 def is_cocycle(c: Cochain) -> bool:
     """For a degree-2 cochain: dc = 0 on all 3-simplices (vacuous if none)."""
     if c.degree != 2:
         raise DomainError("cocycle test is for degree-2 cochains")
-    z = c.group.zero()
-    return all(v == z for v in _coboundary_values(c).values())
-
-
-def _solve_mod(smith: tuple, b: list[int], k: int) -> list[int] | None:
-    """One solution of A x = rhs (mod k) for the Smith form (diagonal, U, V) of A and b = U rhs mod k, or None."""
-    diagonal, _, v = smith
-    y = [0] * len(v)
-    for i, bi in enumerate(b):
-        si = diagonal[i] if i < len(diagonal) else 0
-        if si == 0:
-            if bi:
-                return None
-            continue
-        g = ex.gcd(si, k)
-        if bi % g:
-            return None
-        kk = k // g
-        y[i] = (bi // g) * pow(si // g, -1, kk) % kk if kk > 1 else 0
-    return [sum(map(mul, row, y)) % k for row in v]
+    return not any(x % k for v in _coboundary_values(c) for x, k in zip(v, c.group.factors))
 
 
 def cohomology(nerve: Nerve, group: FiniteAbelianGroup, degree: int) -> tuple[int, ...]:
@@ -354,47 +337,35 @@ class CoboundaryResult:
 def solve_coboundary(c: Cochain) -> CoboundaryResult:
     """Solve d(x) = c for a degree-2 cocycle c, per invariant factor.
 
-    Success returns x with d(x) = c exactly. Failure returns the class of c
-    in coker(d^1 (x) Z/k) = sum_i Z/gcd(s_i, k) for each cyclic factor Z/k, as
-    the coordinates (U c)_i mod gcd(s_i, k) from the Smith form U d^1 V = S
-    (s_i = 0 past the rank), with the nontrivial orders in ``presentation``.
+    One pass per cyclic factor Z/k over b = U c mod k and g_i = gcd(s_i, k),
+    for the Smith form U d^1 V = S (s_i = 0 past the rank): c is solvable mod
+    k iff every g_i divides b_i, and then x = V y with y_i = (b_i / g_i)
+    (s_i / g_i)^-1 mod k / g_i, and d(x) = c exactly. Otherwise the class of c
+    in coker(d^1 (x) Z/k) = sum_i Z/g_i is returned for each failing factor
+    as the coordinates b_i mod g_i, with the orders g_i != 1 in ``presentation``.
     """
     if c.degree != 2:
         raise DomainError("solve_coboundary expects a degree-2 cochain")
     if not is_cocycle(c):
         raise DomainError("input is not a cocycle")
     nerve, group = c.nerve, c.group
-    edges = nerve.simplices_of_dim(1)
-    faces = nerve.simplices_of_dim(2)
-    smith = nerve.coboundary_smith_form(1)
-    diagonal, u, _ = smith
-    data = c.as_dict()
-    sol_per_factor: list[list[int]] = []
-    obstruction: list[int] = []
-    presentation: list[int] = []
-    solvable = True
+    diagonal, u, v = nerve.coboundary_smith_form(1)
+    diagonal += (0,) * (len(u) - len(diagonal))  # one s_i per row of U
+    columns, obstruction, presentation = [], [], []  # columns: x mod k, per solved factor
     for idx, k in enumerate(group.factors):
-        rhs = [data[s][idx] for s in faces]
-        b = [sum(map(mul, row, rhs)) % k for row in u]  # U c mod k: the solve's and the obstruction's
-        x = _solve_mod(smith, b, k)
-        if x is not None:
-            sol_per_factor.append(x)
-            continue
-        solvable = False
-        for i, bi in enumerate(b):
-            g = ex.gcd(diagonal[i] if i < len(diagonal) else 0, k)
-            if g != 1:
-                presentation.append(g)
-                obstruction.append(bi % g)
-    if solvable:
-        xs = {
-            e: group.reduce(tuple(sol[i] for sol in sol_per_factor))
-            for i, e in enumerate(edges)
-        }
-        x = Cochain.from_dict(nerve, group, 1, xs)
-        if not coboundary(x).sub(c).is_zero():
-            raise DomainError("internal check failed: d(x) != c")
-        return CoboundaryResult(solution=x, obstruction=None, presentation=())
-    return CoboundaryResult(
-        solution=None, obstruction=tuple(obstruction), presentation=tuple(presentation)
-    )
+        rhs = [x[idx] for _, x in c.values]
+        b = [sum(map(mul, row, rhs)) % k for row in u]
+        g = [ex.gcd(s, k) for s in diagonal]
+        if any(bi % gi for bi, gi in zip(b, g)):
+            presentation += [gi for gi in g if gi != 1]
+            obstruction += [bi % gi for bi, gi in zip(b, g) if gi != 1]
+        else:  # y_i = 0 where s_i = 0 (k / g_i = 1); map(mul, row, y) reads y as 0 past its end
+            y = [bi // gi * pow(s // gi, -1, k // gi) % (k // gi) for bi, gi, s in zip(b, g, diagonal)]
+            columns.append([sum(map(mul, row, y)) % k for row in v])
+    if presentation:
+        return CoboundaryResult(None, tuple(obstruction), tuple(presentation))
+    edges = nerve.simplices_of_dim(1)
+    x = Cochain(nerve, group, 1, tuple((e, tuple(col[j] for col in columns)) for j, e in enumerate(edges)))
+    if coboundary(x).values != c.values:
+        raise InternalInconsistencyError("internal check failed: d(x) != c")
+    return CoboundaryResult(solution=x, obstruction=None, presentation=())

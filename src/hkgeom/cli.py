@@ -225,12 +225,10 @@ def _h_irrational_closure(payload, args, cfg):
     mode = payload.get("mode", "exact")
     if mode == "exact":
         decoded = [ser.decode_exact_vector(row, "exact mode vectors") for row in vectors]
-        report = irr.rational_closure(decoded, mode="exact")
+        report = irr.rational_closure_exact(decoded)
     elif mode == "detect":
         rows = [ser.decode_float_vector(v) for v in vectors]
-        report = irr.rational_closure(
-            rows, mode="detect", height=args.height, tol=args.tol_relation
-        )
+        report = irr.rational_closure_detect(rows, height=args.height, tol=args.tol_relation)
     else:
         raise DomainError(f"mode must be 'exact' or 'detect', got {mode!r}")
     return {

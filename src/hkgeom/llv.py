@@ -232,6 +232,7 @@ class GradedOperator:
         off = self.ring._off_support.get(self.degree)
         if np.count_nonzero(m if off is None else m.ravel()[off]):
             raise DomainError("matrix entries off the degree-shift blocks")
+        object.__setattr__(self, "matrix", m)
 
 
 def _assembled(ring: CohomologyRing, matrix: np.ndarray, degree: int) -> GradedOperator:

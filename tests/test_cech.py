@@ -1,17 +1,19 @@
 import copy
 import itertools
+import json
 import math
 import random
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hkgeom import cech
+from hkgeom import cech, cli
 from hkgeom import exactlin as ex
 from hkgeom.cech import Cochain, FiniteAbelianGroup, Nerve
-from hkgeom.errors import DomainError
+from hkgeom.errors import DomainError, InternalInconsistencyError
 
 Z2 = FiniteAbelianGroup((2,))
 Z6 = FiniteAbelianGroup((2, 3))
@@ -63,6 +65,25 @@ def test_groups_refuse_bools_and_non_integers():
     assert value == (3,) and type(value[0]) is int
 
 
+def test_direct_construction_validates_and_reduces_elements():
+    tri = cech.full_triangle_nerve()
+    face = (0, 1, 2)
+    c = Cochain(tri, Z2, 2, ((face, (2,)),))
+    assert c.is_zero() and c == Cochain.zero(tri, Z2, 2)
+    for element in ((1.5,), (1, 1), (True,)):
+        with pytest.raises(DomainError):
+            Cochain(tri, Z2, 2, ((face, element),))
+    values = Cochain(tri, FiniteAbelianGroup((4,)), 2, [(face, (np.int64(-1),))]).values
+    assert values == ((face, (3,)),) and type(values[0][1][0]) is int
+    # from_dict reports a bad element before values on unknown simplices
+    with pytest.raises(DomainError, match="wrong number of coordinates"):
+        Cochain.from_dict(tri, Z2, 2, {face: (1, 1), (0, 1, 3): (1,)})
+    with pytest.raises(DomainError, match="must be an integer"):
+        Cochain.from_dict(tri, Z2, 2, {face: (1.5,), (0, 1, 3): (1,)})
+    with pytest.raises(DomainError, match="unknown simplices"):
+        Cochain.from_dict(tri, Z2, 2, {face: (1,), (0, 1, 3): (1,)})
+
+
 def test_alternation_sign():
     n = cech.full_triangle_nerve()
     g = FiniteAbelianGroup((5,))
@@ -110,6 +131,71 @@ def test_d_squared_zero_random_nerves(gens, degree, rnd):
         assert cech.coboundary(dc).is_zero() or not nerve.simplices_of_dim(2)
     else:
         assert cech.is_cocycle(dc)
+
+
+def _d_by_definition(c):
+    """(dc)(s) = sum_i (-1)^i c(s minus vertex i), reduced per factor: the definition, written out."""
+    values = c.as_dict()
+    out = []
+    for s in c.nerve.simplices_of_dim(c.degree + 1):
+        total = [0] * c.group.rank
+        for i in range(len(s)):
+            for f, x in enumerate(values[s[:i] + s[i + 1 :]]):
+                total[f] += (-1) ** i * x
+        out.append((s, tuple(t % k for t, k in zip(total, c.group.factors))))
+    return tuple(out)
+
+
+NO_FACES = [[0, 1], [1, 2], [0, 2], [2, 3], [4]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=7,
+    ),
+    st.sampled_from([(), (2,), (6,), (2, 9), (2, 3, 4), (5, 5)]),
+    st.randoms(use_true_random=False),
+)
+@example([*map(list, cech.octahedron_nerve().simplices_of_dim(2)), [6, 7, 8, 9]], (2, 3, 4), random.Random(1))
+@example([[0, 1, 2, 3], [1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 4]], (4, 6), random.Random(2))
+@example(NO_FACES, (2, 3), random.Random(3))
+def test_coboundary_matches_its_definition(gens, factors, rnd):
+    # d, the degree-2 cocycle test and coboundary_matrix (d) c mod k all read the face table
+    nerve = Nerve.from_simplices([tuple(sorted(g)) for g in gens])
+    group = FiniteAbelianGroup(factors)
+    for degree in (0, 1, 2):
+        data = {s: tuple(rnd.randrange(-k, 2 * k) for k in factors) for s in nerve.simplices_of_dim(degree)}
+        c = Cochain.from_dict(nerve, group, degree, data)
+        expected = _d_by_definition(c)
+        mat = nerve.coboundary_matrix(degree)
+        for f, k in enumerate(factors):
+            column = [v[f] for _, v in c.values]
+            assert [sum(map(mul, row, column)) % k for row in mat] == [v[f] for _, v in expected]
+        if degree < 2:
+            assert cech.coboundary(c).values == expected
+        else:
+            assert cech.is_cocycle(c) == all(v == group.zero() for _, v in expected)
+            edges = nerve.simplices_of_dim(1)
+            x = Cochain.from_dict(nerve, group, 1, {e: tuple(rnd.randrange(k) for k in factors) for e in edges})
+            dx = cech.coboundary(x)
+            assert cech.is_cocycle(dx) and all(v == group.zero() for _, v in _d_by_definition(dx))
+
+
+def test_trivial_coefficients_and_nerves_without_faces():
+    trivial = FiniteAbelianGroup(())
+    for nerve in (cech.octahedron_nerve(), OCTA_TETRA, Nerve.from_simplices(NO_FACES)):
+        assert [cech.cohomology(nerve, trivial, d) for d in (0, 1, 2)] == [(), (), ()]
+        res = cech.solve_coboundary(Cochain.zero(nerve, trivial, 2))
+        assert res.solved and res.obstruction is None and res.presentation == ()
+        assert res.solution.values == tuple((e, ()) for e in nerve.simplices_of_dim(1))
+    no_faces = Nerve.from_simplices(NO_FACES)
+    assert no_faces.coboundary_matrix(1) == [] and no_faces.coboundary_matrix(2) == []
+    assert [cech.cohomology(no_faces, Z6, d) for d in (0, 1, 2)] == [(6, 6), (6,), ()]
+    res = cech.solve_coboundary(Cochain.zero(no_faces, Z6, 2))
+    assert res.solved and res.solution.is_zero() and len(res.solution.values) == 4
 
 
 def test_is_cocycle_planted_failure():
@@ -258,6 +344,28 @@ def test_solve_rejects_non_cocycle():
     c = Cochain.from_dict(n, Z2, 2, {(0, 1, 2): (1,)})
     with pytest.raises(DomainError):
         cech.solve_coboundary(c)
+
+
+def test_a_failed_solver_check_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # a zeroed V passes the solvability pass, so only the final d(x) = c check sees it
+    kept = Nerve.coboundary_smith_form
+
+    def corrupted(nerve, d):
+        diagonal, u, v = kept(nerve, d)
+        return (diagonal, u, tuple((0,) * len(row) for row in v)) if d == 1 else (diagonal, u, v)
+
+    monkeypatch.setattr(Nerve, "coboundary_smith_form", corrupted)
+    c = Cochain.from_dict(_fresh(cech.full_triangle_nerve()), FiniteAbelianGroup((5,)), 2, {(0, 1, 2): (1,)})
+    with pytest.raises(InternalInconsistencyError, match=r"d\(x\) != c"):
+        cech.solve_coboundary(c)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "nerve": {"simplices": [[0, 1, 2]]},
+        "group": {"factors": [5]},
+        "cochain": {"degree": 2, "values": {"0,1,2": [1]}},
+    }))
+    assert cli.main(["cech", "solve", "-i", str(job)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "internal"
 
 
 def test_solve_multi_factor_group():

@@ -1085,6 +1085,17 @@ def test_graded_operator_off_support_check_is_the_nonzero_rule(name, shift, seed
         assert llv.GradedOperator(ring, mat, degree=shift).degree == shift
 
 
+def test_graded_operator_stores_its_validated_float_array():
+    triple = [llv.lefschetz_e(RING, E1F1), llv.grading_h(RING), llv.lefschetz_f(RING, E1F1)]
+    listed = [llv.GradedOperator(RING, op.matrix.tolist(), degree=op.degree) for op in triple]
+    for op, from_list in zip(triple, listed):
+        assert type(from_list.matrix) is np.ndarray and from_list.matrix.dtype == np.float64
+        assert np.array_equal(from_list.matrix, op.matrix)
+    assert llv.bracket_residuals(*listed) == llv.bracket_residuals(*triple)
+    as_array = np.zeros((RING.dim, RING.dim))
+    assert llv.GradedOperator(RING, as_array, degree=0).matrix is as_array
+
+
 def test_lefschetz_e_float_classes_match_loop_on_all_rings():
     # the scatter adds each entry's terms in lattice-class order, as the loop does, so float classes agree exactly
     rng = np.random.default_rng(19)
