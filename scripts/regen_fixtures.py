@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,11 @@ def fixture_inputs() -> dict[str, dict]:
         row = [0] * 22
         row[2 * i] = row[2 * i + 1] = 1
         diag_k3.append(row)
+    # two real vectors on which exactly the form (1, 1, -1, 0, 0, -1) vanishes
+    roots = [[1, 2, 3, 5, 7], [11, 13, 17, 19, 23]]
+    planted = [[math.sqrt(r) for r in row] for row in roots]
+    for w in planted:
+        w.append(w[0] + w[1] - w[2])
     octa = cech.octahedron_nerve()
     faces = octa.simplices_of_dim(2)
     cocycle = {
@@ -83,6 +89,11 @@ def fixture_inputs() -> dict[str, dict]:
                 "im": diag_k3[1],
             },
         },
+        "picard_job_u3.json": {
+            "lattice": serialize.encode_lattice(u3),
+            "point": {"re": diag_u3[0], "im": diag_u3[1]},
+        },
+        "closure_detect_job.json": {"mode": "detect", "vectors": planted},
         "chain_job_u3.json": {
             "lattice": serialize.encode_lattice(u3),
             "source": {"re": diag_u3[0], "im": diag_u3[1]},
@@ -108,6 +119,8 @@ GOLDEN_RUNS = [
     ("period_sample_u3_seed7.json", ["period", "sample", "-i", "u3_lattice.json", "--seed", "7"]),
     ("twistor_chain_u3.json", ["twistor", "chain", "-i", "chain_job_u3.json"]),
     ("period_cone_u3.json", ["period", "cone", "-i", "cone_job_u3.json"]),
+    ("irrational_picard_u3.json", ["irrational", "picard", "-i", "picard_job_u3.json", "--height", "2"]),
+    ("irrational_closure_detect.json", ["irrational", "closure", "-i", "closure_detect_job.json"]),
 ]
 
 

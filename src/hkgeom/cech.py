@@ -98,7 +98,12 @@ class Nerve:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
     def coboundary_matrix(self, d: int) -> list[list[int]]:
-        """Integer matrix of the coboundary C^d -> C^{d+1} in sorted bases, written from the face table."""
+        """Integer matrix of the coboundary C^d -> C^{d+1} in sorted bases, written from the face table.
+
+        The degree d is one of the nerve's cochain degrees 0..MAX_DIM; any other raises ``DomainError``.
+        """
+        if not 0 <= d <= MAX_DIM:
+            raise DomainError(f"coboundary degree must be in 0..{MAX_DIM}, got {d!r}")
         mat = [[0] * len(self.simplices_of_dim(d)) for _ in self.simplices_of_dim(d + 1)]
         for row, faces in zip(mat, self._face_table(d)):
             for j, sign in faces:
@@ -248,11 +253,13 @@ class Cochain:
         return dict(self.values)
 
     def value(self, simplex) -> tuple[int, ...]:
-        """Value on an ordered simplex, with the alternation sign."""
+        """Value on an ordered simplex, with the alternation sign; ``DomainError`` off the cochain's simplices."""
         sign = _perm_sign(simplex)
         if sign == 0:
             return self.group.zero()
-        v = self.as_dict()[tuple(sorted(simplex))]
+        v = self.as_dict().get(tuple(sorted(simplex)))
+        if v is None:
+            raise DomainError(f"{tuple(simplex)} is not a {self.degree}-simplex of the nerve")
         return v if sign == 1 else self.group.neg(v)
 
     def is_zero(self) -> bool:

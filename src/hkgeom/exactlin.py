@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InternalInconsistencyError
 
@@ -426,48 +427,68 @@ def lll_reduce(rows: list[list[int]]) -> list[list[int]]:
     in its order, with its tests in integers: round(mu) = (2 lam + d) // (2 d),
     |mu| <= 1/2 iff 2 |lam| <= d, Lovasz iff 4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam^2.
     So the result is, bit for bit, sympy's ``DomainMatrix.lll`` (the tests' oracle).
+
+    As in Cohen's k_max step, row k gets its lam[k][j] and d[k + 1] from the
+    current rows only when the reduction first reaches k, and a swap at k
+    updates lam[i][k - 1] and lam[i][k] only for the rows k < i <= k_max
+    reached so far. A row dependent on the rows before it raises
+    ``DomainError`` when the reduction first reaches it: those rows span what
+    the input's leading rows span, so this refuses exactly the dependent inputs.
     """
     b = [[int(x) for x in r] for r in rows]
     m = len(b)
     d = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
+
+    def gram_schmidt(k: int) -> None:
+        # lam[k][:k] and d[k + 1] from the current rows 0..k
+        row = lam[k]
+        for j in range(k + 1):
+            u = sum(map(mul, b[k], b[j]))
+            other = lam[j]
             for h in range(j):
-                u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]
-            if j < i:
-                lam[i][j] = u
+                u = (d[h + 1] * u - row[h] * other[h]) // d[h]
+            if j < k:
+                row[j] = u
             else:
-                d[i + 1] = u
-        if d[i + 1] == 0:
+                d[k + 1] = u
+        if d[k + 1] == 0:
             raise DomainError("LLL needs linearly independent rows")
 
     def size_reduce(k: int, l: int) -> None:
+        # row k -= round(mu_kl) row l; the callers have checked 2 |lam[k][l]| > d[l + 1]
         dl = d[l + 1]
-        if 2 * abs(lam[k][l]) > dl:
-            q = (2 * lam[k][l] + dl) // (2 * dl)
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * dl
-            for h in range(l):
-                lam[k][h] -= q * lam[l][h]
+        row = lam[k]
+        q = (2 * row[l] + dl) // (2 * dl)
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        row[l] -= q * dl
+        row[:l] = [x - q * y for x, y in zip(row, lam[l][:l])]
 
-    k = 1
+    if m:
+        gram_schmidt(0)
+    k, k_max = 1, 0
     while k < m:
-        size_reduce(k, k - 1)
-        lk = lam[k][k - 1]
+        if k > k_max:
+            k_max = k
+            gram_schmidt(k)
+        row = lam[k]
+        if 2 * abs(row[k - 1]) > d[k]:
+            size_reduce(k, k - 1)
+        lk = row[k - 1]
         if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                if 2 * abs(row[l]) > d[l + 1]:
+                    size_reduce(k, l)
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
         lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
         dk_new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, m):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-            lam[i][k - 1] = (dk_new * t + lk * lam[i][k]) // d[k + 1]
+        for i in range(k + 1, k_max + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lk * t) // d[k]
+            li[k - 1] = (dk_new * t + lk * li[k]) // d[k + 1]
         d[k] = dk_new
         k = max(k - 1, 1)
     return b

@@ -182,9 +182,18 @@ class PicardVerdict:
 
 
 # Box size (2 height + 1)^rank up to which picard_trivial scans the whole box,
-# and the number of box points each matrix product of the scan takes.
+# and the number of box points each step of the scan compares.
 _BOX_SCAN_POINTS = 2_000_000
 _BOX_BLOCK = 65_536
+
+
+def _partial_sums(p: np.ndarray, height: int) -> np.ndarray:
+    """sum_i x_i p_i for every integer tuple x in [-height, height]^len(p), in ``itertools.product`` order."""
+    xs = np.arange(-height, height + 1, dtype=float)
+    sums = np.zeros(1)
+    for c in p:
+        sums = (sums[:, None] + c * xs).ravel()
+    return sums
 
 
 def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
@@ -193,10 +202,17 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     Looks for integer v with sup-norm <= height and |b(v, a)|, |b(v, b)| < tol.
     A witness certifies a nontrivial orthogonal lattice vector (the period
     point then fails the trivial-Picard hypothesis); absence of a witness is
-    a verdict "trivial up to the height bound". The whole box is scanned, in
-    ``itertools.product`` order and ``_BOX_BLOCK`` points per product, when it
-    holds at most ``_BOX_SCAN_POINTS`` vectors; otherwise the first form
+    a verdict "trivial up to the height bound". The whole box is scanned when
+    it holds at most ``_BOX_SCAN_POINTS`` vectors; otherwise the first form
     ``_lll_relations`` finds for (G a, G b) is the witness.
+
+    The scan keeps two partial-sum tables per component p of (G a, G b): the
+    trailing t coordinates, for the largest t with (2 height + 1)^t <=
+    ``_BOX_BLOCK``, summed over their whole box once, and the leading
+    coordinates as a prefix table. Each step adds a slice of prefixes to the
+    whole suffix table, so the box is read in ``itertools.product`` order and
+    the first hit is the first witness in that order; the zero vector, at flat
+    index points // 2, is skipped.
     """
     from .period import gram_float
 
@@ -213,11 +229,18 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     if points > _BOX_SCAN_POINTS:
         found = _lll_relations([pa, pb], height, tol)
         return PicardVerdict(not found, found[0] if found else None, "lll")
-    pair = np.column_stack([pa, pb])
-    for start in range(0, points, _BOX_BLOCK):
-        flat = np.arange(start, min(start + _BOX_BLOCK, points))
-        block = np.column_stack(np.unravel_index(flat, (side,) * n)) - height
-        hits = np.flatnonzero((np.abs(block @ pair) < tol).all(axis=1) & block.any(axis=1))
+    t = 0
+    while t < n and side ** (t + 1) <= _BOX_BLOCK:
+        t += 1
+    prefix = [_partial_sums(p[: n - t], height) for p in (pa, pb)]
+    suffix = [_partial_sums(p[n - t :], height) for p in (pa, pb)]
+    width = suffix[0].size
+    step = max(1, _BOX_BLOCK // width)
+    for start in range(0, prefix[0].size, step):
+        near = [np.abs(pre[start : start + step, None] + suf) < tol for pre, suf in zip(prefix, suffix)]
+        hits = np.flatnonzero(near[0] & near[1]) + start * width
+        hits = hits[hits != points // 2]
         if hits.size:
-            return PicardVerdict(False, tuple(int(x) for x in block[hits[0]]), "exhaustive")
+            witness = np.unravel_index(int(hits[0]), (side,) * n)
+            return PicardVerdict(False, tuple(int(x) - height for x in witness), "exhaustive")
     return PicardVerdict(True, None, "exhaustive")

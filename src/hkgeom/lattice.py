@@ -168,6 +168,13 @@ class WallForm:
         return is_negative_form(self.lattice, self.coords)
 
 
+def _unchecked_wall(lattice: QuadLattice, coords: tuple[int, ...]) -> WallForm:
+    """A WallForm of a nonzero tuple of ``lattice.rank`` ints, which ``__post_init__`` keeps as it is: unchecked."""
+    wall = object.__new__(WallForm)
+    wall.__dict__.update(lattice=lattice, coords=coords)
+    return wall
+
+
 def _exact_coord(c) -> int | Fraction:
     f = ex.fr(c)
     return f.numerator if f.denominator == 1 else f

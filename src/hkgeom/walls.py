@@ -30,7 +30,7 @@ import numpy as np
 from . import exactlin as ex
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError
-from .lattice import QuadLattice, WallForm
+from .lattice import QuadLattice, WallForm, _unchecked_wall
 from .period import PeriodPoint, PositiveThreePlane, gram_float, positive_cone_contains
 
 
@@ -338,7 +338,8 @@ def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]
         kept = vecs[keep]
         lead = kept[np.arange(len(kept)), (kept != 0).argmax(axis=1)]
         found.extend(map(tuple, np.where((lead > 0)[:, None], kept, -kept).tolist()))
-    return [WallForm(L, c) for c in sorted(found)]
+    # int tuples of length rank, nonzero by the gcd filter: what WallForm would store
+    return [_unchecked_wall(L, c) for c in sorted(found)]
 
 
 def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[WallForm]:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from operator import mul
 
 import numpy as np
@@ -106,6 +107,24 @@ def test_coboundary_examples():
     two = Cochain.from_dict(n, Z2, 2, {(0, 1, 2): (1,)})
     with pytest.raises(DomainError):
         cech.coboundary(two)  # degree overflow
+
+
+def test_coboundary_matrix_refuses_degrees_outside_the_nerve():
+    n = cech.full_triangle_nerve()
+    for d in (-1, -2, cech.MAX_DIM + 1):
+        with pytest.raises(DomainError, match=rf"coboundary degree must be in 0\.\.{cech.MAX_DIM}, got {d}"):
+            n.coboundary_matrix(d)
+    assert n.coboundary_matrix(cech.MAX_DIM) == []
+    assert n.coboundary_matrix(0) == [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
+
+
+def test_cochain_value_refuses_simplices_outside_the_nerve():
+    hollow = Nerve.from_simplices([(0, 1), (1, 2), (0, 2)])
+    c = Cochain.from_dict(hollow, Z6, 1, {(0, 1): (1, 2)})
+    assert c.value((1, 0)) == (1, 1) and c.value((1, 1)) == (0, 0)
+    for simplex in ((0, 3), (0, 1, 2), (2,)):
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(simplex))} is not a 1-simplex of the nerve$"):
+            c.value(simplex)
 
 
 @settings(max_examples=200, deadline=None)

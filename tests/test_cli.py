@@ -35,6 +35,16 @@ GOLDEN_RUNS = [
     ),
     ("twistor_chain_u3.json", ["twistor", "chain", "-i", "chain_job_u3.json"], 0),
     ("period_cone_u3.json", ["period", "cone", "-i", "cone_job_u3.json"], 0),
+    (
+        "irrational_picard_u3.json",
+        ["irrational", "picard", "-i", "picard_job_u3.json", "--height", "2"],
+        0,
+    ),
+    (
+        "irrational_closure_detect.json",
+        ["irrational", "closure", "-i", "closure_detect_job.json"],
+        0,
+    ),
 ]
 
 

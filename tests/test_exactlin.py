@@ -638,6 +638,40 @@ def test_lll_rejects_dependent_rows():
             ex.lll_reduce(rows)
 
 
+def test_lll_refuses_a_dependent_row_in_any_position():
+    # the reduction reaches every row, so the refusal does not depend on where the dependent row sits
+    rng = random.Random(3)
+    for m in (2, 4, 7):
+        for _ in range(5):
+            basis = [[rng.randint(-50, 50) for _ in range(m + 1)] for _ in range(m - 1)]
+            coeffs = [rng.randint(-3, 3) or 1 for _ in basis]
+            combo = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(m + 1)]
+            for extra in (combo, [0] * (m + 1)):
+                for at in (0, (m - 1) // 2, m - 1):
+                    rows = basis[:at] + [extra] + basis[at:]
+                    with pytest.raises(DomainError, match="linearly independent"):
+                        ex.lll_reduce(rows)
+
+
+def test_lll_matches_sympy_on_random_bases_and_reversed_embeddings():
+    # random bases of rank 1-12 with entries up to 2^40, and relation embeddings
+    # with their rows reversed, which send the reduction back to k = 1 many times
+    rng = random.Random(20)
+    cases = []
+    for m in range(1, 13):
+        for bits in (1, 4, 16, 40):
+            cols = m + rng.randint(0, 3)
+            cases.append([[rng.randint(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(m)])
+    gen = np.random.default_rng(21)
+    for n in (3, 6, 9):
+        ws = [gen.standard_normal(n) for _ in range(2)]
+        big = int(round(16.0 / 1e-9))
+        rows = [[int(i == j) for i in range(n)] + [int(round(big * float(w[j]))) for w in ws] for j in range(n)]
+        cases.append(rows[::-1])
+    for rows in cases:  # all of full rank: sympy's lll would refuse the others
+        assert ex.lll_reduce(rows) == _sympy_lll(rows)
+
+
 def test_lll_leaves_reduced_bases_unchanged():
     # [[2, 0, 0], [1, 1, 1]] sits on both boundaries: mu = 1/2 and Lovasz with equality
     reduced = ([[5]], [[-3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 1], [-1, 2]], [[2, 0, 0], [1, 1, 1]])

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -174,6 +176,58 @@ def test_picard_box_scan_matches_point_loop(monkeypatch):
             assert verdict.trivial_up_to_height == (verdict.witness is None)
             witnesses += verdict.witness is not None
     assert witnesses == 6
+
+
+def _planted_point(rng, rank, planted):
+    """A stand-in period point on a diagonal lattice whose plane is orthogonal to ``planted`` (None: generic)."""
+    diag = [int(x) for x in rng.choice([-2, -1, 1, 2], size=rank)]
+    L = lat.QuadLattice.from_rows([[diag[i] * (i == j) for j in range(rank)] for i in range(rank)])
+    pa, pb = rng.standard_normal(rank), rng.standard_normal(rank)
+    if planted is not None:
+        v = np.array(planted, dtype=float)
+        pa, pb = (p - (p @ v) / (v @ v) * v for p in (pa, pb))
+    return types.SimpleNamespace(lattice=L, re=pa / diag, im=pb / diag)
+
+
+@pytest.mark.parametrize("block", [7, 97])
+def test_picard_box_scan_matches_point_loop_on_planted_planes(block, monkeypatch):
+    # blocks of 7 points leave a one-coordinate suffix table and many prefix
+    # steps; rank 1 has no prefix; some witnesses have a zero prefix, so they
+    # share their step with the skipped zero vector, and some lie past the first step
+    monkeypatch.setattr(irr, "_BOX_BLOCK", block)
+    rng = np.random.default_rng(block)
+    found = late = 0
+    for rank in range(1, 8):
+        for height in (1, 2, 3):
+            if (2 * height + 1) ** rank > 4000:
+                continue
+            box = [int(x) for x in rng.integers(-height, height + 1, size=rank)]
+            box[-1] = box[-1] or height
+            tail = [0] * (rank - 1) + [int(rng.integers(1, height + 1))]
+            for planted in (None, box, tail):
+                z = _planted_point(rng, rank, planted)
+                verdict = irr.picard_trivial(z, height=height, tol=1e-9)
+                assert verdict.method == "exhaustive"
+                assert verdict.witness == _point_loop_witness(z, height, 1e-9)
+                assert verdict.trivial_up_to_height == (verdict.witness is None)
+                if verdict.witness is not None:
+                    found += 1
+                    flat = np.ravel_multi_index([x + height for x in verdict.witness], (2 * height + 1,) * rank)
+                    late += int(flat) >= block
+    assert found == 32 and late >= 10  # every planted plane, no generic one
+
+
+def test_picard_full_height_5_scan_memory_stays_small():
+    # 11^6 = 1,771,561 box points, no witness: the partial-sum tables and one step's comparisons are all it holds
+    z = per.sample_period_point(U3, 3)
+    tracemalloc.start()
+    try:
+        verdict = irr.picard_trivial(z, height=5, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == irr.PicardVerdict(True, None, "exhaustive")
+    assert peak < 4 * 10**6
 
 
 def test_picard_rejects_non_positive_tolerance():

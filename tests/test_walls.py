@@ -256,6 +256,22 @@ def test_k3_walls_at_radius_2_are_u3_walls_and_e8_roots():
     assert len(wl.WallSet(lat.k3_lattice(), tuple(walls))) == 243
 
 
+@pytest.mark.parametrize(
+    "L,span,d,radius",
+    [(U3, DIAG_SPAN_U3, -2, 8), (U3, DIAG_SPAN_U3, -4, 6), (lat.k3_lattice(), K3_DIAG_SPAN, -2, 2)],
+    ids=["U3 d=-2", "U3 d=-4", "K3 d=-2"],
+)
+def test_enumerated_walls_are_the_forms_the_checked_constructor_builds(L, span, d, radius):
+    walls = wl.enumerate_walls_near(L, span, d, radius)
+    assert walls
+    for w in walls:
+        checked = lat.WallForm(L, w.coords)
+        assert w == checked and hash(w) == hash(checked)
+        assert type(w.coords) is tuple and len(w.coords) == L.rank
+        assert list(map(type, w.coords)) == list(map(type, checked.coords)) == [int] * L.rank
+        assert w.indivisible and w.dual_value == d and w.negative
+
+
 def test_k3_wall_search_memory_stays_bounded_by_the_block():
     # about 97,000 ellipsoid points at radius 4; the search holds at most rank * _BLOCK nodes at a time
     tracemalloc.start()
