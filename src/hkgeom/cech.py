@@ -253,13 +253,21 @@ class Cochain:
         return dict(self.values)
 
     def value(self, simplex) -> tuple[int, ...]:
-        """Value on an ordered simplex, with the alternation sign; ``DomainError`` off the cochain's simplices."""
+        """Value on an ordered simplex, with the alternation sign; ``DomainError`` off the cochain's simplices.
+
+        A simplex of the right length on vertices of the nerve that repeats a
+        vertex has value zero.
+        """
+        simplex = tuple(simplex)
+        off_nerve = DomainError(f"{simplex} is not a {self.degree}-simplex of the nerve")
+        if len(simplex) != self.degree + 1 or not set(simplex) <= set(self.nerve.vertices):
+            raise off_nerve
         sign = _perm_sign(simplex)
         if sign == 0:
             return self.group.zero()
         v = self.as_dict().get(tuple(sorted(simplex)))
         if v is None:
-            raise DomainError(f"{tuple(simplex)} is not a {self.degree}-simplex of the nerve")
+            raise off_nerve
         return v if sign == 1 else self.group.neg(v)
 
     def is_zero(self) -> bool:

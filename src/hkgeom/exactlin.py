@@ -6,13 +6,14 @@ toolkit: signatures of integral quadratic forms, kernels of rational
 functionals, Smith normal forms for cochain solving, and the integral LLL
 behind the integer-relation detectors. One fraction-free integer
 elimination, ``_bareiss``, gives determinants, adjugates, ranks and kernels;
-one symmetric elimination, ``_inertia_det_int``, gives inertia and det at once,
-dividing exactly by one Sylvester scale per step.
+one symmetric elimination per orthogonal component, ``_inertia_det_int``, gives
+inertia and det at once, dividing exactly by one Sylvester scale per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -192,97 +193,83 @@ def inverse(a: Mat) -> Mat:
     return [[Fraction(scale * x, d) for x in row] for row in adj]
 
 
-def _symmetric_pivot(m: list[list[int]], active: list[int], scale: int) -> tuple[int, int] | None:
-    """The first sparse pivot, else the first nonzero diagonal, else the first hyperbolic pair; None on a zero block.
-
-    (i, i) is a diagonal pivot; (i, j) an entry joining two zero diagonals.
-    A sparse pivot is a +-scale diagonal or a +-scale such entry.
-    """
-    first, free = None, []
-    for i in active:
-        x = m[i][i]
-        if x == scale or x == -scale:
-            return i, i
-        if not x:
-            free.append(i)
-        elif first is None:
-            first = i, i
-    for n, i in enumerate(free):
-        row_i = m[i]
-        for j in free[n + 1 :]:
-            x = row_i[j]
-            if x == scale or x == -scale:
-                return i, j
-            if x and first is None:
-                first = i, j
-    return first
+def _components(s: list[list[int]]) -> list[list[int]]:
+    """The connected components of the nonzero pattern of a symmetric matrix, each sorted, by breadth-first search."""
+    n = len(s)
+    seen = [False] * n
+    components = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component = [root]
+        for i in component:  # grows while it is read
+            if len(component) == n:  # every index is reached
+                break
+            for j in compress(range(n), s[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        components.append(sorted(component))
+    return components
 
 
 def _inertia_det_int(s: list[list[int]]) -> tuple[int, int, int, int]:
-    """(positive, negative, zero, det) of an integer symmetric matrix, from one symmetric elimination.
+    """(positive, negative, zero, det) of an integer symmetric matrix, from one symmetric elimination per component.
 
-    Each step splits a pivot off the active block: a nonzero diagonal p, or
-    an entry a joining two zero diagonals, a hyperbolic block of inertia
-    (1, 1) (1 x 1 and 2 x 2 pivots, as in Bunch and Kaufman, Math. Comp. 31,
-    1977). With S the indices eliminated so far, the state is a scale
+    s is the orthogonal sum of its blocks on the connected components of its
+    nonzero pattern, so inertias add and dets multiply; each block is
+    eliminated on its own. Each step splits a pivot off the active block F:
+    the first nonzero diagonal p, or else the first nonzero entry a, which
+    joins two zero diagonals into a hyperbolic block of inertia (1, 1)
+    (1 x 1 and 2 x 2 pivots, as in Bunch and Kaufman, Math. Comp. 31, 1977).
+    With S the indices of the block eliminated so far, the state is a scale
     mu > 0 and a sign with det s[S, S] = sign * mu, and each active entry
     (k, l) holds sign * det s[S + k, S + l]. The Schur complement is then
-    the active block over mu, so p / mu and a / mu are the true pivots.
-    Sylvester's identity makes every update of the block F an exact
-    division, as in Bareiss's one-step method (Bareiss, Math. Comp. 22,
-    1968). With x and y the pivot rows,
+    F / mu, so p / mu and a / mu are the true pivots. Sylvester's identity
+    makes every update an exact division, as in Bareiss's one-step method
+    (Bareiss, Math. Comp. 22, 1968). With x and y the pivot rows,
     F <- (|p| F - sgn(p) x x^T) / mu, mu <- |p| and sign <- sgn(p) sign, or
     F <- (a^2 F - a (x y^T + y x^T)) / mu^2, mu <- a^2 / mu and
-    sign <- -sign; a^2 / mu is the one quotient checked. A pivot p or a of
-    size mu leaves mu as it is, and the update reduces to F -= x x^T / p or
-    F -= (x y^T + y x^T) / a on the rows and columns whose multiplier is
-    nonzero, so ``_symmetric_pivot`` takes those pivots first. det is
-    sign * mu at the end, or 0 at a block with no nonzero entry, the radical.
+    sign <- -sign; a^2 / mu is the one quotient checked. The block's det is
+    sign * mu at the end, or 0 at an active block with no nonzero entry,
+    the radical.
     """
     m = [list(row) for row in s]
-    pos = neg = 0
-    mu = sign = 1
-    active = list(range(len(m)))
-    while active:
-        pivot = _symmetric_pivot(m, active, mu)
-        if pivot is None:
-            return pos, neg, len(active), 0
-        i, j = pivot
-        active = [k for k in active if k != i and k != j]
-        if i == j:
-            p = m[i][i]
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-                sign = -sign
-            col = [(k, m[i][k]) for k in active]  # the pivot row, read once
-            if p == mu or p == -mu:
-                hit = [(k, x) for k, x in col if x]
-                for k, x in hit:
-                    row_k = m[k]
-                    for l, y in hit:
-                        row_k[l] -= x * y // p
-            else:
+    pos = neg = zero = 0
+    det = 1
+    for active in _components(m):
+        mu = sign = 1
+        while active:
+            i = next((k for k in active if m[k][k]), None)
+            if i is not None:
+                p = m[i][i]
+                if p > 0:
+                    pos += 1
+                else:
+                    neg += 1
+                    sign = -sign
+                active = [k for k in active if k != i]
+                col = [(k, m[i][k]) for k in active]  # the pivot row, read once
                 div = mu if p > 0 else -mu  # (|p| F - sgn(p) x x^T) / mu, with the sign moved to the divisor
                 for k, x in col:
                     row_k = m[k]
                     for l, y in col:
                         row_k[l] = (p * row_k[l] - x * y) // div
                 mu = abs(p)
-        else:
-            a = m[i][j]
-            pos += 1
-            neg += 1
-            sign = -sign
-            cols = [(k, m[i][k], m[j][k]) for k in active]  # both pivot rows, read once
-            if a == mu or a == -mu:
-                hit = [c for c in cols if c[1] or c[2]]
-                for k, xk, yk in hit:
-                    row_k = m[k]
-                    for l, xl, yl in hit:
-                        row_k[l] -= (xk * yl + yk * xl) // a
-            else:
+            else:  # every active diagonal is zero
+                pair = next(((k, l) for k in active for l in active if m[k][l]), None)
+                if pair is None:
+                    zero += len(active)
+                    det = 0
+                    break
+                i, j = pair
+                a = m[i][j]
+                pos += 1
+                neg += 1
+                sign = -sign
+                active = [k for k in active if k != i and k != j]
+                cols = [(k, m[i][k], m[j][k]) for k in active]  # both pivot rows, read once
                 a2, mu2 = a * a, mu * mu
                 for k, xk, yk in cols:
                     row_k = m[k]
@@ -291,7 +278,9 @@ def _inertia_det_int(s: list[list[int]]) -> tuple[int, int, int, int]:
                 mu, rem = divmod(a2, mu)
                 if rem:
                     raise InternalInconsistencyError("symmetric elimination: the scale is not an exact quotient")
-    return pos, neg, 0, sign * mu
+        else:  # no radical
+            det *= sign * mu
+    return pos, neg, zero, det
 
 
 def inertia(s) -> tuple[int, int, int]:

@@ -159,13 +159,11 @@ def is_fully_irrational(vectors, height: int = 100, tol: float = 1e-9) -> Irrati
     """Test whether the rational closure of the span is the whole space."""
     _check_budget(height, tol, least=1)
     ws = _float_rows(vectors)
-    n = ws[0].shape[0]
-    if int(np.linalg.matrix_rank(np.vstack(ws))) == n:
+    if int(np.linalg.matrix_rank(np.vstack(ws))) == ws[0].shape[0]:
         return IrrationalityVerdict(True, True, None)
-    report = rational_closure_detect(vectors, height=height, tol=tol)
-    if report.relations:
-        return IrrationalityVerdict(False, False, report.relations[0])
-    return IrrationalityVerdict(True, False, None)
+    # the first relation found is the first independent one, detect mode's first relation
+    found = _lll_relations(ws, height, tol)
+    return IrrationalityVerdict(not found, False, found[0] if found else None)
 
 
 @dataclasses.dataclass(frozen=True)

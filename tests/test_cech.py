@@ -122,7 +122,9 @@ def test_cochain_value_refuses_simplices_outside_the_nerve():
     hollow = Nerve.from_simplices([(0, 1), (1, 2), (0, 2)])
     c = Cochain.from_dict(hollow, Z6, 1, {(0, 1): (1, 2)})
     assert c.value((1, 0)) == (1, 1) and c.value((1, 1)) == (0, 0)
-    for simplex in ((0, 3), (0, 1, 2), (2,)):
+    # a repeated vertex gives zero only on a simplex of the right length whose vertices are in the nerve
+    assert c.value((0, 0)) == (0, 0)
+    for simplex in ((0, 3), (0, 1, 2), (2,), (9, 9), (0, 0, 0)):
         with pytest.raises(DomainError, match=rf"^{re.escape(str(simplex))} is not a 1-simplex of the nerve$"):
             c.value(simplex)
 

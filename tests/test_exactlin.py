@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -472,6 +473,56 @@ def test_inertia_det_on_scaled_direct_sums():
     n = 40
     dense = _symmetric_from_upper(n, [rng.randint(-200, 200) for _ in range(n * (n + 1) // 2)])
     _check_inertia_det(dense)
+
+
+_U = [[0, 1], [1, 0]]
+_E8_NEG = [[-x for x in row] for row in lat.e8_lattice().gram]
+
+
+@st.composite
+def _orthogonal_sums(draw):
+    """1-5 blocks (U, 3U, E8(-1), <k>, a zero row, small symmetric ones) and a permutation of their sum."""
+    small = st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.integers(-5, 5), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(
+            lambda upper: _symmetric_from_upper(n, upper)
+        )
+    )
+    block = st.one_of(
+        st.sampled_from([_U, [[3 * x for x in row] for row in _U], _E8_NEG, [[0]]]),
+        st.integers(-9, 9).filter(bool).map(lambda k: [[k]]),
+        small,
+    )
+    blocks = draw(st.lists(block, min_size=1, max_size=5))
+    s = _block_sum(*blocks)
+    perm = draw(st.permutations(range(len(s))))
+    return blocks, [[s[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_orthogonal_sums())
+def test_inertia_det_of_an_orthogonal_sum_adds_inertias_and_multiplies_dets(case):
+    blocks, s = case
+    pos = neg = zero = 0
+    det = 1
+    for b in blocks:
+        p, n, z = _reference_inertia(b)
+        pos, neg, zero, det = pos + p, neg + n, zero + z, det * ex.det(b)
+    assert ex._inertia_det_int(s) == (pos, neg, zero, det)
+    assert (pos, neg, zero) == _reference_inertia(s)
+
+
+def test_inertia_det_on_direct_sums_keeps_pace_with_bareiss():
+    # each orthogonal component is eliminated with its own scale, so a scaled block costs no other block anything
+    u100 = _block_sum(*[[[0, 3], [3, 0]]] * 100)
+    e8_12 = _block_sum(*[list(map(list, lat.e8_lattice().gram))] * 12)
+    for s in (u100, e8_12):
+        best = {}
+        for _ in range(3):
+            for fn in (ex._inertia_det_int, ex.det):
+                start = time.perf_counter()
+                fn(s)
+                best[fn] = min(best.get(fn, math.inf), time.perf_counter() - start)
+        assert best[ex._inertia_det_int] < 2 * best[ex.det]
 
 
 def test_primitive_vector():

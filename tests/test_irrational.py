@@ -96,6 +96,37 @@ def test_fully_irrational_random_planes():
     assert hits == 20
 
 
+def test_fully_irrational_ranks_once_and_agrees_with_detect_mode(monkeypatch):
+    # one rank per call, then detect mode's first relation as the witness, on planted,
+    # rational, generic and full-rank inputs
+    rng = np.random.default_rng(40)
+    inputs = []
+    for _ in range(6):
+        plant = rng.integers(-3, 4, size=(rng.integers(1, 3), 6)).astype(float)
+        inputs.append(list(plant + 1e-12 * rng.standard_normal(plant.shape)))
+        inputs.append(list(rng.uniform(-1, 1, size=(rng.integers(1, 4), rng.integers(3, 8)))))
+    inputs.append(list(rng.standard_normal((5, 5))))
+    ranks = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counted_rank(a):
+        ranks.append(a)
+        return matrix_rank(a)
+
+    monkeypatch.setattr(irr.np.linalg, "matrix_rank", counted_rank)
+    verdicts = set()
+    for vecs in inputs:
+        ranks.clear()
+        verdict = irr.is_fully_irrational(vecs, height=100, tol=1e-9)
+        assert len(ranks) == 1
+        verdicts.add((verdict.fully_irrational, verdict.deterministic))
+        if not verdict.deterministic:
+            relations = irr.rational_closure_detect(vecs, height=100, tol=1e-9).relations
+            assert verdict.witness == (relations[0] if relations else None)
+            assert verdict.fully_irrational == (not relations)
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
 def test_picard_rational_plane_has_witness():
     z = per.period_point(
         U3,
