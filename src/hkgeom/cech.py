@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
-from numbers import Integral
 from operator import mul
 
 from . import exactlin as ex
@@ -32,13 +31,6 @@ def _perm_sign(seq) -> int:
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def _integer(x, what: str) -> int:
-    """x as an int: numpy integer scalars are converted, bool and non-integers refused."""
-    if isinstance(x, bool) or not isinstance(x, Integral):
-        raise DomainError(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,9 +175,7 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(_integer(k, "a cyclic factor") for k in self.factors)
-        if any(k < 1 for k in factors):
-            raise DomainError("cyclic factors must be >= 1")
+        factors = tuple(ex.integer(k, "a cyclic factor", 1) for k in self.factors)
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -205,7 +195,7 @@ class FiniteAbelianGroup:
     def reduce(self, element) -> tuple[int, ...]:
         if len(element) != self.rank:
             raise DomainError("element has wrong number of coordinates")
-        return tuple(_integer(x, "an element entry") % k for x, k in zip(element, self.factors))
+        return tuple(ex.integer(x, "an element entry", None) % k for x, k in zip(element, self.factors))
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % k for x, y, k in zip(a, b, self.factors))

@@ -153,7 +153,7 @@ def _h_period_convert(payload, args, cfg):
         plane = per.point_to_plane(z)
         return {"plane": ser.encode_two_plane(plane)}, {}
     if "plane" in payload:
-        rows = ser.decode_lattice_rows(L, payload["plane"], "plane")
+        rows = ser.decode_float_rows(payload["plane"], "plane")
         if len(rows) != 2:
             raise DomainError("a 2-plane needs exactly two spanning vectors")
         plane = per.oriented_two_plane(L, rows[0], rows[1], cfg.tol)
@@ -167,7 +167,7 @@ def _h_period_cone(payload, args, cfg):
 
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    vec = ser.decode_lattice_vector(L, payload["vector"])
+    vec = ser.decode_float_vector(payload["vector"])
     return {"contains": per.positive_cone_contains(z, vec, cfg.tol)}, {}
 
 
@@ -193,7 +193,7 @@ def _h_twistor_plane(payload, args, cfg):
 
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
-    plane = per.twistor_plane(z, ser.decode_lattice_vector(L, payload["line"]), cfg.tol)
+    plane = per.twistor_plane(z, ser.decode_float_vector(payload["line"]), cfg.tol)
     return {"plane": ser.encode_three_plane(plane)}, {}
 
 
@@ -201,9 +201,9 @@ def _h_twistor_point(payload, args, cfg):
     from . import period as per
 
     L = _payload_lattice(payload)
-    span = ser.decode_lattice_rows(L, payload["plane"], "plane")
+    span = ser.decode_float_rows(payload["plane"], "plane")
     plane = per.orient_three_plane(L, span, cfg.tol)
-    z = per.conic_point(plane, ser.decode_lattice_vector(L, payload["direction"]), cfg.tol)
+    z = per.conic_point(plane, ser.decode_float_vector(payload["direction"]), cfg.tol)
     return {"point": ser.encode_period_point(z)}, {}
 
 
@@ -227,7 +227,7 @@ def _h_irrational_closure(payload, args, cfg):
         decoded = [ser.decode_exact_vector(row, "exact mode vectors") for row in vectors]
         report = irr.rational_closure_exact(decoded)
     elif mode == "detect":
-        rows = [ser.decode_float_vector(v) for v in vectors]
+        rows = ser.decode_float_rows(vectors, "vectors")
         report = irr.rational_closure_detect(rows, height=args.height, tol=args.tol_relation)
     else:
         raise DomainError(f"mode must be 'exact' or 'detect', got {mode!r}")
@@ -243,7 +243,7 @@ def _h_irrational_closure(payload, args, cfg):
 def _h_irrational_test(payload, args, cfg):
     from . import irrational as irr
 
-    rows = [ser.decode_float_vector(v) for v in ser.expect(payload["vectors"], list, "vectors")]
+    rows = ser.decode_float_rows(payload["vectors"], "vectors")
     verdict = irr.is_fully_irrational(rows, height=args.height, tol=args.tol_relation)
     return {
         "fully_irrational": verdict.fully_irrational,
@@ -290,7 +290,7 @@ def _h_walls_avoid(payload, args, cfg):
     from . import walls as wl
 
     L = _payload_lattice(payload)
-    span = ser.decode_lattice_rows(L, payload["span"], "span")
+    span = ser.decode_float_rows(payload["span"], "span")
     plane = per.orient_three_plane(L, span, cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
     report = wl.wall_avoidance(plane, walls, cfg.tol)
@@ -309,7 +309,7 @@ def _h_walls_chamber(payload, args, cfg):
     L = _payload_lattice(payload)
     z = ser.decode_period_point(L, payload["point"], cfg.tol)
     walls = ser.decode_wallset(L, payload["walls"])
-    vec = ser.decode_lattice_vector(L, payload["vector"])
+    vec = ser.decode_float_vector(payload["vector"])
     contains = wl.kahler_chamber_contains(z, walls, vec, cfg.tol)
     relevant = wl.relevant_walls(z, walls, cfg.tol)
     return {
@@ -322,8 +322,8 @@ def _h_walls_ueps(payload, args, cfg):
     from . import walls as wl
 
     L = _payload_lattice(payload)
-    span = ser.decode_lattice_rows(L, payload["span"], "span")
-    vec = ser.decode_lattice_vector(L, payload["vector"])
+    span = ser.decode_float_rows(payload["span"], "span")
+    vec = ser.decode_float_vector(payload["vector"])
     eps = ser.decode_float(payload.get("eps", 0.5))
     return {"contains": wl.in_u_eps(L, span, vec, eps), "eps": eps}, {}
 
@@ -361,7 +361,7 @@ def _h_llv_closure(payload, args, cfg):
     if full:
         closure = llv.full_llv_closure(ring, cfg.tol)
     else:
-        span = ser.decode_lattice_rows(ring.lattice, payload["span"], "span")
+        span = ser.decode_float_rows(payload["span"], "span")
         plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
         closure = llv.so5_closure(ring, plane, cfg.tol)
     return {
@@ -396,11 +396,11 @@ def _h_llv_deligne(payload, args, cfg):
     from . import period as per
 
     ring = ser.decode_ring(payload["ring"])
-    span = ser.decode_lattice_rows(ring.lattice, payload["span"], "span")
+    span = ser.decode_float_rows(payload["span"], "span")
     plane = per.orient_three_plane(ring.lattice, span, cfg.tol)
     closure = llv.so5_closure(ring, plane, cfg.tol)
     z = ser.decode_period_point(ring.lattice, payload["point"], cfg.tol)
-    x = llv.deligne_generator(closure, z)
+    x = llv.deligne_generator(closure, z, cfg.tol)
     spec = llv.weight_spectrum(ring, x)
     deg2 = sorted(round(v.imag, 9) for v in spec[2])
     return {

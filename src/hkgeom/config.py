@@ -6,6 +6,7 @@ import dataclasses
 import math
 
 from .errors import DomainError
+from .exactlin import integer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,6 +46,5 @@ class RunConfig:
             value = getattr(self.tol, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"tolerance {name} must be positive and finite, got {value}")
-        seed = self.seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.seed is not None:
+            integer(self.seed, "seed", 0)

@@ -8,6 +8,9 @@ behind the integer-relation detectors. One fraction-free integer
 elimination, ``_bareiss``, gives determinants, adjugates, ranks and kernels;
 one symmetric elimination per orthogonal component, ``_inertia_det_int``, gives
 inertia and det at once, dividing exactly by one Sylvester scale per step.
+Every seed and count the library takes in passes one rule, ``integer``: an
+int or numpy integer at least the argument's least value, never a bool, or
+else a DomainError that names the argument.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from numbers import Integral
 from operator import mul
 
 from .errors import DomainError, InternalInconsistencyError
@@ -31,6 +35,16 @@ def fr(x) -> Fraction:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as err:
         raise DomainError(f"not a rational number: {x!r}") from err
+
+
+def integer(x, what: str, least: int | None) -> int:
+    """The integer rule: x as an int, numpy integer scalars included; bools, non-integers and x < least are refused."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        kind = f"an integer >= {least}" if least else "a non-negative integer"
+        raise DomainError(f"{what} must be {kind}, got {x!r}")
+    return int(x)
 
 
 def frmat(rows) -> Mat:
@@ -182,15 +196,6 @@ def nullspace(a: Mat) -> list[Vec]:
             v[p] = Fraction(-m[r][f], m[r][p])
         basis.append(v)
     return basis
-
-
-def inverse(a: Mat) -> Mat:
-    """Exact inverse of a rational matrix: D adj(D a) / det(D a), D the lcm of its denominators."""
-    m, scale = scale_matrix_to_integers(a)
-    d, adj = det_adjugate(m)
-    if not d:
-        raise DomainError("matrix is singular")
-    return [[Fraction(scale * x, d) for x in row] for row in adj]
 
 
 def _components(s: list[list[int]]) -> list[list[int]]:

@@ -17,6 +17,7 @@ import numpy as np
 from . import exactlin as ex
 from .errors import DomainError
 from .lattice import QuadLattice
+from .period import float_rows, gram_float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,12 +63,13 @@ def _lll_relations(vectors: list[np.ndarray], height: int, tol: float) -> list[t
     N w_k[j]), with N ~ 16/tol over the largest entry (at least 1), and
     returns the leading blocks of the reduced rows that are nonzero, of
     sup-norm <= ``height`` and vanishing within ``tol``, in reduced order.
+    Dividing by the scale before multiplying by N keeps each entry within N.
     """
     n = len(vectors[0])
     scale = max(1.0, max(float(np.max(np.abs(w))) for w in vectors))
     big = int(round(16.0 / tol))
     rows = [
-        [int(i == j) for i in range(n)] + [int(round(big * float(w[j]) / scale)) for w in vectors]
+        [int(i == j) for i in range(n)] + [int(round(float(w[j]) / scale * big)) for w in vectors]
         for j in range(n)
     ]
     found = []
@@ -89,19 +91,9 @@ def _independent(relations: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [relations[c] for c in ex.pivot_columns(ex.transpose(relations))]
 
 
-def _float_rows(vectors) -> list[np.ndarray]:
-    """The input vectors as float arrays: at least one, all of one nonzero length."""
-    ws = [np.asarray(v, dtype=float) for v in vectors]
-    if not ws:
-        raise DomainError("empty input")
-    if ws[0].ndim != 1 or not ws[0].size or any(w.shape != ws[0].shape for w in ws):
-        raise DomainError("vectors must share one nonzero length")
-    return ws
-
-
 def _check_budget(height: int, tol: float, least: int) -> None:
     """Refuse a relation-search budget before any work: height >= least, tol finite and positive."""
-    if height < least:
+    if ex.integer(height, "height bound", None) < least:
         raise DomainError(f"height bound must be >= {least}")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be positive and finite")
@@ -119,7 +111,7 @@ def rational_closure_detect(vectors, height: int = 100, tol: float = 1e-9) -> Cl
     relations found) is an upper bound that holds with high probability;
     missed relations would only lower it.
     """
-    ws = _float_rows(vectors)
+    ws = float_rows(vectors, "vectors", None)
     n = ws[0].shape[0]
     _check_budget(height, tol, least=1)
     relations = _independent(_lll_relations(ws, height, tol))
@@ -158,7 +150,7 @@ class IrrationalityVerdict:
 def is_fully_irrational(vectors, height: int = 100, tol: float = 1e-9) -> IrrationalityVerdict:
     """Test whether the rational closure of the span is the whole space."""
     _check_budget(height, tol, least=1)
-    ws = _float_rows(vectors)
+    ws = float_rows(vectors, "vectors", None)
     if int(np.linalg.matrix_rank(np.vstack(ws))) == ws[0].shape[0]:
         return IrrationalityVerdict(True, True, None)
     # the first relation found is the first independent one, detect mode's first relation
@@ -212,8 +204,6 @@ def picard_trivial(z, height: int = 10, tol: float = 1e-9) -> PicardVerdict:
     the first hit is the first witness in that order; the zero vector, at flat
     index points // 2, is skipped.
     """
-    from .period import gram_float
-
     _check_budget(height, tol, least=0)
     L: QuadLattice = z.lattice
     n = L.rank

@@ -340,11 +340,6 @@ def reflection(L: QuadLattice, v) -> Reflection:
     )
 
 
-def is_isometry_matrix(L: QuadLattice, g) -> bool:
-    """g is rank x rank and g^T gram g == gram, checked in integers as (Dg)^T gram (Dg) == D^2 gram."""
-    return _scaled_isometry(L, g) is not None
-
-
 def _scaled_isometry(L: QuadLattice, g) -> tuple[list[list[int]], int] | None:
     """(D g, D) for D the positive lcm of g's denominators when g is an isometry of L, else None."""
     if len(g) != L.rank or any(len(row) != L.rank for row in g):

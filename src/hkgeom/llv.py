@@ -29,6 +29,7 @@ from .period import (
     _norm,
     PeriodPoint,
     conic_contains,
+    float_rows,
     gram_float,
     PositiveThreePlane,
     qform,
@@ -260,11 +261,7 @@ def _check_dense_budget(ring: CohomologyRing) -> None:
 def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
     _check_dense_budget(ring)
-    if len(eta) != ring.lattice.rank:
-        raise DomainError("eta must be a degree-2 class in lattice coordinates")
-    coeffs = np.array([float(x) for x in eta])
-    if not np.isfinite(coeffs).all():
-        raise DomainError("eta must have finite coordinates")
+    [coeffs] = float_rows([eta], "eta", ring.lattice.rank)
     (a, k, j), c = ring._lattice_terms
     mat = np.zeros((ring.dim, ring.dim))
     np.add.at(mat, (k, j), coeffs[a] * c)
@@ -694,7 +691,7 @@ def fujiki_constant(ring: CohomologyRing, samples: int | None = None, seed: int 
     """
     L = ring.lattice
     n = L.rank
-    count = samples if samples is not None else max(2 * n * n, 32)
+    count = ex.integer(samples, "samples", 1) if samples is not None else max(2 * n * n, 32)
     position = {idx: a for a, idx in enumerate(ring.lattice_indices)}
     terms = [
         (i, position[j], k, c)
@@ -711,7 +708,7 @@ def fujiki_constant(ring: CohomologyRing, samples: int | None = None, seed: int 
     q_bound = 81 * sum(abs(x) for row in L.gram for x in row)
     dtype = np.int64 if integral_bound * q_bound**ring.m < 2**62 else object
 
-    a = np.random.default_rng(seed).integers(-9, 10, size=(max(count, 0), n)).astype(dtype)
+    a = np.random.default_rng(ex.integer(seed, "seed", 0)).integers(-9, 10, size=(count, n)).astype(dtype)
     power = np.zeros((len(a), ring.dim), dtype=dtype)
     power[:, list(ring.lattice_indices)] = a
     for _ in range(2 * ring.m - 1):
@@ -750,22 +747,22 @@ _WEIGHT_SOLVE_TOL = 1e-8  # weight-operator residual, relative to its right-hand
 _THIRD_FRAME_MIN = 1e-6  # q-square a frame row keeps off the period plane to give the third frame vector
 
 
-def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
+def deligne_generator(closure: LieClosure, z: PeriodPoint, tol: Tolerances = DEFAULT_TOL) -> GradedOperator:
     """The rotation generator of the period plane inside the degree-0 part.
 
     Solves for X in the closure's degree-0 block with X a = 2b, X b = -2a,
     X = 0 on the rest of the 3-plane and on the unit; its eigenvalue on the
     line of sigma is -2i, on the conjugate +2i, and 0 on the rest of the
     degree-2 block, matching the infinitesimal weights -(p - q) i of the
-    Hodge bigrading.
+    Hodge bigrading. The plane is recovered, and z tested on it, at ``tol``.
     """
     ring = closure.ring
     L = ring.lattice
     basis = closure.degree_zero_basis()
     if not basis:
         raise DomainError("closure has no degree-0 part")
-    plane_vectors = _closure_plane(closure)
-    if not conic_contains(plane_vectors, z):
+    plane_vectors = _closure_plane(closure, tol)
+    if not conic_contains(plane_vectors, z, tol):
         raise DomainError("period point does not lie on the conic of the closure plane")
     a_emb = ring.embed_lattice_vector(z.re)
     b_emb = ring.embed_lattice_vector(z.im)
@@ -804,7 +801,7 @@ def deligne_generator(closure: LieClosure, z: PeriodPoint) -> GradedOperator:
     return GradedOperator(ring, x_mat, degree=0)
 
 
-def _closure_plane(closure: LieClosure) -> PositiveThreePlane:
+def _closure_plane(closure: LieClosure, tol: Tolerances) -> PositiveThreePlane:
     """Recover the positive 3-plane of an sl2-family closure from its e-block.
 
     The degree +2 part of the closure is the span of the cup operators of
@@ -824,7 +821,7 @@ def _closure_plane(closure: LieClosure) -> PositiveThreePlane:
         vectors.append(eta)
     if len(vectors) != 3:
         raise DomainError("closure degree +2 part does not define a 3-plane")
-    return orient_three_plane(ring.lattice, vectors)
+    return orient_three_plane(ring.lattice, vectors, tol)
 
 
 def weight_spectrum(ring: CohomologyRing, x: GradedOperator) -> dict[int, list[complex]]:

@@ -7,7 +7,10 @@ from a fixed reference 3-plane, positive-cone membership, twistor conics and
 their period points, and chain connectivity between period points through
 twistor conics.
 
-Floating point with configurable tolerances; all randomness is seeded.
+Floating point with configurable tolerances; all randomness is seeded. Every
+float vector the library takes in, here and in llv, walls and irrational,
+passes one rule, ``float_rows``: finite coordinates, as many as the lattice's
+rank (one shared count without a lattice), or a DomainError naming the argument.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError, NumericalError
+from .exactlin import integer
 from .lattice import QuadLattice
 
 
@@ -27,6 +31,28 @@ from .lattice import QuadLattice
 def gram_float(L: QuadLattice) -> np.ndarray:
     """The gram matrix as a read-only float array, built once per lattice."""
     return _readonly(L.gram)
+
+
+def float_rows(vectors, what: str, length: int | None) -> list[np.ndarray]:
+    """The float rule: ``vectors`` as finite float arrays of one length, ``length`` unless it is None.
+
+    Otherwise a DomainError names ``what``. A float array comes back as itself: no product of it changes a bit.
+    """
+    try:
+        ws = [np.asarray(v, dtype=float) for v in vectors]
+    except (TypeError, ValueError, OverflowError) as err:
+        raise DomainError(f"{what} must have float coordinates") from err
+    if not ws:
+        raise DomainError(f"empty input: no {what}")
+    shape = ws[0].shape if length is None else (length,)
+    zero = np.zeros(shape)
+    for w in ws:
+        if w.shape != shape or len(shape) != 1 or not shape[0]:
+            raise DomainError(f"{what} must " + (f"have length {length}" if length else "share one nonzero length"))
+        # 0 x is 0 for every finite x and NaN for NaN and +-inf; vdot, unlike dot, does not warn of it
+        if math.isnan(np.vdot(w, zero)):
+            raise DomainError(f"{what} must have finite coordinates")
+    return ws
 
 
 def qform(L: QuadLattice, v) -> float:
@@ -109,13 +135,8 @@ def _reference_image(L: QuadLattice) -> np.ndarray:
     return _frozen(reference_plane(L) @ gram_float(L))
 
 
-def span_residual(L: QuadLattice, frame: np.ndarray, v) -> float:
-    """Relative Euclidean residual of v against the q-span of the frame."""
-    return _span_residual(frame, frame @ gram_float(L), v)
-
-
 def _span_residual(frame: np.ndarray, frame_g: np.ndarray, v) -> float:
-    """span_residual given the frame's G-image ``frame @ gram``; the same bits."""
+    """Relative Euclidean residual of v against the q-span of the frame, given its G-image ``frame @ gram``."""
     v = np.asarray(v, dtype=float)
     nv = _norm(v)
     if nv == 0:
@@ -156,8 +177,11 @@ class OrientedTwoPlane:
 
 def orthonormal_pair(L: QuadLattice, a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """q-Gram-Schmidt of (a, b); requires the span to be q-positive."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    return _orthonormal_pair(L, *float_rows((a, b), "a and b", L.rank), tol)
+
+
+def _orthonormal_pair(L: QuadLattice, a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """orthonormal_pair of float vectors that pass the float rule, as the library's own do."""
     g = gram_float(L)
     qa = float(a @ g @ a)
     if qa <= tol.pos * float(a @ a):
@@ -236,10 +260,11 @@ def period_point(L: QuadLattice, re, im, tol: Tolerances = DEFAULT_TOL) -> Perio
     and h_q(sigma, sigma) = q(a) + q(b) > 0. Then orthonormalizes and fixes
     the sign so the leading nonzero coordinate of a is positive.
     """
-    a = np.asarray(re, dtype=float)
-    b = np.asarray(im, dtype=float)
-    if a.shape != (L.rank,) or b.shape != (L.rank,):
-        raise DomainError("period vector has wrong length")
+    return _period_point(L, *float_rows((re, im), "re and im", L.rank), tol)
+
+
+def _period_point(L: QuadLattice, a: np.ndarray, b: np.ndarray, tol: Tolerances) -> PeriodPoint:
+    """period_point of float vectors that pass the float rule, as the library's own do."""
     g = gram_float(L)
     ag = a @ g
     qa, qb, ab = float(ag @ a), float(b @ g @ b), float(ag @ b)
@@ -248,7 +273,7 @@ def period_point(L: QuadLattice, re, im, tol: Tolerances = DEFAULT_TOL) -> Perio
         raise DomainError("h_q(sigma, sigma) must be positive")
     if abs(qa - qb) > tol.iso * h or abs(2 * ab) > tol.iso * h:
         raise DomainError("q(sigma, sigma) = 0 fails beyond the isotropy tolerance")
-    a1, b1 = orthonormal_pair(L, a, b, tol)
+    a1, b1 = _orthonormal_pair(L, a, b, tol)
     lead = next((i for i in range(L.rank) if abs(a1[i]) > _LEAD_CUT), None)
     if lead is not None and a1[lead] < 0:
         a1, b1 = -a1, -b1
@@ -333,9 +358,14 @@ def orient_three_plane(L: QuadLattice, vectors, tol: Tolerances = DEFAULT_TOL) -
     non-positive spans, reporting the minimum eigenvalue of the Gram matrix
     of the Euclidean-normalized input.
     """
-    vs = [np.asarray(v, dtype=float) for v in vectors]
+    vs = float_rows(vectors, "vectors", L.rank)
     if len(vs) != 3:
         raise DomainError("a 3-plane needs exactly 3 spanning vectors")
+    return _orient_three_plane(L, vs, tol)
+
+
+def _orient_three_plane(L: QuadLattice, vs: list, tol: Tolerances) -> PositiveThreePlane:
+    """orient_three_plane of 3 float vectors that pass the float rule, as the library's own do."""
     g = gram_float(L)
     normalized = []
     for v in vs:
@@ -394,6 +424,19 @@ def _cholesky3(m: list, shift: float, floor: float) -> tuple[list[list[float]] |
     return [[c00], [c10, c11], [c20, c21, math.sqrt(p2)]], min(p0, p1, p2)
 
 
+def _orthogonal_to_plane(z: PeriodPoint, v, what: str, tol: Tolerances) -> np.ndarray:
+    """v as a float vector, nonzero and, as v / |v| within tol.orth, q-orthogonal to the period plane of z."""
+    L = z.lattice
+    [v] = float_rows([v], what, L.rank)
+    nv = _norm(v)
+    if nv == 0:
+        raise DomainError(f"{what} is the zero vector")
+    vhat = v / nv
+    if abs(bform(L, vhat, z.re)) > tol.orth or abs(bform(L, vhat, z.im)) > tol.orth:
+        raise DomainError(f"{what} is not in the orthogonal complement of the period plane")
+    return v
+
+
 def positive_cone_contains(z: PeriodPoint, c, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Membership of c in the positive cone selected by the spin orientation.
 
@@ -402,13 +445,7 @@ def positive_cone_contains(z: PeriodPoint, c, tol: Tolerances = DEFAULT_TOL) -> 
     carries the positive spin flag.
     """
     L = z.lattice
-    c = np.asarray(c, dtype=float)
-    nc = _norm(c)
-    if nc == 0:
-        raise DomainError("zero vector")
-    chat = c / nc
-    if abs(bform(L, chat, z.re)) > tol.orth or abs(bform(L, chat, z.im)) > tol.orth:
-        raise DomainError("vector is not in the orthogonal complement of the period plane")
+    c = _orthogonal_to_plane(z, c, "c", tol)
     qc = qform(L, c)
     if qc <= 0:
         return False
@@ -424,16 +461,10 @@ def twistor_plane(z: PeriodPoint, ell, tol: Tolerances = DEFAULT_TOL) -> Positiv
     the result contains z by construction.
     """
     L = z.lattice
-    ell = np.asarray(ell, dtype=float)
-    nl = _norm(ell)
-    if nl == 0:
-        raise DomainError("zero vector")
-    lhat = ell / nl
-    if abs(bform(L, lhat, z.re)) > tol.orth or abs(bform(L, lhat, z.im)) > tol.orth:
-        raise DomainError("line is not orthogonal to the period plane")
+    ell = _orthogonal_to_plane(z, ell, "ell", tol)
     if qform(L, ell) <= 0:
         raise DomainError("line is not q-positive")
-    return orient_three_plane(L, [z.re, z.im, ell], tol)
+    return _orient_three_plane(L, [z.re, z.im, ell], tol)
 
 
 def conic_contains(P: PositiveThreePlane, z: PeriodPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -459,9 +490,7 @@ def conic_point(
     the point does not depend on the completion.
     """
     L = P.lattice
-    u = np.asarray(u, dtype=float)
-    if u.shape != (L.rank,):
-        raise DomainError(f"u must have length {L.rank}")
+    [u] = float_rows([u], "u", L.rank)
     if abs(qform(L, u) - 1) > _UNIT_TOL:
         raise DomainError("u must be a q-unit vector")
     if _span_residual(P.frame, P._frame_g, u) > tol.orth:
@@ -479,7 +508,7 @@ def conic_point(
     # orientation of (u, v, w) as a frame of P, relative to P's own frame
     if _det3([(P._frame_g @ x).tolist() for x in (u, v, w)]) < 0:
         w = -w
-    return period_point(L, v, w, tol)
+    return _period_point(L, v, w, tol)
 
 
 # -- twistor chains ---------------------------------------------------------------
@@ -613,13 +642,13 @@ def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances) -> list[C
     if all(_span_residual(fa, z._frame_g, v) < _SAME_PLANE for v in fb):
         # same underlying plane, different orientation or rotation: one conic
         ell = _perp_positive_direction(g, fa)
-        return [ChainLink(orient_three_plane(L, [z.re, z.im, ell], tol), z, target)]
+        return [ChainLink(_orient_three_plane(L, [z.re, z.im, ell], tol), z, target)]
     union = np.concatenate([fa, fb])
     svals = np.linalg.svd(union, compute_uv=False)
     if svals[3] < _UNION_RANK * svals[0]:
         # union spans a 3-space; positive union gives a single link
         try:
-            plane = orient_three_plane(L, list(_span_basis(union, 3)), tol)
+            plane = _orient_three_plane(L, list(_span_basis(union, 3)), tol)
             if conic_contains(plane, z, tol) and conic_contains(plane, target, tol):
                 return [ChainLink(plane, z, target)]
         except DomainError:
@@ -630,11 +659,11 @@ def _chain_links(z: PeriodPoint, target: PeriodPoint, tol: Tolerances) -> list[C
     # near s_1 = 1 the junction span(p1, q1) is nearly degenerate, so there
     # the 3-link route, which needs only s_1 > 0, takes over
     if s[1] < 1 - _LINK_MARGIN:
-        planes = [orient_three_plane(L, [*fa, x1], tol), orient_three_plane(L, [*fb, y1], tol)]
-        mid = _junction(planes, *orthonormal_pair(L, p1, x1, tol), tol)
+        planes = [_orient_three_plane(L, [*fa, x1], tol), _orient_three_plane(L, [*fb, y1], tol)]
+        mid = _junction(planes, *_orthonormal_pair(L, p1, x1, tol), tol)
         return [ChainLink(planes[0], z, mid), ChainLink(planes[1], mid, target)]
     c = _perp_positive_direction(g, np.array([p0, q1]), drop=[x0, y1])
-    planes = [orient_three_plane(L, vs, tol) for vs in ([*fa, c], [c, p0, q1], [*fb, c])]
+    planes = [_orient_three_plane(L, vs, tol) for vs in ([*fa, c], [c, p0, q1], [*fb, c])]
     w1 = _junction(planes[:2], c, p0, tol)
     w2 = _junction(planes[1:], c, q1, tol)
     return [ChainLink(planes[0], z, w1), ChainLink(planes[1], w1, w2), ChainLink(planes[2], w2, target)]
@@ -648,7 +677,7 @@ def _junction(planes: list[PositiveThreePlane], a, b, tol: Tolerances) -> Period
     can fail (a far-out frame, a plane known only to the rounding of a tiny
     vector); that raises NumericalError.
     """
-    w = period_point(planes[0].lattice, a, b, tol)
+    w = _period_point(planes[0].lattice, a, b, tol)
     if not (all(conic_contains(P, w, tol) for P in planes) and same_period_point(w, w)):
         raise NumericalError("junction point fails the chain checks (near-degenerate pair)")
     return w
@@ -673,7 +702,7 @@ def sample_period_point(L: QuadLattice, seed: int, tol: Tolerances = DEFAULT_TOL
     """
     if L.signature[0] != 3:
         raise DomainError("sampling needs a lattice of signature (3, n)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     evals, _, pos, neg = _spectrum(L)
     a_pos = pos @ rng.standard_normal(pos.shape[1])
     b_pos = pos @ rng.standard_normal(pos.shape[1])
@@ -690,8 +719,8 @@ def sample_period_point(L: QuadLattice, seed: int, tol: Tolerances = DEFAULT_TOL
         a = a_pos + eps * a_neg
         b = b_pos + eps * b_neg
         try:
-            a1, b1 = orthonormal_pair(L, a, b, tol)
-            return period_point(L, a1, b1, tol)
+            a1, b1 = _orthonormal_pair(L, a, b, tol)
+            return _period_point(L, a1, b1, tol)
         except DomainError:
             eps *= 0.5
     raise NumericalError("failed to sample a positive 2-plane")
@@ -746,7 +775,7 @@ def sample_irrational_line(
     L = z.lattice
     if L.rank - 3 == 0:
         raise DomainError("signature too small: the complement has no room to sample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     basis, _, evecs = _complement(gram_float(L), z.plane_frame())
     for _ in range(_LINE_TRIES):
         mix = evecs[:, -1] + 0.4 * rng.standard_normal(basis.shape[0])

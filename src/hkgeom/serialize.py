@@ -69,10 +69,8 @@ def decode_scalar(v):
 
 
 def decode_int(v, what: str) -> int:
-    """A JSON integer; bool, float and string are refused, never truncated."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DomainError(f"{what} must be an integer, got {v!r}")
-    return v
+    """A JSON integer, by the library's integer rule: bool, float and string are refused, never truncated."""
+    return ex.integer(v, what, None)
 
 
 def decode_ints(values, what: str) -> tuple[int, ...]:
@@ -97,16 +95,9 @@ def decode_float_vector(values) -> list[float]:
     return [decode_float(v) for v in expect(values, list, "a vector")]
 
 
-def decode_lattice_vector(L: QuadLattice, values) -> list[float]:
-    """A float vector of L: one coordinate per basis vector."""
-    vec = decode_float_vector(values)
-    if len(vec) != L.rank:
-        raise DomainError(f"a vector of the lattice needs {L.rank} coordinates, got {len(vec)}")
-    return vec
-
-
-def decode_lattice_rows(L: QuadLattice, rows, what: str) -> list[list[float]]:
-    return [decode_lattice_vector(L, row) for row in expect(rows, list, what)]
+def decode_float_rows(rows, what: str) -> list[list[float]]:
+    """A JSON array of float vectors; their lengths are the library's to check."""
+    return [decode_float_vector(row) for row in expect(rows, list, what)]
 
 
 def decode_exact_vector(values, what: str) -> list:

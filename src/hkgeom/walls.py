@@ -31,7 +31,7 @@ from . import exactlin as ex
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DomainError
 from .lattice import QuadLattice, WallForm, _unchecked_wall
-from .period import PeriodPoint, PositiveThreePlane, gram_float, positive_cone_contains
+from .period import PeriodPoint, PositiveThreePlane, float_rows, gram_float, positive_cone_contains
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +92,7 @@ class MajorantForm:
         if all(isinstance(x, (int, Fraction, str)) for x in v):
             vv = ex.frvec(v)
             return ex.dot(vv, ex.mat_vec([list(r) for r in self.matrix], vv))
-        arr = np.asarray(v, dtype=float)
+        [arr] = float_rows([v], "v", self.lattice.rank)
         return float(arr @ np.array(self.matrix, dtype=float) @ arr)
 
     def dual_matrix(self) -> tuple[list[list[int]], int]:
@@ -144,14 +144,15 @@ def in_u_eps(L: QuadLattice, span, v, eps: float) -> bool:
     """Membership in the neighborhood q(v_P) < -eps q(v_{P perp}) of P-perp."""
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
-    if len(span) != 3 or any(len(x) != L.rank for x in (*span, v)):
-        raise DomainError(f"in_u_eps needs 3 span vectors and a vector of length {L.rank}")
-    bmat = np.array(span, dtype=float).T
+    rows = float_rows(span, "span", L.rank)
+    if len(rows) != 3:
+        raise DomainError("in_u_eps needs 3 span vectors")
+    [varr] = float_rows([v], "v", L.rank)
+    bmat = np.array(rows).T
     g = gram_float(L)
     core = bmat.T @ g @ bmat
     if np.linalg.matrix_rank(core) < 3:
         raise DomainError("the span vectors have a singular gram matrix")
-    varr = np.asarray(v, dtype=float)
     coeff = np.linalg.solve(core, bmat.T @ g @ varr)
     v_p = bmat @ coeff
     v_perp = varr - v_p
@@ -428,9 +429,9 @@ def kahler_chamber_contains(
     ``tol.wall`` as the margin of both; errors if kappa is not orthogonal
     to the period plane.
     """
-    if not positive_cone_contains(z, kappa, tol):
+    [karr] = float_rows([kappa], "kappa", z.lattice.rank)
+    if not positive_cone_contains(z, karr, tol):
         return False
-    karr = np.asarray(kappa, dtype=float)
     knorm = float(np.linalg.norm(karr))
     for w in relevant_walls(z, walls, tol):
         coords = np.array([float(c) for c in w.coords])

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -447,7 +448,8 @@ def _relation_oracle(nerve, k, degree, rhs=()):
         kv = [[v[r][i] * scales[i] for i in range(n)] for r in range(n)]
     else:
         kv = [[int(i == j) for j in range(n)] for i in range(n)]
-    kinv = ex.inverse(ex.frmat(kv))
+    det, kadj = ex.det_adjugate(kv)
+    kinv = [[Fraction(x, det) for x in row] for row in kadj]
     rel_cols = [list(col) for col in zip(*nerve.coboundary_matrix(degree - 1))] if degree else []
     rel_cols += [[k * int(i == j) for i in range(n)] for j in range(n)]
     r_mat = [[ex.dot(kinv[i], col) for col in rel_cols] for i in range(n)]

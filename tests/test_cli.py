@@ -661,6 +661,30 @@ def test_irrational_subcommands(tmp_path, capsys):
     assert json.loads(out)["result"]["fully_irrational"] is False
 
 
+@pytest.mark.parametrize("op", ["closure", "test"])
+def test_irrational_leaf_answers_on_an_entry_of_1e300(op, tmp_path, capsys):
+    # the relation lattice's N w_j / scale overflowed to inf before the division: a traceback, no stdout
+    path = tmp_path / "job.json"
+    path.write_text('{"vectors": [[1e300, 1.0, 2.0]], "mode": "detect"}')
+    code = main(["irrational", op, "-i", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["ok"] is True
+
+
+def test_llv_deligne_reads_its_orthogonality_tolerance(tmp_path, capsys):
+    # a point 1e-11 off the diagonal plane is on its conic at the default tol.orth, not at 1e-14
+    span = json.loads((FIXTURES / "diagonal_plane_k3.json").read_text())["span"]
+    re = list(span[0])
+    re[6] = 1e-11
+    path = tmp_path / "deligne.json"
+    path.write_text(json.dumps({"ring": "k3", "span": span, "point": {"re": re, "im": span[1]}}))
+    assert main(["llv", "deligne", "-i", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["llv", "deligne", "--tol-orth", "1e-14", "-i", str(path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "domain", "message": "period point does not lie on the conic of the closure plane"}
+
+
 def test_period_convert_round_trip(tmp_path, capsys):
     job = {
         "lattice": json.loads((FIXTURES / "u3_lattice.json").read_text()),

@@ -4,7 +4,9 @@ Each of the 28 leaves starts from a payload that exits 0. Hypothesis then
 replaces one top-level field by arbitrary JSON (NaN and Infinity literals,
 1e400 and 400-digit integers included) or deletes it, and runs ``main`` in
 process on the result. A second test replaces one nested entry instead: a
-gram entry, a cochain value or a simplex vertex.
+gram entry, a cochain value or a simplex vertex. A third puts each of
++-1e300, +-1e-300, 5e-324 and -0.0 into every float field of every leaf
+that reads floats.
 """
 
 import ast
@@ -208,6 +210,53 @@ def test_nested_mutation_keeps_the_contract(case, data):
     path = data.draw(paths, label="path")
     payload = _replace_nested(base, path, data.draw(SCALARS | JSON, label="value"))
     _check_contract(*_run([*leaf, *flags], _text(payload)))
+
+
+POINT = [("point", "re"), ("point", "im")]
+SPAN = [("span", i) for i in range(3)]
+# every float field of the leaves that read floats: the paths to a vector, or to a float, in the base payload
+FLOAT_FIELDS = {
+    ("period", "validate"): POINT,
+    ("period", "convert"): POINT,
+    ("period", "cone"): [*POINT, ("vector",)],
+    ("twistor", "plane"): [*POINT, ("line",)],
+    ("twistor", "point"): [("plane", 0), ("plane", 1), ("plane", 2), ("direction",)],
+    ("twistor", "chain"): [(end, part) for end in ("source", "target") for part in ("re", "im")],
+    ("irrational", "test"): [("vectors", 0), ("vectors", 1)],
+    ("irrational", "picard"): POINT,
+    ("walls", "avoid"): SPAN,
+    ("walls", "chamber"): [*POINT, ("vector",)],
+    ("walls", "ueps"): [*SPAN, ("vector",), ("eps",)],
+    ("llv", "e"): [("eta",)],
+    ("llv", "f"): [("eta",)],
+    ("llv", "closure"): SPAN,
+    ("llv", "hodge"): POINT,
+    ("llv", "deligne"): [*SPAN, *POINT],
+}
+# (leaf, payload, path): the base payloads, plus `period convert` from a plane and `irrational closure` in detect mode
+FLOAT_CASES = [(leaf, BASES[leaf][1], path) for leaf, paths in FLOAT_FIELDS.items() for path in paths] + [
+    (("period", "convert"), {"lattice": "U3", "plane": DIAG_U3[:2]}, ("plane", i)) for i in range(2)
+] + [(("irrational", "closure"), {"vectors": DIAG_U3[:2], "mode": "detect"}, ("vectors", i)) for i in range(2)]
+EXTREME_FLOATS = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -0.0]
+
+
+def _field_id(case):
+    (group, op), _, path = case
+    return " ".join([group, op, *map(str, path)])
+
+
+@pytest.mark.parametrize("case", FLOAT_CASES, ids=map(_field_id, FLOAT_CASES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e300 overflows q(v): numpy warns on stderr, not stdout
+def test_extreme_float_entries_keep_the_contract(case):
+    # each value at the field's first entry, or as the field for a float: in range, past it once multiplied
+    leaf, base, path = case
+    flags = BASES[leaf][0]
+    node = base
+    for step in path:
+        node = node[step]
+    for x in EXTREME_FLOATS:
+        payload = _replace_nested(base, (*path, 0) if isinstance(node, list) else path, x)
+        _check_contract(*_run([*leaf, *flags], json.dumps(payload)))
 
 
 def test_main_catches_no_builtin_exception():

@@ -1341,8 +1341,8 @@ def test_fujiki_batched_matches_loop_on_other_rings():
                 assert got == expected
     assert _fujiki_batched(broken).startswith("Fujiki relation violated: [")
     for samples in (0, -1):
-        assert _fujiki_batched(RING, samples=samples) == _fujiki_loop(RING, samples=samples)
-        assert _fujiki_loop(RING, samples=samples) == "no informative samples for the Fujiki fit"
+        with pytest.raises(DomainError, match=f"samples must be an integer >= 1, got {samples}"):
+            llv.fujiki_constant(RING, samples, 0)
 
 
 def test_fujiki_batched_takes_exact_ints_past_int64():

@@ -271,6 +271,7 @@ DEFAULTED = {
     "llv.so5_closure": ["tol"],
     "llv.full_llv_closure": ["tol"],
     "llv.fujiki_constant": ["samples", "seed"],
+    "llv.deligne_generator": ["tol"],
     "period.orthonormal_pair": ["tol"],
     "period.oriented_two_plane": ["tol"],
     "period.period_point": ["tol"],
@@ -305,4 +306,4 @@ def test_defaulted_parameters_are_the_listed_ones():
             if names:
                 found[f"{path.stem}.{node.name}"] = names
     assert found == DEFAULTED
-    assert sum(map(len, found.values())) == 38
+    assert sum(map(len, found.values())) == 39

@@ -99,7 +99,8 @@ def test_dual_majorant_is_the_inverse_of_the_majorant():
         assert all(isinstance(x, Fraction) for row in mj.matrix for x in row)
         num, den = mj.dual_matrix()
         assert den > 0 and all(type(x) is int for row in num for x in row)
-        assert [[Fraction(x, den) for x in row] for row in num] == ex.inverse([list(row) for row in mj.matrix])
+        # num / den is the inverse of the majorant
+        assert ex.mat_mul(num, mj.matrix) == [[den * int(i == j) for j in range(L.rank)] for i in range(L.rank)]
         assert ex.inertia(mj.matrix) == (L.rank, 0, 0)
     thirds = [[Fraction(x, 3) for x in row] for row in DIAG_SPAN_U3]
     assert wl.majorant(U3, thirds) == wl.majorant(U3, DIAG_SPAN_U3)
@@ -122,12 +123,12 @@ def test_in_u_eps_examples():
 
 def test_in_u_eps_refuses_wrong_lengths_and_a_singular_span():
     v = [1, -1, 0, 0, 0, 0]
-    for span, vec in (
-        (DIAG_SPAN_U3[:2], v),
-        (DIAG_SPAN_U3, v[:5]),
-        ([row[:5] for row in DIAG_SPAN_U3], v),
+    for span, vec, message in (
+        (DIAG_SPAN_U3[:2], v, "in_u_eps needs 3 span vectors"),
+        (DIAG_SPAN_U3, v[:5], "v must have length 6"),
+        ([row[:5] for row in DIAG_SPAN_U3], v, "span must have length 6"),
     ):
-        with pytest.raises(DomainError, match="3 span vectors and a vector of length 6"):
+        with pytest.raises(DomainError, match=message):
             wl.in_u_eps(U3, span, vec, 0.5)
     repeated = [DIAG_SPAN_U3[0], DIAG_SPAN_U3[0], DIAG_SPAN_U3[2]]
     with pytest.raises(DomainError, match="singular gram matrix"):
@@ -428,10 +429,10 @@ def _random_definite_form(rng, n):
 def _box_scan_ellipsoid(a, radius):
     """Every integer x with x A x <= radius: the whole bounding box, one exact test each."""
     n = len(a)
-    inv = ex.inverse(a)
-    box = [math.isqrt(math.floor(radius * inv[i][i])) + 1 for i in range(n)]
-    flat, scale = ex.scale_to_integers([x for row in a for x in row])
-    m = np.array(flat, dtype=np.int64).reshape(n, n)
+    rows, scale = ex.scale_matrix_to_integers(a)
+    det, adj = ex.det_adjugate(rows)  # the inverse of a is scale adj / det
+    box = [math.isqrt(math.floor(radius * Fraction(scale * adj[i][i], det))) + 1 for i in range(n)]
+    m = np.array(rows, dtype=np.int64)
     grid = np.array(list(itertools.product(*(range(-b, b + 1) for b in box))), dtype=np.int64)
     inside = np.einsum("vi,ij,vj->v", grid, m, grid) * radius.denominator <= radius.numerator * scale
     return sorted(map(tuple, grid[inside].tolist()))
