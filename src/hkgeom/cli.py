@@ -105,7 +105,7 @@ def _h_lattice_dual(payload, args, cfg):
     from . import lattice as lat
 
     L = _payload_lattice(payload)
-    coords = ser.decode_exact_vector(payload["coords"], "dual values")
+    coords = ser.decode_vector(payload["coords"])
     return {"value": ser.encode_scalar(lat.dual_value(L, coords))}, {}
 
 
@@ -113,7 +113,7 @@ def _h_lattice_negative(payload, args, cfg):
     from . import lattice as lat
 
     L = _payload_lattice(payload)
-    coords = ser.decode_exact_vector(payload["coords"], "negativity tests")
+    coords = ser.decode_vector(payload["coords"])
     value = lat.dual_value(L, coords)
     return {
         "negative": value < 0,  # is_negative_form's criterion, on the value reported
@@ -126,7 +126,7 @@ def _h_lattice_spinor(payload, args, cfg):
     from . import lattice as lat
 
     L = _payload_lattice(payload)
-    rows = [ser.decode_vector(row)[0] for row in ser.expect(payload["matrix"], list, "matrix")]
+    rows = [ser.decode_vector(row) for row in ser.expect(payload["matrix"], list, "matrix")]
     sign = lat.spinor_norm_sign(L, rows)
     return {"sign": sign, "in_o_sharp": sign == 1}, {}
 
@@ -224,8 +224,7 @@ def _h_irrational_closure(payload, args, cfg):
     vectors = ser.expect(payload["vectors"], list, "vectors")
     mode = payload.get("mode", "exact")
     if mode == "exact":
-        decoded = [ser.decode_exact_vector(row, "exact mode vectors") for row in vectors]
-        report = irr.rational_closure_exact(decoded)
+        report = irr.rational_closure_exact([ser.decode_vector(row) for row in vectors])
     elif mode == "detect":
         rows = ser.decode_float_rows(vectors, "vectors")
         report = irr.rational_closure_detect(rows, height=args.height, tol=args.tol_relation)
@@ -269,7 +268,7 @@ def _h_walls_enum(payload, args, cfg):
     from . import walls as wl
 
     L = _payload_lattice(payload)
-    span = [ser.decode_vector(row)[0] for row in ser.expect(payload["span"], list, "span")]
+    span = [ser.decode_vector(row) for row in ser.expect(payload["span"], list, "span")]
     d = ser.decode_int(payload.get("square", -2), "wall square")
     radius = ser.decode_scalar(payload.get("radius", 2))
     if isinstance(radius, float):

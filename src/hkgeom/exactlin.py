@@ -10,6 +10,9 @@ one symmetric elimination per orthogonal component, ``_inertia_det_int``, gives
 inertia and det at once, dividing exactly by one Sylvester scale per step.
 Every seed and count the library takes in passes one rule, ``integer``: an
 int or numpy integer at least the argument's least value, never a bool, or
+else a DomainError that names the argument. Every exact vector and matrix
+passes one rule beside it, ``exact_rows``: rows of one length, each entry an
+int (bools and numpy integers included), a Fraction or a 'p/q' string, or
 else a DomainError that names the argument.
 """
 
@@ -47,12 +50,33 @@ def integer(x, what: str, least: int | None) -> int:
     return int(x)
 
 
+def exact_rows(rows, what: str, length: int | None) -> list[list[int | Fraction]]:
+    """The exact rule: ``rows`` as lists of ints and Fractions, each integral entry an int.
+
+    Each row a sequence (not a string) of ``length`` entries, or, with no
+    ``length``, at least one row and one shared nonzero length; each entry
+    one that ``fr`` reads. Otherwise a DomainError names ``what``. Rows of
+    ints come back as lists of the same ints, with no Fraction or lcm formed.
+    """
+    try:  # a string row becomes None, which has no length
+        rows = [row if type(row) is list else None if isinstance(row, (str, bytes)) else list(row) for row in rows]
+        n = length if length is not None else len(rows[0]) if rows else 0
+        fits = n and {*map(len, rows)} <= {n}
+    except TypeError:  # rows, or a row, is no sequence
+        fits = False
+    if not fits:
+        shape = "be a list of rows of integers, Fractions or 'p/q' strings that share one nonzero length"
+        raise DomainError(f"{what} must " + (f"have {length} coordinates" if length is not None else shape))
+    if {type(x) for row in rows for x in row} <= {int}:
+        return rows
+    try:  # int() for numpy integers
+        return [[int(f.numerator) if f.denominator == 1 else f for f in map(fr, row)] for row in rows]
+    except DomainError as err:
+        raise DomainError(f"{what} must have exact entries: {err}") from err
+
+
 def frmat(rows) -> Mat:
     return [[fr(x) for x in row] for row in rows]
-
-
-def frvec(row) -> Vec:
-    return [fr(x) for x in row]
 
 
 def identity(n: int) -> Mat:
@@ -307,7 +331,9 @@ def content(v: list[int]) -> int:
 
 
 def scale_to_integers(v) -> tuple[list[int], int]:
-    """(D v, D) for D the positive lcm of the denominators of a rational vector."""
+    """(D v, D) for D the positive lcm of the denominators of a rational vector; D = 1 copies an int vector."""
+    if {*map(type, v)} <= {int}:
+        return list(v), 1
     q = [x if isinstance(x, (int, Fraction)) else fr(x) for x in v]  # both carry numerator/denominator
     scale = lcm(*[x.denominator for x in q])
     return [x.numerator * (scale // x.denominator) for x in q], scale
@@ -315,7 +341,7 @@ def scale_to_integers(v) -> tuple[list[int], int]:
 
 def scale_matrix_to_integers(a) -> tuple[list[list[int]], int]:
     """(D a, D) for D the positive lcm of the denominators of a rational matrix; D = 1 copies an int matrix."""
-    if all(type(x) is int for row in a for x in row):
+    if {type(x) for row in a for x in row} <= {int}:
         return [list(row) for row in a], 1
     cols = len(a[0]) if a else 0
     flat, scale = scale_to_integers([x for row in a for x in row])

@@ -38,12 +38,8 @@ def rational_closure_exact(vectors) -> ClosureReport:
     ambient dimension minus the number of independent rational forms
     vanishing on it, computed by an exact kernel computation.
     """
-    if not vectors:
-        raise DomainError("empty input")
-    rows = [ex.frvec(v) for v in vectors]
+    rows = ex.exact_rows(vectors, "vectors", None)
     n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DomainError("vectors have mismatched lengths")
     # forms vanishing on every w_i: the kernel of the matrix with rows w_i
     relations = ex.nullspace(rows)
     span_dim = n - len(relations)

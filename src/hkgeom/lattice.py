@@ -36,13 +36,11 @@ class QuadLattice:
     signature: tuple[int, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.gram
-        n = len(g)
-        if n == 0:
-            raise DomainError("lattice rank must be positive")
-        if any(len(row) != n for row in g):
+        g = tuple(map(tuple, ex.exact_rows(self.gram, "gram", None)))
+        object.__setattr__(self, "gram", g)
+        if len(g) != len(g[0]):
             raise DomainError("gram matrix must be square")
-        if any(not isinstance(x, int) for row in g for x in row):
+        if {type(x) for row in g for x in row} != {int}:  # the rule keeps a non-integral entry a Fraction
             raise DomainError("gram entries must be integers")
         if not ex.is_symmetric(g):
             raise DomainError("gram matrix must be symmetric")
@@ -54,15 +52,8 @@ class QuadLattice:
 
     @classmethod
     def from_rows(cls, rows) -> "QuadLattice":
-        """Decode entries exactly (ints or 'p/q'); non-integral entries are rejected."""
-        if not all(isinstance(row, (list, tuple)) for row in rows):
-            raise DomainError("gram must be a list of rows of integers")
-        if all(type(x) is int for row in rows for x in row):
-            return cls(tuple(map(tuple, rows)))
-        entries = [ex.frvec(row) for row in rows]
-        if any(x.denominator != 1 for row in entries for x in row):
-            raise DomainError("gram entries must be integers")
-        return cls(tuple(tuple(int(x.numerator) for x in row) for row in entries))  # int() for numpy ints
+        """The lattice of a gram given as rows, which the constructor decodes by the exact rule."""
+        return cls(rows)
 
     @property
     def rank(self) -> int:
@@ -114,15 +105,13 @@ class QuadLattice:
         return hash(self.gram)
 
     def bform(self, u, v) -> Fraction:
-        """b(u, v) = u . gram . v, exact; u and v are int/Fraction/'p/q' vectors of length rank."""
-        if len(u) != self.rank or len(v) != self.rank:
-            raise DomainError("vector length does not match the lattice rank")
-        iu, du = ex.scale_to_integers(u)
-        iv, dv = ex.scale_to_integers(v)
+        """b(u, v) = u . gram . v, exact; u and v pass the exact rule with the lattice's rank."""
+        (iu, du), (iv, dv) = map(ex.scale_to_integers, ex.exact_rows([u, v], "u and v", self.rank))
         total = sum(a * sum(map(mul, row, iv)) for a, row in zip(iu, self.gram) if a)
         return Fraction(total, du * dv)
 
     def q(self, v) -> Fraction:
+        [v] = ex.exact_rows([v], "v", self.rank)
         return self.bform(v, v)
 
 
@@ -130,20 +119,18 @@ class QuadLattice:
 class WallForm:
     """Dual-lattice functional delta(v) = coords . v with rational coords.
 
-    Coordinates are ints, 'p/q' strings or Fractions; each is stored as an
-    int when integral and as a Fraction otherwise, so equal forms compare,
-    hash and encode alike however they were given.
+    Coordinates pass the exact rule, which keeps each as an int when
+    integral and as a Fraction otherwise, so equal forms compare, hash and
+    encode alike however they were given.
     """
 
     lattice: QuadLattice
     coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        if type(self.coords) is not tuple or {*map(type, self.coords)} - {int}:
-            object.__setattr__(self, "coords", tuple(map(_exact_coord, self.coords)))
-        if len(self.coords) != self.lattice.rank:
-            raise DomainError("wall form has wrong length")
-        if not any(self.coords):
+        [coords] = ex.exact_rows([self.coords], "coords", self.lattice.rank)
+        object.__setattr__(self, "coords", tuple(coords))
+        if not any(coords):
             raise DomainError("wall form must be nonzero")
 
     @classmethod
@@ -151,7 +138,8 @@ class WallForm:
         return cls(lattice, coords)
 
     def __call__(self, v) -> Fraction:
-        return ex.dot(list(self.coords), ex.frvec(v))
+        [v] = ex.exact_rows([v], "v", self.lattice.rank)
+        return Fraction(ex.dot(self.coords, v))
 
     @cached_property
     def indivisible(self) -> bool:
@@ -175,11 +163,6 @@ def _unchecked_wall(lattice: QuadLattice, coords: tuple[int, ...]) -> WallForm:
     return wall
 
 
-def _exact_coord(c) -> int | Fraction:
-    f = ex.fr(c)
-    return f.numerator if f.denominator == 1 else f
-
-
 # -- standard lattices ---------------------------------------------------------
 
 _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
@@ -201,9 +184,10 @@ def e8_lattice() -> QuadLattice:
 
 
 def rank_one(k: int) -> QuadLattice:
+    k = ex.integer(k, "k", None)
     if k == 0:
         raise DomainError("degenerate form")
-    return QuadLattice.from_rows([[int(k)]])
+    return QuadLattice.from_rows([[k]])
 
 
 def direct_sum(*lattices: QuadLattice) -> QuadLattice:
@@ -222,6 +206,7 @@ def direct_sum(*lattices: QuadLattice) -> QuadLattice:
 
 
 def rescale(L: QuadLattice, s: int) -> QuadLattice:
+    s = ex.integer(s, "s", None)
     if s == 0:
         raise DomainError("cannot rescale a form by 0")
     return QuadLattice.from_rows([[s * x for x in row] for row in L.gram])
@@ -261,9 +246,8 @@ def dual_value(L: QuadLattice, coords) -> Fraction:
     With D the lcm of the coordinate denominators and w = D coords integral,
     q^vee(delta) = w . adj(gram) . w / (det D^2).
     """
+    [coords] = ex.exact_rows([coords], "coords", L.rank)
     w, scale = ex.scale_to_integers(coords)
-    if len(w) != L.rank:
-        raise DomainError("dual coordinates have wrong length")
     acc = sum(wi * sum(map(mul, row, w)) for wi, row in zip(w, L.adjugate) if wi)
     return Fraction(acc, L.det * scale * scale)
 
@@ -275,9 +259,8 @@ def kernel_signature(L: QuadLattice, coords) -> tuple[int, int]:
     [[gram, c], [c^T, 0]] is congruent to (q on ker c) + a hyperbolic plane,
     so its inertia minus (1, 1) is the answer.
     """
+    [coords] = ex.exact_rows([coords], "coords", L.rank)
     c, _ = ex.scale_to_integers(coords)
-    if len(c) != L.rank:
-        raise DomainError("dual coordinates have wrong length")
     if all(x == 0 for x in c):
         raise DomainError("zero functional")
     bordered = [list(row) + [x] for row, x in zip(L.gram, c)] + [c + [0]]
@@ -294,18 +277,18 @@ def is_negative_form(L: QuadLattice, coords) -> bool:
     q(c*), so ker delta has signature (p, m - 1) exactly when q(c*) < 0.
     The tests check that equivalence against ``kernel_signature``.
     """
-    c = ex.frvec(coords)
-    if all(x == 0 for x in c):
+    [c] = ex.exact_rows([coords], "coords", L.rank)
+    if not any(c):
         raise DomainError("zero functional")
     return dual_value(L, c) < 0
 
 
 def reflection_matrix(L: QuadLattice, v) -> ex.Mat:
     """Matrix of r_v(x) = x - (2 b(x,v)/q(v)) v, exact over Q."""
-    qv = L.q(v)
+    [vv] = ex.exact_rows([v], "v", L.rank)
+    qv = L.q(vv)
     if qv == 0:
         raise DomainError("isotropic reflection vector")
-    vv = ex.frvec(v)
     gv = ex.mat_vec([list(r) for r in L.gram], vv)
     n = L.rank
     mat = ex.identity(n)
@@ -334,17 +317,17 @@ def reflection(L: QuadLattice, v) -> Reflection:
     integral = all(x.denominator == 1 for row in mat for x in row)
     return Reflection(
         lattice=L,
-        vector=tuple(ex.frvec(v)),
+        vector=tuple(map(ex.fr, v)),  # v passed the exact rule in reflection_matrix
         matrix=tuple(tuple(row) for row in mat),
         integral=integral,
     )
 
 
 def _scaled_isometry(L: QuadLattice, g) -> tuple[list[list[int]], int] | None:
-    """(D g, D) for D the positive lcm of g's denominators when g is an isometry of L, else None."""
-    if len(g) != L.rank or any(len(row) != L.rank for row in g):
+    """(D g, D) for D the positive lcm of g's denominators when g is an isometry of L, else None; g passes the exact rule."""
+    h, d = ex.scale_matrix_to_integers(ex.exact_rows(g, "g rows", L.rank))
+    if len(h) != L.rank:  # the rule checks the rows' length, not their count
         return None
-    h, d = ex.scale_matrix_to_integers(g)
     if ex.mat_mul(ex.mat_mul(ex.transpose(h), L.gram), h) != [[d * d * x for x in r] for r in L.gram]:
         return None
     return h, d

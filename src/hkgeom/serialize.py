@@ -1,8 +1,9 @@
 """JSON encoding and decoding for every value the CLI exchanges.
 
 Rationals travel as ints or "p/q" strings so exact paths never see float
-drift; vectors are JSON arrays of doubles or rational strings, and the exact
-fast path is taken when every entry is rational.
+drift; vectors are JSON arrays of doubles or rational strings. Whether a
+vector must be exact is the library's rule to apply: it refuses a float in
+an exact argument by the argument's name.
 """
 
 from __future__ import annotations
@@ -77,11 +78,9 @@ def decode_ints(values, what: str) -> tuple[int, ...]:
     return tuple(decode_int(v, what) for v in expect(values, list, what))
 
 
-def decode_vector(values) -> tuple[list, bool]:
-    """Returns (entries, exact): exact when every entry is an int or 'p/q'."""
-    out = [decode_scalar(v) for v in expect(values, list, "a vector")]
-    exact = all(not isinstance(x, float) for x in out)
-    return out, exact
+def decode_vector(values) -> list:
+    """A JSON array of scalars; whether they must be exact is the library's to check."""
+    return [decode_scalar(v) for v in expect(values, list, "a vector")]
 
 
 def decode_float(v) -> float:
@@ -98,13 +97,6 @@ def decode_float_vector(values) -> list[float]:
 def decode_float_rows(rows, what: str) -> list[list[float]]:
     """A JSON array of float vectors; their lengths are the library's to check."""
     return [decode_float_vector(row) for row in expect(rows, list, what)]
-
-
-def decode_exact_vector(values, what: str) -> list:
-    vec, exact = decode_vector(values)
-    if not exact:
-        raise DomainError(f"{what} need rational coordinates")
-    return vec
 
 
 def encode_vector(values) -> list:
@@ -188,14 +180,13 @@ def decode_wallset(L: QuadLattice, entries) -> WallSet:
     coords = []
     for entry in expect(entries, list, "walls"):
         if isinstance(entry, dict):
-            vec, _ = decode_vector(entry["coords"])
+            vec = decode_vector(entry["coords"])
             sign = decode_int(entry.get("sign", 1), "wall sign")
             if sign not in (1, -1):
                 raise DomainError("wall sign must be +1 or -1")
             coords.append([sign * x for x in vec])
         else:
-            vec, _ = decode_vector(entry)
-            coords.append(vec)
+            coords.append(decode_vector(entry))
     return WallSet.from_coords(L, coords)
 
 

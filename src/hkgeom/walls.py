@@ -22,6 +22,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from operator import mul
 
@@ -70,6 +71,11 @@ class WallSet:
     def __len__(self) -> int:
         return len(self.walls)
 
+    @cached_property
+    def _float_coords(self) -> np.ndarray:
+        """The walls' coordinates as float rows, one per wall, kept once per set."""
+        return np.array([[float(c) for c in w.coords] for w in self.walls])
+
 
 # -- majorant forms --------------------------------------------------------------
 
@@ -88,12 +94,13 @@ class MajorantForm:
     matrix: tuple  # rows of Fractions
 
     def value(self, v) -> Fraction | float:
-        """Exact on rational vectors; a float for any other vector."""
-        if all(isinstance(x, (int, Fraction, str)) for x in v):
-            vv = ex.frvec(v)
-            return ex.dot(vv, ex.mat_vec([list(r) for r in self.matrix], vv))
-        [arr] = float_rows([v], "v", self.lattice.rank)
-        return float(arr @ np.array(self.matrix, dtype=float) @ arr)
+        """Exact on a vector the exact rule takes; otherwise a float, on a vector the float rule takes."""
+        try:
+            [vv] = ex.exact_rows([v], "v", self.lattice.rank)
+        except DomainError:
+            [arr] = float_rows([v], "v", self.lattice.rank)
+            return float(arr @ np.array(self.matrix, dtype=float) @ arr)
+        return ex.dot(vv, ex.mat_vec(self.matrix, vv))
 
     def dual_matrix(self) -> tuple[list[list[int]], int]:
         """The majorant transported to the dual lattice, G^-1 M G^-1 = adj (D M) adj / (D det^2), G the gram.
@@ -113,14 +120,10 @@ def majorant(L: QuadLattice, span) -> MajorantForm:
     c = det C, the matrix is (2 (G B) adj C (G B)^T - c G) / c. That C is
     positive definite on p rows, p the positive index, is checked exactly;
     q is then negative definite on P-perp (Sylvester's law of inertia), so
-    the majorant is positive definite. A span with a float entry, or with
-    rows not of the lattice's rank, is a domain error.
+    the majorant is positive definite. The span passes the exact rule with
+    rows of the lattice's rank.
     """
-    rows = [list(v) for v in span]
-    if not all(isinstance(x, (int, Fraction, str)) for row in rows for x in row):
-        raise DomainError("the majorant needs a rational spanning basis")
-    if any(len(row) != L.rank for row in rows):
-        raise DomainError(f"span rows must have {L.rank} coordinates, the lattice rank")
+    rows = ex.exact_rows(span, "span rows", L.rank)
     p, _m = L.signature
     if len(rows) != p:
         raise DomainError(
@@ -320,6 +323,7 @@ def enumerate_walls_near(L: QuadLattice, span, d: int, radius) -> list[WallForm]
     sorted lexicographically, with int coordinates. Any rank is accepted: the
     point budget of the ellipsoid search refuses a radius too large to finish.
     """
+    d = ex.integer(d, "d", None)
     if d >= 0:
         raise DomainError("wall square d must be negative")
     radius = ex.fr(radius)
@@ -353,6 +357,7 @@ def brute_force_walls(L: QuadLattice, span, d: int, radius, box: int) -> list[Wa
     x M x = p M p + 2 p M t + t M t; blocks are int64 while ``_exact_dtype``
     bounds every value below 2^62, and Python ints otherwise.
     """
+    d = ex.integer(d, "d", None)
     radius = ex.fr(radius)
     m, scale = majorant(L, span).dual_matrix()
     num, den = radius.numerator, radius.denominator
@@ -394,29 +399,23 @@ def wall_avoidance(
     P: PositiveThreePlane, walls: WallSet, tol: Tolerances = DEFAULT_TOL
 ) -> AvoidanceReport:
     """True iff every wall restricts to P with norm above tol.wall; reports the nearest."""
-    if not walls.walls:
-        return AvoidanceReport(True, None, float("inf"))
     best = None
     best_norm = float("inf")
-    for w in walls.walls:
-        coords = np.array([float(c) for c in w.coords])
-        restriction = P.frame @ coords
-        norm = float(np.linalg.norm(restriction))
+    for w, norm in zip(walls.walls, _restriction_norms(P.frame, walls)):
         if norm < best_norm:
             best_norm = norm
             best = w
     return AvoidanceReport(best_norm > tol.wall, best, best_norm)
 
 
+def _restriction_norms(frame: np.ndarray, walls: WallSet) -> list[float]:
+    """Per wall, the norm of its values on the frame's rows: how far it is from vanishing on their span."""
+    return [float(np.linalg.norm(frame @ coords)) for coords in walls._float_coords]
+
+
 def relevant_walls(z: PeriodPoint, walls: WallSet, tol: Tolerances = DEFAULT_TOL) -> list[WallForm]:
     """Walls vanishing on the period plane of z (restriction norm below tol.wall): those that can cut its cone."""
-    out = []
-    for w in walls.walls:
-        coords = np.array([float(c) for c in w.coords])
-        restriction = z.plane_frame() @ coords
-        if float(np.linalg.norm(restriction)) < tol.wall:
-            out.append(w)
-    return out
+    return [w for w, norm in zip(walls.walls, _restriction_norms(z.plane_frame(), walls)) if norm < tol.wall]
 
 
 def kahler_chamber_contains(
@@ -433,8 +432,7 @@ def kahler_chamber_contains(
     if not positive_cone_contains(z, karr, tol):
         return False
     knorm = float(np.linalg.norm(karr))
-    for w in relevant_walls(z, walls, tol):
-        coords = np.array([float(c) for c in w.coords])
-        if float(coords @ karr) <= tol.wall * knorm:
+    for coords, norm in zip(walls._float_coords, _restriction_norms(z.plane_frame(), walls)):
+        if norm < tol.wall and float(coords @ karr) <= tol.wall * knorm:
             return False
     return True

@@ -1,11 +1,15 @@
-"""The two intake rules: float vectors (period.float_rows) and seeds and counts (exactlin.integer).
+"""The three intake rules: float vectors (period.float_rows), seeds and counts (exactlin.integer)
+and exact vectors (exactlin.exact_rows).
 
-Every public parameter that takes a float vector, a seed or a count either
-accepts a value or refuses it with a DomainError that names the parameter;
-no numpy error escapes, and no answer is computed on a NaN.
+Every public parameter that takes a float vector, a seed, a count or an
+exact vector either accepts a value or refuses it with a DomainError that
+names the parameter; no numpy error or TypeError escapes, no answer is
+computed on a NaN, and none on an exact vector of the wrong length.
 """
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,3 +177,126 @@ def test_float_rule_keeps_float_arrays_and_the_integer_rule_converts_numpy_ints(
     assert value == 7 and type(value) is int
     with pytest.raises(DomainError, match="seed must be an integer, got True"):
         ex.integer(True, "seed", 0)
+
+
+# -- exact vectors ------------------------------------------------------------
+
+WALL = [1, -1, 0, 0, 0, 0]  # a negative form on U3: q^vee = -2
+SWAP = [[int(j == (i ^ 1)) for j in range(6)] for i in range(6)]  # e_i <-> f_i, an isometry of U3
+MAJORANT = wl.majorant(U3, DIAG)
+
+# a call per public exact-vector parameter with x there: (call, the name its refusals give)
+EXACT_PARAMS = {
+    "bform u": (lambda x: U3.bform(x, DIAG[0]), "u and v"),
+    "bform v": (lambda x: U3.bform(DIAG[0], x), "u and v"),
+    "q v": (lambda x: U3.q(x), "v"),
+    "dual_value coords": (lambda x: lat.dual_value(U3, x), "coords"),
+    "kernel_signature coords": (lambda x: lat.kernel_signature(U3, x), "coords"),
+    "is_negative_form coords": (lambda x: lat.is_negative_form(U3, x), "coords"),
+    "reflection_matrix v": (lambda x: lat.reflection_matrix(U3, x), "v"),
+    "WallForm coords": (lambda x: lat.WallForm(U3, x), "coords"),
+    "WallForm call v": (lambda x: lat.WallForm(U3, WALL)(x), "v"),
+    "MajorantForm.value v": (lambda x: MAJORANT.value(x), "v"),
+    "majorant span": (lambda x: wl.majorant(U3, [DIAG[0], DIAG[1], x]), "span rows"),
+    "spinor_norm_sign g": (lambda x: lat.spinor_norm_sign(U3, [x, *SWAP[1:]]), "g rows"),
+    "rational_closure_exact vectors": (lambda x: irr.rational_closure_exact([DIAG[0], x]), "vectors"),
+    "QuadLattice.from_rows rows": (lambda x: lat.QuadLattice.from_rows([x, *U3.gram[1:]]), "gram"),
+}
+
+
+def _hostile_exact(n):
+    """A row one entry short and one long, no entries, a scalar, None, a float, NaN, "x", and NaN and "x" as entries."""
+    base = [1] * n
+    return [base[:-1], base + [1], [], 3, None, 1.5, NAN, "x", [NAN] + base[1:], ["x"] + base[1:]]
+
+
+@pytest.mark.parametrize("param", list(EXACT_PARAMS))
+def test_exact_vector_parameters_refuse_hostile_vectors_by_name(param):
+    call, name = EXACT_PARAMS[param]
+    for x in _hostile_exact(6):
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            call(x)
+    if param != "MajorantForm.value v":  # the value of a float vector is a float
+        with pytest.raises(DomainError, match=f"^{name} must have exact entries: exact arithmetic rejects floats"):
+            call([0.5] + [1] * 5)
+
+
+# the hostile calls that leaked a TypeError, and the refusal each now meets
+EXACT_LEAKS = {
+    "bform-scalars": (lambda: U3.bform(3, 3), "u and v must have 6 coordinates"),
+    "bform-none": (lambda: U3.bform(None, None), "u and v must have 6 coordinates"),
+    "dual_value-scalar": (lambda: lat.dual_value(U3, 3), "coords must have 6 coordinates"),
+    "is_negative_form-scalar": (lambda: lat.is_negative_form(U3, 3), "coords must have 6 coordinates"),
+    "majorant-flat-span": (lambda: wl.majorant(U3, [1, 2, 3]), "span rows must have 6 coordinates"),
+    "enumerate_walls_near-string-d": (lambda: wl.enumerate_walls_near(U3, DIAG, "-2", 2), "d must be an integer"),
+    "spinor_norm_sign-scalar": (lambda: lat.spinor_norm_sign(U3, 3), "g rows must have 6 coordinates"),
+    "spinor_norm_sign-none-rows": (lambda: lat.spinor_norm_sign(U3, [None] * 6), "g rows must have 6 coordinates"),
+    "rational_closure_exact-flat": (lambda: irr.rational_closure_exact([1, 2]), "vectors must be a list of rows"),
+    "WallForm-scalar": (lambda: lat.WallForm(U3, 3), "coords must have 6 coordinates"),
+    "WallSet.from_coords-scalar": (lambda: wl.WallSet.from_coords(U3, [3]), "coords must have 6 coordinates"),
+    "from_rows-scalar": (lambda: lat.QuadLattice.from_rows(3), "gram must be a list of rows"),
+}
+
+# the calls that answered where they should refuse, and the refusal each now meets
+EXACT_WRONG_ANSWERS = {
+    "value-short": (lambda: MAJORANT.value([1]), "v must have length 6"),
+    "value-long": (lambda: MAJORANT.value([1] * 7), "v must have length 6"),
+    "WallForm-call-short": (lambda: lat.WallForm(U3, WALL)([1]), "v must have 6 coordinates"),
+    "WallForm-call-long": (lambda: lat.WallForm(U3, WALL)([1] * 7), "v must have 6 coordinates"),
+    "enumerate_walls_near-float-d": (lambda: wl.enumerate_walls_near(U3, DIAG, -2.5, 2), "d must be an integer"),
+    "enumerate_walls_near-fraction-d": (
+        lambda: wl.enumerate_walls_near(U3, DIAG, Fraction(-5, 2), 2),
+        "d must be an integer",
+    ),
+    "brute_force_walls-float-d": (lambda: wl.brute_force_walls(U3, DIAG, -2.5, 2, 1), "d must be an integer"),
+    "brute_force_walls-fraction-d": (
+        lambda: wl.brute_force_walls(U3, DIAG, Fraction(-5, 2), 2, 1),
+        "d must be an integer",
+    ),
+    "enumerate_walls_near-integral-float-d": (lambda: wl.enumerate_walls_near(U3, DIAG, -2.0, 2), "d must be an integer"),
+    "rational_closure_exact-empty-row": (lambda: irr.rational_closure_exact([[]]), "vectors must be a list of rows"),
+    "rank_one-fraction": (lambda: lat.rank_one(1.5), "k must be an integer"),
+    "rescale-bool": (lambda: lat.rescale(U3, True), "s must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_LEAKS) + list(EXACT_WRONG_ANSWERS))
+def test_hostile_exact_call_is_a_domain_error_naming_the_argument(case):
+    call, message = {**EXACT_LEAKS, **EXACT_WRONG_ANSWERS}[case]
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
+
+
+def test_numpy_integers_are_exact_everywhere():
+    # a numpy-int vector is valued exactly, and a numpy-int span gives the majorant of the int span
+    value = MAJORANT.value(np.ones(6, dtype=np.int64))
+    assert value == 6 and isinstance(value, Fraction)
+    assert wl.majorant(U3, np.array(DIAG)) == MAJORANT
+    assert lat.rank_one(np.int64(-2)) == lat.rank_one(-2)
+    assert wl.enumerate_walls_near(U3, DIAG, np.int64(-2), 2) == wl.enumerate_walls_near(U3, DIAG, -2, 2)
+
+
+def test_exact_rule_keeps_int_rows_and_normalises_every_other_spelling():
+    ints = [1, -2, 3]
+    [out] = ex.exact_rows([ints], "v", 3)
+    assert out is ints
+    [out] = ex.exact_rows([(True, np.int64(4), Fraction(6, 3), "1/2", "-3")], "v", 5)
+    assert out == [1, 4, 2, Fraction(1, 2), -3]
+    assert [type(x) for x in out] == [int, int, int, Fraction, int]
+    assert ex.exact_rows([], "span rows", 6) == []  # with a length, the count of rows is the caller's
+    with pytest.raises(DomainError, match="^vectors must be a list of rows"):
+        ex.exact_rows([], "vectors", None)
+    # a float in an exact field is refused by the field's name
+    with pytest.raises(DomainError, match="^coords must have exact entries: exact arithmetic rejects floats"):
+        ex.exact_rows([[1, 0.5]], "coords", 2)
+
+
+def test_cli_exact_closure_refuses_an_empty_row(tmp_path, capsys):
+    from hkgeom.cli import main
+
+    for vectors in ([[]], [[1, 0.5]]):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"vectors": vectors}))
+        assert main(["irrational", "closure", "-i", str(job)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["message"].startswith("vectors must"), error

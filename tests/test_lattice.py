@@ -154,7 +154,7 @@ def test_spinor_sign_scales_g_once(monkeypatch):
     for g in (r_pos, [[int(x) for x in row] for row in r_pos]):
         seen.clear()
         assert lat.spinor_norm_sign(U3, g) == -1
-        assert sum(a is g for a in seen) == 1
+        assert sum(a == g for a in seen) == 1  # g as the exact rule hands it over, equal entry by entry
 
 
 def test_from_rows_decodes_every_exact_spelling_to_one_int_lattice():
@@ -174,7 +174,8 @@ def test_from_rows_decodes_every_exact_spelling_to_one_int_lattice():
     refused = {
         "gram entries must be integers": [[1, "1/2"], ["1/2", 1]],
         "exact arithmetic rejects floats": [[1.5, 0], [0, 1]],
-        "gram matrix must be square": [[1, 0], [0]],
+        "gram matrix must be square": [[1, 0]],
+        "gram must be a list of rows of integers, Fractions or 'p/q' strings that share": [[1, 0], [0]],
         "gram must be a list of rows of integers": [1],
     }
     for message, rows in refused.items():
@@ -327,7 +328,7 @@ def test_reflection_properties(vec):
     # involution and isometry, exactly
     assert ex.mat_mul(m, m) == ex.identity(6)
     assert _is_isometry(U3, m)
-    assert ex.mat_vec(m, ex.frvec(vec)) == [-x for x in ex.frvec(vec)]
+    assert ex.mat_vec(m, vec) == [-x for x in vec]
 
 
 def _random_pm2_vector(rng, L, want_sign=None):

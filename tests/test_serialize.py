@@ -41,16 +41,6 @@ def test_strict_decoders_refuse_instead_of_truncating():
         with pytest.raises(DomainError):
             ser.decode_vector(bad)
     assert ser.decode_float_vector([1, "1/2", 0.25]) == [1.0, 0.5, 0.25]
-    assert ser.decode_exact_vector([1, "1/2"], "coords") == [1, Fraction(1, 2)]
-    with pytest.raises(DomainError):
-        ser.decode_exact_vector([1, 0.5], "coords")
-
-
-def test_vector_exactness_detection():
-    vec, exact = ser.decode_vector([1, "1/2", 3])
-    assert exact and vec[1] == Fraction(1, 2)
-    vec, exact = ser.decode_vector([1, 0.5])
-    assert not exact
 
 
 def test_lattice_round_trip():

@@ -604,7 +604,7 @@ def _walls_by_point(L, span, d, radius, box):
     for v in itertools.product(range(-box, box + 1), repeat=L.rank):
         if not any(v) or next(x for x in v if x) < 0 or math.gcd(*v) != 1:
             continue
-        if lat.dual_value(L, v) == d and ex.dot(ex.frvec(v), ex.mat_vec(dual, ex.frvec(v))) <= radius:
+        if lat.dual_value(L, v) == d and ex.dot(v, ex.mat_vec(dual, v)) <= radius:
             found.append(v)
     return found
 
