@@ -12,7 +12,12 @@ public exact entries, each of which takes its vectors through the exact
 rule: ``QuadLattice.from_rows`` plus ``signature`` on the nondegenerate
 small forms, K3 ``q`` of an int vector, K3 ``dual_value``, the U3
 ``majorant`` of the diagonal span and the U3 ``spinor_norm_sign`` of the
-e_i <-> f_i swap.
+e_i <-> f_i swap. Then ``spinor_norm_sign`` on the 30 U3 isometries of
+lattice-search's seed-1 pass (perfbench's job list; a benchmark run runs each
+four times), on 20 K3 products of 1-4 reflections in each of two draws
+(mirror entries in [-2, 2], the benchmark's draw, and in {-1, 0, 1}, mostly
+0, whose products stay sparse) and on a U3 isometry with one entry changed,
+which it refuses.
 
     python3 scripts/exact_kernel_times.py
 """
@@ -23,11 +28,13 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from hkgeom import exactlin as ex
 from hkgeom import lattice as lat
 from hkgeom import walls
+from hkgeom.errors import DomainError
 
 
 def _best_ms(fn, arg) -> float:
@@ -91,7 +98,48 @@ def main() -> int:
     }
     for name, (fn, args) in entries.items():
         print(f"{name}: {_us_per_call(fn, args):.1f} us per call")
+
+    import workloads  # perfbench's, for the lattice-search job list
+
+    jobs = workloads.setup_lattice_search(1, 1)[0]
+    benchmark = [job.run.__defaults__ for job in jobs if job.kind == "spinor_norm_sign"]  # run = lambda g=g: ...
+    refused = [list(row) for row in benchmark[0][0]]
+    refused[2][3] += 1
+
+    def refuse(g):
+        try:
+            lat.spinor_norm_sign(u3, g)
+        except DomainError:
+            return
+        raise AssertionError("a non-isometry passed")
+
+    spinor = {
+        f"U3, the {len(benchmark)} lattice-search seed-1 inputs": (lambda g: lat.spinor_norm_sign(u3, g), benchmark),
+        "K3, 20 products of 1-4 reflections, mirrors in [-2, 2]": _k3_products(k3, rng, (-2, -1, 0, 1, 2)),
+        "K3, 20 products of 1-4 reflections, mirrors in {-1, 0, 1}": _k3_products(k3, rng, (-1, 0, 0, 0, 1)),
+        "U3, one entry of a benchmark input changed (refused)": (refuse, [(refused,)] * 30),
+    }
+    for name, (fn, args) in spinor.items():
+        print(f"spinor_norm_sign {name}: {_us_per_call(fn, args):.1f} us per call")
     return 0
+
+
+def _k3_products(k3, rng: random.Random, entries) -> tuple:
+    """spinor_norm_sign on K3 and five integer products of k reflections for each k in 1..4, mirrors of q = +-2."""
+    def mirror():
+        while True:
+            v = [rng.choice(entries) for _ in range(22)]
+            if k3.q(v) in (-2, 2):
+                return v
+
+    products = []
+    for k in range(1, 5):
+        for _ in range(5):
+            g = ex.identity(22)
+            for _ in range(k):
+                g = ex.mat_mul(lat.reflection_matrix(k3, mirror()), g)
+            products.append(([[int(x) for x in row] for row in g],))
+    return lambda g: lat.spinor_norm_sign(k3, g), products
 
 
 if __name__ == "__main__":

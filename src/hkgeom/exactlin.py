@@ -172,12 +172,17 @@ def _bareiss(m: list[list[int]], jordan: bool) -> tuple[list[int], int]:
 
 
 def det(a: Mat) -> Fraction:
-    """Exact determinant of a rational matrix: +-(last of n pivots of D a) / D^n, D the lcm of its denominators."""
+    """Exact determinant of a rational matrix: det(D a) / D^n, D the lcm of its denominators."""
     m, scale = scale_matrix_to_integers(a)
+    return Fraction(det_int(m), scale ** len(m))
+
+
+def det_int(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, eliminated in place: +-(last of its n Bareiss pivots), or 0."""
     pivots, swaps = _bareiss(m, jordan=False)
     if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction((-1) ** swaps * m[-1][-1] if m else 1, scale ** len(m))
+        return 0
+    return (-1) ** swaps * m[-1][-1] if m else 1
 
 
 def det_adjugate(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:

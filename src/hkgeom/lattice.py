@@ -4,8 +4,9 @@ All arithmetic in this module is exact (ints and Fractions). Floating point
 is deliberately absent: signatures and spinor signs are discrete invariants
 and must not depend on rounding. Per-lattice data is computed once: det and
 signature come from one symmetric elimination at construction, which also
-refuses a degenerate form; the adjugate, an integer positive p-plane and its
-product with the gram are cached on first use. The spinor sign is the
+refuses a degenerate form; the adjugate, an integer positive p-plane, its
+product with the gram and the nonzeros of the gram's and the plane's rows
+are cached on first use. The spinor sign is the
 orientation character of positive p-planes; the Cartan-Dieudonne
 decomposition ``reflection_vectors`` is kept as its independent oracle.
 """
@@ -95,6 +96,16 @@ class QuadLattice:
     def _plane_gram(self) -> list[list[int]]:
         """W gram for W the positive plane: the left factor of every spinor sign's b(W, g W)."""
         return ex.mat_mul(self.positive_plane, self.gram)
+
+    @cached_property
+    def _gram_nonzeros(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (index, value) pairs of each gram row: the isometry test forms gram h from them."""
+        return [[(j, x) for j, x in enumerate(row) if x] for row in self.gram]
+
+    @cached_property
+    def _plane_nonzeros(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (index, value) pairs of each positive-plane row: the spinor sign forms h W^T from them."""
+        return [[(j, x) for j, x in enumerate(row) if x] for row in self.positive_plane]
 
     def __hash__(self) -> int:
         """Hash of the gram, computed once; lattices key the per-lattice float caches."""
@@ -323,13 +334,32 @@ def reflection(L: QuadLattice, v) -> Reflection:
     )
 
 
+def _combination(pairs: list[tuple[int, int]], vectors) -> list[int]:
+    """The sum of x * vectors[k] over the (k, x) pairs, which are not empty, in integers."""
+    (k, x), *rest = pairs
+    out = [x * y for y in vectors[k]]
+    for k, x in rest:
+        out = [a + x * y for a, y in zip(out, vectors[k])]
+    return out
+
+
 def _scaled_isometry(L: QuadLattice, g) -> tuple[list[list[int]], int] | None:
-    """(D g, D) for D the positive lcm of g's denominators when g is an isometry of L, else None; g passes the exact rule."""
+    """(D g, D) for D the positive lcm of g's denominators when g is an isometry of L, else None; g passes the exact rule.
+
+    With h = D g, the test is b(h e_i, h e_j) = D^2 gram_ij for i <= j, in
+    integers: column i of h dotted with column j of gram h, whose rows are
+    combinations of the rows of h along the gram's nonzeros. It stops at the
+    first pair that differs.
+    """
     h, d = ex.scale_matrix_to_integers(ex.exact_rows(g, "g rows", L.rank))
     if len(h) != L.rank:  # the rule checks the rows' length, not their count
         return None
-    if ex.mat_mul(ex.mat_mul(ex.transpose(h), L.gram), h) != [[d * d * x for x in r] for r in L.gram]:
-        return None
+    gram_h_cols = list(zip(*[_combination(row, h) for row in L._gram_nonzeros]))
+    d2 = d * d
+    for i, (col, gram_row) in enumerate(zip(zip(*h), L.gram)):
+        for gram_h_col, x in zip(gram_h_cols[i:], gram_row[i:]):
+            if sum(map(mul, col, gram_h_col)) != d2 * x:
+                return None
     return h, d
 
 
@@ -441,8 +471,10 @@ def spinor_norm_sign(L: QuadLattice, g) -> int:
     if scaled is None:
         raise DomainError("matrix does not preserve the form")
     h, _ = scaled  # D g, D > 0, leaves the sign unchanged
-    m = ex.mat_mul(L._plane_gram, ex.mat_mul(h, ex.transpose(L.positive_plane)))
-    return 1 if ex.det(m) > 0 else -1
+    cols = list(zip(*h))
+    h_w = [_combination(w, cols) for w in L._plane_nonzeros]  # the columns of h W^T
+    m = [[sum(map(mul, a, col)) for col in h_w] for a in L._plane_gram]
+    return 1 if ex.det_int(m) > 0 else -1
 
 
 def in_o_sharp(L: QuadLattice, g) -> bool:

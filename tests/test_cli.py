@@ -67,6 +67,21 @@ def test_golden_outputs(golden, argv, expected_code, capsys):
     assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [({"square": 2}, "wall square d must be negative"), ({"radius": -1}, "radius must be positive"),
+     ({"square": 2, "radius": -1}, "wall square d must be negative")],
+    ids=["square", "radius", "square-before-radius"],
+)
+def test_walls_enum_refuses_square_and_radius_before_the_span(change, message, tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({**json.loads((FIXTURES / "walls_enum_job.json").read_text()), **change,
+                               "span": [[1, 0, 0, 0, 0, 0]]}))  # a span the majorant would refuse
+    code = main(["walls", "enum", "-i", str(job)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and error["type"] == "domain" and error["message"] == message
+
+
 def test_byte_identical_repeat_runs(capsys):
     _, out1 = run_cli(["period", "sample", "-i", "u3_lattice.json", "--seed", "7"], capsys)
     _, out2 = run_cli(["period", "sample", "-i", "u3_lattice.json", "--seed", "7"], capsys)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -463,7 +464,7 @@ def _random_anisotropic(rng, L, norms):
     norm = rng.choice(norms)
     while True:
         v = [rng.choice((-1, 0, 0, 0, 1)) for _ in range(L.rank)]
-        if L.q(v) == norm:
+        if sum(x * sum(map(mul, row, v)) for x, row in zip(v, L.gram) if x) == norm:  # q(v), in ints
             return v
 
 
@@ -483,8 +484,9 @@ def _cd_and_product_signs(L, vs):
         (lat.QuadLattice.from_rows([[1, 0, 0, 0], [0, -3, 0, 0], [0, 0, 5, 0], [0, 0, 0, -7]]),
          (1, -2, 2, -3, 5, -6, 6, -7), 20),
         (U3, (-4, 4), 20),
+        (lat.direct_sum(lat.rescale(lat.e8_lattice(), -1), U), (-4, -2, 2), 20),  # q <= 2 on these draws
     ],
-    ids=["k3", "u2-plus-minus2", "diag-1-3-5-7", "u3-rational-4"],
+    ids=["k3", "u2-plus-minus2", "diag-1-3-5-7", "u3-rational-4", "e8m-plus-u"],
 )
 def test_spinor_sign_matches_cartan_dieudonne_and_product(L, norms, trials):
     rng = random.Random(17)
@@ -503,6 +505,32 @@ def test_spinor_sign_on_definite_lattices(s):
         g, by_product, by_cd = _cd_and_product_signs(L, vs)
         expected = int(ex.det(g)) if s > 0 else 1
         assert lat.spinor_norm_sign(L, g) == by_product == by_cd == expected
+
+
+def test_isometry_test_refuses_every_one_entry_change():
+    # adding 1 at (i, j) changes b(g e_j, g e_k) by (gram g)_ik for k != j, and b(g e_j, g e_j) by
+    # 2 (gram g)_ij on U3's zero diagonal; row i of gram g is not zero, so each such matrix is refused
+    g = _product_of_reflections(U3, [[1, 1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [1, 0, 1, 1, 0, 1]])
+    assert lat.spinor_norm_sign(U3, g) == 1  # mirrors of q = 2, -2, 2
+    for i in range(6):
+        for j in range(6):
+            bad = [list(row) for row in g]
+            bad[i][j] += 1
+            for refuse in (lat.spinor_norm_sign, lat.reflection_vectors):
+                with pytest.raises(DomainError, match="matrix does not preserve the form"):
+                    refuse(U3, bad)
+
+
+@pytest.mark.parametrize(
+    "vectors, sign",
+    [([[1, 2, 0, 0, 0, 0]], -1), ([[1, -2, 0, 0, 0, 0]], 1), ([[1, 3, 0, 0, 0, 0], [0, 0, 1, 1, 1, -2]], -1),
+     ([[1, 1, 1, 1, 0, 0], [1, 2, 0, 0, 1, -1], [0, 0, 1, -3, 0, 0]], 1)],
+    ids=["q4", "q-4", "q6-q-2", "q4-q2-q-6"],
+)
+def test_spinor_sign_of_a_rational_isometry(vectors, sign):
+    g = _product_of_reflections(U3, vectors)
+    assert lat._scaled_isometry(U3, g)[1] > 1  # D > 1: g has a denominator
+    assert lat.spinor_norm_sign(U3, g) == sign == _cartan_dieudonne_sign(U3, g)
 
 
 def test_spinor_sign_without_order_runs_no_cartan_dieudonne(monkeypatch):
