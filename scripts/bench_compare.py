@@ -13,9 +13,10 @@ files first.
 The result is merged into ``--out`` (default BENCH.json) under the key
 "W seed S": per end-to-end metric, each side's median and quartiles, the
 pairs the change won and lost (ties count for neither), and a verdict;
-whether every run printed the same digest; and each run's metrics, digest and
-per-kind job medians (``job_ms_by_kind``). The verdicts follow this rule for
-a claimed gain and for a regression:
+whether every run printed the same digest; each run's metrics, digest and
+per-kind job medians (``job_ms_by_kind``); and per side and job kind, the
+median over runs of that kind's job median and its share of the pass. The
+verdicts follow this rule for a claimed gain and for a regression:
 
 - "better": the change wins at least nine tenths of the pairs and its median
   is better than the parent's by more than the parent's interquartile range;
@@ -89,6 +90,22 @@ def compare_runs(parent_runs: list[dict], change_runs: list[dict], end_to_end: l
     return {"digests_match": len(digests) == 1, "digests": sorted(digests), "metrics": metrics}
 
 
+def kind_summary(runs: list[dict]) -> dict:
+    """Per job kind over one side's runs: the median of its per-run job medians, its jobs per run,
+    and its share of the pass, median x jobs over the sum of that product across the kinds."""
+    kinds: dict[str, list[dict]] = {}
+    for r in runs:
+        for kind, stats in r["job_ms_by_kind"].items():
+            kinds.setdefault(kind, []).append(stats)
+    out = {kind: {"median_ms": statistics.median(s["median"] for s in stats),
+                  "samples": statistics.median(s["samples"] for s in stats)}
+           for kind, stats in sorted(kinds.items())}
+    total = sum(k["median_ms"] * k["samples"] for k in out.values())
+    for k in out.values():
+        k["share"] = k["median_ms"] * k["samples"] / total if total else None
+    return out
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
@@ -137,7 +154,7 @@ def main(argv=None) -> int:
                 f"{side} job_p50_ms={runs[side][-1]['metrics']['job_p50_ms']:.4f}" for side in runs), flush=True)
     result = compare_runs(runs["parent"], runs["change"], bench["end_to_end"])
     result.update(revisions=revs, trees={side: _git("rev-parse", f"{rev}^{{tree}}") for side, rev in revs.items()},
-                  seconds=bench["run_seconds"], runs=runs)
+                  seconds=bench["run_seconds"], runs=runs, kinds={side: kind_summary(runs[side]) for side in runs})
     out = Path(args.out)
     merged = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     merged[f"{args.workload} seed {args.seed}"] = result
@@ -145,6 +162,10 @@ def main(argv=None) -> int:
     for name, m in result["metrics"].items():
         print(f"{name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
               f"({m['won']}/{m['lost']} of {m['pairs']}) {m['verdict']}")
+    for kind, p in result["kinds"]["parent"].items():
+        c = result["kinds"]["change"].get(kind)
+        print(f"{kind}: {p['median_ms']:.4g} ms ({p['share']:.1%})" + (
+            f" -> {c['median_ms']:.4g} ms ({c['share']:.1%})" if c else " -> absent"))
     print(f"digests match: {result['digests_match']}")
     return 0
 

@@ -15,6 +15,7 @@ Sign conventions: [h, e] = -2e, [h, f] = +2f, [e, f] = -h.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
@@ -130,16 +131,20 @@ class CohomologyRing:
                 raise DomainError("Poincare pairing is degenerate")
 
     @cached_property
-    def _lattice_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (a, k, j) and float values c of the constants e_idx e_j = c e_k, idx the a-th lattice class."""
+    def _lattice_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per constant e_idx e_j = c e_k, idx the a-th lattice class: a, the flat index k * dim + j,
+        and c as a float; last, the flat indices off the degree +2 blocks that some constant reaches
+        (none unless the constants break the grading, which only ``validate`` refuses)."""
         terms = [
-            (a, k, j, c)
+            (a, k * self.dim + j, c)
             for a, idx in enumerate(self.lattice_indices)
             for j in range(self.dim)
             for k, c in self._table.get((idx, j), {}).items()
         ]
-        index = np.array([t[:3] for t in terms], dtype=int).reshape(-1, 3).T
-        return index, np.array([t[3] for t in terms], dtype=float)
+        a, flat = np.array([t[:2] for t in terms], dtype=int).reshape(-1, 2).T
+        on_blocks = np.zeros(self.dim**2, dtype=bool)
+        on_blocks[self._support.get(2, [])] = True
+        return a, flat, np.array([t[2] for t in terms], dtype=float), flat[~on_blocks[flat]]
 
     @cached_property
     def _degree_array(self) -> np.ndarray:
@@ -226,10 +231,11 @@ class GradedOperator:
     degree: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        """The float rule on the rows of ``matrix``, then its shape and its degree-shift blocks."""
         n = self.ring.dim
-        if m.shape != (n, n):
+        if len(float_rows(self.matrix, "matrix rows", n)) != n:
             raise DomainError(f"operator matrix must be {n}x{n}")
+        m = np.asarray(self.matrix, dtype=float)
         off = self.ring._off_support.get(self.degree)
         if np.count_nonzero(m if off is None else m.ravel()[off]):
             raise DomainError("matrix entries off the degree-shift blocks")
@@ -237,7 +243,7 @@ class GradedOperator:
 
 
 def _assembled(ring: CohomologyRing, matrix: np.ndarray, degree: int) -> GradedOperator:
-    """A GradedOperator of a matrix scattered onto ``ring._support[degree]``, homogeneous by construction: unchecked."""
+    """A GradedOperator of a float matrix the library built homogeneous of shift ``degree`` from finite data: unchecked."""
     op = object.__new__(GradedOperator)
     op.__dict__.update(ring=ring, matrix=matrix, degree=degree)
     return op
@@ -260,18 +266,32 @@ def _check_dense_budget(ring: CohomologyRing) -> None:
 
 def lefschetz_e(ring: CohomologyRing, eta) -> GradedOperator:
     """Cup product with a degree-2 class eta (lattice coordinates)."""
-    _check_dense_budget(ring)
     [coeffs] = float_rows([eta], "eta", ring.lattice.rank)
-    (a, k, j), c = ring._lattice_terms
-    mat = np.zeros((ring.dim, ring.dim))
-    np.add.at(mat, (k, j), coeffs[a] * c)
-    return GradedOperator(ring, mat, degree=+2)
+    return _assembled(ring, _lefschetz_e_stack(ring, coeffs[None])[0], +2)
+
+
+def _lefschetz_e_stack(ring: CohomologyRing, classes: np.ndarray) -> np.ndarray:
+    """Cup products with the rows of ``classes`` (count x rank finite floats), as a (count, dim, dim) stack.
+
+    Each slice adds its structure-constant terms in the order one class alone
+    adds them, so a slice is bit for bit that class's ``lefschetz_e``. A
+    nonzero entry off the degree +2 blocks, which only constants that break
+    the grading can put there, raises as ``GradedOperator`` would.
+    """
+    _check_dense_budget(ring)
+    a, flat, c, stray = ring._lattice_terms
+    size = ring.dim**2
+    mats = np.zeros((len(classes), size))
+    np.add.at(mats, (np.arange(len(classes))[:, None], flat), classes[:, a] * c)
+    if len(stray) and np.count_nonzero(mats[:, stray]):
+        raise DomainError("matrix entries off the degree-shift blocks")
+    return mats.reshape(len(classes), ring.dim, ring.dim)
 
 
 def grading_h(ring: CohomologyRing) -> GradedOperator:
     """Diagonal operator with eigenvalue 2m - k on the degree-k block."""
     _check_dense_budget(ring)
-    return GradedOperator(ring, np.diag(ring._h_diagonal), degree=0)
+    return _assembled(ring, np.diag(ring._h_diagonal), 0)
 
 
 _F_SOLVE_TOL = 1e-9  # sl2-completion residual, relative to |h|, past which hard Lefschetz fails
@@ -287,9 +307,11 @@ def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
     [e, f] = -h applied to u in H^{k-2} reads f(e u) = e f(u) + h u, and
     f(u) lies in degree k - 4, already solved. So the block f_k: H^k ->
     H^{k-2} solves f_k e_{k-2} = R with R = e f_{k-2} + h on H^{k-2}, and
-    f_k P^k = 0. By dimension count P^k is spanned by the last
-    |H^k| - |H^{k-2}| right singular vectors of e^{2m-k+1}; with V the
-    others, f_k = X V and X (V e_{k-2}) = R.
+    f_k P^k = 0, so f_k = X e^{2m-k+1} and X e^{2m-k+2} = R, where
+    e^{2m-k+2}: H^{k-2} -> H^{4m-k+2} is square and, under hard Lefschetz,
+    invertible. Above the middle, e_{k-2} has full row rank and f_k is
+    R e_{k-2}^T (e_{k-2} e_{k-2}^T)^-1. Both are linear solves; a singular
+    system raises HardLefschetzError.
 
     Under hard Lefschetz the solution is unique: End(H) is an sl2-module
     under ad, the degree -2 operators have ad_h-weight +2 (so [h, f] = 2f
@@ -305,7 +327,7 @@ def lefschetz_f(ring: CohomologyRing, eta) -> GradedOperator:
 def sl2_triple(ring: CohomologyRing, eta) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
     """(e_eta, h, f_eta), each built once; f_eta is lefschetz_f's completion of this e."""
     e = lefschetz_e(ring, eta)
-    return e, grading_h(ring), GradedOperator(ring, _lefschetz_f(ring, e.matrix[None])[0], degree=-2)
+    return e, grading_h(ring), _assembled(ring, _lefschetz_f(ring, e.matrix[None])[0], -2)
 
 
 def _lefschetz_f(ring: CohomologyRing, e_ops: np.ndarray) -> np.ndarray:
@@ -320,8 +342,19 @@ def _lefschetz_f(ring: CohomologyRing, e_ops: np.ndarray) -> np.ndarray:
     if not steps:
         raise HardLefschetzError("ring has no degree -2 block")
 
+    e_blocks: dict[int, np.ndarray] = {}
+
     def e_block(k: int) -> np.ndarray:
-        return e_ops[:, blocks[k + 2][:, None], blocks[k]]
+        if k not in e_blocks:
+            e_blocks[k] = e_ops[:, blocks[k + 2][:, None], blocks[k]]
+        return e_blocks[k]
+
+    def right_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """b a^-1 over the stack; a singular a is hard Lefschetz failing."""
+        try:
+            return np.linalg.solve(np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)).swapaxes(-1, -2)
+        except np.linalg.LinAlgError:
+            raise HardLefschetzError("hard Lefschetz fails for this class (singular block)") from None
 
     h = ring._h_diagonal
     f_ops = np.zeros_like(e_ops)
@@ -330,18 +363,18 @@ def _lefschetz_f(ring: CohomologyRing, e_ops: np.ndarray) -> np.ndarray:
         lo, hi = blocks[k - 2], blocks[k]
         r = np.diag(h[lo]) + (e_block(k - 4) @ f_blocks[k - 2] if k - 2 in f_blocks else 0)
         lhs = e_block(k - 2)
-        if k <= 2 * ring.m:
+        if k <= 2 * ring.m:  # power lhs = e^{2m-k+2} on H^{k-2}, square
             power = e_block(k)
             for j in range(k + 2, top - k + 2, 2):
                 power = e_block(j) @ power
-            v = np.linalg.svd(power, full_matrices=False)[2]
-            f_blocks[k] = r @ np.linalg.pinv(v @ lhs) @ v
-        else:
-            f_blocks[k] = r @ np.linalg.pinv(lhs)
+            f_blocks[k] = right_solve(power @ lhs, r) @ power
+        else:  # lhs: H^{k-2} -> H^k has full row rank, so its pseudo-inverse is lhs^T (lhs lhs^T)^-1
+            lhs_t = np.swapaxes(lhs, -1, -2)
+            f_blocks[k] = right_solve(lhs @ lhs_t, r @ lhs_t)
         f_ops[:, lo[:, None], hi] = f_blocks[k]
-    h_op = np.diag(h)
-    residual = np.linalg.norm(e_ops @ f_ops - f_ops @ e_ops + h_op, axis=(1, 2)).max()  # worst member
-    if not residual <= _F_SOLVE_TOL * max(np.linalg.norm(h_op), 1):
+    miss = (e_ops @ f_ops - f_ops @ e_ops + np.diag(h)).reshape(len(e_ops), -1)
+    residual = np.sqrt(np.add.reduce(miss * miss, axis=1).max())  # the worst member's Frobenius norm
+    if not residual <= _F_SOLVE_TOL * max(np.sqrt(h @ h), 1):
         raise HardLefschetzError(f"hard Lefschetz fails for this class (residual {residual:.3e})")
     return f_ops
 
@@ -395,7 +428,8 @@ _CLOSURE_CAP = 600
 # Bracket pairs drawn, with a fixed seed, for the independent residual sweep.
 _RESIDUAL_SAMPLES = 400
 _RESIDUAL_SEED = 0
-# Pairs bracketed per batched product in the residual sweep; bounds its scratch memory.
+# Rows per step of the residual sweep, both the pairs it brackets in one batched product
+# and the worklist's bracket rows it projects; bounds its scratch memory.
 _SWEEP_CHUNK = 32
 
 
@@ -408,8 +442,16 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     for d = +-2 and 486 for d = 0). Per degree, the basis is an orthonormal
     stack of such rows. Each accepted element is scattered to a dense matrix
     once, as it is accepted, and that matrix serves its pops, the generator
-    stack, ``LieClosure.elements`` and the residual sweep; each bracket is
+    stacks, ``LieClosure.elements`` and the residual sweep; each bracket is
     gathered to its target degree's support.
+
+    Each bracket is formed once. While the closure is small enough for the
+    residual sweep to take every pair (count (count - 1) / 2 at most
+    ``_RESIDUAL_SAMPLES``), the worklist keeps the gathered rows of the
+    brackets it forms, which are those of every pair that holds a
+    generator; the sweep projects them against the final basis and forms
+    only the pairs of two other elements. Past that size the rows are
+    dropped, and the sweep samples pairs and forms each.
 
     One rule decides zero and rank together, at tau = ``tol.lie``: every
     operand has unit norm (generators are normalized as they are taken in,
@@ -480,91 +522,115 @@ def lie_closure(generators, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
         return True
 
     def screen(rows: np.ndarray, degree: int) -> np.ndarray:
-        """Mask of the bracket rows that try_add might accept."""
+        """Mask of the bracket rows that try_add might accept: projected residual above tau/2."""
         k = counts.get(degree, 0)
         if k:
             q = stacks[degree][:k]
             rows = rows - (rows @ q.T) @ q
-        return np.linalg.norm(rows, axis=1) > tau / 2
+        return np.add.reduce(rows * rows, axis=1) > tau * tau / 4
 
     for g in generators:
         if g.degree in support:
-            row = np.asarray(g.matrix, dtype=float).ravel()[support[g.degree]]
+            row = np.asarray(g.matrix, dtype=float).ravel().take(support[g.degree])
             norm = _norm(row)
             if norm:
                 try_add(row / norm, g.degree)
     gen_count = len(order)
-    gen_mats = np.array(mats)
-    gen_degrees = np.array(order, dtype=int)
-    by_gen_degree = {d: np.flatnonzero(gen_degrees == d) for d in sorted(set(gen_degrees.tolist()))}
+    groups = []  # per degree d among the generators: their indices, ascending, and their matrices
+    for d in sorted(set(order)):
+        idx = [j for j, e in enumerate(order) if e == d]
+        groups.append((d, idx, np.array([mats[j] for j in idx])))
+    # the gathered bracket rows per target degree, kept for the sweep while it will take every pair
+    known: dict[int, list[np.ndarray]] | None = {}
     formed = tried = 0
     queue = deque(range(gen_count))
     while queue:
         p = queue.popleft()
         deg_x, x = order[p], mats[p]
         first = p + 1 if p < gen_count else 0
-        gens = gen_mats[first:]
-        brackets = (x[None, :, :] @ gens - gens @ x[None, :, :]).reshape(len(gens), n * n)
-        formed += len(gens)
+        formed += gen_count - first
         live = []
-        for d, idx in by_gen_degree.items():
+        for d, idx, gens in groups:
+            s = bisect_left(idx, first)  # the generators of degree d from index first on are gens[s:]
             target = deg_x + d
-            idx = idx[idx >= first]
-            if target not in support or not len(idx):
+            if s == len(idx) or target not in support:
                 continue  # no generator left, or a shift with no entries, where every bracket is 0
-            rows = brackets[(idx - first)[:, None], support[target]]
-            keep = screen(rows, target)
-            live += [(j, target, r) for j, r in zip(idx[keep].tolist(), rows[keep])]
+            rows = (x @ gens[s:] - gens[s:] @ x).reshape(len(idx) - s, n * n).take(support[target], axis=1)
+            if known is not None:
+                known.setdefault(target, []).append(rows)
+            live += [(idx[s + i], target, rows[i]) for i in screen(rows, target).nonzero()[0].tolist()]
         live.sort(key=lambda t: t[0])
         tried += len(live)
         for _, target, r in live:
             if try_add(r, target):
                 queue.append(len(order) - 1)
+        if known is not None and len(order) * (len(order) - 1) // 2 > _RESIDUAL_SAMPLES:
+            known = None  # the sweep will sample pairs instead
     return LieClosure(
         ring=ring,
         elements=tuple(_assembled(ring, m, d) for d, m in zip(order, mats)),
         dimension=len(order),
         by_degree=dict(sorted(counts.items())),
-        residual=_residual_sweep(list(zip(order, mats)), {d: stacks[d][:k] for d, k in counts.items()}, support),
+        residual=_residual_sweep(
+            list(zip(order, mats)), {d: stacks[d][:k] for d, k in counts.items()}, support, known, gen_count
+        ),
         brackets_formed=formed,
         brackets_tried=tried,
         brackets_accepted=len(order) - gen_count,
     )
 
 
-def _residual_sweep(elements: list[tuple[int, np.ndarray]], blocks: dict, support: dict) -> float:
+def _residual_sweep(
+    elements: list[tuple[int, np.ndarray]], blocks: dict, support: dict, known: dict | None, generators: int
+) -> float:
     """Largest projected residual of the brackets of sampled element pairs.
 
     All pairs when there are at most ``_RESIDUAL_SAMPLES`` of them, otherwise
     that many pairs drawn with ``_RESIDUAL_SEED``. Elements are dense unit-norm
     matrices; ``blocks[d]`` holds the orthonormal basis rows of degree d on
-    the columns ``support[d]``. Pairs are taken one target degree d at a
-    time, ``_SWEEP_CHUNK`` per batched product, and their brackets gathered
-    to the columns ``support[d]``. As in the closure's rule, a bracket is
-    projected as it is, never divided by its own norm.
+    the columns ``support[d]``. With all pairs taken, ``known`` (None when
+    there is nothing to reuse, with ``generators`` 0) holds per degree d, as
+    a list of row stacks on the columns ``support[d]``, the degree-d
+    brackets of every pair with an element below index ``generators``: the
+    worklist formed those (up to sign, which no norm sees), so only the pairs
+    of two later elements are formed here. Pairs are taken one target degree
+    d at a time, ``_SWEEP_CHUNK`` per batched product, and their brackets
+    gathered to the columns ``support[d]``; known rows are projected
+    ``_SWEEP_CHUNK`` at a time as well. As in the closure's rule, a bracket
+    is projected as it is, never divided by its own norm.
     """
     count = len(elements)
+    known = known or {}
     if count * (count - 1) // 2 <= _RESIDUAL_SAMPLES:
-        first, second = np.tril_indices(count, -1)
+        later = [(a, b) for a in range(generators, count) for b in range(generators, a)]  # first > second
+        first, second = np.array(later, dtype=int).reshape(-1, 2).T
     else:
         rng = np.random.default_rng(_RESIDUAL_SEED)
         first = rng.integers(0, count, _RESIDUAL_SAMPLES)
         second = rng.integers(0, count, _RESIDUAL_SAMPLES)
     degrees = np.array([d for d, _ in elements], dtype=int)
     target = degrees[first] + degrees[second]
-    worst = 0.0
-    for d in sorted(set(target.tolist()) & set(support)):
-        pairs = np.flatnonzero(target == d)
+
+    def chunks(d: int):
+        """The degree-d brackets, at most ``_SWEEP_CHUNK`` rows at a time: the known ones, then those formed here."""
+        rows = np.concatenate(known[d]) if d in known else ()
+        for s in range(0, len(rows), _SWEEP_CHUNK):
+            yield rows[s : s + _SWEEP_CHUNK]
+        pairs = (target == d).nonzero()[0]
         for s in range(0, len(pairs), _SWEEP_CHUNK):
             chunk = pairs[s : s + _SWEEP_CHUNK]
             x = np.array([elements[a][1] for a in first[chunk]])
             y = np.array([elements[b][1] for b in second[chunk]])
-            v = (x @ y - y @ x).reshape(len(chunk), -1)[:, support[d]]
-            q = blocks.get(d)
+            yield (x @ y - y @ x).reshape(len(chunk), -1).take(support[d], axis=1)
+
+    worst = 0.0  # the largest squared row norm: np.linalg.norm's sum, before its square root
+    for d in sorted((set(target.tolist()) | set(known)) & set(support)):
+        q = blocks.get(d)
+        for v in chunks(d):
             if q is not None:
                 v = v - (v @ q.T) @ q
-            worst = max(worst, float(np.linalg.norm(v, axis=1).max()))
-    return worst
+            worst = max(worst, float(np.add.reduce(v * v, axis=1).max()))
+    return float(np.sqrt(worst))
 
 
 def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[list]]]):
@@ -621,9 +687,10 @@ def lie_closure_exact(ring: CohomologyRing, generators: list[tuple[int, list[lis
 
 def so5_closure(ring: CohomologyRing, plane: PositiveThreePlane, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
     """Closure of the sl2 pairs over a q-orthonormal basis of a positive 3-plane."""
-    es = [lefschetz_e(ring, eta) for eta in plane.frame]
-    fs = _lefschetz_f(ring, np.array([e.matrix for e in es]))
-    return lie_closure([op for e, f in zip(es, fs) for op in (e, GradedOperator(ring, f, degree=-2))], tol)
+    float_rows(plane.frame, "plane frame", ring.lattice.rank)  # a plane may be built by hand
+    es = _lefschetz_e_stack(ring, plane.frame)
+    fs = _lefschetz_f(ring, es)
+    return lie_closure([_assembled(ring, m, d) for e, f in zip(es, fs) for m, d in ((e, +2), (f, -2))], tol)
 
 
 def full_llv_closure(ring: CohomologyRing, tol: Tolerances = DEFAULT_TOL) -> LieClosure:
@@ -643,16 +710,13 @@ def full_llv_closure(ring: CohomologyRing, tol: Tolerances = DEFAULT_TOL) -> Lie
     if kept is None:
         L = ring.lattice
         n = L.rank
-        gens, f_classes = [], []
+        f_classes = np.eye(n)
         for a in range(n):
-            eta = [0] * n
-            eta[a] = 1
-            gens.append(lefschetz_e(ring, eta))
-            if L.q(eta) == 0:
+            if L.q([int(i == a) for i in range(n)]) == 0:
                 partner = next(b for b in range(n) if b != a and L.q([int(i in (a, b)) for i in range(n)]))
-                eta[partner] += 1
-            f_classes.append(lefschetz_e(ring, eta).matrix)
-        gens += [GradedOperator(ring, f, degree=-2) for f in _lefschetz_f(ring, np.array(f_classes))]
+                f_classes[a, partner] += 1
+        gens = [_assembled(ring, e, +2) for e in _lefschetz_e_stack(ring, np.eye(n))]
+        gens += [_assembled(ring, f, -2) for f in _lefschetz_f(ring, _lefschetz_e_stack(ring, f_classes))]
         closure = lie_closure(gens, tol)
         for op in closure.elements:
             op.matrix.flags.writeable = False
@@ -795,10 +859,9 @@ def deligne_generator(closure: LieClosure, z: PeriodPoint, tol: Tolerances = DEF
     b_sys = np.concatenate(rhs)
     sol, *_ = np.linalg.lstsq(a_sys, b_sys, rcond=None)
     residual = float(np.linalg.norm(a_sys @ sol - b_sys))
-    if residual > _WEIGHT_SOLVE_TOL * max(1, float(np.linalg.norm(b_sys))):
+    if not residual <= _WEIGHT_SOLVE_TOL * max(1, float(np.linalg.norm(b_sys))):  # a NaN fails too
         raise NumericalError(f"weight-operator solve inconsistent (residual {residual:.3e})")
-    x_mat = sum(c * mat for c, mat in zip(sol, basis))
-    return GradedOperator(ring, x_mat, degree=0)
+    return _assembled(ring, sum(c * mat for c, mat in zip(sol, basis)), 0)  # finite, of degree 0 as its terms
 
 
 def _closure_plane(closure: LieClosure, tol: Tolerances) -> PositiveThreePlane:

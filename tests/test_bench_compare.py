@@ -71,3 +71,22 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
 def test_digests_that_differ_are_reported():
     result = bc.compare_runs(_runs(PARENT_P50, PARENT_RUN_S), _runs(PARENT_P50, PARENT_RUN_S, "d1"), END_TO_END)
     assert not result["digests_match"] and result["digests"] == ["d0", "d1"]
+
+
+def test_kind_summary_takes_medians_over_runs_and_shares_of_the_pass():
+    # three runs' job_ms_by_kind in the shape of a k3-llv pass: 40 so5 closures, 80 Hodge splittings, one full closure
+    runs = [{"job_ms_by_kind": {"so5_closure": {"median": so5, "samples": 40},
+                                "hodge_decompose": {"median": hodge, "samples": 80},
+                                "full_llv_closure": {"median": full, "samples": 1}}}
+            for so5, hodge, full in [(1.80, 0.18, 0.40), (1.74, 0.17, 0.35), (1.85, 0.19, 0.45)]]
+    kinds = bc.kind_summary(runs)
+    assert list(kinds) == ["full_llv_closure", "hodge_decompose", "so5_closure"]
+    assert [kinds[k]["median_ms"] for k in kinds] == [0.40, 0.18, 1.80]
+    assert [kinds[k]["samples"] for k in kinds] == [1, 80, 40]
+    total = 0.40 + 80 * 0.18 + 40 * 1.80  # 86.8 ms of jobs a pass
+    assert kinds["so5_closure"]["share"] == pytest.approx(72.0 / total)
+    assert kinds["hodge_decompose"]["share"] == pytest.approx(14.4 / total)
+    assert sum(k["share"] for k in kinds.values()) == pytest.approx(1.0)
+    # a kind some runs lack is summarized over the runs that have it
+    runs[0]["job_ms_by_kind"]["deligne+weights"] = {"median": 0.5, "samples": 1}
+    assert bc.kind_summary(runs)["deligne+weights"]["median_ms"] == 0.5

@@ -31,6 +31,14 @@ NAN, INF = math.nan, math.inf
 # entries of 1e300 overflow q(v) in floats: numpy warns, and the call still answers or refuses
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+
+def _diagonal_with(value):
+    """The identity on the K3 ring's basis, of degree shift 0, with ``value`` as its first diagonal entry."""
+    m = np.eye(RING.dim)
+    m[0, 0] = value
+    return m
+
+
 # the hostile calls that escaped the error contract or answered on a NaN, and the refusal each now meets
 LEAKS = {
     "sample_period_point-negative-seed": (lambda: per.sample_period_point(U3, -1), "seed must be a non-negative"),
@@ -69,6 +77,19 @@ LEAKS = {
     ),
     "in_u_eps-nan-v": (lambda: wl.in_u_eps(U3, DIAG, [NAN] * 6, 0.5), "v must have finite coordinates"),
     "conic_point-nan-u": (lambda: per.conic_point(PLANE, [NAN] * 6), "u must have finite coordinates"),
+    # a NaN on the diagonal was stored, and lie_closure with it and an e returned dimension 2 at residual 0.0
+    "GradedOperator-nan-matrix": (
+        lambda: llv.GradedOperator(RING, _diagonal_with(NAN), 0),
+        "matrix rows must have finite coordinates",
+    ),
+    "GradedOperator-inf-matrix": (
+        lambda: llv.GradedOperator(RING, _diagonal_with(INF), 0),
+        "matrix rows must have finite coordinates",
+    ),
+    "GradedOperator-string-matrix": (
+        lambda: llv.GradedOperator(RING, "abc", 0),
+        "matrix rows must have float coordinates",
+    ),
 }
 
 

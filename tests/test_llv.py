@@ -622,14 +622,14 @@ def test_chunked_residual_sweep_matches_per_pair_loop(closure_cases):
         # sweep that skips or misprojects pairs moves the maximum
         blocks[0] = blocks[0][:-1]
         rows = {d: np.array(b)[:, support[d]] for d, b in blocks.items()}
-        swept = llv._residual_sweep(elements, rows, support)
+        swept = llv._residual_sweep(elements, rows, support, None, 0)
         assert abs(swept - _per_pair_residual(elements, blocks)) <= 1e-14
     # the worst bracket is the last pair swept, so a sweep that stops short of
     # its last chunk reads 0 instead of 1; 28 elements give all 378 pairs in
     # tril order, whose last pair is (27, 26)
     whole = {0: np.arange(16)}
     elements, blocks = _commuting_but_one_pair(28, 27, 26)
-    assert llv._residual_sweep(elements, blocks, whole) == pytest.approx(1.0, abs=1e-15)
+    assert llv._residual_sweep(elements, blocks, whole, None, 0) == pytest.approx(1.0, abs=1e-15)
     assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
     # past 400 pairs the sweep samples: put the bracket on the last sampled
     # pair that no earlier sample repeats
@@ -643,8 +643,44 @@ def test_chunked_residual_sweep_matches_per_pair_loop(closure_cases):
     else:
         raise AssertionError("no element count puts a fresh pair last")
     elements, blocks = _commuting_but_one_pair(count, int(first[-1]), int(second[-1]))
-    assert llv._residual_sweep(elements, blocks, whole) == pytest.approx(1.0, abs=1e-15)
+    assert llv._residual_sweep(elements, blocks, whole, None, 0) == pytest.approx(1.0, abs=1e-15)
     assert _per_pair_residual(elements, blocks) == pytest.approx(1.0, abs=1e-15)
+
+
+def _swept_so5_closures(planes):
+    """(closure, arguments of its residual sweep) for the so5 closure of each plane."""
+    calls = []
+    real = llv._residual_sweep
+
+    def capture(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(llv, "_residual_sweep", capture)
+        closures = [llv.so5_closure(RING, plane) for plane in planes]
+    return list(zip(closures, calls))
+
+
+def test_so5_residual_on_reused_rows_matches_per_pair_loop():
+    diagonal = per.orient_three_plane(L, [E1F1, E2F2, E3F3])
+    planes = [diagonal] + _generic_planes(20)
+    for plane, (closure, (elements, _, support, known, generators)) in zip(planes, _swept_so5_closures(planes)):
+        # the sweep read the worklist's 39 brackets of the pairs that hold one of the 6 generators
+        assert generators == 6 and sum(len(r) for stacks in known.values() for r in stacks) == 39
+        blocks = {}
+        for d, m in elements:
+            blocks.setdefault(d, []).append(m.ravel())
+        assert abs(closure.residual - _per_pair_residual(elements, blocks)) <= 1e-14
+        # without the last degree-0 row the residuals spread up to about 0.7
+        blocks[0] = blocks[0][:-1]
+        dropped = {d: np.array(b)[:, support[d]] for d, b in blocks.items()}
+        expected = _per_pair_residual(elements, blocks)
+        assert abs(llv._residual_sweep(elements, dropped, support, known, generators) - expected) <= 1e-14
+        if plane is not diagonal:
+            # there the reused rows carry the maximum: the pairs of two later elements alone read
+            # less, so a sweep that skips the reused rows, or misprojects them, moves it
+            assert llv._residual_sweep(elements, dropped, support, None, generators) < expected - 0.1
 
 
 def test_full_closure_work_counters():
@@ -1069,7 +1105,8 @@ PLANTED_VALUES = [1.0, -2.5, -1e-300, np.inf, np.nan, 0.0, -0.0]
     st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(PLANTED_VALUES)), max_size=4),
 )
 def test_graded_operator_off_support_check_is_the_nonzero_rule(name, shift, seed, planted):
-    # the rule written out: some nonzero entry (i, j), NaN included, has deg i != deg j + shift
+    # the rule written out: a NaN or an infinity anywhere is refused by the float rule; otherwise
+    # some nonzero entry (i, j) has deg i != deg j + shift
     ring = {"k3": RING, "cp4": CP4, "square": SQUARE}[name]
     n = ring.dim
     deg = np.array(ring.degrees)
@@ -1078,7 +1115,10 @@ def test_graded_operator_off_support_check_is_the_nonzero_rule(name, shift, seed
     for position, value in planted:
         mat.flat[position % (n * n)] = value
     rows, cols = mat.nonzero()
-    if (deg[rows] != deg[cols] + shift).any():
+    if not np.isfinite(mat).all():
+        with pytest.raises(DomainError, match="matrix rows must have finite coordinates"):
+            llv.GradedOperator(ring, mat, degree=shift)
+    elif (deg[rows] != deg[cols] + shift).any():
         with pytest.raises(DomainError, match="matrix entries off the degree-shift blocks"):
             llv.GradedOperator(ring, mat, degree=shift)
     else:
@@ -1094,6 +1134,30 @@ def test_graded_operator_stores_its_validated_float_array():
     assert llv.bracket_residuals(*listed) == llv.bracket_residuals(*triple)
     as_array = np.zeros((RING.dim, RING.dim))
     assert llv.GradedOperator(RING, as_array, degree=0).matrix is as_array
+
+
+def test_stacked_e_kernel_is_the_per_class_lefschetz_e_bit_for_bit():
+    classes = [per.orient_three_plane(L, [E1F1, E2F2, E3F3]).frame] + [p.frame for p in _generic_planes(20)]
+    # the full closure's 44: the basis vectors, and for its f's each isotropic one patched by its first partner
+    f_classes = np.eye(22)
+    for a in range(22):
+        if L.q([int(i == a) for i in range(22)]) == 0:
+            f_classes[a, next(b for b in range(22) if b != a and L.q([int(i in (a, b)) for i in range(22)]))] += 1
+    classes += [np.eye(22), f_classes]
+    assert sum(map(len, classes)) == 3 * 21 + 44
+    for stack in classes:
+        for eta, e in zip(stack, llv._lefschetz_e_stack(RING, stack)):
+            assert e.tobytes() == llv.lefschetz_e(RING, eta).matrix.tobytes() == _e_by_loop(RING, eta).tobytes()
+
+
+def test_lefschetz_e_refuses_constants_that_break_the_grading():
+    ring = _broken_rings()["grading"]  # e_1 e_2 = e_1 lands off the degree +2 blocks of e_{e_1}
+    with pytest.raises(DomainError, match="matrix entries off the degree-shift blocks"):
+        llv.lefschetz_e(ring, E1F1)
+    with pytest.raises(DomainError, match="matrix entries off the degree-shift blocks"):
+        llv.so5_closure(ring, per.orient_three_plane(L, [E1F1, E2F2, E3F3]))
+    # a class with no weight on e_1 puts nothing there
+    assert llv.lefschetz_e(ring, E2F2).matrix.tobytes() == llv.lefschetz_e(RING, E2F2).matrix.tobytes()
 
 
 def test_lefschetz_e_float_classes_match_loop_on_all_rings():
@@ -1270,8 +1334,7 @@ def test_so5_closures_on_the_stacked_f_match_the_per_class_f():
         assert closure.by_degree == {-2: 3, 0: 4, 2: 3}
         counters = (closure.brackets_formed, closure.brackets_tried, closure.brackets_accepted)
         assert counters == (reference.brackets_formed, reference.brackets_tried, reference.brackets_accepted)
-        if plane is diagonal:
-            assert counters == (39, 4, 4)
+        assert counters == (39, 4, 4)
         assert [op.degree for op in closure.elements] == [op.degree for op in reference.elements]
         for op, ref in zip(closure.elements, reference.elements):
             assert np.abs(op.matrix - ref.matrix).max() <= 1e-14
